@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -248,13 +247,6 @@ def compose_signal_chain(chain: Sequence[QuantumChannel]) -> QuantumChannel:
     for c in chain[1:]:
         total = compose(total, c)
     return total
-
-
-def bipartite_apply(c: QuantumChannel, rho, anc_dim: int = 2) -> np.ndarray:
-    """Apply ``c (x) id`` to a bipartite state, channel on the first factor."""
-    rho = as_matrix(rho)
-    eye = np.eye(anc_dim, dtype=complex)
-    return sum(np.kron(k, eye) @ rho @ dagger(np.kron(k, eye)) for k in c.kraus)
 
 
 def superop_distance(a, b) -> float:

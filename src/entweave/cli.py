@@ -55,7 +55,6 @@ from .optics import (
     m1_setup,
     m2_setup,
     mprime_setup,
-    run_point,
     setup_from_json,
     sweep,
     write_sweep_csv,
@@ -207,8 +206,30 @@ def cmd_discrete(args) -> int:
 # -------------------------------------------------------------- continuous
 
 
+# Bisection tolerance of every breaking-length search.  The result is within
+# EB_XTOL / 2 of the threshold, so rounding it to the decimals of EB_XTOL keeps
+# the printed length within EB_XTOL.
+EB_XTOL = 1e-4
+_EB_DECIMALS = math.ceil(-math.log10(EB_XTOL))
+
+
+def _validate_continuous(args) -> None:
+    bad_n = [n for n in args.n if n < 1]
+    if bad_n:
+        raise OutOfRange(f"--n: slice counts must be at least 1, got {bad_n}")
+    if not math.isfinite(args.omega):
+        raise OutOfRange(f"--omega must be finite, got {args.omega}")
+    if not (math.isfinite(args.eps) and args.eps >= 0.0):
+        raise OutOfRange(f"--eps must be finite and nonnegative, got {args.eps}")
+    if not (math.isfinite(args.x_max) and args.x_max > 0.0):
+        raise OutOfRange(f"--x-max must be finite and positive, got {args.x_max}")
+    if args.steps < 2:
+        raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
+
+
 def cmd_continuous(args) -> int:
     started = time.monotonic()
+    _validate_continuous(args)
     out_dir = _outdir(args)
     decaying = args.dephasing_sign == "decaying"
     if args.family == "ad":
@@ -236,7 +257,7 @@ def cmd_continuous(args) -> int:
         write_profile_csv(out_dir / name, points, label)
         manifest.outputs.append(name)
         try:
-            threshold = eb_length(source, x_hi)
+            threshold = eb_length(source, x_hi, xtol=EB_XTOL)
         except NoBracket:
             threshold = None
         except OutOfRange:
@@ -245,7 +266,8 @@ def cmd_continuous(args) -> int:
             print(f"{label}: no breaking length, evolution is unphysical")
             return None
         if isinstance(threshold, float):
-            print(f"{label}: eb_length {threshold:.12g}")
+            print(f"{label}: eb_length {threshold:.{_EB_DECIMALS}f} "
+                  f"(xtol {EB_XTOL:g})")
         elif threshold is None:
             print(f"{label}: never entangled on the probe")
         else:
@@ -255,8 +277,6 @@ def cmd_continuous(args) -> int:
     single = emit(g1, "single")
     if isinstance(single, float):
         for n in args.n:
-            if n < 1:
-                raise OutOfRange(f"slice count {n} must be positive")
             line = SwitchedLine(g1, g2, single / n, label=f"n{n}")
             emit(line, f"n{n}")
     else:

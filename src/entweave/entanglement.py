@@ -8,7 +8,6 @@ import numpy as np
 
 from .qmath import (
     SIGMA_Y,
-    TOL,
     OutOfRange,
     hermitian_eig,
     kron,

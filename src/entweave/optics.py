@@ -31,7 +31,7 @@ import numpy as np
 
 from .channels import QuantumChannel, compose_signal_chain, unitary_channel
 from .entanglement import concurrence, werner_state
-from .qmath import OutOfRange, as_matrix, projector
+from .qmath import OutOfRange, projector
 from .states import DensityMatrix, matrix_of
 
 

@@ -201,15 +201,11 @@ def apply_superop_first_factor(superop, rho, anc_dim: int) -> np.ndarray:
         raise DimensionMismatch("superoperator dimensions are not perfect squares")
     if rho.shape != (d_in * anc_dim, d_in * anc_dim):
         raise DimensionMismatch("state does not match superoperator x ancilla")
+    # column stacking: superop[i + d_out j, a + d_in b] maps |a><b| to |i><j|
+    s = superop.reshape(d_out, d_out, d_in, d_in)
     t = rho.reshape(d_in, anc_dim, d_in, anc_dim)
-    out = np.zeros((d_out * anc_dim, d_out * anc_dim), dtype=complex)
-    for a in range(d_in):
-        for b in range(d_in):
-            e = np.zeros((d_in, d_in), dtype=complex)
-            e[a, b] = 1.0
-            phi_e = unvec(superop @ vec(e), d_out, d_out)
-            out += np.kron(phi_e, t[a, :, b, :])
-    return out
+    out = np.einsum("jiba,aybz->iyjz", s, t)
+    return out.reshape(d_out * anc_dim, d_out * anc_dim)
 
 
 def opnorm(m) -> float:

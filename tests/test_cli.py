@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from entweave.cli import main
 from entweave.optics import DifElements, IDEAL, identity_setup, setup_to_json
 from dataclasses import replace
 
@@ -79,7 +80,11 @@ def test_continuous_outputs(tmp_path):
     r = run_cli(tmp_path, "continuous", "--family", "pd", "--n", "2",
                 "--x-max", "1.0", "--steps", "11")
     assert r.returncode == 0, r.stderr
-    assert "single: eb_length 0.8955859375" in r.stdout
+    # criterion 4's independent reference; the printed length is within xtol
+    line = next(s for s in r.stdout.splitlines() if s.startswith("single:"))
+    printed = float(line.split()[2])
+    assert math.isclose(printed, 0.8955968176, abs_tol=2e-4)
+    assert "(xtol 0.0001)" in line
     for name in ("continuous_pd_single.csv", "continuous_pd_n2.csv",
                  "continuous_pd_limit.csv"):
         lines = (tmp_path / name).read_text().splitlines()
@@ -88,6 +93,19 @@ def test_continuous_outputs(tmp_path):
     manifest = json.loads((tmp_path / "continuous_manifest.json").read_text())
     assert manifest["parameters"]["family"] == "pd"
     assert len(manifest["outputs"]) == 3
+
+
+@pytest.mark.parametrize("bad", [
+    ("--n", "0"), ("--n", "2", "-1"), ("--omega", "inf"), ("--omega", "nan"),
+    ("--eps", "nan"), ("--eps", "-0.5"), ("--eps", "inf"), ("--x-max", "0"),
+    ("--x-max", "-1"), ("--x-max", "inf"), ("--steps", "1"),
+])
+def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "continuous", "--family", "pd", *bad])
+    assert rc == 2
+    assert bad[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_continuous_undriven_skips_switched(tmp_path):

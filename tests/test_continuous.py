@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entweave.channels import Unbounded, ad_channel, pd_channel, superop_distance
 from entweave.continuous import (
@@ -21,8 +23,9 @@ from entweave.continuous import (
     trotter_gap,
     write_profile_csv,
 )
-from entweave.qmath import OutOfRange
-from entweave.states import DensityMatrix
+from entweave.entanglement import concurrence
+from entweave.qmath import TOL, OutOfRange, apply_superop_first_factor
+from entweave.states import DensityMatrix, matrix_of, singlet_state
 
 
 AD1 = rotating_ad_liouvillian(1, 1.5, 1.0)
@@ -98,6 +101,48 @@ def test_switched_thresholds_frozen():
     assert all(a < b for a, b in zip(vals, vals[1:]))
     pd4 = SwitchedLine(PD1, PD2, 0.85 / 4, label="pd-n4")
     assert math.isclose(eb_length(pd4, 8.0), 1.537578125, abs_tol=2e-4)
+
+
+def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4):
+    """Reference search: scan a 0.02 grid for the first pre-clamp concurrence
+    below -TOL.eb, then bisect that bracket down to xtol."""
+    singlet = matrix_of(singlet_state())
+
+    def f(x):
+        out = apply_superop_first_factor(propagation_superop(source, x),
+                                         singlet, 2)
+        return concurrence(0.5 * (out + out.conj().T)).pre_clamp
+
+    xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / 0.02)) + 1)
+    for lo, hi in zip(xs, xs[1:]):
+        if f(hi) < -TOL.eb:
+            break
+    else:
+        return Unbounded(x_hi)
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("ad", "pd")), st.floats(0.0, 3.0), st.floats(0.2, 2.0),
+       st.sampled_from((1, 2, 4, 8)))
+def test_physical_lines_break_once(family, omega, eps, n):
+    # eb_length decides from f(x_hi) alone; that rests on CP-divisibility,
+    # under which the concurrence never rises along a physical line
+    gen = rotating_ad_liouvillian if family == "ad" else rotating_pd_liouvillian
+    line = switched_line(gen(1, omega, eps), gen(2, omega, eps), 1.0, n)
+    x_hi = 3.0
+    pts = concurrence_profile(line, x_hi, 61)
+    assert max(b.concurrence - a.concurrence
+               for a, b in zip(pts, pts[1:])) <= 2e-8
+    got, ref = eb_length(line, x_hi), _scan_eb_length(line, x_hi)
+    if isinstance(ref, Unbounded):
+        assert got == ref
+    else:
+        assert isinstance(got, float)
+        assert math.isclose(got, ref, abs_tol=2e-4)
 
 
 def test_switched_line_factory():

@@ -70,8 +70,7 @@ def test_pure_state_oracle(rng):
         v = random_pure_state(4, rng)
         expect = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
         got = concurrence(projector(v)).value
-        # the spin-flip eigensolve limits concurrence accuracy to ~1e-8
-        assert math.isclose(got, expect, abs_tol=1e-7)
+        assert math.isclose(got, expect, abs_tol=1e-12)
 
 
 def _x_state(rng):
@@ -93,7 +92,7 @@ def _x_state(rng):
 def test_x_state_closed_form(rng):
     for _ in range(40):
         m, expect = _x_state(rng)
-        assert math.isclose(concurrence(m).value, expect, abs_tol=1e-8)
+        assert math.isclose(concurrence(m).value, expect, abs_tol=1e-12)
 
 
 def test_pre_clamp_semantics(rng):

@@ -111,6 +111,22 @@ def test_apply_superop_first_factor_matches_kron(rng):
                        apply_superop(big, rho))
 
 
+def test_apply_superop_first_factor_general_map(rng):
+    # any linear map, output dimension 3 from input 2, qutrit ancilla; the
+    # reference sums Phi(|a><b|) (x) rho_ab over the basis |a><b|
+    s = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+    rho = random_density(6, rng)
+    t = rho.reshape(2, 3, 2, 3)
+    expect = np.zeros((9, 9), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[a, b] = 1.0
+            expect += np.kron(unvec(s @ vec(e), 3), t[a, :, b, :])
+    assert np.allclose(apply_superop_first_factor(s, rho, 3), expect,
+                       rtol=0.0, atol=1e-13)
+
+
 def test_expm_rotation_closed_form():
     t = 0.7
     assert np.allclose(expm(1j * t * SIGMA_X),
