@@ -66,6 +66,7 @@ from .qmath import (
     NonHermitian,
     NotUnitary,
     OutOfRange,
+    is_unitary,
 )
 
 EXIT_OK = 0
@@ -112,22 +113,25 @@ def _unitary_from_string(text: str) -> np.ndarray:
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"unitary descriptor {text!r} is neither a name "
+        raise ParseError(f"--unitary {text!r} is neither a name "
                          f"(x, z, zx-diag) nor JSON: {exc}") from None
     try:
         m = np.array([[complex(*e) if isinstance(e, (list, tuple)) else complex(e)
                        for e in row] for row in rows])
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"cannot read a 2x2 matrix from {text!r}: {exc}") from None
+        raise ParseError(f"--unitary: cannot read a 2x2 matrix from {text!r}: "
+                         f"{exc}") from None
     if m.shape != (2, 2):
-        raise ParseError(f"unitary descriptor must be 2x2, got shape {m.shape}")
+        raise ParseError(f"--unitary must be 2x2, got shape {m.shape}")
+    if not is_unitary(m):
+        raise NotUnitary(f"--unitary {text!r} is not unitary within tolerance")
     return m
 
 
 def _parse_sequence(text: str) -> str:
     seq = text.strip().upper()
     if not seq or any(ch not in "PQ" for ch in seq):
-        raise ParseError(f"sequence {text!r} must be a nonempty word over P/Q")
+        raise ParseError(f"--sequence {text!r} must be a nonempty word over P/Q")
     return seq
 
 
@@ -152,8 +156,25 @@ def _channel_report(label: str, c: QuantumChannel, max_order: int) -> dict:
     }
 
 
+def _in_unit_interval(flag: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRange(f"{flag} must lie in [0, 1], got {value}")
+
+
+def _validate_discrete(args) -> tuple[np.ndarray, str | None]:
+    """Check every argument; return the parsed unitary and sequence."""
+    _in_unit_interval("--eta", args.eta)
+    if args.pd is not None:
+        _in_unit_interval("--pd", args.pd)
+    if args.max_order < 1:
+        raise OutOfRange(f"--max-order must be at least 1, got {args.max_order}")
+    seq = _parse_sequence(args.sequence) if args.sequence else None
+    return _unitary_from_string(args.unitary), seq
+
+
 def cmd_discrete(args) -> int:
     started = time.monotonic()
+    u_mat, seq = _validate_discrete(args)
     out_dir = _outdir(args)
     if args.pd is not None:
         base = pd_channel(args.pd)
@@ -161,7 +182,6 @@ def cmd_discrete(args) -> int:
     else:
         base = ad_channel(args.eta)
         base_label = f"ad({args.eta:g})"
-    u_mat = _unitary_from_string(args.unitary)
     u = unitary_channel(u_mat)
     u_dag = unitary_channel(u_mat.conj().T)
     phi = compose(u, base)      # signal meets the unitary first
@@ -172,8 +192,7 @@ def cmd_discrete(args) -> int:
         "P": _channel_report("P", phi, args.max_order),
         "Q": _channel_report("Q", psi, args.max_order),
     }
-    if args.sequence:
-        seq = _parse_sequence(args.sequence)
+    if seq:
         total = compose_signal_chain([phi if ch == "P" else psi for ch in seq])
         report["sequence"] = {"word": seq,
                               **{k: v for k, v in
@@ -187,7 +206,7 @@ def cmd_discrete(args) -> int:
             print(f"{key}: is_eb={r['is_eb']} "
                   f"concurrence={r['choi_concurrence']:.12g} "
                   f"order={r['eb_order']}")
-        if args.sequence:
+        if seq:
             s = report["sequence"]
             print(f"sequence {s['word']}: is_eb={s['is_eb']} "
                   f"concurrence={s['choi_concurrence']:.12g} "
@@ -318,11 +337,32 @@ def _summarize(points) -> list[str]:
     return lines
 
 
+def _validate_experiment(args) -> None:
+    if args.steps < 2:
+        raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
+    for flag, value in (("--W", args.W), ("--eta1", args.eta1),
+                        ("--eta2", args.eta2)):
+        _in_unit_interval(flag, value)
+    for flag, value in (("--theta", args.theta), ("--phi", args.phi),
+                        ("--source-phase", args.source_phase),
+                        ("--range", args.range[0]), ("--range", args.range[1])):
+        if not math.isfinite(value):
+            raise OutOfRange(f"{flag} must be finite, got {value}")
+    if args.omega_samples is not None and args.omega_samples < 1:
+        raise OutOfRange(
+            f"--omega-samples must be at least 1, got {args.omega_samples}")
+
+
 def cmd_experiment(args) -> int:
     started = time.monotonic()
-    out_dir = _outdir(args)
+    _validate_experiment(args)
     if args.setup_json:
-        setup = setup_from_json(Path(args.setup_json).read_text())
+        try:
+            text = Path(args.setup_json).read_text()
+        except OSError as exc:
+            raise ParseError(f"--setup-json: cannot read {args.setup_json!r}: "
+                             f"{exc.strerror}") from None
+        setup = setup_from_json(text)
         map_label = setup.label
         preset_name = setup.preset
     else:
@@ -330,6 +370,7 @@ def cmd_experiment(args) -> int:
         map_label = args.map
         preset_name = args.preset
     vary = args.vary or _DEFAULT_VARY.get(map_label, "theta")
+    out_dir = _outdir(args)
     rng = np.random.default_rng(args.seed) if args.omega_samples else None
     lo, hi = args.range
     points = sweep(setup, vary, lo, hi, args.steps,

@@ -16,7 +16,7 @@ from .qmath import (
     partial_transpose,
     projector,
 )
-from .states import DensityMatrix, matrix_of
+from .states import DensityMatrix
 
 
 class BadDimension(ValueError):
@@ -25,21 +25,29 @@ class BadDimension(ValueError):
 
 _YY = kron(SIGMA_Y, SIGMA_Y)
 
+# numpy.linalg.matrix_rank's cutoff: eigenvalues at or below this times the
+# largest are eigensolver noise
+_RANK_CUTOFF = 4.0 * np.finfo(float).eps
+
 
 class ConcurrenceResult(NamedTuple):
-    value: float
-    pre_clamp: float
+    value: float | np.ndarray
+    pre_clamp: float | np.ndarray
 
 
 def _as_two_qubit(rho) -> np.ndarray:
-    m = matrix_of(rho)
-    if m.shape != (4, 4):
+    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    if m.shape[-2:] != (4, 4):
         raise BadDimension(f"need a 4x4 two-qubit state, got {m.shape}")
     return m
 
 
 def concurrence(rho) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit state.
+    """Wootters concurrence of a two-qubit state, or of a stack of them.
+
+    One state, 4x4, gives floats; a stack, shape ``(..., 4, 4)``, gives
+    arrays of its shape without the last two axes, each entry equal to the
+    single-state result.
 
     ``value`` is ``max(0, l1 - l2 - l3 - l4)`` where the ``l``s are the
     descending square roots of the eigenvalues of ``rho @ spin_flip(rho)``.
@@ -61,11 +69,17 @@ def concurrence(rho) -> ConcurrenceResult:
     w, v = hermitian_eig(m)
     if w.min() < -1e-8:
         raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.where(w > 4.0 * np.finfo(float).eps * w.max(), w, 0.0)
-    psi = v * np.sqrt(w)
-    lam = np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False)
-    pre = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return ConcurrenceResult(max(0.0, pre), pre)
+    # eigh sorts ascending, so the last eigenvalue is the largest
+    w = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
+    psi = v * np.sqrt(w)[..., None, :]
+    # .T puts the four values first (scalars for one state, so the arithmetic
+    # stays on scalars); the second .T restores the stack's axes
+    lam = np.linalg.svd(psi.swapaxes(-1, -2) @ _YY @ psi, compute_uv=False).T
+    pre = (lam[0] - lam[1] - lam[2] - lam[3]).T
+    if pre.ndim == 0:
+        pre = float(pre)
+        return ConcurrenceResult(max(0.0, pre), pre)
+    return ConcurrenceResult(np.maximum(pre, 0.0), pre)
 
 
 def negativity(rho) -> float:

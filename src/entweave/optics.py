@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, compose_signal_chain, unitary_channel
+from .channels import QuantumChannel, channel_from_superop
 from .entanglement import concurrence, werner_state
-from .qmath import OutOfRange, projector
-from .states import DensityMatrix, matrix_of
+from .qmath import OutOfRange, apply_superop_first_factor, projector, sandwich_superop
+from .states import DensityMatrix, matrix_of, validate_density
 
 
 class ElementInconsistent(ValueError):
@@ -116,13 +116,14 @@ MEASURED = DifElements(BeamSplitterParams(0.48, 0.44),
 _PRESETS = {"ideal": IDEAL, "measured": MEASURED}
 
 
-def hwp(xi: float) -> np.ndarray:
+def hwp(xi) -> np.ndarray:
     """Half-wave plate at angle xi: [[cos 2xi, sin 2xi], [sin 2xi, -cos 2xi]].
 
-    Real, symmetric, involutive.  hwp(0) = sigma_z, hwp(pi/4) = sigma_x.
+    Real, symmetric, involutive.  hwp(0) = sigma_z, hwp(pi/4) = sigma_x.  An
+    array of angles gives the stack of plates, shape ``xi.shape + (2, 2)``.
     """
-    c, s = math.cos(2.0 * xi), math.sin(2.0 * xi)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    c, s = np.cos(2.0 * np.asarray(xi)), np.sin(2.0 * np.asarray(xi))
+    return np.moveaxis(np.array([[c, s], [s, -c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def alpha_for_eta(eta: float) -> float:
@@ -315,57 +316,101 @@ def source_state(s: OpticalSetup) -> DensityMatrix:
     return werner_state(s.W, omega=DensityMatrix(projector(v)))
 
 
+# Most points, and most sampled phases in Monte Carlo mode, in one stack.  A
+# sweep peaks at about 2 KB per point and 40 bytes per sampled phase, so this
+# bounds its memory near 2 MB and 40 MB, and at 1024 points the per-stack
+# overhead is already negligible.  Stacks run in order, so the Monte Carlo
+# phase stream is unchanged.
+_STACK_POINTS = 1024
+_STACK_PHASES = 1 << 20
+
+
+def _mean_phases(points: int, omega_samples: int | None,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """Mean sampled phase factor e^{i omega} of each DIF at each point,
+    shape (points, 3); zero when the phase is averaged analytically.
+
+    The Monte Carlo draws come as one (points, 3, omega_samples) array, the
+    same stream as drawing each DIF's samples in signal order, point by point.
+    """
+    if omega_samples is None:
+        return np.zeros((points, 3), dtype=complex)
+    if omega_samples < 1:
+        raise OutOfRange("omega_samples must be positive")
+    rng = rng if rng is not None else np.random.default_rng()
+    draws = rng.uniform(0.0, 2.0 * math.pi, size=(points, 3, omega_samples))
+    return np.exp(1.0j * draws).mean(axis=-1)
+
+
+def _bench_superops(s: OpticalSetup, z: np.ndarray, theta, phi) -> np.ndarray:
+    """Superoperators of the bench at mean phase factors z[k] and plate
+    angles theta[k], phi[k] (a scalar angle holds for every k), shape
+    (N, 4, 4) with N = len(z).
+
+    Signal order: DIF1, [phi plate], [theta plate], DIF2, [phi plate],
+    [theta plate], DIF3.  Averaged over its random phase, a DIF with branches
+    (main, arm) is ``S_main + S_arm + z S(arm, main) + conj(z) S(main, arm)``
+    with ``S(a, b)`` the superoperator of ``rho -> a rho b^dagger``: the
+    cross terms carry the mean phase factor, which is zero for the exact
+    average and the sample mean for dif_map's Monte Carlo mode.
+    """
+    n = len(z)
+    plates = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
+    for present, xi in ((s.phi_present, phi), (s.theta_present, theta)):
+        if present:
+            u = hwp(np.broadcast_to(xi, (n,)))
+            plates = np.einsum("nij,nkl->nikjl", u.conj(), u).reshape(n, 4, 4) @ plates
+    difs = []
+    for i, (alpha, el) in enumerate(zip((s.alpha1, s.alpha21, s.alpha2), s.elements)):
+        main, arm = _dif_branches(alpha, el)
+        zi = z[:, i, None, None]
+        difs.append(sandwich_superop(main, main) + sandwich_superop(arm, arm)
+                    + zi * sandwich_superop(arm, main)
+                    + zi.conj() * sandwich_superop(main, arm))
+    d1, d2, d3 = difs
+    return d3 @ (plates @ (d2 @ (plates @ d1)))
+
+
+def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output concurrence and success probability of each bench map in the
+    stack on the configured Werner input.
+
+    Applies (map (x) id) to the input and renormalizes each output by its
+    postselection trace; every output state is checked before it is scored.
+    """
+    out = apply_superop_first_factor(superops, matrix_of(source_state(s)), 2)
+    succ = np.trace(out, axis1=-2, axis2=-1).real
+    dark = succ < 1e-12
+    if dark.any():
+        raise ZeroSuccessProbability(
+            f"postselection trace {succ[dark][0]:.3e} at {s.label}")
+    rho = out / succ[:, None, None]
+    rho = validate_density(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    return concurrence(rho).value, succ
+
+
 def setup_map(s: OpticalSetup, *,
               omega_samples: int | None = None,
               rng: np.random.Generator | None = None) -> tuple[QuantumChannel, float]:
     """Composed polarization map of the bench and its success probability on
     the configured Werner input.
 
-    Signal order: DIF1, [phi plate], [theta plate], DIF2, [phi plate],
-    [theta plate], DIF3.  Each DIF's random phase is independent, so the three
-    two-branch maps compose as channels.
+    Each DIF's random phase is independent, so the three two-branch maps
+    compose as channels; see _bench_superops for the signal order.
     """
-    if omega_samples is not None and rng is None:
-        rng = np.random.default_rng()
-    def stage(alpha, el):
-        return dif_map(alpha, el.bs, el.pbs, coupling=el.coupling,
-                       omega_samples=omega_samples, rng=rng)
-    plates = []
-    if s.phi_present:
-        plates.append(unitary_channel(hwp(s.phi)))
-    if s.theta_present:
-        plates.append(unitary_channel(hwp(s.theta)))
-    chain = [stage(s.alpha1, s.elements[0]), *plates,
-             stage(s.alpha21, s.elements[1]), *plates,
-             stage(s.alpha2, s.elements[2])]
-    total = compose_signal_chain(chain)
-    rho_in = matrix_of(source_state(s))
-    eye = np.eye(2, dtype=complex)
-    out = sum(np.kron(k, eye) @ rho_in @ np.kron(k, eye).conj().T
-              for k in total.kraus)
-    return total, float(np.trace(out).real)
+    superop = _bench_superops(s, _mean_phases(1, omega_samples, rng),
+                              s.theta, s.phi)[0]
+    out = apply_superop_first_factor(superop, matrix_of(source_state(s)), 2)
+    return channel_from_superop(superop), float(np.trace(out).real)
 
 
 def run_point(s: OpticalSetup, *,
               omega_samples: int | None = None,
               rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Output concurrence and success probability at one setting.
-
-    Applies (map (x) id) to the Werner input and renormalizes by the
-    postselection trace.
-    """
-    total, _ = setup_map(s, omega_samples=omega_samples, rng=rng)
-    rho_in = matrix_of(source_state(s))
-    eye = np.eye(2, dtype=complex)
-    out = sum(np.kron(k, eye) @ rho_in @ np.kron(k, eye).conj().T
-              for k in total.kraus)
-    succ = float(np.trace(out).real)
-    if succ < 1e-12:
-        raise ZeroSuccessProbability(
-            f"postselection trace {succ:.3e} at {s.label}")
-    rho = out / succ
-    rho = 0.5 * (rho + rho.conj().T)
-    return concurrence(DensityMatrix(rho)).value, succ
+    """Output concurrence and success probability at one setting."""
+    c, p = _score(s, _bench_superops(s, _mean_phases(1, omega_samples, rng),
+                                     s.theta, s.phi))
+    return float(c[0]), float(p[0])
 
 
 class SweepPoint(NamedTuple):
@@ -377,17 +422,25 @@ class SweepPoint(NamedTuple):
 def sweep(s: OpticalSetup, vary: str, lo: float, hi: float, steps: int, *,
           omega_samples: int | None = None,
           rng: np.random.Generator | None = None) -> list[SweepPoint]:
-    """run_point over a uniform grid of the theta or phi plate angle."""
+    """run_point over a uniform grid of the theta or phi plate angle,
+    evaluated a stack of angles at a time (see _STACK_POINTS)."""
     if vary not in ("theta", "phi"):
         raise OutOfRange(f"vary must be 'theta' or 'phi', not {vary!r}")
     if steps < 2:
         raise OutOfRange("need at least two sweep steps")
-    pts = []
-    for ang in np.linspace(lo, hi, steps):
-        cfg = replace(s, **{vary: float(ang)})
-        c, p = run_point(cfg, omega_samples=omega_samples, rng=rng)
-        pts.append(SweepPoint(float(ang), c, p))
-    return pts
+    angles = np.linspace(lo, hi, steps)
+    if not np.isfinite(angles).all():
+        raise OutOfRange(f"{vary} is not finite")
+    per_stack = max(1, min(_STACK_POINTS, _STACK_PHASES // (3 * (omega_samples or 1))))
+    plates = {"theta": s.theta, "phi": s.phi}
+    c, p = [], []
+    for start in range(0, steps, per_stack):
+        plates[vary] = angles[start:start + per_stack]
+        z = _mean_phases(len(plates[vary]), omega_samples, rng)
+        c_part, p_part = _score(s, _bench_superops(s, z, **plates))
+        c.extend(c_part.tolist())
+        p.extend(p_part.tolist())
+    return [SweepPoint(*row) for row in zip(angles.tolist(), c, p)]
 
 
 def _elements_doc(e: DifElements) -> dict:

@@ -67,10 +67,11 @@ def dagger(m) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = TOL.structural) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    """Whether ``m``, or every matrix of a stack ``(..., d, d)``, is Hermitian."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
 
 
 def is_unitary(m, tol: float = TOL.structural) -> bool:
@@ -89,12 +90,13 @@ def is_normal(m, tol: float = TOL.structural) -> bool:
 
 
 def hermitian_eig(m, tol: float = TOL.structural):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them with
+    shape ``(..., d, d)``, eigenvalues ascending.
 
-    Returns ``(w, v)`` with ``m @ v[:, k] = w[k] * v[:, k]``.  Raises
-    :class:`NonHermitian` when the input fails the hermiticity check.
+    Returns ``(w, v)`` with ``m @ v[..., :, k] = w[..., k] * v[..., :, k]``.
+    Raises :class:`NonHermitian` when any matrix fails the hermiticity check.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, tol):
         raise NonHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
@@ -191,21 +193,25 @@ def apply_superop_first_factor(superop, rho, anc_dim: int) -> np.ndarray:
     """Apply a superoperator to the first tensor factor of a bipartite state.
 
     This is the linear extension ``(S (x) id)`` and works for any linear map,
-    completely positive or not.
+    completely positive or not.  A stack of superoperators, shape
+    ``(..., d_out**2, d_in**2)``, gives the stack of output states.
     """
-    superop = as_matrix(superop)
+    superop = np.asarray(superop, dtype=complex)
     rho = as_matrix(rho)
-    d_out = isqrt(superop.shape[0])
-    d_in = isqrt(superop.shape[1])
-    if d_out * d_out != superop.shape[0] or d_in * d_in != superop.shape[1]:
+    if superop.ndim < 2:
+        raise DimensionMismatch(f"expected a superoperator, got shape {superop.shape}")
+    *batch, rows, cols = superop.shape
+    d_out = isqrt(rows)
+    d_in = isqrt(cols)
+    if d_out * d_out != rows or d_in * d_in != cols:
         raise DimensionMismatch("superoperator dimensions are not perfect squares")
     if rho.shape != (d_in * anc_dim, d_in * anc_dim):
         raise DimensionMismatch("state does not match superoperator x ancilla")
     # column stacking: superop[i + d_out j, a + d_in b] maps |a><b| to |i><j|
-    s = superop.reshape(d_out, d_out, d_in, d_in)
+    s = superop.reshape(*batch, d_out, d_out, d_in, d_in)
     t = rho.reshape(d_in, anc_dim, d_in, anc_dim)
-    out = np.einsum("jiba,aybz->iyjz", s, t)
-    return out.reshape(d_out * anc_dim, d_out * anc_dim)
+    out = np.einsum("...jiba,aybz->...iyjz", s, t)
+    return out.reshape(*batch, d_out * anc_dim, d_out * anc_dim)
 
 
 def opnorm(m) -> float:

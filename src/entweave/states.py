@@ -11,36 +11,58 @@ from .qmath import (
     DimensionMismatch,
     NonHermitian,
     as_matrix,
-    hermitian_eig,
     maximally_entangled,
     projector,
     singlet,
 )
 
 
+def _first_failure(ok) -> tuple[int, str] | None:
+    """None if every matrix passes a check, else the flat index of the first
+    that fails and the phrase locating it (empty for a single matrix)."""
+    if np.ndim(ok) == 0:
+        return None if ok else (0, "")
+    bad = np.flatnonzero(~ok)
+    return (int(bad[0]), f" at stack index {bad[0]}") if bad.size else None
+
+
+def validate_density(m) -> np.ndarray:
+    """Check a density matrix, or a stack of them with shape ``(..., d, d)``,
+    point by point, and return it as a complex array.
+
+    Every matrix must be Hermitian and have unit trace to the structural
+    tolerance, and no eigenvalue may lie below ``-TOL.psd``.  The first
+    matrix that fails raises; within a stack the message gives its flat
+    index.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
+    herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    if fail := _first_failure(herm <= TOL.structural):
+        raise NonHermitian(f"density matrix is not Hermitian within tolerance{fail[1]}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if fail := _first_failure(np.abs(tr - 1.0) <= TOL.structural):
+        raise ValueError(f"density matrix trace {np.ravel(tr)[fail[0]]} is not 1{fail[1]}")
+    low = np.linalg.eigvalsh(m)[..., 0]
+    if fail := _first_failure(low >= -TOL.psd):
+        raise ValueError(f"density matrix has negative eigenvalue "
+                         f"{np.ravel(low)[fail[0]]:.3e}{fail[1]}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 
-    Construction validates all three properties (hermiticity and trace to the
-    structural tolerance, positivity down to ``-TOL.psd``) and freezes the
-    underlying array.
+    Construction validates all three properties with
+    :func:`validate_density` and freezes the underlying array.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(as_matrix(self.matrix), dtype=complex)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if not bool(np.max(np.abs(m - m.conj().T)) <= TOL.structural):
-            raise NonHermitian("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL.structural:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        w, _ = hermitian_eig(m)
-        if w.min() < -TOL.psd:
-            raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+        m = validate_density(np.array(as_matrix(self.matrix), dtype=complex))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -108,6 +108,29 @@ def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    ("discrete", "--eta", "1.4"), ("discrete", "--eta", "nan"),
+    ("discrete", "--pd", "-0.1"), ("discrete", "--pd", "inf"),
+    ("discrete", "--max-order", "0"), ("discrete", "--sequence", "QXP"),
+    ("discrete", "--unitary", "nope"), ("discrete", "--unitary", "[[1,0]]"),
+    ("discrete", "--unitary", "[[1,0],[0,2]]"),
+    ("experiment", "--steps", "0"), ("experiment", "--steps", "1"),
+    ("experiment", "--W", "nan"), ("experiment", "--W", "1.2"),
+    ("experiment", "--eta1", "-0.1"), ("experiment", "--eta2", "inf"),
+    ("experiment", "--theta", "inf"), ("experiment", "--phi", "nan"),
+    ("experiment", "--source-phase", "inf"),
+    ("experiment", "--range", "0", "nan"), ("experiment", "--range", "inf", "1"),
+    ("experiment", "--omega-samples", "0"),
+    ("experiment", "--setup-json", "no-such-setup.json"),
+])
+def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), *bad])
+    assert rc == 2
+    assert bad[1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_continuous_undriven_skips_switched(tmp_path):
     r = run_cli(tmp_path, "continuous", "--family", "ad", "--omega", "0",
                 "--n", "2", "--x-max", "1.0", "--steps", "5")

@@ -13,8 +13,15 @@ from entweave.entanglement import (
     negativity,
     werner_state,
 )
-from entweave.qmath import OutOfRange, kron, maximally_entangled, projector, singlet
-from entweave.states import DensityMatrix, matrix_of
+from entweave.qmath import (
+    NonHermitian,
+    OutOfRange,
+    kron,
+    maximally_entangled,
+    projector,
+    singlet,
+)
+from entweave.states import DensityMatrix, matrix_of, validate_density
 
 from conftest import random_density, random_pure_state
 
@@ -119,3 +126,35 @@ def test_accepts_density_matrix_wrapper():
     dm = werner_state(0.5)
     assert isinstance(dm, DensityMatrix)
     assert concurrence(dm).value == concurrence(matrix_of(dm)).value
+
+
+def test_stacked_concurrence_matches_single_states(rng):
+    stack = np.array([random_density(4, rng, rank=1 + i % 4) for i in range(40)]
+                     + [np.eye(4) / 4.0, projector(singlet())])
+    c = concurrence(stack)
+    assert c.value.shape == c.pre_clamp.shape == (42,)
+    for rho, value, pre in zip(stack, c.value, c.pre_clamp):
+        single = concurrence(rho)
+        assert isinstance(single.value, float)
+        assert value == single.value and pre == single.pre_clamp
+    grid = concurrence(stack[:40].reshape(5, 8, 4, 4))
+    assert np.array_equal(grid.value.ravel(), c.value[:40])
+
+
+def test_stacked_validation_names_the_failing_point(rng):
+    stack = np.array([random_density(4, rng) for _ in range(3)])
+    assert validate_density(stack) is not None
+    bad = stack.copy()
+    bad[1] *= 1.01
+    with pytest.raises(ValueError, match="trace .* at stack index 1"):
+        validate_density(bad)
+    negative = stack.copy()
+    negative[2] = np.diag([1.1, -0.1, 0.0, 0.0])
+    with pytest.raises(ValueError, match="negative eigenvalue .* at stack index 2"):
+        validate_density(negative)
+    with pytest.raises(OutOfRange):
+        concurrence(negative)  # its own non-PSD guard, point by point
+    bad = stack.copy()
+    bad[0, 0, 1] += 1e-6
+    with pytest.raises(NonHermitian, match="at stack index 0"):
+        validate_density(bad)

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entweave import optics
 from entweave.channels import (
     ad_channel,
     compose_signal_chain,
@@ -243,3 +245,90 @@ def test_sweep_grid_and_csv(tmp_path):
     path2 = tmp_path / "s2.csv"
     write_sweep_csv(path2, pts, "ideal", "m1")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _reference_point(s, omega_samples=None, rng=None):
+    """Per-point bench from the public channel algebra: DIF channels and
+    plate channels composed in signal order, Kraus operators applied to the
+    first qubit of the Werner input."""
+    total = _reference_map(s, omega_samples, rng)
+    rho_in = matrix_of(source_state(s))
+    eye = np.eye(2)
+    out = sum(np.kron(k, eye) @ rho_in @ np.kron(k, eye).conj().T
+              for k in total.kraus)
+    succ = float(np.trace(out).real)
+    rho = out / succ
+    return concurrence(0.5 * (rho + rho.conj().T)).value, succ
+
+
+def _reference_map(s, omega_samples=None, rng=None):
+    def stage(alpha, el):
+        return dif_map(alpha, el.bs, el.pbs, coupling=el.coupling,
+                       omega_samples=omega_samples, rng=rng)
+    plates = []
+    if s.phi_present:
+        plates.append(unitary_channel(hwp(s.phi)))
+    if s.theta_present:
+        plates.append(unitary_channel(hwp(s.theta)))
+    return compose_signal_chain([stage(s.alpha1, s.elements[0]), *plates,
+                                 stage(s.alpha21, s.elements[1]), *plates,
+                                 stage(s.alpha2, s.elements[2])])
+
+
+@pytest.mark.parametrize("preset", ["ideal", "measured"])
+@pytest.mark.parametrize("make, vary", [
+    (mprime_setup, "theta"), (m1_setup, "theta"), (m2_setup, "phi"),
+    (identity_setup, "theta"),
+])
+def test_stacked_sweep_matches_channel_algebra(make, vary, preset):
+    s = make(preset=preset)
+    pts = sweep(s, vary, -HALF_PI, HALF_PI, 61)
+    assert len(pts) == 61
+    for p in pts:
+        c, succ = _reference_point(replace(s, **{vary: p.angle}))
+        assert abs(p.concurrence - c) <= 1e-12
+        assert abs(p.success_prob - succ) <= 1e-12
+
+
+@pytest.mark.parametrize("stack_phases", [optics._STACK_PHASES, 400])
+def test_monte_carlo_sweep_draws_point_by_point(monkeypatch, stack_phases):
+    # one (steps, 3, samples) draw is the per-point stream, DIFs in signal
+    # order, also when the sweep is split into stacks (of 2 points at 400),
+    # and the sampled stages equal dif_map's Monte Carlo channels
+    monkeypatch.setattr(optics, "_STACK_PHASES", stack_phases)
+    s = mprime_setup(preset="measured")
+    pts = sweep(s, "theta", -1.0, 1.0, 9, omega_samples=50,
+                rng=np.random.default_rng(5))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for p in pts:
+        point = replace(s, theta=p.angle)
+        c, succ = run_point(point, omega_samples=50, rng=rng)
+        assert abs(p.concurrence - c) <= 1e-12
+        assert abs(p.success_prob - succ) <= 1e-12
+        c, succ = _reference_point(point, omega_samples=50, rng=ref_rng)
+        assert abs(p.concurrence - c) <= 1e-12
+        assert abs(p.success_prob - succ) <= 1e-12
+    again = sweep(s, "theta", -1.0, 1.0, 9, omega_samples=50,
+                  rng=np.random.default_rng(5))
+    assert again == pts
+    total, _ = setup_map(s, omega_samples=50, rng=np.random.default_rng(5))
+    ref = _reference_map(s, omega_samples=50, rng=np.random.default_rng(5))
+    assert superop_distance(total, ref) < 1e-12
+
+
+def test_long_sweep_runs_in_stacks():
+    s = mprime_setup(preset="measured")
+    pts = sweep(s, "theta", -HALF_PI, HALF_PI, optics._STACK_POINTS + 3)
+    for p in pts[optics._STACK_POINTS - 2:]:
+        c, succ = run_point(replace(s, theta=p.angle))
+        assert abs(p.concurrence - c) <= 1e-12
+        assert abs(p.success_prob - succ) <= 1e-12
+
+
+def test_dark_sweep_raises_with_label():
+    dark = DifElements(IDEAL.bs, IDEAL.pbs, coupling=(0.0, 0.0))
+    s = replace(identity_setup(), elements=(dark, dark, dark))
+    with pytest.raises(ZeroSuccessProbability, match="identity"):
+        sweep(s, "theta", -1.0, 1.0, 5)
+    with pytest.raises(OutOfRange, match="theta is not finite"):
+        sweep(identity_setup(), "theta", 0.0, math.nan, 5)
