@@ -1,14 +1,16 @@
-"""Qubit channels as Kraus lists with cached superoperators.
+"""Qubit channels as column-stacking superoperators.
 
-A channel stores both representations: the Kraus operators (capped to a
-minimal set when compositions would let the list grow) and the column-stacked
-superoperator matrix, which composition multiplies exactly.
+A channel is its superoperator matrix and nothing else: composition is the
+matrix product, the Choi matrix is a reshape of it, and a minimal Kraus set
+is derived from the Choi eigendecomposition only when one is asked for.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import isqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,20 +23,20 @@ from .qmath import (
     DimensionMismatch,
     NotUnitary,
     OutOfRange,
+    apply_superop,
     as_matrix,
-    dagger,
-    hermitian_eig,
+    is_hermitian,
     is_unitary,
     opnorm,
     sandwich_superop,
     unvec,
     vec,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, validate_density
 
-# Kraus lists longer than this get re-extracted from the Choi eigendecomposition;
-# a qubit channel never needs more than 4 operators.
-KRAUS_CAP = 8
+# eb_order scores the powers of a channel this many at a time, so memory stays
+# bounded whatever --max-order asks for
+_POWER_STACK = 64
 
 
 class ToleranceConflict(RuntimeError):
@@ -42,7 +44,8 @@ class ToleranceConflict(RuntimeError):
 
 
 class NotCompletelyPositive(ValueError):
-    """A superoperator whose Choi matrix has a significantly negative eigenvalue."""
+    """A superoperator whose Choi matrix is not Hermitian or has a
+    significantly negative eigenvalue."""
 
 
 @dataclass(frozen=True)
@@ -69,55 +72,98 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _choi_matrices(superop: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
+    """Unnormalized Choi matrix ``sum_ij Phi(E_ij) (x) E_ij`` (map on the first
+    factor) of a column-stacking superoperator, or of each in a stack
+    ``(..., out_dim**2, in_dim**2)``.
+
+    ``superop[i + out_dim j, a + in_dim b]`` maps ``|a><b|`` to ``|i><j|``, and
+    is entry ``[(i, a), (j, b)]`` of the Choi matrix.
+    """
+    batch = superop.shape[:-2]
+    s = superop.reshape(*batch, out_dim, out_dim, in_dim, in_dim)
+    d = out_dim * in_dim
+    return np.einsum("...jiba->...iajb", s).reshape(*batch, d, d)
+
+
+def _gram(superop: np.ndarray, in_dim: int) -> np.ndarray:
+    """``sum_k K^dag K`` of a map: ``Tr Phi(rho) = Tr(gram @ rho)``, and
+    ``vec(I)^T superop`` is ``vec(gram^T)``."""
+    out_dim = isqrt(superop.shape[0])
+    return unvec(vec(np.eye(out_dim)) @ superop, in_dim).T
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A completely positive, trace-nonincreasing map in Kraus form.
+    """A completely positive, trace-nonincreasing map, stored as its
+    column-stacking superoperator: ``vec(Phi(rho)) = superop @ vec(rho)``.
 
-    ``superop`` is the column-stacking matrix of the map; when a channel is
-    built by composition the superoperator is the exact matrix product while
-    the Kraus list may be re-extracted from the Choi eigendecomposition.
+    Construction checks complete positivity (the Choi matrix is Hermitian and
+    has no eigenvalue below ``-TOL.psd``, else :class:`NotCompletelyPositive`)
+    and that the map does not amplify trace (the Gram matrix
+    ``sum_k K^dag K``, read off ``vec(I)^T superop``, has no eigenvalue above
+    ``1 + TOL.psd``, else ``ValueError``).  Kraus operators go in through
+    :meth:`from_kraus`.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    superop: np.ndarray = None
+    superop: np.ndarray
     trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
-        ks = tuple(_frozen(k) for k in self.kraus)
+        s = _frozen(as_matrix(self.superop))
+        out_dim, in_dim = isqrt(s.shape[0]), isqrt(s.shape[1])
+        if not s.size or s.shape != (out_dim * out_dim, in_dim * in_dim):
+            raise DimensionMismatch(
+                f"superoperator of shape {s.shape} does not map d_in x d_in "
+                f"to d_out x d_out matrices")
+        choi = _choi_matrices(s, in_dim, out_dim)
+        if not is_hermitian(choi, tol=1e-8):
+            raise NotCompletelyPositive("Choi matrix is not Hermitian")
+        low = np.linalg.eigvalsh(choi)[0]
+        if low < -TOL.psd:
+            raise NotCompletelyPositive(f"Choi matrix has negative eigenvalue {low:.3e}")
+        gram = _gram(s, in_dim)
+        high = np.linalg.eigvalsh(gram)[-1]
+        if high > 1.0 + TOL.psd:
+            raise ValueError(f"map amplifies trace: max eig {high:.6f}")
+        tp = bool(np.max(np.abs(gram - np.eye(in_dim))) <= TOL.structural)
+        object.__setattr__(self, "superop", s)
+        object.__setattr__(self, "trace_preserving", tp)
+
+    @classmethod
+    def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QuantumChannel":
+        """The map ``rho -> sum_k K rho K^dag``."""
+        ks = [as_matrix(k) for k in kraus]
         if not ks:
             raise DimensionMismatch("need at least one Kraus operator")
-        out_dim, in_dim = ks[0].shape
-        for k in ks:
-            if k.shape != (out_dim, in_dim):
-                raise DimensionMismatch("Kraus operators must share one shape")
-        gram = sum(dagger(k) @ k for k in ks)
-        w, _ = hermitian_eig(gram, tol=1e-8)
-        if w.max() > 1.0 + TOL.psd:
-            raise ValueError(f"Kraus operators amplify trace: max eig {w.max():.6f}")
-        tp = bool(np.max(np.abs(gram - np.eye(in_dim))) <= TOL.structural)
-        if self.superop is None:
-            s = sum(sandwich_superop(k, k) for k in ks)
-        else:
-            s = as_matrix(self.superop)
-            if s.shape != (out_dim * out_dim, in_dim * in_dim):
-                raise DimensionMismatch("superoperator shape does not match Kraus shape")
-        object.__setattr__(self, "kraus", ks)
-        object.__setattr__(self, "superop", _frozen(s))
-        object.__setattr__(self, "trace_preserving", tp)
+        if any(k.shape != ks[0].shape for k in ks):
+            raise DimensionMismatch("Kraus operators must share one shape")
+        return cls(sum(sandwich_superop(k, k) for k in ks))
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return isqrt(self.superop.shape[1])
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return isqrt(self.superop.shape[0])
+
+    @cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """A minimal Kraus set, from the eigendecomposition of the Choi matrix;
+        eigenvalues up to ``TOL.kraus_cutoff`` times the largest drop out."""
+        w, v = np.linalg.eigh(choi_matrix(self))
+        cutoff = TOL.kraus_cutoff * max(1.0, float(w[-1]))
+        shape = (self.out_dim, self.in_dim)
+        ks = tuple(_frozen(np.sqrt(lam) * col.reshape(shape))
+                   for lam, col in zip(w, v.T) if lam > cutoff)
+        return ks or (_frozen(np.zeros(shape)),)
 
     def apply(self, rho) -> np.ndarray:
         rho = as_matrix(rho)
         if rho.shape != (self.in_dim, self.in_dim):
             raise DimensionMismatch("state dimension does not match channel input")
-        return sum(k @ rho @ dagger(k) for k in self.kraus)
+        return apply_superop(self.superop, rho)
 
     def normalized(self) -> "QuantumChannel":
         """Rescale a uniformly trace-decreasing map to a trace-preserving one.
@@ -125,20 +171,18 @@ class QuantumChannel:
         Requires ``sum_k K^dag K`` proportional to the identity; postselected
         maps with state-dependent success probability are rejected.
         """
-        gram = sum(dagger(k) @ k for k in self.kraus)
+        gram = _gram(self.superop, self.in_dim)
         c = float(np.trace(gram).real) / self.in_dim
         if c <= 0.0:
             raise ValueError("cannot normalize the zero map")
         if np.max(np.abs(gram - c * np.eye(self.in_dim))) > TOL.compare * max(1.0, c):
             raise ValueError("success probability is state dependent; "
                              "normalize per input state instead")
-        scale = 1.0 / np.sqrt(c)
-        return QuantumChannel(tuple(scale * k for k in self.kraus),
-                              superop=self.superop / c)
+        return QuantumChannel(self.superop / c)
 
 
 def identity_channel(d: int = 2) -> QuantumChannel:
-    return QuantumChannel((np.eye(d, dtype=complex),))
+    return QuantumChannel.from_kraus((np.eye(d, dtype=complex),))
 
 
 def ad_channel(eta: float) -> QuantumChannel:
@@ -152,7 +196,7 @@ def ad_channel(eta: float) -> QuantumChannel:
         raise OutOfRange(f"damping parameter {eta} outside [0, 1]")
     k1 = np.array([[1.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
     k2 = np.array([[0.0, np.sqrt(1.0 - eta)], [0.0, 0.0]], dtype=complex)
-    return QuantumChannel((k1, k2))
+    return QuantumChannel.from_kraus((k1, k2))
 
 
 def pd_channel(p: float) -> QuantumChannel:
@@ -165,31 +209,18 @@ def pd_channel(p: float) -> QuantumChannel:
         raise OutOfRange(f"dephasing parameter {p} outside [0, 1]")
     k1 = np.sqrt((1.0 + p) / 2.0) * IDENTITY_2
     k2 = np.sqrt((1.0 - p) / 2.0) * SIGMA_Z
-    return QuantumChannel((k1, k2))
+    return QuantumChannel.from_kraus((k1, k2))
 
 
 def unitary_channel(u) -> QuantumChannel:
     u = as_matrix(u)
     if not is_unitary(u):
         raise NotUnitary("matrix is not unitary within tolerance")
-    return QuantumChannel((u,))
-
-
-def choi_matrix_from_superop(superop, in_dim: int, out_dim: int) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_ij Phi(E_ij) (x) E_ij`` (map on the
-    first factor) of a column-stacking superoperator."""
-    superop = as_matrix(superop)
-    out = np.zeros((out_dim * in_dim, out_dim * in_dim), dtype=complex)
-    for i in range(in_dim):
-        for j in range(in_dim):
-            e = np.zeros((in_dim, in_dim), dtype=complex)
-            e[i, j] = 1.0
-            out += np.kron(unvec(superop @ vec(e), out_dim), e)
-    return out
+    return QuantumChannel.from_kraus((u,))
 
 
 def choi_matrix(c: QuantumChannel) -> np.ndarray:
-    return choi_matrix_from_superop(c.superop, c.in_dim, c.out_dim)
+    return _choi_matrices(c.superop, c.in_dim, c.out_dim)
 
 
 def choi_state(c: QuantumChannel) -> DensityMatrix:
@@ -198,45 +229,12 @@ def choi_state(c: QuantumChannel) -> DensityMatrix:
     return DensityMatrix(choi_matrix(c) / c.in_dim)
 
 
-def minimal_kraus_from_choi(choi: np.ndarray, out_dim: int, in_dim: int):
-    """Extract a minimal Kraus set from an unnormalized Choi matrix."""
-    w, v = hermitian_eig(choi, tol=1e-8)
-    cutoff = TOL.kraus_cutoff * max(1.0, float(w.max()))
-    if w.min() < -TOL.psd:
-        raise NotCompletelyPositive(
-            f"Choi matrix has negative eigenvalue {w.min():.3e}")
-    ks = []
-    for lam, col in zip(w, v.T):
-        if lam > cutoff:
-            ks.append(np.sqrt(lam) * col.reshape(out_dim, in_dim))
-    if not ks:
-        ks.append(np.zeros((out_dim, in_dim), dtype=complex))
-    return tuple(ks)
-
-
-def channel_from_superop(superop, in_dim: int = 2, out_dim: int = 2) -> QuantumChannel:
-    """Build a channel from its column-stacking superoperator matrix."""
-    superop = as_matrix(superop)
-    choi = choi_matrix_from_superop(superop, in_dim, out_dim)
-    return QuantumChannel(minimal_kraus_from_choi(choi, out_dim, in_dim),
-                          superop=superop)
-
-
 def compose(first: QuantumChannel, then: QuantumChannel) -> QuantumChannel:
-    """The map ``then o first``: a signal passes through ``first`` first.
-
-    The superoperator is the exact matrix product.  The Kraus list is the list
-    of products, re-extracted from the Choi eigendecomposition whenever it
-    would exceed the cap.
-    """
+    """The map ``then o first``: a signal passes through ``first`` first."""
     if first.out_dim != then.in_dim:
         raise DimensionMismatch(
             f"cannot feed a {first.out_dim}-dim output into a {then.in_dim}-dim input")
-    s = then.superop @ first.superop
-    if len(first.kraus) * len(then.kraus) > KRAUS_CAP:
-        return channel_from_superop(s, first.in_dim, then.out_dim)
-    ks = tuple(b @ a for b in then.kraus for a in first.kraus)
-    return QuantumChannel(ks, superop=s)
+    return QuantumChannel(then.superop @ first.superop)
 
 
 def compose_signal_chain(chain: Sequence[QuantumChannel]) -> QuantumChannel:
@@ -256,47 +254,75 @@ def superop_distance(a, b) -> float:
     return opnorm(np.asarray(sa) - np.asarray(sb))
 
 
-def is_eb(c: QuantumChannel, eb_tol: float = TOL.eb) -> EbVerdict:
+def _check_eb_input(c: QuantumChannel) -> None:
+    if c.in_dim != 2 or c.out_dim != 2:
+        raise DimensionMismatch("entanglement-breaking test is for qubit channels")
+    if not c.trace_preserving:
+        raise ValueError("entanglement-breaking test needs a trace-preserving map")
+
+
+def _first_breaking(superops: np.ndarray) -> tuple[int | None, np.ndarray]:
+    """Score a stack ``(k, 4, 4)`` of trace-preserving qubit superoperators.
+
+    Returns the index of the first entanglement-breaking map (``None`` if
+    none is) and the signed pre-clamp concurrences of every Choi state.  A
+    map up to that index whose concurrence and PPT verdicts disagree beyond
+    ``TOL.conflict_band`` raises :class:`ToleranceConflict`; later maps
+    cannot.
+    """
+    choi = validate_density(_choi_matrices(superops, 2, 2) / 2.0)
+    conc = concurrence(choi)
+    neg = negativity(choi)
+    eb = conc.value <= TOL.eb
+    # the verdicts disagree and the value that disagrees lies outside the band
+    conflict = ((eb & (neg > TOL.conflict_band))
+                | ((neg <= TOL.eb) & (conc.value > TOL.conflict_band)))
+    hits = np.flatnonzero(eb)
+    first = int(hits[0]) if hits.size else None
+    bad = np.flatnonzero(conflict[:None if first is None else first + 1])
+    if bad.size:
+        i = bad[0]
+        raise ToleranceConflict(
+            f"concurrence {conc.value[i]:.3e} vs negativity {neg[i]:.3e}")
+    return first, conc.pre_clamp
+
+
+def is_eb(c: QuantumChannel) -> EbVerdict:
     """Entanglement-breaking test for a trace-preserving qubit channel.
 
     The verdict is driven by the Wootters concurrence of the Choi state
-    (``<= eb_tol`` means breaking) and cross-checked against the partial
+    (``<= TOL.eb`` means breaking) and cross-checked against the partial
     transpose: for two qubits both criteria are exact, so a disagreement
     outside a small band around zero is numerical pathology and raises
     :class:`ToleranceConflict`.  ``margin`` reports the signed pre-clamp
     concurrence.
     """
-    if c.in_dim != 2 or c.out_dim != 2:
-        raise DimensionMismatch("entanglement-breaking test is for qubit channels")
-    if not c.trace_preserving:
-        raise ValueError("entanglement-breaking test needs a trace-preserving map")
-    choi = choi_state(c)
-    conc = concurrence(choi)
-    neg = negativity(choi)
-    by_concurrence = conc.value <= eb_tol
-    by_ppt = neg <= eb_tol
-    if by_concurrence != by_ppt:
-        offending = neg if by_concurrence else conc.value
-        if offending > TOL.conflict_band:
-            raise ToleranceConflict(
-                f"concurrence {conc.value:.3e} vs negativity {neg:.3e}")
-    return EbVerdict(by_concurrence, conc.pre_clamp)
+    _check_eb_input(c)
+    first, margin = _first_breaking(c.superop[None])
+    return EbVerdict(first == 0, float(margin[0]))
 
 
 def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
     """Smallest n such that the n-fold self-composition is entanglement
     breaking; ``Unbounded(max_n)`` if no power up to ``max_n`` is.
 
-    Monotone by construction: once a power is breaking, every later power is.
+    The powers ``S, S^2, ...`` of the superoperator are formed by running
+    products and scored a stack at a time, with the verdict of
+    :func:`is_eb`; a tolerance conflict counts only on powers up to the
+    returned order.  Monotone by construction: once a power is breaking,
+    every later power is.
     """
     if max_n < 1:
         raise OutOfRange("max_n must be at least 1")
-    power = c
-    for n in range(1, max_n + 1):
-        if n > 1:
-            power = compose(power, c)
-        if is_eb(power).eb:
-            return n
+    _check_eb_input(c)
+    power = np.eye(4, dtype=complex)
+    for start in range(0, max_n, _POWER_STACK):
+        powers = np.empty((min(_POWER_STACK, max_n - start), 4, 4), dtype=complex)
+        for k in range(len(powers)):
+            power = powers[k] = c.superop @ power
+        first, _ = _first_breaking(powers)
+        if first is not None:
+            return start + first + 1
     return Unbounded(float(max_n))
 
 
@@ -321,4 +347,4 @@ def channel_from_json(text: str) -> QuantumChannel:
                 raise DimensionMismatch("Kraus shape disagrees with declared dims")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from None
-    return QuantumChannel(tuple(ks))
+    return QuantumChannel.from_kraus(ks)

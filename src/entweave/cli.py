@@ -29,7 +29,6 @@ from .channels import (
     QuantumChannel,
     ToleranceConflict,
     ad_channel,
-    choi_state,
     compose,
     compose_signal_chain,
     eb_order,
@@ -47,7 +46,7 @@ from .continuous import (
     rotating_pd_liouvillian,
     write_profile_csv,
 )
-from .entanglement import BadDimension, concurrence
+from .entanglement import BadDimension
 from .optics import (
     ElementInconsistent,
     ZeroSuccessProbability,
@@ -151,7 +150,7 @@ def _channel_report(label: str, c: QuantumChannel, max_order: int) -> dict:
         "label": label,
         "is_eb": verdict.eb,
         "margin": verdict.margin,
-        "choi_concurrence": concurrence(choi_state(c)).value,
+        "choi_concurrence": max(0.0, verdict.margin),
         "eb_order": order if isinstance(order, int) else str(order),
     }
 
@@ -358,11 +357,12 @@ def cmd_experiment(args) -> int:
     _validate_experiment(args)
     if args.setup_json:
         try:
-            text = Path(args.setup_json).read_text()
+            setup = setup_from_json(Path(args.setup_json).read_text())
         except OSError as exc:
             raise ParseError(f"--setup-json: cannot read {args.setup_json!r}: "
                              f"{exc.strerror}") from None
-        setup = setup_from_json(text)
+        except ValueError as exc:  # undecodable text or a malformed document
+            raise ParseError(f"--setup-json: {exc}") from None
         map_label = setup.label
         preset_name = setup.preset
     else:

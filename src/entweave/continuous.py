@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import QuantumChannel, Unbounded, channel_from_superop
+from .channels import Unbounded
 from .entanglement import concurrence
 from .qmath import (
     LOWERING,
@@ -185,18 +185,6 @@ def propagation_superop(source: Liouvillian | SwitchedLine, x: float) -> np.ndar
     if isinstance(source, SwitchedLine):
         return _switched_superop(source, x)
     return expm(source.generator * x)
-
-
-def propagate(l: Liouvillian, x: float) -> QuantumChannel:
-    """The channel ``exp(L x)`` as a :class:`QuantumChannel`."""
-    d = l.dim
-    return channel_from_superop(propagation_superop(l, x), d, d)
-
-
-def switched_channel(line: SwitchedLine, x: float) -> QuantumChannel:
-    """Ordered product of whole-slice propagators plus the fractional tail."""
-    d = line.gen_even.dim
-    return channel_from_superop(propagation_superop(line, x), d, d)
 
 
 class ProfilePoint(NamedTuple):

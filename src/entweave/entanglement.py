@@ -82,11 +82,17 @@ def concurrence(rho) -> ConcurrenceResult:
     return ConcurrenceResult(np.maximum(pre, 0.0), pre)
 
 
-def negativity(rho) -> float:
-    """Sum of the absolute values of the negative partial-transpose eigenvalues."""
+def negativity(rho) -> float | np.ndarray:
+    """Sum of the absolute values of the negative partial-transpose eigenvalues.
+
+    One state, 4x4, gives a float; a stack, shape ``(..., 4, 4)``, gives an
+    array of its shape without the last two axes, each entry equal to the
+    single-state result.
+    """
     m = _as_two_qubit(rho)
     w, _ = hermitian_eig(partial_transpose(m, (2, 2), 1), tol=1e-8)
-    return float(-w[w < 0.0].sum())
+    neg = -np.where(w < 0.0, w, 0.0).sum(axis=-1)
+    return float(neg) if neg.ndim == 0 else neg
 
 
 def werner_state(w: float, omega: DensityMatrix | None = None) -> DensityMatrix:

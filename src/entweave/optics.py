@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, channel_from_superop
+from .channels import QuantumChannel
 from .entanglement import concurrence, werner_state
 from .qmath import OutOfRange, apply_superop_first_factor, projector, sandwich_superop
 from .states import DensityMatrix, matrix_of, validate_density
@@ -61,13 +61,6 @@ class BeamSplitterParams:
             raise ElementInconsistent(
                 f"T + R = {self.T + self.R:.4f} exceeds 1")
         object.__setattr__(self, "loss", max(0.0, 1.0 - self.T - self.R))
-
-    def renormalized(self) -> tuple[float, float]:
-        """Loss-free (T', R') with T' + R' = 1."""
-        s = self.T + self.R
-        if s <= 0.0:
-            raise ElementInconsistent("element blocks all light")
-        return self.T / s, self.R / s
 
 
 @dataclass(frozen=True)
@@ -196,13 +189,13 @@ def dif_map(alpha: float,
                            coupling)
     main, arm = _dif_branches(alpha, elements)
     if omega_samples is None:
-        return QuantumChannel((main, arm))
+        return QuantumChannel.from_kraus((main, arm))
     if omega_samples < 1:
         raise OutOfRange("omega_samples must be positive")
     rng = rng if rng is not None else np.random.default_rng()
     phases = np.exp(1.0j * rng.uniform(0.0, 2.0 * math.pi, size=omega_samples))
     scale = 1.0 / math.sqrt(omega_samples)
-    return QuantumChannel(tuple(scale * (main + ph * arm) for ph in phases))
+    return QuantumChannel.from_kraus([scale * (main + ph * arm) for ph in phases])
 
 
 @dataclass(frozen=True)
@@ -401,7 +394,7 @@ def setup_map(s: OpticalSetup, *,
     superop = _bench_superops(s, _mean_phases(1, omega_samples, rng),
                               s.theta, s.phi)[0]
     out = apply_superop_first_factor(superop, matrix_of(source_state(s)), 2)
-    return channel_from_superop(superop), float(np.trace(out).real)
+    return QuantumChannel(superop), float(np.trace(out).real)
 
 
 def run_point(s: OpticalSetup, *,
@@ -471,8 +464,9 @@ def setup_to_json(s: OpticalSetup) -> str:
 
 
 def setup_from_json(text: str) -> OpticalSetup:
-    doc = json.loads(text)
+    """Read a setup_to_json document; a malformed one raises ElementInconsistent."""
     try:
+        doc = json.loads(text)
         elems = tuple(_elements_from_doc(d) for d in doc["elements"])
         if len(elems) != 3:
             raise ElementInconsistent("expected three DIF element sets")
@@ -486,6 +480,8 @@ def setup_from_json(text: str) -> OpticalSetup:
                             label=doc.get("label", "custom"))
     except KeyError as exc:
         raise ElementInconsistent(f"setup document missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ElementInconsistent(f"malformed setup document: {exc}") from None
 
 
 def write_sweep_csv(path, points: Sequence[SweepPoint], preset: str,

@@ -128,7 +128,7 @@ def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
     if any(d < 1 for d in dims):
         raise DimensionMismatch("tensor factors must have dimension >= 1")
     total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.shape[-2:] != (total, total):
         raise DimensionMismatch(
             f"matrix of shape {m.shape} does not factor into dims {dims}")
     return dims
@@ -151,15 +151,18 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
 
 
 def partial_transpose(m, dims, which: int) -> np.ndarray:
-    """Transpose the tensor factor ``dims[which]``, leaving the rest alone."""
-    m = as_matrix(m)
+    """Transpose the tensor factor ``dims[which]``, leaving the rest alone, in
+    a matrix or in each matrix of a stack ``(..., D, D)``."""
+    m = np.asarray(m, dtype=complex)
     dims = _check_dims(m, dims)
     n = len(dims)
     if not 0 <= which < n:
         raise DimensionMismatch(f"transpose index {which} out of range for {n} factors")
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[which], axes[n + which] = axes[n + which], axes[which]
+    batch = m.shape[:-2]
+    t = m.reshape(batch + dims + dims)
+    axes = list(range(t.ndim))
+    i, j = len(batch) + which, len(batch) + n + which
+    axes[i], axes[j] = axes[j], axes[i]
     return np.transpose(t, axes).reshape(m.shape)
 
 
@@ -217,18 +220,6 @@ def apply_superop_first_factor(superop, rho, anc_dim: int) -> np.ndarray:
 def opnorm(m) -> float:
     """Spectral norm, used as the superoperator distance throughout."""
     return float(np.linalg.norm(as_matrix(m), 2))
-
-
-def psd_sqrt(m, tol: float = TOL.psd) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues slightly below zero (roundoff) are clamped before the root.
-    """
-    w, v = hermitian_eig(m)
-    if w.min() < -tol:
-        raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def maximally_entangled(d: int = 2) -> np.ndarray:

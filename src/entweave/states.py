@@ -11,7 +11,6 @@ from .qmath import (
     DimensionMismatch,
     NonHermitian,
     as_matrix,
-    maximally_entangled,
     projector,
     singlet,
 )
@@ -74,11 +73,6 @@ class DensityMatrix:
 def matrix_of(rho) -> np.ndarray:
     """Accept a DensityMatrix or a raw array and hand back the array."""
     return as_matrix(getattr(rho, "matrix", rho))
-
-
-def omega_state() -> DensityMatrix:
-    """Projector onto (|00> + |11>)/sqrt(2)."""
-    return DensityMatrix(projector(maximally_entangled(2)))
 
 
 def singlet_state() -> DensityMatrix:

@@ -35,4 +35,4 @@ def random_channel(dim: int, env: int, rng: np.random.Generator) -> QuantumChann
     u = haar_unitary(dim * env, rng)
     iso = u[:, :dim]                      # |psi> -> U(|psi> (x) |0>)
     kraus = tuple(iso[i * dim:(i + 1) * dim, :].copy() for i in range(env))
-    return QuantumChannel(kraus)
+    return QuantumChannel.from_kraus(kraus)

@@ -1,4 +1,4 @@
-"""Channel algebra: Kraus/superoperator/Choi consistency and EB verdicts."""
+"""Channel algebra: superoperator/Kraus/Choi consistency and EB verdicts."""
 
 import json
 import math
@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entweave.channels import (
-    KRAUS_CAP,
     NotCompletelyPositive,
     QuantumChannel,
+    ToleranceConflict,
     Unbounded,
     ad_channel,
     channel_from_json,
-    channel_from_superop,
     channel_to_json,
     choi_matrix,
     choi_state,
@@ -65,10 +64,10 @@ def test_validation_guards():
     with pytest.raises(OutOfRange):
         pd_channel(1.5)
     with pytest.raises(DimensionMismatch):
-        QuantumChannel(())
+        QuantumChannel.from_kraus(())
     # Kraus set with gram above identity amplifies trace
     with pytest.raises(ValueError):
-        QuantumChannel((np.eye(2) * 1.1,))
+        QuantumChannel.from_kraus((np.eye(2) * 1.1,))
 
 
 def test_superop_matches_kraus_action(rng):
@@ -110,12 +109,12 @@ def test_choi_of_identity_is_maximally_entangled():
 
 def test_choi_superop_roundtrip(rng):
     c = random_channel(2, 4, rng)
-    rebuilt = channel_from_superop(c.superop)
+    rebuilt = QuantumChannel(c.superop)
     assert superop_distance(c, rebuilt) < 1e-12
     assert len(rebuilt.kraus) <= 4
 
 
-def test_channel_from_superop_rejects_non_cp():
+def test_superop_constructor_rejects_non_cp_and_amplifying():
     # the transpose map is positive but not completely positive
     t = np.zeros((4, 4))
     for i in range(2):
@@ -124,7 +123,26 @@ def test_channel_from_superop_rejects_non_cp():
             e[i, j] = 1.0
             t[:, i + 2 * j] = e.T.flatten(order="F")
     with pytest.raises(NotCompletelyPositive):
-        channel_from_superop(t)
+        QuantumChannel(t)
+    # completely positive, but the Gram matrix is 1.21 times the identity
+    with pytest.raises(ValueError, match="amplifies trace"):
+        QuantumChannel(1.21 * np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        QuantumChannel(np.eye(4)[:3])
+
+
+def test_choi_matrix_is_the_e_ij_sum(rng):
+    # a 2 -> 3 channel from a Haar isometry into qutrit (x) qubit environment
+    iso = haar_unitary(6, rng)[:, :2]
+    c = QuantumChannel.from_kraus((iso[:3], iso[3:]))
+    assert (c.in_dim, c.out_dim) == (2, 3)
+    expect = np.zeros((6, 6), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[i, j] = 1.0
+            expect += np.kron(c.apply(e), e)
+    assert np.array_equal(choi_matrix(c), expect)
 
 
 def test_compose_is_associative(rng):
@@ -137,7 +155,7 @@ def test_compose_is_associative(rng):
 def test_kraus_cap_reextraction(rng):
     chain = [random_channel(2, 3, rng) for _ in range(4)]  # naive count 81
     total = compose_signal_chain(chain)
-    assert len(total.kraus) <= KRAUS_CAP
+    assert len(total.kraus) <= total.in_dim * total.out_dim
     rho = random_density(2, rng)
     step = rho
     for c in chain:
@@ -158,7 +176,7 @@ def test_fully_depolarizing_is_eb_order_one():
     kraus = tuple(m / 2.0 for m in
                   (np.eye(2, dtype=complex), SIGMA_X,
                    np.array([[0, -1j], [1j, 0]]), SIGMA_Z))
-    dep = QuantumChannel(kraus)
+    dep = QuantumChannel.from_kraus(kraus)
     assert is_eb(dep).eb
     assert eb_order(dep) == 1
 
@@ -190,6 +208,61 @@ def test_pd_pair_with_diagonal_reflection():
     # a bare dephasing never breaks for p > 0
     for val in (0.4, 0.97):
         assert isinstance(eb_order(pd_channel(val)), Unbounded)
+
+
+def _eb_order_per_power(c, max_n):
+    """Reference: compose the powers one by one and test each."""
+    power = c
+    for n in range(1, max_n + 1):
+        if n > 1:
+            power = compose(power, c)
+        if is_eb(power).eb:
+            return n
+    return Unbounded(float(max_n))
+
+
+def test_stacked_eb_order_matches_per_power_reference(rng):
+    cases = [(ad_channel(0.3), 16), (pd_channel(0.05), 16),
+             (pd_channel(0.4), 16),            # never breaks: Unbounded
+             (ad_channel(0.55), 80),           # order 70, past one stack of 64
+             (pd_channel(0.73), 80),           # order 66
+             (unitary_channel(haar_unitary(2, rng)), 5)]
+    for k in range(24):
+        value = float(rng.uniform(0.05, 0.95))
+        base = ad_channel(value) if k % 2 else pd_channel(value)
+        u_mat = haar_unitary(2, rng)
+        u, u_dag = unitary_channel(u_mat), unitary_channel(u_mat.conj().T)
+        cases += [(compose(u, base), 12), (compose(base, u_dag), 12)]
+    orders = []
+    for c, max_n in cases:
+        got = eb_order(c, max_n)
+        orders.append(got)
+        assert got == _eb_order_per_power(c, max_n)
+    assert orders[1] == 7 and orders[3] == 70 and orders[4] == 66
+    assert sum(isinstance(o, Unbounded) for o in orders) >= 3
+    assert len({o for o in orders if isinstance(o, int)}) >= 4
+
+
+def test_conflict_past_the_order_never_raises(monkeypatch):
+    # every power of the interrupted map from the second on is breaking; fake
+    # a concurrence/PPT conflict on a chosen power and see where it counts
+    import entweave.channels as channels
+
+    phi, _ = _restored_pair()
+    true_negativity = channels.negativity
+
+    def conflicting_from(power):
+        def fake(rho):
+            n = np.array(true_negativity(rho))
+            n[power - 1:] = 0.5
+            return n
+        return fake
+
+    monkeypatch.setattr(channels, "negativity", conflicting_from(3))
+    assert eb_order(phi, 16) == 2
+    monkeypatch.setattr(channels, "negativity", conflicting_from(2))
+    with pytest.raises(ToleranceConflict):
+        eb_order(phi, 16)
 
 
 def test_eb_classification_floor():
@@ -240,9 +313,9 @@ def test_json_roundtrip(rng):
 def test_normalized_requires_proportional_gram():
     phi, _ = _restored_pair()
     assert superop_distance(phi.normalized(), phi) < 1e-12  # already TP
-    lossy = QuantumChannel((np.diag([0.5, 0.5]).astype(complex),))
+    lossy = QuantumChannel.from_kraus((np.diag([0.5, 0.5]).astype(complex),))
     n = lossy.normalized()
     assert n.trace_preserving
-    skew = QuantumChannel((np.diag([0.9, 0.1]).astype(complex),))
+    skew = QuantumChannel.from_kraus((np.diag([0.9, 0.1]).astype(complex),))
     with pytest.raises(ValueError):
         skew.normalized()

@@ -108,6 +108,19 @@ def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+_GOOD_SETUP = json.loads(setup_to_json(identity_setup()))
+# malformed --setup-json documents, by file name
+_BAD_SETUPS = {
+    "setup-list.json": "[]",
+    "setup-elements.json": json.dumps({**_GOOD_SETUP, "elements": [1, 2, 3]}),
+    "setup-theta.json": json.dumps({**_GOOD_SETUP, "theta": "abc"}),
+    "setup-null.json": json.dumps({**_GOOD_SETUP, "W": None}),
+    "setup-no-elements.json": json.dumps({**_GOOD_SETUP, "elements": []}),
+    "setup-truncated.json": "{",
+    "setup-not-utf8.json": "\xff",  # written as latin-1: one byte, not UTF-8
+}
+
+
 @pytest.mark.parametrize("bad", [
     ("discrete", "--eta", "1.4"), ("discrete", "--eta", "nan"),
     ("discrete", "--pd", "-0.1"), ("discrete", "--pd", "inf"),
@@ -122,8 +135,13 @@ def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
     ("experiment", "--range", "0", "nan"), ("experiment", "--range", "inf", "1"),
     ("experiment", "--omega-samples", "0"),
     ("experiment", "--setup-json", "no-such-setup.json"),
+    *[("experiment", "--setup-json", name) for name in _BAD_SETUPS],
 ])
-def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys, bad):
+def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _BAD_SETUPS.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
     out = tmp_path / "out"
     rc = main(["--out", str(out), *bad])
     assert rc == 2

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entweave.channels import Unbounded, ad_channel, pd_channel, superop_distance
+from entweave.channels import (
+    QuantumChannel,
+    Unbounded,
+    ad_channel,
+    pd_channel,
+    superop_distance,
+)
 from entweave.continuous import (
     NoBracket,
     SwitchedLine,
     average_liouvillian,
     concurrence_profile,
     eb_length,
-    propagate,
     propagation_superop,
     rotating_ad_liouvillian,
     rotating_pd_liouvillian,
-    switched_channel,
     switched_line,
     trotter_gap,
     write_profile_csv,
@@ -51,11 +55,13 @@ def test_undriven_closed_forms():
     # no drive: the semigroup is exactly the discrete family at eta = e^{-eps x}
     g = rotating_ad_liouvillian(1, 0.0, 1.0)
     for x in (0.0, 0.3, 1.7):
-        d = superop_distance(propagate(g, x), ad_channel(math.exp(-x)))
+        d = superop_distance(QuantumChannel(propagation_superop(g, x)),
+                             ad_channel(math.exp(-x)))
         assert d < 1e-12
     h = rotating_pd_liouvillian(1, 0.0, 1.0)
     for x in (0.0, 0.5, 2.2):
-        d = superop_distance(propagate(h, x), pd_channel(math.exp(-2.0 * x)))
+        d = superop_distance(QuantumChannel(propagation_superop(h, x)),
+                             pd_channel(math.exp(-2.0 * x)))
         assert d < 1e-12
 
 
@@ -170,7 +176,7 @@ def test_switched_propagator_piecewise_structure():
 def test_switched_channel_is_cptp():
     line = SwitchedLine(AD1, AD2, 0.875, label="n2")
     for x in (0.0, 0.4, 2.3):
-        c = switched_channel(line, x)
+        c = QuantumChannel(propagation_superop(line, x))
         assert c.trace_preserving
 
 

@@ -141,6 +141,20 @@ def test_stacked_concurrence_matches_single_states(rng):
     assert np.array_equal(grid.value.ravel(), c.value[:40])
 
 
+def test_stacked_negativity_matches_single_states(rng):
+    stack = np.array([random_density(4, rng, rank=1 + i % 4) for i in range(40)]
+                     + [np.eye(4) / 4.0, projector(singlet())])
+    n = negativity(stack)
+    assert n.shape == (42,)
+    assert (n > 1e-3).sum() >= 10 and (n == 0.0).sum() >= 1  # both kinds
+    for rho, value in zip(stack, n):
+        single = negativity(rho)
+        assert isinstance(single, float)
+        assert value == single
+    grid = negativity(stack[:40].reshape(5, 8, 4, 4))
+    assert np.array_equal(grid.ravel(), n[:40])
+
+
 def test_stacked_validation_names_the_failing_point(rng):
     stack = np.array([random_density(4, rng) for _ in range(3)])
     assert validate_density(stack) is not None

@@ -14,7 +14,6 @@ from entweave.qmath import (
     TOL,
     DimensionMismatch,
     NonHermitian,
-    OutOfRange,
     apply_superop,
     apply_superop_first_factor,
     dagger,
@@ -29,7 +28,6 @@ from entweave.qmath import (
     partial_trace,
     partial_transpose,
     projector,
-    psd_sqrt,
     sandwich_superop,
     singlet,
     unvec,
@@ -148,17 +146,6 @@ def test_unitary_checks(rng):
     assert not is_unitary(2.0 * IDENTITY_2)
     assert is_normal(SIGMA_X + 1j * SIGMA_X)
     assert not is_normal(LOWERING)
-
-
-def test_psd_sqrt_roundtrip_and_guard(rng):
-    m = random_density(4, rng)
-    r = psd_sqrt(m)
-    assert np.allclose(r @ r, m)
-    with pytest.raises(OutOfRange):
-        psd_sqrt(np.diag([1.0, -0.5]))
-    # tiny negative eigenvalues inside tolerance are clipped, not fatal
-    clipped = psd_sqrt(np.diag([1.0, -1e-12]))
-    assert np.allclose(clipped, np.diag([1.0, 0.0]))
 
 
 def test_opnorm_is_spectral():
