@@ -312,18 +312,27 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
     returned order.  Monotone by construction: once a power is breaking,
     every later power is.
     """
+    return _order_and_margin(c, max_n)[0]
+
+
+def _order_and_margin(c: QuantumChannel, max_n: int) -> tuple[int | Unbounded, float]:
+    """:func:`eb_order`, and the margin :func:`is_eb` reports for ``c``
+    itself, taken from the same scoring of the first power."""
     if max_n < 1:
         raise OutOfRange("max_n must be at least 1")
     _check_eb_input(c)
     power = np.eye(4, dtype=complex)
+    margin = None
     for start in range(0, max_n, _POWER_STACK):
         powers = np.empty((min(_POWER_STACK, max_n - start), 4, 4), dtype=complex)
         for k in range(len(powers)):
             power = powers[k] = c.superop @ power
-        first, _ = _first_breaking(powers)
+        first, pre = _first_breaking(powers)
+        if margin is None:
+            margin = float(pre[0])
         if first is not None:
-            return start + first + 1
-    return Unbounded(float(max_n))
+            return start + first + 1, margin
+    return Unbounded(float(max_n)), margin
 
 
 def channel_to_json(c: QuantumChannel) -> str:

@@ -28,11 +28,10 @@ from . import __version__
 from .channels import (
     QuantumChannel,
     ToleranceConflict,
+    _order_and_margin,
     ad_channel,
     compose,
     compose_signal_chain,
-    eb_order,
-    is_eb,
     pd_channel,
     unitary_channel,
 )
@@ -144,13 +143,13 @@ def _outdir(args) -> Path:
 
 
 def _channel_report(label: str, c: QuantumChannel, max_order: int) -> dict:
-    verdict = is_eb(c)
-    order = eb_order(c, max_order)
+    # the verdict of is_eb(c) is "order 1", so the first power is scored once
+    order, margin = _order_and_margin(c, max_order)
     return {
         "label": label,
-        "is_eb": verdict.eb,
-        "margin": verdict.margin,
-        "choi_concurrence": max(0.0, verdict.margin),
+        "is_eb": order == 1,
+        "margin": margin,
+        "choi_concurrence": max(0.0, margin),
         "eb_order": order if isinstance(order, int) else str(order),
     }
 
@@ -421,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", choices=("ad", "pd"), required=True)
     c.add_argument("--omega", type=float, default=1.5, help="rotation rate")
     c.add_argument("--eps", type=float, default=1.0, help="dissipation rate")
-    c.add_argument("--n", type=int, nargs="+", default=[1, 2, 4, 8, 16],
+    c.add_argument("--n", type=int, nargs="+", default=(1, 2, 4, 8, 16),
                    help="slice counts for the switched lines")
     c.add_argument("--x-max", type=float, default=6.0)
     c.add_argument("--steps", type=int, default=241)
@@ -435,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--preset", choices=("ideal", "measured"), default="ideal")
     e.add_argument("--vary", choices=("theta", "phi"), default=None)
     e.add_argument("--range", type=float, nargs=2,
-                   default=[-math.pi / 2, math.pi / 2])
+                   default=(-math.pi / 2, math.pi / 2))
     e.add_argument("--steps", type=int, default=361)
     e.add_argument("--W", type=float, default=0.96, help="Werner parameter")
     e.add_argument("--eta1", type=float, default=0.3)
@@ -454,6 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built once: parse_args leaves the parser untouched, and the defaults are
+# tuples, so no call can see another's arguments
+_PARSER = _build_parser()
+
+
 def _convert_degrees(args) -> None:
     if getattr(args, "degrees", False):
         for name in ("theta", "phi", "source_phase"):
@@ -462,8 +466,7 @@ def _convert_degrees(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     _convert_degrees(args)
     handlers = {"discrete": cmd_discrete, "continuous": cmd_continuous,
                 "experiment": cmd_experiment}

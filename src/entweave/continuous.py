@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Unbounded
-from .entanglement import concurrence
+from .entanglement import EIGENVALUE_FLOOR, concurrence
 from .qmath import (
     LOWERING,
     SIGMA_X,
@@ -29,11 +29,17 @@ from .qmath import (
     as_matrix,
     dagger,
     expm,
+    expm_lengths,
+    hermitian_eig,
     kron,
     opnorm,
     vec,
 )
 from .states import DensityMatrix, matrix_of, singlet_state
+
+# concurrence_profile scores this many grid points in one stack, so memory
+# stays bounded whatever --steps asks for
+_STACK_POINTS = 1024
 
 
 class NoBracket(RuntimeError):
@@ -165,26 +171,54 @@ def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
     return SwitchedLine(l1, l2, total_len / n, label=f"n={n}")
 
 
-def _switched_superop(line: SwitchedLine, x: float) -> np.ndarray:
-    # the first k whole slices multiply to pair^(k // 2), times even when k is odd
-    n_full = int(np.floor(x / line.slice_len))
-    frac = x - n_full * line.slice_len
-    total = np.linalg.matrix_power(line.pair, n_full // 2)
-    if n_full % 2:
-        total = line.even @ total
-    if frac > 0.0:
-        gen = line.gen_even if n_full % 2 == 0 else line.gen_odd
-        total = expm(gen.generator * frac) @ total
+def _stacked_power(m: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``m ** e`` for every ``e`` of an array of nonnegative integers: binary
+    powering, one batched product per bit, in the multiplication order of
+    ``numpy.linalg.matrix_power``.  A product with the identity is exact, so
+    points whose bit is clear take the identity in place of the square."""
+    eye = np.eye(len(m), dtype=complex)
+    squares = [m]
+    for _ in range(1, int(exponents.max(initial=0)).bit_length()):
+        squares.append(squares[-1] @ squares[-1])
+    bits = (exponents[:, None] >> np.arange(len(squares))) & 1 == 1
+    factors = np.where(bits[:, :, None, None], np.array(squares), eye)
+    out = np.broadcast_to(eye, (len(exponents), *m.shape))
+    for b in np.flatnonzero(bits.any(axis=0)):
+        out = out @ factors[:, b]
+    return out
+
+
+def _switched_superops(line: SwitchedLine, xs: np.ndarray) -> np.ndarray:
+    # the first k whole slices multiply to pair^(k // 2), times even when k is
+    # odd; the rest of slice k evolves under that slice's generator
+    k = np.floor(xs / line.slice_len).astype(int)
+    frac = xs - k * line.slice_len
+    odd = k % 2 == 1
+    total = (np.where(odd[:, None, None], line.even, np.eye(len(line.even)))
+             @ _stacked_power(line.pair, k // 2))
+    for gen, slot in ((line.gen_even, ~odd), (line.gen_odd, odd)):
+        tail = slot & (frac > 0.0)
+        if tail.any():
+            total[tail] = expm_lengths(gen.generator, frac[tail]) @ total[tail]
     return total
 
 
-def propagation_superop(source: Liouvillian | SwitchedLine, x: float) -> np.ndarray:
-    """Column-stacking superoperator of evolution from 0 to x."""
-    if x < 0.0:
+def propagation_superop(source: Liouvillian | SwitchedLine,
+                        x: float | np.ndarray) -> np.ndarray:
+    """Column-stacking superoperator of evolution from 0 to x.
+
+    A scalar ``x`` gives one matrix; an array of lengths gives the stack of
+    their superoperators, shape ``x.shape + (d*d, d*d)``.
+    """
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0):
         raise OutOfRange("propagation length must be nonnegative")
+    flat = xs.reshape(-1)
     if isinstance(source, SwitchedLine):
-        return _switched_superop(source, x)
-    return expm(source.generator * x)
+        stack = _switched_superops(source, flat)
+    else:
+        stack = expm_lengths(source.generator, flat)
+    return stack.reshape(xs.shape + stack.shape[-2:])
 
 
 class ProfilePoint(NamedTuple):
@@ -193,12 +227,12 @@ class ProfilePoint(NamedTuple):
     pre_clamp: float
 
 
-def _profile_value(source, x: float, rho_in: np.ndarray):
-    s = propagation_superop(source, x)
-    out = apply_superop_first_factor(s, rho_in, 2)
+def _evolved_states(source, x: float | np.ndarray,
+                    rho_in: np.ndarray) -> np.ndarray:
+    """``(map (x) id)`` of the probe at one length or a stack of lengths."""
+    out = apply_superop_first_factor(propagation_superop(source, x), rho_in, 2)
     # guard against slightly non-PSD output from non-physical generators
-    out = 0.5 * (out + out.conj().T)
-    return concurrence(out)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
@@ -209,26 +243,33 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
 
     The probe defaults to the singlet ``(|01> - |10>)/sqrt(2)``; any maximally
     entangled probe gives the same curve (local-unitary invariance), and the
-    curve coincides with the Choi-state concurrence.
+    curve coincides with the Choi-state concurrence.  The grid is evaluated
+    in consecutive stacks of at most ``_STACK_POINTS`` lengths.
 
-    With ``stop_on_unphysical`` the profile is truncated at the last point
-    where the evolved state is still positive; generators with the wrong
+    With ``stop_on_unphysical`` the profile is truncated before the first
+    point whose evolved state has an eigenvalue below ``EIGENVALUE_FLOOR``,
+    where :func:`concurrence` would raise; generators with the wrong
     dissipator sign leave the state cone at finite length.
     """
     if steps < 2:
         raise OutOfRange("need at least two profile points")
     rho_in = matrix_of(initial_state if initial_state is not None
                        else singlet_state())
-    points = []
-    for x in np.linspace(0.0, x_max, steps):
-        try:
-            c = _profile_value(source, float(x), rho_in)
-        except OutOfRange:
-            if stop_on_unphysical:
-                break
-            raise
-        points.append(ProfilePoint(float(x), c.value, c.pre_clamp))
-    return points
+    xs = np.linspace(0.0, x_max, steps)
+    values, pre = [], []
+    for start in range(0, steps, _STACK_POINTS):
+        states = _evolved_states(source, xs[start:start + _STACK_POINTS], rho_in)
+        kept = len(states)
+        if stop_on_unphysical:
+            low = hermitian_eig(states)[0][:, 0] < EIGENVALUE_FLOOR
+            kept = int(np.argmax(low)) if low.any() else kept
+        if kept:
+            c = concurrence(states[:kept])
+            values += c.value.tolist()
+            pre += c.pre_clamp.tolist()
+        if kept < len(states):
+            break
+    return [ProfilePoint(*p) for p in zip(xs.tolist(), values, pre)]
 
 
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
@@ -259,7 +300,7 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
                        else singlet_state())
 
     def f(x: float) -> float:
-        return _profile_value(source, x, rho_in).pre_clamp
+        return concurrence(_evolved_states(source, x, rho_in)).pre_clamp
 
     if f(0.0) <= TOL.eb:
         raise NoBracket("probe state is not entangled at x = 0")

@@ -29,6 +29,9 @@ _YY = kron(SIGMA_Y, SIGMA_Y)
 # largest are eigensolver noise
 _RANK_CUTOFF = 4.0 * np.finfo(float).eps
 
+# concurrence refuses a state with an eigenvalue below this
+EIGENVALUE_FLOOR = -1e-8
+
 
 class ConcurrenceResult(NamedTuple):
     value: float | np.ndarray
@@ -67,7 +70,7 @@ def concurrence(rho) -> ConcurrenceResult:
     """
     m = _as_two_qubit(rho)
     w, v = hermitian_eig(m)
-    if w.min() < -1e-8:
+    if w.min() < EIGENVALUE_FLOOR:
         raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
     # eigh sorts ascending, so the last eigenvalue is the largest
     w = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)

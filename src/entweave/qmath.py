@@ -82,10 +82,12 @@ def is_unitary(m, tol: float = TOL.structural) -> bool:
 
 
 def is_normal(m, tol: float = TOL.structural) -> bool:
+    """Whether ``m m^dag = m^dag m`` to ``tol`` times the squared largest
+    entry of ``m``, a test that does not change when ``m`` is scaled."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    scale = max(1.0, float(np.max(np.abs(m))) ** 2)
+    scale = float(np.max(np.abs(m))) ** 2
     return bool(np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) <= tol * scale)
 
 
@@ -103,20 +105,31 @@ def hermitian_eig(m, tol: float = TOL.structural):
     return w, v
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential.
+def expm_lengths(generator, lengths) -> np.ndarray:
+    """``exp(generator * x)`` for every ``x`` of a 1-D array of lengths, as a
+    stack of shape ``(len(lengths), d, d)``.
 
-    Normal matrices go through their (unitary) Schur diagonalization, which
-    exponentiates the spectrum exactly; everything else falls back to the
-    scaling-and-squaring Pade implementation in scipy.
+    Normality is decided once, on the generator, by :func:`is_normal`, whose
+    test does not change when the generator is scaled.  A normal generator
+    ``Z T Z^dag`` (complex Schur form, ``T`` diagonal) gives
+    ``Z exp(diag(T) x) Z^dag``, which exponentiates the spectrum exactly; any
+    other generator goes through scipy's scaling-and-squaring Pade
+    exponential (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009)
+    on the stack of ``generator * x``.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    g = as_matrix(generator)
+    if g.shape[0] != g.shape[1]:
         raise DimensionMismatch("expm needs a square matrix")
-    if is_normal(m):
-        t, z = scipy.linalg.schur(m, output="complex")
-        return (z * np.exp(np.diag(t))) @ z.conj().T
-    return scipy.linalg.expm(m)
+    xs = np.asarray(lengths, dtype=float)
+    if is_normal(g):
+        t, z = scipy.linalg.schur(g, output="complex")
+        return (z * np.exp(np.multiply.outer(xs, np.diag(t)))[:, None, :]) @ z.conj().T
+    return scipy.linalg.expm(g * xs[:, None, None])
+
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential: :func:`expm_lengths` at the single length 1."""
+    return expm_lengths(m, [1.0])[0]
 
 
 def kron(a, b) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from entweave.channels import (
     NotCompletelyPositive,
+    _order_and_margin,
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
@@ -238,6 +239,8 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
         got = eb_order(c, max_n)
         orders.append(got)
         assert got == _eb_order_per_power(c, max_n)
+        # the discrete report's one scoring gives is_eb's margin exactly
+        assert _order_and_margin(c, max_n) == (got, is_eb(c).margin)
     assert orders[1] == 7 and orders[3] == 70 and orders[4] == 66
     assert sum(isinstance(o, Unbounded) for o in orders) >= 3
     assert len({o for o in orders if isinstance(o, int)}) >= 4

@@ -35,6 +35,15 @@ def test_discrete_report_and_manifest(tmp_path):
     assert manifest["parameters"]["sequence"] == "QPQP"
 
 
+def test_parser_defaults_are_immutable():
+    # main reuses one parser, so a list default one call mutated would be
+    # seen by the next
+    from entweave.cli import _PARSER
+    cont = _PARSER.parse_args(["continuous", "--family", "ad"])
+    exp = _PARSER.parse_args(["experiment"])
+    assert isinstance(cont.n, tuple) and isinstance(exp.range, tuple)
+
+
 def test_discrete_blocked_sequence_breaks(tmp_path):
     r = run_cli(tmp_path, "discrete", "--sequence", "QQPP")
     assert r.returncode == 0

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entweave import continuous
 from entweave.channels import (
     QuantumChannel,
     Unbounded,
@@ -28,7 +30,7 @@ from entweave.continuous import (
     write_profile_csv,
 )
 from entweave.entanglement import concurrence
-from entweave.qmath import TOL, OutOfRange, apply_superop_first_factor
+from entweave.qmath import TOL, OutOfRange, apply_superop_first_factor, expm
 from entweave.states import DensityMatrix, matrix_of, singlet_state
 
 
@@ -78,8 +80,20 @@ def test_growing_sign_leaves_state_cone():
     bad = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
     with pytest.raises(OutOfRange):
         concurrence_profile(bad, 2.0, 41)
-    pts = concurrence_profile(bad, 2.0, 41, stop_on_unphysical=True)
-    assert 1 <= len(pts) < 41
+    # per-point reference: the first grid point whose evolved state has an
+    # eigenvalue below -1e-8, the floor concurrence refuses.  The lowest
+    # eigenvalue is -x, so the cut falls at x = 1e-8, which the second grid
+    # places between two points.
+    singlet = matrix_of(singlet_state())
+    for x_max in (2.0, 2.1e-8):
+        pts = concurrence_profile(bad, x_max, 41, stop_on_unphysical=True)
+        lowest = []
+        for x in np.linspace(0.0, x_max, 41):
+            out = apply_superop_first_factor(
+                scipy.linalg.expm(bad.generator * x), singlet, 2)
+            lowest.append(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])
+        first_bad = next(i for i, w in enumerate(lowest) if w < -1e-8)
+        assert len(pts) == first_bad
 
 
 def test_single_channel_thresholds_frozen():
@@ -149,6 +163,90 @@ def test_physical_lines_break_once(family, omega, eps, n):
     else:
         assert isinstance(got, float)
         assert math.isclose(got, ref, abs_tol=2e-4)
+
+
+def _reference_superop(source, x: float) -> np.ndarray:
+    """Per-point propagator from scipy exponentials and numpy matrix powers."""
+    if not isinstance(source, SwitchedLine):
+        return scipy.linalg.expm(source.generator * x)
+    s = source.slice_len
+    even = scipy.linalg.expm(source.gen_even.generator * s)
+    pair = scipy.linalg.expm(source.gen_odd.generator * s) @ even
+    k = int(np.floor(x / s))
+    frac = x - k * s
+    total = np.linalg.matrix_power(pair, k // 2)
+    if k % 2:
+        total = even @ total
+    if frac > 0.0:
+        gen = source.gen_odd if k % 2 else source.gen_even
+        total = scipy.linalg.expm(gen.generator * frac) @ total
+    return total
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_stacked_propagation_matches_per_point_reference(seed):
+    rng = np.random.default_rng(seed)
+    omega, eps = rng.uniform(0.5, 2.5), rng.uniform(0.3, 1.5)
+    ad = [rotating_ad_liouvillian(j, omega, eps) for j in (1, 2)]
+    pd = [rotating_pd_liouvillian(j, omega, eps) for j in (1, 2)]
+    s = rng.uniform(0.05, 0.5)
+    bounds = s * np.arange(12)
+    xs = np.concatenate([[0.0], bounds, bounds[1:] - 1e-9, bounds + 1e-9,
+                         rng.uniform(0.0, 12 * s, 20)])
+    sources = [SwitchedLine(*ad, s), SwitchedLine(*pd, s), ad[0], pd[0],
+               average_liouvillian(*ad), average_liouvillian(*pd),
+               rotating_pd_liouvillian(1, 0.0, eps)]
+    for source in sources:
+        stack = propagation_superop(source, xs)
+        assert stack.shape == (len(xs), 4, 4)
+        for x, got in zip(xs, stack):
+            np.testing.assert_allclose(got, _reference_superop(source, x),
+                                       rtol=0.0, atol=1e-12)
+        one = propagation_superop(source, float(xs[-1]))
+        assert one.shape == (4, 4)
+        np.testing.assert_array_equal(one, stack[-1])
+
+
+def test_small_non_normal_exponents_match_scipy():
+    # a non-normal generator times a small length is still non-normal; the
+    # normal-matrix shortcut would drop the Schur factor's upper triangle
+    for gen in (AD1, PD1):
+        m = gen.generator * 1e-6
+        np.testing.assert_allclose(expm(m), scipy.linalg.expm(m),
+                                   rtol=0.0, atol=1e-14)
+    s = 0.1 - 4e-7   # x = 0.1 lies 4e-7 into the second slice
+    line = SwitchedLine(AD1, AD2, s)
+    want = (scipy.linalg.expm(AD2.generator * (0.1 - s))
+            @ scipy.linalg.expm(AD1.generator * s))
+    np.testing.assert_allclose(propagation_superop(line, 0.1), want,
+                               rtol=0.0, atol=1e-14)
+
+
+def test_profile_stacks_match_one_stack(monkeypatch):
+    sizes = []
+    inner = continuous.propagation_superop
+
+    def recording(source, x):
+        sizes.append(np.size(x))
+        return inner(source, x)
+
+    monkeypatch.setattr(continuous, "propagation_superop", recording)
+    # the growing-sign line is cut at x = 1e-8, which on this grid lies
+    # past the first stack
+    growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
+    cases = [(SwitchedLine(AD1, AD2, 0.3), 2.0, False), (growing, 2e-8, True)]
+    stacked = [concurrence_profile(src, x_max, 3000, stop_on_unphysical=stop)
+               for src, x_max, stop in cases]
+    assert max(sizes) == 1024
+    monkeypatch.setattr(continuous, "_STACK_POINTS", 4096)
+    whole = [concurrence_profile(src, x_max, 3000, stop_on_unphysical=stop)
+             for src, x_max, stop in cases]
+    assert len(stacked[0]) == 3000
+    assert 1024 < len(stacked[1]) < 2048
+    for a, b in zip(stacked, whole):
+        assert len(a) == len(b)
+        np.testing.assert_allclose(np.array(a), np.array(b), rtol=0.0,
+                                   atol=1e-15)
 
 
 def test_switched_line_factory():

@@ -1,10 +1,19 @@
-"""The committed experiment curves, regenerated and compared column by column.
+"""The committed curves, regenerated and compared column by column.
 
 Runs the eight invocations of scripts/run_experiment_sweeps.py and holds
 each CSV to its copy under results/experiment/: the angle and success
 probability to 1e-10, the concurrence to 1e-8 and the text columns exactly
 (the tolerances perfbench/README.md documents for its golden check).  Bytes
 need not match, since stacked linear algebra may move the 12th digit.
+
+Runs the three invocations of scripts/run_continuous_curves.py and holds
+all sixteen CSVs under results/continuous/ the same way: ``x`` to 1e-10,
+``concurrence`` and ``pre_clamp`` to 1e-8, ``label`` exactly.  The n*
+switched curves get the same 1e-8, tighter than the 1.2e-4 perfbench
+allows them: their slices are cut from the single-line breaking length,
+and that wider tolerance exists for a change to the length search, which
+moves them on purpose.  Such a change regenerates results/continuous/
+(ROADMAP item 2).
 """
 
 import csv
@@ -15,6 +24,7 @@ import pytest
 from entweave.cli import main
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results" / "experiment"
+CONTINUOUS = RESULTS.parent / "continuous"
 
 ATOL = {"angle": 1e-10, "success_prob": 1e-10, "concurrence": 1e-8}
 
@@ -42,3 +52,30 @@ def test_experiment_sweep_matches_committed_csv(tmp_path, capsys, preset,
                 assert abs(float(g[column]) - float(value)) <= ATOL[column], column
             else:
                 assert g[column] == value
+
+
+CONTINUOUS_ATOL = {"x": 1e-10, "concurrence": 1e-8, "pre_clamp": 1e-8}
+
+_DRIVEN = ["--omega", "1.5", "--eps", "1.0", "--n", "1", "2", "4", "8", "16",
+           "--x-max", "6.0", "--steps", "241"]
+
+
+@pytest.mark.parametrize("subdir, args", [
+    ("ad", ["--family", "ad", *_DRIVEN]),
+    ("pd", ["--family", "pd", *_DRIVEN]),
+    ("undriven", ["--family", "ad", "--omega", "0.0", "--x-max", "6.0",
+                  "--steps", "241"]),
+])
+def test_continuous_curves_match_committed_csv(tmp_path, capsys, subdir, args):
+    assert main(["--out", str(tmp_path), "continuous", *args]) == 0
+    want_files = sorted(p.name for p in (CONTINUOUS / subdir).glob("*.csv"))
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == want_files
+    assert len(want_files) == (2 if subdir == "undriven" else 7)
+    for name in want_files:
+        got, want = _rows(tmp_path / name), _rows(CONTINUOUS / subdir / name)
+        assert len(got) == len(want) == 241, name
+        assert list(got[0]) == list(want[0]) == [*CONTINUOUS_ATOL, "label"]
+        for g, w in zip(got, want):
+            for column, atol in CONTINUOUS_ATOL.items():
+                assert abs(float(g[column]) - float(w[column])) <= atol, (name, column)
+            assert g["label"] == w["label"], name

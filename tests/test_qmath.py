@@ -146,6 +146,9 @@ def test_unitary_checks(rng):
     assert not is_unitary(2.0 * IDENTITY_2)
     assert is_normal(SIGMA_X + 1j * SIGMA_X)
     assert not is_normal(LOWERING)
+    # scale-invariant: a small non-normal matrix is still non-normal
+    assert not is_normal(1e-6 * LOWERING)
+    assert is_normal(1e-6 * (SIGMA_X + 1j * SIGMA_X))
 
 
 def test_opnorm_is_spectral():
