@@ -34,8 +34,11 @@ from .qmath import (
 )
 from .states import DensityMatrix, validate_density
 
-# eb_order scores the powers of a channel this many at a time, so memory stays
-# bounded whatever --max-order asks for
+# Breaking orders are scored in stacks that grow: _FIRST_STACK powers of each
+# channel, then three times the powers scored so far, never more than
+# _POWER_STACK at a time, so memory stays bounded whatever --max-order asks for
+# and a channel that breaks early is not powered far past its order
+_FIRST_STACK = 4
 _POWER_STACK = 64
 
 
@@ -261,13 +264,15 @@ def _check_eb_input(c: QuantumChannel) -> None:
         raise ValueError("entanglement-breaking test needs a trace-preserving map")
 
 
-def _first_breaking(superops: np.ndarray) -> tuple[int | None, np.ndarray]:
-    """Score a stack ``(k, 4, 4)`` of trace-preserving qubit superoperators.
+def _first_breaking(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score a stack ``(m, k, 4, 4)``: ``k`` consecutive powers of each of
+    ``m`` trace-preserving qubit channels.
 
-    Returns the index of the first entanglement-breaking map (``None`` if
-    none is) and the signed pre-clamp concurrences of every Choi state.  A
-    map up to that index whose concurrence and PPT verdicts disagree beyond
-    ``TOL.conflict_band`` raises :class:`ToleranceConflict`; later maps
+    Returns the index of each row's first entanglement-breaking map (``k`` if
+    none is) and the signed pre-clamp concurrences of every Choi state, shape
+    ``(m, k)``.  A map up to its row's first breaking index whose concurrence
+    and PPT verdicts disagree beyond ``TOL.conflict_band`` raises
+    :class:`ToleranceConflict` (the first such map in row order); later maps
     cannot.
     """
     choi = validate_density(_choi_matrices(superops, 2, 2) / 2.0)
@@ -277,11 +282,11 @@ def _first_breaking(superops: np.ndarray) -> tuple[int | None, np.ndarray]:
     # the verdicts disagree and the value that disagrees lies outside the band
     conflict = ((eb & (neg > TOL.conflict_band))
                 | ((neg <= TOL.eb) & (conc.value > TOL.conflict_band)))
-    hits = np.flatnonzero(eb)
-    first = int(hits[0]) if hits.size else None
-    bad = np.flatnonzero(conflict[:None if first is None else first + 1])
+    k = eb.shape[-1]
+    first = np.where(eb.any(axis=-1), eb.argmax(axis=-1), k)
+    bad = np.argwhere(conflict & (np.arange(k) <= first[:, None]))
     if bad.size:
-        i = bad[0]
+        i = tuple(bad[0])
         raise ToleranceConflict(
             f"concurrence {conc.value[i]:.3e} vs negativity {neg[i]:.3e}")
     return first, conc.pre_clamp
@@ -297,9 +302,8 @@ def is_eb(c: QuantumChannel) -> EbVerdict:
     :class:`ToleranceConflict`.  ``margin`` reports the signed pre-clamp
     concurrence.
     """
-    _check_eb_input(c)
-    first, margin = _first_breaking(c.superop[None])
-    return EbVerdict(first == 0, float(margin[0]))
+    ((order, margin),) = _orders_and_margins([c], 1)
+    return EbVerdict(order == 1, margin)
 
 
 def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
@@ -307,32 +311,49 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
     breaking; ``Unbounded(max_n)`` if no power up to ``max_n`` is.
 
     The powers ``S, S^2, ...`` of the superoperator are formed by running
-    products and scored a stack at a time, with the verdict of
-    :func:`is_eb`; a tolerance conflict counts only on powers up to the
-    returned order.  Monotone by construction: once a power is breaking,
-    every later power is.
+    products and scored in stacks that grow (4, 12, 48, then 64 at a time),
+    with the verdict of :func:`is_eb`.  Every power up to the returned order
+    is formed, validated and checked for a tolerance conflict; powers past
+    the stack that holds the order are not formed.  Monotone by
+    construction: once a power is breaking, every later power is.
     """
-    return _order_and_margin(c, max_n)[0]
+    return _orders_and_margins([c], max_n)[0][0]
 
 
-def _order_and_margin(c: QuantumChannel, max_n: int) -> tuple[int | Unbounded, float]:
-    """:func:`eb_order`, and the margin :func:`is_eb` reports for ``c``
-    itself, taken from the same scoring of the first power."""
+def _orders_and_margins(channels: Sequence[QuantumChannel],
+                        max_n: int) -> list[tuple[int | Unbounded, float]]:
+    """:func:`eb_order` of every channel, and the margin :func:`is_eb`
+    reports for it, taken from the same scoring of its first power.
+
+    The unresolved channels are scored together, one ``(m, k, 4, 4)`` stack
+    of their next ``k`` powers per round; a channel drops out once a power
+    in its stack breaks.
+    """
     if max_n < 1:
         raise OutOfRange("max_n must be at least 1")
-    _check_eb_input(c)
-    power = np.eye(4, dtype=complex)
-    margin = None
-    for start in range(0, max_n, _POWER_STACK):
-        powers = np.empty((min(_POWER_STACK, max_n - start), 4, 4), dtype=complex)
-        for k in range(len(powers)):
-            power = powers[k] = c.superop @ power
+    for c in channels:
+        _check_eb_input(c)
+    supers = np.array([c.superop for c in channels])
+    orders: list[int | Unbounded] = [Unbounded(float(max_n))] * len(channels)
+    margins: list[float] = []
+    live = np.arange(len(channels))
+    power = np.broadcast_to(np.eye(4, dtype=complex), supers.shape)
+    done = 0
+    while live.size and done < max_n:
+        k = min(3 * done or _FIRST_STACK, _POWER_STACK, max_n - done)
+        s = supers[live]
+        powers = np.empty((live.size, k, 4, 4), dtype=complex)
+        for j in range(k):
+            power = powers[:, j] = s @ power
         first, pre = _first_breaking(powers)
-        if margin is None:
-            margin = float(pre[0])
-        if first is not None:
-            return start + first + 1, margin
-    return Unbounded(float(max_n)), margin
+        if not done:
+            margins = [float(m) for m in pre[:, 0]]
+        for row in np.flatnonzero(first < k):
+            orders[live[row]] = done + int(first[row]) + 1
+        keep = first == k
+        live, power = live[keep], power[keep]
+        done += k
+    return list(zip(orders, margins))
 
 
 def channel_to_json(c: QuantumChannel) -> str:

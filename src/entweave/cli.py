@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    QuantumChannel,
     ToleranceConflict,
-    _order_and_margin,
+    Unbounded,
+    _orders_and_margins,
     ad_channel,
     compose,
     compose_signal_chain,
@@ -142,9 +142,8 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------- discrete
 
 
-def _channel_report(label: str, c: QuantumChannel, max_order: int) -> dict:
+def _channel_report(label: str, order: int | Unbounded, margin: float) -> dict:
     # the verdict of is_eb(c) is "order 1", so the first power is scored once
-    order, margin = _order_and_margin(c, max_order)
     return {
         "label": label,
         "is_eb": order == 1,
@@ -184,17 +183,20 @@ def cmd_discrete(args) -> int:
     u_dag = unitary_channel(u_mat.conj().T)
     phi = compose(u, base)      # signal meets the unitary first
     psi = compose(base, u_dag)  # damping first, inverse rotation after
+    channels = [phi, psi]
+    if seq:
+        channels.append(compose_signal_chain([phi if ch == "P" else psi for ch in seq]))
+    # P, Q and the word are scored together, one growing stack of powers
+    scored = _orders_and_margins(channels, args.max_order)
     report = {
         "base": base_label,
         "unitary": args.unitary,
-        "P": _channel_report("P", phi, args.max_order),
-        "Q": _channel_report("Q", psi, args.max_order),
+        "P": _channel_report("P", *scored[0]),
+        "Q": _channel_report("Q", *scored[1]),
     }
     if seq:
-        total = compose_signal_chain([phi if ch == "P" else psi for ch in seq])
         report["sequence"] = {"word": seq,
-                              **{k: v for k, v in
-                                 _channel_report(seq, total, args.max_order).items()
+                              **{k: v for k, v in _channel_report(seq, *scored[2]).items()
                                  if k != "label"}}
     if args.order_of:
         print(report[args.order_of]["eb_order"])

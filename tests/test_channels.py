@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from entweave.channels import (
     NotCompletelyPositive,
-    _order_and_margin,
+    _orders_and_margins,
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
@@ -173,11 +173,15 @@ def test_unitary_channels_never_break(rng):
         assert isinstance(eb_order(u, 8), Unbounded)
 
 
-def test_fully_depolarizing_is_eb_order_one():
+def _depolarizing():
     kraus = tuple(m / 2.0 for m in
                   (np.eye(2, dtype=complex), SIGMA_X,
                    np.array([[0, -1j], [1j, 0]]), SIGMA_Z))
-    dep = QuantumChannel.from_kraus(kraus)
+    return QuantumChannel.from_kraus(kraus)
+
+
+def test_fully_depolarizing_is_eb_order_one():
+    dep = _depolarizing()
     assert is_eb(dep).eb
     assert eb_order(dep) == 1
 
@@ -240,10 +244,50 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
         orders.append(got)
         assert got == _eb_order_per_power(c, max_n)
         # the discrete report's one scoring gives is_eb's margin exactly
-        assert _order_and_margin(c, max_n) == (got, is_eb(c).margin)
+        assert _orders_and_margins([c], max_n) == [(got, is_eb(c).margin)]
     assert orders[1] == 7 and orders[3] == 70 and orders[4] == 66
     assert sum(isinstance(o, Unbounded) for o in orders) >= 3
     assert len({o for o in orders if isinstance(o, int)}) >= 4
+    # many channels in one growing stack: rows resolve in different stacks,
+    # some past the 64-power cap, and each matches its own reference
+    phi, _ = _restored_pair()
+    mixed = [_depolarizing(), phi, pd_channel(0.05), pd_channel(0.73),
+             ad_channel(0.55), pd_channel(0.97)]  # orders 1, 2, 7, 66, 70, 681
+    for max_n in (1, 3, 5, 17, 64, 80):
+        scored = _orders_and_margins(mixed, max_n)
+        assert len(scored) == len(mixed)
+        for c, (order, margin) in zip(mixed, scored):
+            assert order == _eb_order_per_power(c, max_n)
+            assert margin == is_eb(c).margin
+    assert [o for o, _ in scored] == [1, 2, 7, 66, 70, Unbounded(80.0)]
+
+
+def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
+    # the restored pair breaks at order 2, so its first stack of 4 powers
+    # settles both rows; only a row that has not broken goes on to the
+    # later stacks (4, then 12, 48 and 64 at a time)
+    import entweave.channels as channels
+
+    shapes = []
+    true_concurrence = channels.concurrence
+
+    def counting(rho):
+        shapes.append(np.shape(rho)[:-2])
+        return true_concurrence(rho)
+
+    monkeypatch.setattr(channels, "concurrence", counting)
+    phi, psi = _restored_pair()
+    blocked = compose_signal_chain([psi, psi, phi, phi])  # breaks at once
+    orders = [o for o, _ in _orders_and_margins([phi, psi, blocked], 64)]
+    assert orders == [2, 2, 1]
+    assert shapes == [(3, 4)]  # 3 x 4 powers, not 3 x 64
+    shapes.clear()
+    orders = [o for o, _ in _orders_and_margins([phi, pd_channel(0.97), psi], 64)]
+    assert orders == [2, Unbounded(64.0), 2]
+    assert shapes == [(3, 4), (1, 12), (1, 48)]
+    shapes.clear()
+    _orders_and_margins([pd_channel(0.97)], 200)
+    assert shapes == [(1, 4), (1, 12), (1, 48), (1, 64), (1, 64), (1, 8)]
 
 
 def test_conflict_past_the_order_never_raises(monkeypatch):
@@ -257,7 +301,7 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
     def conflicting_from(power):
         def fake(rho):
             n = np.array(true_negativity(rho))
-            n[power - 1:] = 0.5
+            n[..., power - 1:] = 0.5
             return n
         return fake
 
@@ -266,6 +310,32 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
     monkeypatch.setattr(channels, "negativity", conflicting_from(2))
     with pytest.raises(ToleranceConflict):
         eb_order(phi, 16)
+
+    # a second row, in the first stack beside the first row and then alone
+    # once the first broke: a conflict up to its own order raises, one past
+    # it does not
+    slow = ad_channel(0.55)  # order 70, in the fourth stack (powers 65-80)
+
+    def conflicting_at(power, value):
+        target = matrix_of(choi_state(compose_signal_chain([slow] * power)))
+
+        def fake(rho):
+            n = np.array(true_negativity(rho))
+            hit = np.abs(np.asarray(rho) - target).max(axis=(-2, -1)) < 1e-14
+            n[hit] = value
+            return n
+        return fake
+
+    # powers 3 and 10 are entangled (concurrence 0.55^1.5 and 0.55^5), so
+    # negativity 0 contradicts them
+    for power, value, raises in ((3, 0.0, True), (10, 0.0, True),
+                                 (70, 0.5, True), (71, 0.5, False)):
+        monkeypatch.setattr(channels, "negativity", conflicting_at(power, value))
+        if raises:
+            with pytest.raises(ToleranceConflict):
+                _orders_and_margins([phi, slow], 80)
+        else:
+            assert [o for o, _ in _orders_and_margins([phi, slow], 80)] == [2, 70]
 
 
 def test_eb_classification_floor():
