@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import isqrt
+from math import inf, isfinite, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -24,12 +24,11 @@ from .qmath import (
     SIGMA_Z,
     TOL,
     DimensionMismatch,
+    Exponential,
     OutOfRange,
     apply_superop_first_factor,
     as_matrix,
     dagger,
-    expm,
-    expm_lengths,
     hermitian_eig,
     kron,
     opnorm,
@@ -48,15 +47,22 @@ class NoBracket(RuntimeError):
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """A column-stacking generator matrix for a qubit master equation."""
+    """A column-stacking generator matrix for a qubit master equation.
+
+    ``exponential`` is the generator's :class:`~entweave.qmath.Exponential`,
+    factored once at construction, so propagating it never refactors.
+    """
 
     generator: np.ndarray
     label: str = ""
+    exponential: Exponential = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.array(as_matrix(self.generator), dtype=complex)
         if g.shape[0] != g.shape[1]:
             raise DimensionMismatch("generator must be square")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("generator has non-finite entries")
         d = isqrt(g.shape[0])
         if d * d != g.shape[0]:
             raise DimensionMismatch("generator dimension is not a perfect square")
@@ -64,8 +70,9 @@ class Liouvillian:
         tr_row = vec(np.eye(d)).conj() @ g
         if np.max(np.abs(tr_row)) > 1e-8:
             raise ValueError("generator does not preserve trace")
-        g.setflags(write=False)
-        object.__setattr__(self, "generator", g)
+        exponential = Exponential(g)
+        object.__setattr__(self, "generator", exponential.generator)
+        object.__setattr__(self, "exponential", exponential)
 
     @property
     def dim(self) -> int:
@@ -90,12 +97,13 @@ class SwitchedLine:
     pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.slice_len <= 0.0:
-            raise OutOfRange("slice length must be positive")
+        if not 0.0 < self.slice_len < inf:
+            raise OutOfRange(f"slice length must be positive and finite, "
+                             f"got {self.slice_len}")
         if self.gen_even.dim != self.gen_odd.dim:
             raise DimensionMismatch("switched generators must share a dimension")
-        even = expm(self.gen_even.generator * self.slice_len)
-        pair = expm(self.gen_odd.generator * self.slice_len) @ even
+        even = self.gen_even.exponential([self.slice_len])[0]
+        pair = self.gen_odd.exponential([self.slice_len])[0] @ even
         for m in (even, pair):
             m.setflags(write=False)
         object.__setattr__(self, "even", even)
@@ -115,6 +123,13 @@ def _dissipator_superop(jump) -> np.ndarray:
     return kron(jump.conj(), jump) - 0.5 * (kron(eye, jj) + kron(jj.T, eye))
 
 
+def _check_rates(omega: float, eps: float) -> None:
+    if not isfinite(omega):
+        raise OutOfRange(f"drive omega must be finite, got {omega}")
+    if not 0.0 <= eps < inf:
+        raise OutOfRange(f"rate eps must be nonnegative and finite, got {eps}")
+
+
 def _drive(j: int, omega: float) -> np.ndarray:
     if j not in (1, 2):
         raise OutOfRange("generator index must be 1 or 2")
@@ -130,8 +145,7 @@ def rotating_ad_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     propagator over length x is the damping channel with parameter
     ``exp(-eps x)``.
     """
-    if eps < 0.0:
-        raise OutOfRange("damping rate must be nonnegative")
+    _check_rates(omega, eps)
     gen = _hamiltonian_superop(_drive(j, omega)) + eps * _dissipator_superop(LOWERING)
     return Liouvillian(gen, label=f"ad[j={j},omega={omega:g},eps={eps:g}]")
 
@@ -146,8 +160,7 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float,
     flips the sign of the dissipative part, which makes coherences grow and the
     propagator non-physical; it exists only as a comparison mode.
     """
-    if eps < 0.0:
-        raise OutOfRange("dephasing rate must be nonnegative")
+    _check_rates(omega, eps)
     sz_part = kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
     sign = 1.0 if decaying else -1.0
     gen = _hamiltonian_superop(_drive(j, omega)) + sign * eps * sz_part
@@ -166,8 +179,8 @@ def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
     """Cut ``total_len`` into ``n`` equal slices per generator alternation."""
     if n < 1:
         raise OutOfRange("slice count must be at least 1")
-    if total_len <= 0.0:
-        raise OutOfRange("total length must be positive")
+    if not 0.0 < total_len < inf:
+        raise OutOfRange(f"total length must be positive and finite, got {total_len}")
     return SwitchedLine(l1, l2, total_len / n, label=f"n={n}")
 
 
@@ -199,7 +212,7 @@ def _switched_superops(line: SwitchedLine, xs: np.ndarray) -> np.ndarray:
     for gen, slot in ((line.gen_even, ~odd), (line.gen_odd, odd)):
         tail = slot & (frac > 0.0)
         if tail.any():
-            total[tail] = expm_lengths(gen.generator, frac[tail]) @ total[tail]
+            total[tail] = gen.exponential(frac[tail]) @ total[tail]
     return total
 
 
@@ -211,13 +224,13 @@ def propagation_superop(source: Liouvillian | SwitchedLine,
     their superoperators, shape ``x.shape + (d*d, d*d)``.
     """
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
-        raise OutOfRange("propagation length must be nonnegative")
+    if not np.all((xs >= 0.0) & (xs < np.inf)):
+        raise OutOfRange("propagation length must be nonnegative and finite")
     flat = xs.reshape(-1)
     if isinstance(source, SwitchedLine):
         stack = _switched_superops(source, flat)
     else:
-        stack = expm_lengths(source.generator, flat)
+        stack = source.exponential(flat)
     return stack.reshape(xs.shape + stack.shape[-2:])
 
 
@@ -294,8 +307,10 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     are not CP-divisible and leave the state cone at finite length; an
     evaluation past that point, at ``x_hi`` first, raises :class:`OutOfRange`.
     """
-    if x_hi <= 0.0:
-        raise OutOfRange("search bound must be positive")
+    if not 0.0 < x_hi < inf:
+        raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
+    if not 0.0 < xtol < inf:
+        raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
     rho_in = matrix_of(initial_state if initial_state is not None
                        else singlet_state())
 

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entweave import continuous
+from entweave import continuous, qmath
 from entweave.channels import (
     QuantumChannel,
     Unbounded,
@@ -220,6 +220,101 @@ def test_small_non_normal_exponents_match_scipy():
             @ scipy.linalg.expm(AD1.generator * s))
     np.testing.assert_allclose(propagation_superop(line, 0.1), want,
                                rtol=0.0, atol=1e-14)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls, inner = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("family,exceptional", [
+    (rotating_ad_liouvillian, 1.0 / 8.0), (rotating_pd_liouvillian, 1.0 / 2.0)])
+def test_exponential_matches_scipy_across_exceptional_points(monkeypatch,
+                                                             family,
+                                                             exceptional):
+    # at eps = 1 the driven AD generator is defective at omega = 1/8 and the
+    # driven PD one at omega = 1/2; near them the eigenvector matrix is
+    # ill-conditioned and the exponential must fall back to scipy's
+    xs = np.concatenate([[0.0, 1e-8, 1e-6], np.linspace(0.0, 20.0, 81)])
+    reference = scipy.linalg.expm
+    scipy_calls = _count_calls(monkeypatch, qmath.scipy.linalg, "expm")
+    for d in (0.0, 1e-10, 1e-6, 1e-3, 0.1):
+        gen = family(1, exceptional + d, 1.0)
+        scipy_calls.clear()
+        stack = propagation_superop(gen, xs)
+        for x, got in zip(xs, stack):
+            np.testing.assert_allclose(got, reference(gen.generator * x),
+                                       rtol=0.0, atol=1e-12)
+        if d == 0.0:
+            assert gen.exponential.factors is None and len(scipy_calls) == 1
+        if d >= 1e-3:
+            assert gen.exponential.factors is not None and not scipy_calls
+
+
+def test_searches_and_profiles_refactor_nothing(monkeypatch):
+    # every factorization happens when a generator or line is built; a
+    # search or a profile only multiplies the stored factors
+    sources = [AD1, SwitchedLine(AD1, AD2, 0.4), average_liouvillian(AD1, AD2),
+               SwitchedLine(PD1, PD2, 0.2)]
+    eigs = _count_calls(monkeypatch, qmath.np.linalg, "eig")
+    expms = _count_calls(monkeypatch, qmath.scipy.linalg, "expm")
+    for source in sources:
+        eb_length(source, 12.0)
+        concurrence_profile(source, 6.0, 241)
+    assert eigs == [] and expms == []
+
+
+def test_liouvillian_rejects_non_finite_generator():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="generator"):
+            continuous.Liouvillian(np.full((4, 4), bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        qmath.expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+
+def test_rotating_generators_reject_non_finite_rates():
+    for family in (rotating_ad_liouvillian, rotating_pd_liouvillian):
+        for omega in (np.inf, -np.inf, np.nan):
+            with pytest.raises(OutOfRange, match="omega"):
+                family(1, omega, 1.0)
+        for eps in (np.nan, np.inf, -1.0):
+            with pytest.raises(OutOfRange, match="eps"):
+                family(1, 1.5, eps)
+
+
+def test_switched_line_rejects_non_finite_slices():
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(OutOfRange, match="slice length"):
+            SwitchedLine(AD1, AD2, bad)
+        with pytest.raises(OutOfRange, match="total length"):
+            switched_line(AD1, AD2, bad, 4)
+
+
+def test_eb_length_rejects_non_finite_bounds():
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(OutOfRange, match="x_hi"):
+            eb_length(AD1, bad)
+        with pytest.raises(OutOfRange, match="xtol"):
+            eb_length(AD1, 6.0, xtol=bad)
+
+
+def test_propagation_rejects_non_finite_lengths():
+    line = SwitchedLine(AD1, AD2, 0.4)
+    for source in (AD1, line):
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(OutOfRange, match="propagation length"):
+                propagation_superop(source, bad)
+            with pytest.raises(OutOfRange, match="propagation length"):
+                propagation_superop(source, np.array([0.5, bad]))
+        with pytest.raises(OutOfRange, match="propagation length"):
+            concurrence_profile(source, np.nan, 5)
 
 
 def test_profile_stacks_match_one_stack(monkeypatch):
