@@ -26,14 +26,13 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    QuantumChannel,
     ToleranceConflict,
     Unbounded,
     _orders_and_margins,
     ad_channel,
-    compose,
     compose_signal_chain,
     pd_channel,
-    unitary_channel,
 )
 from .continuous import (
     NoBracket,
@@ -65,6 +64,7 @@ from .qmath import (
     NotUnitary,
     OutOfRange,
     is_unitary,
+    sandwich_superop,
 )
 
 EXIT_OK = 0
@@ -179,10 +179,10 @@ def cmd_discrete(args) -> int:
     else:
         base = ad_channel(args.eta)
         base_label = f"ad({args.eta:g})"
-    u = unitary_channel(u_mat)
-    u_dag = unitary_channel(u_mat.conj().T)
-    phi = compose(u, base)      # signal meets the unitary first
-    psi = compose(base, u_dag)  # damping first, inverse rotation after
+    # the parser checked u_mat is unitary; P meets it first, Q meets it last
+    u = sandwich_superop(u_mat, u_mat)
+    phi = QuantumChannel(base.superop @ u)
+    psi = QuantumChannel(u.conj().T @ base.superop)
     channels = [phi, psi]
     if seq:
         channels.append(compose_signal_chain([phi if ch == "P" else psi for ch in seq]))

@@ -45,7 +45,7 @@ class NoBracket(RuntimeError):
     """No sign change of the pre-clamp concurrence inside the search range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """A column-stacking generator matrix for a qubit master equation.
 
@@ -79,7 +79,7 @@ class Liouvillian:
         return isqrt(self.generator.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchedLine:
     """Alternate two generators over consecutive slices of equal length.
 

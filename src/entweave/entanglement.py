@@ -8,8 +8,10 @@ import numpy as np
 
 from .qmath import (
     SIGMA_Y,
+    NonHermitian,
     OutOfRange,
     hermitian_eig,
+    is_hermitian,
     kron,
     maximally_entangled,
     partial_trace,
@@ -68,10 +70,14 @@ def concurrence(rho) -> ConcurrenceResult:
     search bisects on, since ``value`` is identically zero past the
     separability threshold.
     """
-    m = _as_two_qubit(rho)
-    w, v = hermitian_eig(m)
+    w, v = hermitian_eig(_as_two_qubit(rho))
     if w.min() < EIGENVALUE_FLOOR:
         raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
+    return _concurrence_from_eigh(w, v)
+
+
+def _concurrence_from_eigh(w: np.ndarray, v: np.ndarray) -> ConcurrenceResult:
+    """:func:`concurrence` from a checked state's (or stack's) ``eigh``."""
     # eigh sorts ascending, so the last eigenvalue is the largest
     w = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
     psi = v * np.sqrt(w)[..., None, :]
@@ -93,7 +99,14 @@ def negativity(rho) -> float | np.ndarray:
     single-state result.
     """
     m = _as_two_qubit(rho)
-    w, _ = hermitian_eig(partial_transpose(m, (2, 2), 1), tol=1e-8)
+    if not is_hermitian(m, tol=1e-8):
+        raise NonHermitian("matrix is not Hermitian within tolerance")
+    return _hermitian_negativity(m)
+
+
+def _hermitian_negativity(m: np.ndarray) -> float | np.ndarray:
+    # the partial transpose only permutes entries, so it is Hermitian too
+    w = np.linalg.eigvalsh(partial_transpose(m, (2, 2), 1))
     neg = -np.where(w < 0.0, w, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
 

@@ -30,9 +30,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import QuantumChannel
-from .entanglement import concurrence, werner_state
+from .entanglement import _concurrence_from_eigh, werner_state
 from .qmath import OutOfRange, apply_superop_first_factor, projector, sandwich_superop
-from .states import DensityMatrix, matrix_of, validate_density
+from .states import DensityMatrix, matrix_of, validated_eigh
 
 
 class ElementInconsistent(ValueError):
@@ -378,8 +378,8 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ZeroSuccessProbability(
             f"postselection trace {succ[dark][0]:.3e} at {s.label}")
     rho = out / succ[:, None, None]
-    rho = validate_density(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
-    return concurrence(rho).value, succ
+    eig = validated_eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    return _concurrence_from_eigh(*eig).value, succ
 
 
 def setup_map(s: OpticalSetup, *,

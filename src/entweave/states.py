@@ -25,9 +25,9 @@ def _first_failure(ok) -> tuple[int, str] | None:
     return (int(bad[0]), f" at stack index {bad[0]}") if bad.size else None
 
 
-def validate_density(m) -> np.ndarray:
+def validated_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Check a density matrix, or a stack of them with shape ``(..., d, d)``,
-    point by point, and return it as a complex array.
+    point by point, and return the ``numpy.linalg.eigh`` the check took.
 
     Every matrix must be Hermitian and have unit trace to the structural
     tolerance, and no eigenvalue may lie below ``-TOL.psd``.  The first
@@ -43,10 +43,17 @@ def validate_density(m) -> np.ndarray:
     tr = np.trace(m, axis1=-2, axis2=-1)
     if fail := _first_failure(np.abs(tr - 1.0) <= TOL.structural):
         raise ValueError(f"density matrix trace {np.ravel(tr)[fail[0]]} is not 1{fail[1]}")
-    low = np.linalg.eigvalsh(m)[..., 0]
-    if fail := _first_failure(low >= -TOL.psd):
+    w, v = np.linalg.eigh(m)
+    if fail := _first_failure(w[..., 0] >= -TOL.psd):
         raise ValueError(f"density matrix has negative eigenvalue "
-                         f"{np.ravel(low)[fail[0]]:.3e}{fail[1]}")
+                         f"{np.ravel(w[..., 0])[fail[0]]:.3e}{fail[1]}")
+    return w, v
+
+
+def validate_density(m) -> np.ndarray:
+    """The checks of :func:`validated_eigh`; returns ``m`` as a complex array."""
+    m = np.asarray(m, dtype=complex)
+    validated_eigh(m)
     return m
 
 

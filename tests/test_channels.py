@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from entweave.channels import (
     NotCompletelyPositive,
+    _choi_matrices,
+    _first_breaking,
     _orders_and_margins,
     QuantumChannel,
     ToleranceConflict,
@@ -33,11 +35,14 @@ from entweave.qmath import (
     SIGMA_X,
     SIGMA_Z,
     DimensionMismatch,
+    NonHermitian,
     OutOfRange,
     kron,
+    maximally_entangled,
     partial_transpose,
+    projector,
 )
-from entweave.states import matrix_of
+from entweave.states import matrix_of, validate_density
 
 from conftest import haar_unitary, random_channel, random_density
 
@@ -269,13 +274,13 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
     import entweave.channels as channels
 
     shapes = []
-    true_concurrence = channels.concurrence
+    true_concurrence = channels._concurrence_from_eigh
 
-    def counting(rho):
-        shapes.append(np.shape(rho)[:-2])
-        return true_concurrence(rho)
+    def counting(w, v):
+        shapes.append(np.shape(v)[:-2])
+        return true_concurrence(w, v)
 
-    monkeypatch.setattr(channels, "concurrence", counting)
+    monkeypatch.setattr(channels, "_concurrence_from_eigh", counting)
     phi, psi = _restored_pair()
     blocked = compose_signal_chain([psi, psi, phi, phi])  # breaks at once
     orders = [o for o, _ in _orders_and_margins([phi, psi, blocked], 64)]
@@ -296,7 +301,7 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
     import entweave.channels as channels
 
     phi, _ = _restored_pair()
-    true_negativity = channels.negativity
+    true_negativity = channels._hermitian_negativity
 
     def conflicting_from(power):
         def fake(rho):
@@ -305,9 +310,9 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
             return n
         return fake
 
-    monkeypatch.setattr(channels, "negativity", conflicting_from(3))
+    monkeypatch.setattr(channels, "_hermitian_negativity", conflicting_from(3))
     assert eb_order(phi, 16) == 2
-    monkeypatch.setattr(channels, "negativity", conflicting_from(2))
+    monkeypatch.setattr(channels, "_hermitian_negativity", conflicting_from(2))
     with pytest.raises(ToleranceConflict):
         eb_order(phi, 16)
 
@@ -330,7 +335,8 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
     # negativity 0 contradicts them
     for power, value, raises in ((3, 0.0, True), (10, 0.0, True),
                                  (70, 0.5, True), (71, 0.5, False)):
-        monkeypatch.setattr(channels, "negativity", conflicting_at(power, value))
+        monkeypatch.setattr(channels, "_hermitian_negativity",
+                            conflicting_at(power, value))
         if raises:
             with pytest.raises(ToleranceConflict):
                 _orders_and_margins([phi, slow], 80)
@@ -392,3 +398,112 @@ def test_normalized_requires_proportional_gram():
     skew = QuantumChannel.from_kraus((np.diag([0.9, 0.1]).astype(complex),))
     with pytest.raises(ValueError):
         skew.normalized()
+
+
+def _sandwiched(base, rng):
+    """``V o base o U`` for independent seeded Haar unitaries U and V."""
+    u, v = haar_unitary(2, rng), haar_unitary(2, rng)
+    return compose_signal_chain([unitary_channel(u), base, unitary_channel(v)])
+
+
+def test_doubled_powers_match_running_products(rng, monkeypatch):
+    # record every stack of powers the scorer is handed; reporting no row as
+    # breaking keeps every channel live, so all 200 powers are formed
+    import entweave.channels as channels
+
+    stacks = []
+    true_first_breaking = channels._first_breaking
+
+    def unbroken(superops):
+        stacks.append(superops.copy())
+        _, pre = true_first_breaking(superops)
+        return np.full(len(superops), superops.shape[1]), pre
+
+    monkeypatch.setattr(channels, "_first_breaking", unbroken)
+    bases = [ad_channel(v) for v in (0.3, 0.55, 0.9, 0.999)]
+    bases += [pd_channel(v) for v in (0.05, 0.5, 0.97, 1.0)]
+    chans = bases + [_sandwiched(b, rng) for b in bases]
+    _orders_and_margins(chans, 200)
+    assert [s.shape[1] for s in stacks] == [4, 12, 48, 64, 64, 8]
+    formed = np.concatenate(stacks, axis=1)
+    assert formed.shape == (len(chans), 200, 4, 4)
+    for c, powers in zip(chans, formed):
+        running = c.superop
+        for n in range(200):
+            assert np.abs(powers[n] - running).max() <= 1e-13, n + 1
+            running = c.superop @ running
+
+
+def test_breaking_orders_match_running_products_on_a_grid(rng):
+    grid = [ad_channel(v) for v in (0.05, 0.2, 0.55, 0.7)]
+    grid += [pd_channel(v) for v in (0.05, 0.3, 0.6, 0.75)]
+    grid += [_sandwiched(c, rng) for c in grid]
+    orders = [eb_order(c, 80) for c in grid]
+    assert orders == [_eb_order_per_power(c, 80) for c in grid]
+    assert orders[2] == 70 and orders[4] == 7  # ad(0.55), pd(0.05)
+
+
+def _superop_of_choi_state(state):
+    """The map whose :func:`choi_state` is ``state`` (linear, unchecked)."""
+    s = np.einsum("iajb->jiba", 2.0 * np.asarray(state).reshape(2, 2, 2, 2))
+    return s.reshape(4, 4)
+
+
+@pytest.mark.parametrize("kind, error, words", [
+    ("non-Hermitian", NonHermitian, "not Hermitian within tolerance"),
+    ("trace", ValueError, "is not 1"),
+    ("negative", ValueError, "negative eigenvalue -2.500e-02"),
+])
+def test_breaking_scorer_raises_as_validate_density(kind, error, words):
+    bell = projector(maximally_entangled())
+    bad = {"non-Hermitian": bell + 1e-6 * np.triu(np.ones((4, 4)), 1),
+           "trace": 1.01 * bell,
+           "negative": 1.1 * bell - 0.1 * np.eye(4) / 4.0}[kind]
+    assert np.allclose(_choi_matrices(_superop_of_choi_state(bad), 2, 2) / 2.0, bad)
+    phi, _ = _restored_pair()
+    for m, k, flat in ((1, 1, 0), (2, 4, 5), (3, 12, 30)):
+        stack = np.array([phi.superop] * (m * k), dtype=complex)
+        stack[flat] = _superop_of_choi_state(bad)
+        stack = stack.reshape(m, k, 4, 4)
+        with pytest.raises(error) as reference:
+            validate_density(_choi_matrices(stack, 2, 2) / 2.0)
+        with pytest.raises(error) as scored:
+            _first_breaking(stack)
+        assert str(scored.value) == str(reference.value)
+        assert words in str(scored.value)
+        assert str(scored.value).endswith(f"at stack index {flat}")
+
+
+def test_signal_chain_validates_only_the_product(rng, monkeypatch):
+    chain = [random_channel(2, 2, rng) for _ in range(5)]
+    folded = chain[0]
+    for c in chain[1:]:
+        folded = compose(folded, c)
+    calls = []
+    true_post_init = QuantumChannel.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        true_post_init(self)
+
+    monkeypatch.setattr(QuantumChannel, "__post_init__", counting)
+    for n in (1, 2, 5):
+        calls.clear()
+        total = compose_signal_chain(chain[:n])
+        assert len(calls) == 1
+    assert np.array_equal(total.superop, folded.superop)  # bit-equal
+
+
+def test_signal_chain_checks_every_joint():
+    iso = np.zeros((3, 2), dtype=complex)
+    iso[:2, :2] = np.eye(2)  # a qubit embedded in a qutrit
+    widen = QuantumChannel.from_kraus((iso,))
+    assert (widen.in_dim, widen.out_dim) == (2, 3)
+    qubit, qutrit = identity_channel(2), identity_channel(3)
+    compose_signal_chain([qubit, widen, qutrit])
+    for bad in ([widen, qubit], [qubit, qubit, widen, widen],
+                [widen, qutrit, qubit]):
+        with pytest.raises(DimensionMismatch, match="cannot feed a 3-dim output"):
+            compose_signal_chain(bad)
+    with pytest.raises(DimensionMismatch):
+        compose_signal_chain([])

@@ -229,3 +229,31 @@ def test_experiment_seeded_mc_determinism(tmp_path):
         assert run_cli(d, *args).returncode == 0
     name = "experiment_identity_ideal_theta.csv"
     assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):
+    # the base, P, Q and the word: P and Q are built from the base and the
+    # parsed unitary's superoperator, the word from one product
+    from entweave.channels import (QuantumChannel, ad_channel, compose,
+                                   is_eb, unitary_channel)
+    from entweave.qmath import SIGMA_X, SIGMA_Z
+
+    u = (SIGMA_Z - SIGMA_X) / math.sqrt(2.0)
+    base = ad_channel(0.3)
+    margins = [is_eb(compose(unitary_channel(u), base)).margin,
+               is_eb(compose(base, unitary_channel(u.conj().T))).margin]
+    calls = []
+    true_post_init = QuantumChannel.__post_init__
+
+    def counting(self):
+        calls.append(self.superop.shape)
+        true_post_init(self)
+
+    monkeypatch.setattr(QuantumChannel, "__post_init__", counting)
+    for extra, count in (((), 3), (("--sequence", "QPQPPQ"), 4)):
+        calls.clear()
+        assert main(["--out", str(tmp_path), "discrete", "--eta", "0.3",
+                     "--unitary", "zx-diag", *extra]) == 0
+        assert len(calls) == count
+        report = json.loads((tmp_path / "discrete_report.json").read_text())
+        assert [report[k]["margin"] for k in "PQ"] == margins

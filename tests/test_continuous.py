@@ -431,3 +431,14 @@ def test_profile_csv_determinism(tmp_path):
     lines = p1.read_text().splitlines()
     assert lines[0] == "x,concurrence,pre_clamp,label"
     assert len(lines) == 6
+
+
+def test_generators_and_lines_compare_by_identity():
+    a = rotating_ad_liouvillian(1, 1.5, 1.0)
+    b = rotating_ad_liouvillian(1, 1.5, 1.0)
+    line = switched_line(a, rotating_pd_liouvillian(2, 1.5, 1.0), 2.0, 4)
+    twin = switched_line(a, rotating_pd_liouvillian(2, 1.5, 1.0), 2.0, 4)
+    assert a == a and a != b
+    assert line == line and line != twin
+    assert len({a, b, a, line, twin, line}) == 4
+    assert hash(a) == hash(a) and hash(line) == hash(line)

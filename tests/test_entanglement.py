@@ -172,3 +172,18 @@ def test_stacked_validation_names_the_failing_point(rng):
     bad[0, 0, 1] += 1e-6
     with pytest.raises(NonHermitian, match="at stack index 0"):
         validate_density(bad)
+
+
+def test_measures_reject_non_hermitian_input(rng):
+    rho = random_density(4, rng)
+    skew = rho.copy()
+    skew[0, 3] += 1e-6
+    for bad in (skew, np.array([rho, skew, rho])):
+        with pytest.raises(NonHermitian):
+            concurrence(bad)
+        with pytest.raises(NonHermitian):
+            negativity(bad)
+    # within the negativity's looser 1e-8 hermiticity tolerance it still scores
+    near = rho.copy()
+    near[0, 3] += 1e-9
+    assert negativity(near) == pytest.approx(negativity(rho), abs=1e-8)
