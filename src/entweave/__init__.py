@@ -30,8 +30,6 @@ from .channels import (
     ToleranceConflict,
     Unbounded,
     ad_channel,
-    channel_from_json,
-    channel_to_json,
     choi_matrix,
     choi_state,
     compose,
@@ -98,8 +96,6 @@ __all__ = [
     "ad_channel",
     "alpha_for_eta",
     "average_liouvillian",
-    "channel_from_json",
-    "channel_to_json",
     "choi_matrix",
     "choi_state",
     "compose",

@@ -1,15 +1,12 @@
 """Qubit channels as column-stacking superoperators.
 
 A channel is its superoperator matrix and nothing else: composition is the
-matrix product, the Choi matrix is a reshape of it, and a minimal Kraus set
-is derived from the Choi eigendecomposition only when one is asked for.
+matrix product, and the Choi matrix is a reshape of it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import isqrt
 from typing import NamedTuple, Sequence
 
@@ -96,7 +93,7 @@ def _gram(superop: np.ndarray, in_dim: int) -> np.ndarray:
     return unvec(vec(np.eye(out_dim)) @ superop, in_dim).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """A completely positive, trace-nonincreasing map, stored as its
     column-stacking superoperator: ``vec(Phi(rho)) = superop @ vec(rho)``.
@@ -150,17 +147,6 @@ class QuantumChannel:
     @property
     def out_dim(self) -> int:
         return isqrt(self.superop.shape[0])
-
-    @cached_property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        """A minimal Kraus set, from the eigendecomposition of the Choi matrix;
-        eigenvalues up to ``TOL.kraus_cutoff`` times the largest drop out."""
-        w, v = np.linalg.eigh(choi_matrix(self))
-        cutoff = TOL.kraus_cutoff * max(1.0, float(w[-1]))
-        shape = (self.out_dim, self.in_dim)
-        ks = tuple(_frozen(np.sqrt(lam) * col.reshape(shape))
-                   for lam, col in zip(w, v.T) if lam > cutoff)
-        return ks or (_frozen(np.zeros(shape)),)
 
     def apply(self, rho) -> np.ndarray:
         rho = as_matrix(rho)
@@ -355,26 +341,3 @@ def _orders_and_margins(channels: Sequence[QuantumChannel],
         done += k
     return list(zip(orders, margins))
 
-
-def channel_to_json(c: QuantumChannel) -> str:
-    """Serialize to JSON: each Kraus entry becomes an ``[re, im]`` pair."""
-    doc = {
-        "in_dim": c.in_dim,
-        "out_dim": c.out_dim,
-        "kraus": [[[[float(z.real), float(z.imag)] for z in row] for row in k]
-                  for k in c.kraus],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def channel_from_json(text: str) -> QuantumChannel:
-    doc = json.loads(text)
-    try:
-        ks = []
-        for k in doc["kraus"]:
-            ks.append(np.array([[complex(re, im) for re, im in row] for row in k]))
-            if ks[-1].shape != (doc["out_dim"], doc["in_dim"]):
-                raise DimensionMismatch("Kraus shape disagrees with declared dims")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed channel document: {exc}") from None
-    return QuantumChannel.from_kraus(ks)

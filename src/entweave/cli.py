@@ -348,9 +348,6 @@ def _validate_experiment(args) -> None:
                         ("--range", args.range[0]), ("--range", args.range[1])):
         if not math.isfinite(value):
             raise OutOfRange(f"{flag} must be finite, got {value}")
-    if args.omega_samples is not None and args.omega_samples < 1:
-        raise OutOfRange(
-            f"--omega-samples must be at least 1, got {args.omega_samples}")
 
 
 def cmd_experiment(args) -> int:
@@ -372,10 +369,8 @@ def cmd_experiment(args) -> int:
         preset_name = args.preset
     vary = args.vary or _DEFAULT_VARY.get(map_label, "theta")
     out_dir = _outdir(args)
-    rng = np.random.default_rng(args.seed) if args.omega_samples else None
     lo, hi = args.range
-    points = sweep(setup, vary, lo, hi, args.steps,
-                   omega_samples=args.omega_samples, rng=rng)
+    points = sweep(setup, vary, lo, hi, args.steps)
     name = f"experiment_{map_label}_{preset_name}_{vary}.csv"
     write_sweep_csv(out_dir / name, points, preset_name, map_label)
     for line in _summarize(points):
@@ -386,7 +381,6 @@ def cmd_experiment(args) -> int:
         "eta1": args.eta1, "eta2": args.eta2,
         "theta": args.theta, "phi": args.phi,
         "source_phase": args.source_phase,
-        "omega_samples": args.omega_samples, "seed": args.seed,
         "setup_json": args.setup_json, "degrees": args.degrees,
         "out": str(out_dir),
     }, outputs=[name])
@@ -446,10 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--source-phase", type=float, default=math.pi)
     e.add_argument("--degrees", action="store_true",
                    help="interpret all angle inputs as degrees")
-    e.add_argument("--omega-samples", type=int, default=None,
-                   help="Monte Carlo phase-average validation mode")
-    e.add_argument("--seed", type=int, default=None,
-                   help="random seed (Monte Carlo mode only)")
     e.add_argument("--setup-json", default=None,
                    help="load a full setup document instead of presets")
     return top

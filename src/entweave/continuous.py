@@ -30,7 +30,6 @@ from .qmath import (
     as_matrix,
     dagger,
     hermitian_eig,
-    kron,
     opnorm,
     vec,
 )
@@ -113,14 +112,14 @@ class SwitchedLine:
 def _hamiltonian_superop(h) -> np.ndarray:
     h = as_matrix(h)
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1.0j * (kron(eye, h) - kron(h.T, eye))
+    return -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def _dissipator_superop(jump) -> np.ndarray:
     jump = as_matrix(jump)
     eye = np.eye(jump.shape[0], dtype=complex)
     jj = dagger(jump) @ jump
-    return kron(jump.conj(), jump) - 0.5 * (kron(eye, jj) + kron(jj.T, eye))
+    return np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
 
 
 def _check_rates(omega: float, eps: float) -> None:
@@ -161,7 +160,7 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float,
     propagator non-physical; it exists only as a comparison mode.
     """
     _check_rates(omega, eps)
-    sz_part = kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
+    sz_part = np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
     sign = 1.0 if decaying else -1.0
     gen = _hamiltonian_superop(_drive(j, omega)) + sign * eps * sz_part
     return Liouvillian(gen, label=f"pd[j={j},omega={omega:g},eps={eps:g}]")

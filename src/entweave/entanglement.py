@@ -12,7 +12,6 @@ from .qmath import (
     OutOfRange,
     hermitian_eig,
     is_hermitian,
-    kron,
     maximally_entangled,
     partial_trace,
     partial_transpose,
@@ -25,7 +24,7 @@ class BadDimension(ValueError):
     """The measure is only defined for two-qubit (4x4) states."""
 
 
-_YY = kron(SIGMA_Y, SIGMA_Y)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 # numpy.linalg.matrix_rank's cutoff: eigenvalues at or below this times the
 # largest are eigensolver noise

@@ -170,15 +170,12 @@ def dif_map(alpha: float,
             bs: BeamSplitterParams | None = None,
             pbs: PbsParams | None = None,
             *,
-            coupling: tuple[float, float] = (1.0, 1.0),
-            omega_samples: int | None = None,
-            rng: np.random.Generator | None = None) -> QuantumChannel:
+            coupling: tuple[float, float] = (1.0, 1.0)) -> QuantumChannel:
     """Trace-nonincreasing polarization map of one double interferometer.
 
     The random output phase is averaged analytically: the cross terms between
     the phase-carrying branch and the rest vanish, leaving the two-operator
-    Kraus form.  ``omega_samples`` switches to a Monte Carlo average over that
-    many phase draws instead (validation mode; converges ~ 1/sqrt(N)).
+    Kraus form.
 
     With ideal elements the normalized map is exactly the damping channel of
     parameter eta(alpha) given by cos(2 alpha) = -sqrt(eta), at success
@@ -187,15 +184,7 @@ def dif_map(alpha: float,
     elements = DifElements(bs if bs is not None else IDEAL.bs,
                            pbs if pbs is not None else IDEAL.pbs,
                            coupling)
-    main, arm = _dif_branches(alpha, elements)
-    if omega_samples is None:
-        return QuantumChannel.from_kraus((main, arm))
-    if omega_samples < 1:
-        raise OutOfRange("omega_samples must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
-    phases = np.exp(1.0j * rng.uniform(0.0, 2.0 * math.pi, size=omega_samples))
-    scale = 1.0 / math.sqrt(omega_samples)
-    return QuantumChannel.from_kraus([scale * (main + ph * arm) for ph in phases])
+    return QuantumChannel.from_kraus(_dif_branches(alpha, elements))
 
 
 @dataclass(frozen=True)
@@ -309,57 +298,31 @@ def source_state(s: OpticalSetup) -> DensityMatrix:
     return werner_state(s.W, omega=DensityMatrix(projector(v)))
 
 
-# Most points, and most sampled phases in Monte Carlo mode, in one stack.  A
-# sweep peaks at about 2 KB per point and 40 bytes per sampled phase, so this
-# bounds its memory near 2 MB and 40 MB, and at 1024 points the per-stack
-# overhead is already negligible.  Stacks run in order, so the Monte Carlo
-# phase stream is unchanged.
+# Most points in one stack.  A sweep peaks at about 2 KB per point, so this
+# bounds its memory near 2 MB, and at 1024 points the per-stack overhead is
+# already negligible.
 _STACK_POINTS = 1024
-_STACK_PHASES = 1 << 20
 
 
-def _mean_phases(points: int, omega_samples: int | None,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    """Mean sampled phase factor e^{i omega} of each DIF at each point,
-    shape (points, 3); zero when the phase is averaged analytically.
-
-    The Monte Carlo draws come as one (points, 3, omega_samples) array, the
-    same stream as drawing each DIF's samples in signal order, point by point.
-    """
-    if omega_samples is None:
-        return np.zeros((points, 3), dtype=complex)
-    if omega_samples < 1:
-        raise OutOfRange("omega_samples must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
-    draws = rng.uniform(0.0, 2.0 * math.pi, size=(points, 3, omega_samples))
-    return np.exp(1.0j * draws).mean(axis=-1)
-
-
-def _bench_superops(s: OpticalSetup, z: np.ndarray, theta, phi) -> np.ndarray:
-    """Superoperators of the bench at mean phase factors z[k] and plate
-    angles theta[k], phi[k] (a scalar angle holds for every k), shape
-    (N, 4, 4) with N = len(z).
+def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
+    """Superoperators of the bench at plate angles theta[k], phi[k], shape
+    (N, 4, 4); a scalar angle holds for every k, and N is the length of the
+    angle arrays (1 when both are scalars).
 
     Signal order: DIF1, [phi plate], [theta plate], DIF2, [phi plate],
     [theta plate], DIF3.  Averaged over its random phase, a DIF with branches
-    (main, arm) is ``S_main + S_arm + z S(arm, main) + conj(z) S(main, arm)``
-    with ``S(a, b)`` the superoperator of ``rho -> a rho b^dagger``: the
-    cross terms carry the mean phase factor, which is zero for the exact
-    average and the sample mean for dif_map's Monte Carlo mode.
+    (main, arm) is ``S_main + S_arm``: the cross terms vanish.
     """
-    n = len(z)
+    n = np.broadcast(theta, phi).size
     plates = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
     for present, xi in ((s.phi_present, phi), (s.theta_present, theta)):
         if present:
             u = hwp(np.broadcast_to(xi, (n,)))
             plates = np.einsum("nij,nkl->nikjl", u.conj(), u).reshape(n, 4, 4) @ plates
     difs = []
-    for i, (alpha, el) in enumerate(zip((s.alpha1, s.alpha21, s.alpha2), s.elements)):
+    for alpha, el in zip((s.alpha1, s.alpha21, s.alpha2), s.elements):
         main, arm = _dif_branches(alpha, el)
-        zi = z[:, i, None, None]
-        difs.append(sandwich_superop(main, main) + sandwich_superop(arm, arm)
-                    + zi * sandwich_superop(arm, main)
-                    + zi.conj() * sandwich_superop(main, arm))
+        difs.append(sandwich_superop(main, main) + sandwich_superop(arm, arm))
     d1, d2, d3 = difs
     return d3 @ (plates @ (d2 @ (plates @ d1)))
 
@@ -382,27 +345,21 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _concurrence_from_eigh(*eig).value, succ
 
 
-def setup_map(s: OpticalSetup, *,
-              omega_samples: int | None = None,
-              rng: np.random.Generator | None = None) -> tuple[QuantumChannel, float]:
+def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:
     """Composed polarization map of the bench and its success probability on
     the configured Werner input.
 
     Each DIF's random phase is independent, so the three two-branch maps
     compose as channels; see _bench_superops for the signal order.
     """
-    superop = _bench_superops(s, _mean_phases(1, omega_samples, rng),
-                              s.theta, s.phi)[0]
+    superop = _bench_superops(s, s.theta, s.phi)[0]
     out = apply_superop_first_factor(superop, matrix_of(source_state(s)), 2)
     return QuantumChannel(superop), float(np.trace(out).real)
 
 
-def run_point(s: OpticalSetup, *,
-              omega_samples: int | None = None,
-              rng: np.random.Generator | None = None) -> tuple[float, float]:
+def run_point(s: OpticalSetup) -> tuple[float, float]:
     """Output concurrence and success probability at one setting."""
-    c, p = _score(s, _bench_superops(s, _mean_phases(1, omega_samples, rng),
-                                     s.theta, s.phi))
+    c, p = _score(s, _bench_superops(s, s.theta, s.phi))
     return float(c[0]), float(p[0])
 
 
@@ -412,9 +369,8 @@ class SweepPoint(NamedTuple):
     success_prob: float
 
 
-def sweep(s: OpticalSetup, vary: str, lo: float, hi: float, steps: int, *,
-          omega_samples: int | None = None,
-          rng: np.random.Generator | None = None) -> list[SweepPoint]:
+def sweep(s: OpticalSetup, vary: str, lo: float, hi: float,
+          steps: int) -> list[SweepPoint]:
     """run_point over a uniform grid of the theta or phi plate angle,
     evaluated a stack of angles at a time (see _STACK_POINTS)."""
     if vary not in ("theta", "phi"):
@@ -424,13 +380,11 @@ def sweep(s: OpticalSetup, vary: str, lo: float, hi: float, steps: int, *,
     angles = np.linspace(lo, hi, steps)
     if not np.isfinite(angles).all():
         raise OutOfRange(f"{vary} is not finite")
-    per_stack = max(1, min(_STACK_POINTS, _STACK_PHASES // (3 * (omega_samples or 1))))
     plates = {"theta": s.theta, "phi": s.phi}
     c, p = [], []
-    for start in range(0, steps, per_stack):
-        plates[vary] = angles[start:start + per_stack]
-        z = _mean_phases(len(plates[vary]), omega_samples, rng)
-        c_part, p_part = _score(s, _bench_superops(s, z, **plates))
+    for start in range(0, steps, _STACK_POINTS):
+        plates[vary] = angles[start:start + _STACK_POINTS]
+        c_part, p_part = _score(s, _bench_superops(s, **plates))
         c.extend(c_part.tolist())
         p.extend(p_part.tolist())
     return [SweepPoint(*row) for row in zip(angles.tolist(), c, p)]

@@ -40,7 +40,6 @@ class Tolerances:
     psd: float = 1e-9           # most negative eigenvalue tolerated in states
     eb: float = 1e-9            # concurrence at or below this counts as separable
     conflict_band: float = 1e-4  # above this the concurrence and PPT verdicts must agree
-    kraus_cutoff: float = 1e-12  # Choi eigenvalues below this drop out of Kraus sets
 
 
 TOL = Tolerances()
@@ -100,14 +99,26 @@ def hermitian_eig(m, tol: float = TOL.structural):
 EIG_COND_BOUND = 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exponential:
     """``x -> exp(generator * x)`` for one fixed generator, factored once.
 
-    The eigendecomposition (or the decision to use scipy's exponential) is
-    taken at construction; calling the object with a 1-D array of lengths
-    gives their stack of exponentials, as :func:`expm_lengths` describes.
-    ``factors`` is ``(w, V, V^-1)``, or ``None`` on the scipy path.
+    Construction takes ``G = V diag(w) V^-1`` (``numpy.linalg.eig``, unit-norm
+    eigenvector columns) and keeps ``factors = (w, V, V^-1)``.  Calling the
+    object with a 1-D array of lengths gives their stack of exponentials,
+    shape ``(len(lengths), d, d)``, as the one broadcast product
+    ``V exp(diag(w) x) V^-1``.  Its error is about ``1e-16 cond(V)``
+    (Moler & Van Loan, SIAM Rev. 45, 3, 2003, method 14), so it fails only
+    near exceptional points, where ``V`` is ill-conditioned.  A generator
+    with ``cond(V) > EIG_COND_BOUND`` (1e3) -- defective or nearly so -- has
+    ``factors = None`` and goes through scipy's scaling-and-squaring Pade
+    exponential (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009)
+    on the stack of ``generator * x``.  Tested against ``scipy.linalg.expm``
+    to 1e-12 on lengths 0 to 20 for the driven AD and PD generators at
+    distances 0 to 0.1 from their exceptional points (cond(V) 1.4e8 at the
+    points, which take the fallback; 7e2 at a distance of 1e-6, where the
+    error is about 1e-13).  Generators with cond(V) of 1.4 to 2.4, as in the
+    benchmark's lines, agree to about 3e-15.
     """
 
     generator: np.ndarray
@@ -135,36 +146,9 @@ class Exponential:
         return (v * np.exp(np.multiply.outer(xs, w))[:, None, :]) @ v_inv
 
 
-def expm_lengths(generator, lengths) -> np.ndarray:
-    """``exp(generator * x)`` for every ``x`` of a 1-D array of lengths, as a
-    stack of shape ``(len(lengths), d, d)``.
-
-    The generator is factored once, ``G = V diag(w) V^-1`` (``numpy.linalg.eig``,
-    unit-norm eigenvector columns), and every length is the one broadcast
-    product ``V exp(diag(w) x) V^-1``.  Its error is about ``1e-16 cond(V)``
-    (Moler & Van Loan, SIAM Rev. 45, 3, 2003, method 14), so it fails only
-    near exceptional points, where ``V`` is ill-conditioned.  A generator
-    with ``cond(V) > EIG_COND_BOUND`` (1e3) -- defective or nearly so -- goes
-    through scipy's scaling-and-squaring Pade exponential (Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31, 970, 2009) on the stack of
-    ``generator * x``.  Tested against ``scipy.linalg.expm`` to 1e-12 on
-    lengths 0 to 20 for the driven AD and PD generators at distances 0 to
-    0.1 from their exceptional points (cond(V) 1.4e8 at the points, which
-    take the fallback; 7e2 at a distance of 1e-6, where the error is about
-    1e-13).  Generators with cond(V) of 1.4 to 2.4, as in the benchmark's
-    lines, agree to about 3e-15.  :class:`Exponential` keeps the factors
-    for repeated calls.
-    """
-    return Exponential(generator)(lengths)
-
-
 def expm(m) -> np.ndarray:
-    """Matrix exponential: :func:`expm_lengths` at the single length 1."""
-    return expm_lengths(m, [1.0])[0]
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Matrix exponential: :class:`Exponential` at the single length 1."""
+    return Exponential(m)([1.0])[0]
 
 
 def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
@@ -224,8 +208,11 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
 
 
 def sandwich_superop(a, b) -> np.ndarray:
-    """Superoperator of ``rho -> a @ rho @ dagger(b)``."""
-    return kron(as_matrix(b).conj(), as_matrix(a))
+    """Superoperator of ``rho -> a @ rho @ dagger(b)``: ``kron(conj(b), a)``,
+    formed as one broadcast product."""
+    a, b = as_matrix(a), as_matrix(b).conj()
+    return (b[:, None, :, None] * a[None, :, None, :]).reshape(
+        b.shape[0] * a.shape[0], b.shape[1] * a.shape[1])
 
 
 def apply_superop(superop, rho) -> np.ndarray:

@@ -57,7 +57,7 @@ def validate_density(m) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 

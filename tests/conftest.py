@@ -30,9 +30,13 @@ def random_density(n: int, rng: np.random.Generator,
     return m / np.trace(m).real
 
 
-def random_channel(dim: int, env: int, rng: np.random.Generator) -> QuantumChannel:
-    """Haar-random channel from a Stinespring isometry with an env-level bath."""
+def random_kraus(dim: int, env: int, rng: np.random.Generator) -> tuple:
+    """Kraus set of a Haar-random Stinespring isometry with an env-level bath."""
     u = haar_unitary(dim * env, rng)
     iso = u[:, :dim]                      # |psi> -> U(|psi> (x) |0>)
-    kraus = tuple(iso[i * dim:(i + 1) * dim, :].copy() for i in range(env))
-    return QuantumChannel.from_kraus(kraus)
+    return tuple(iso[i * dim:(i + 1) * dim, :].copy() for i in range(env))
+
+
+def random_channel(dim: int, env: int, rng: np.random.Generator) -> QuantumChannel:
+    """Haar-random channel with the Kraus set of :func:`random_kraus`."""
+    return QuantumChannel.from_kraus(random_kraus(dim, env, rng))

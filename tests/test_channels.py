@@ -1,6 +1,5 @@
 """Channel algebra: superoperator/Kraus/Choi consistency and EB verdicts."""
 
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from entweave.channels import (
     ToleranceConflict,
     Unbounded,
     ad_channel,
-    channel_from_json,
-    channel_to_json,
     choi_matrix,
     choi_state,
     compose,
@@ -37,14 +34,13 @@ from entweave.qmath import (
     DimensionMismatch,
     NonHermitian,
     OutOfRange,
-    kron,
     maximally_entangled,
     partial_transpose,
     projector,
 )
 from entweave.states import matrix_of, validate_density
 
-from conftest import haar_unitary, random_channel, random_density
+from conftest import haar_unitary, random_channel, random_density, random_kraus
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -60,7 +56,7 @@ def test_basic_channel_shapes():
     c = ad_channel(0.3)
     assert c.in_dim == c.out_dim == 2
     assert c.trace_preserving
-    assert len(c.kraus) == 2
+    assert np.linalg.matrix_rank(choi_matrix(c)) == 2  # two Kraus operators
     assert c.superop.shape == (4, 4)
 
 
@@ -77,9 +73,10 @@ def test_validation_guards():
 
 
 def test_superop_matches_kraus_action(rng):
-    c = random_channel(2, 3, rng)
+    kraus = random_kraus(2, 3, rng)
+    c = QuantumChannel.from_kraus(kraus)
     rho = random_density(2, rng)
-    direct = sum(k @ rho @ k.conj().T for k in c.kraus)
+    direct = sum(k @ rho @ k.conj().T for k in kraus)
     assert np.allclose(c.apply(rho), direct)
 
 
@@ -117,7 +114,7 @@ def test_choi_superop_roundtrip(rng):
     c = random_channel(2, 4, rng)
     rebuilt = QuantumChannel(c.superop)
     assert superop_distance(c, rebuilt) < 1e-12
-    assert len(rebuilt.kraus) <= 4
+    assert np.linalg.matrix_rank(choi_matrix(rebuilt)) == 4  # four Kraus operators
 
 
 def test_superop_constructor_rejects_non_cp_and_amplifying():
@@ -158,10 +155,9 @@ def test_compose_is_associative(rng):
     assert superop_distance(left, right) < 1e-12
 
 
-def test_kraus_cap_reextraction(rng):
-    chain = [random_channel(2, 3, rng) for _ in range(4)]  # naive count 81
+def test_signal_chain_matches_stepwise_action(rng):
+    chain = [random_channel(2, 3, rng) for _ in range(4)]
     total = compose_signal_chain(chain)
-    assert len(total.kraus) <= total.in_dim * total.out_dim
     rho = random_density(2, rng)
     step = rho
     for c in chain:
@@ -379,14 +375,6 @@ def test_unbounded_reporting():
     order = eb_order(ad_channel(0.9), max_n=4)
     assert isinstance(order, Unbounded)
     assert order.searched_up_to == 4
-
-
-def test_json_roundtrip(rng):
-    c = random_channel(2, 3, rng)
-    back = channel_from_json(channel_to_json(c))
-    assert superop_distance(c, back) < 1e-12
-    with pytest.raises(ValueError):
-        channel_from_json(json.dumps({"wrong": 1}))
 
 
 def test_normalized_requires_proportional_gram():

@@ -142,7 +142,6 @@ _BAD_SETUPS = {
     ("experiment", "--theta", "inf"), ("experiment", "--phi", "nan"),
     ("experiment", "--source-phase", "inf"),
     ("experiment", "--range", "0", "nan"), ("experiment", "--range", "inf", "1"),
-    ("experiment", "--omega-samples", "0"),
     ("experiment", "--setup-json", "no-such-setup.json"),
     *[("experiment", "--setup-json", name) for name in _BAD_SETUPS],
 ])
@@ -220,15 +219,19 @@ def test_experiment_degrees_equivalent(tmp_path):
             == (b / "experiment_m1_ideal_theta.csv").read_bytes())
 
 
-def test_experiment_seeded_mc_determinism(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    args = ("experiment", "--map", "identity", "--steps", "3",
-            "--omega-samples", "25", "--seed", "11")
-    for d in (a, b):
-        assert run_cli(d, *args).returncode == 0
-    name = "experiment_identity_ideal_theta.csv"
-    assert (a / name).read_bytes() == (b / name).read_bytes()
+def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
+    # the phase average is exact, so there is no sampled mode to select
+    out = tmp_path / "out"
+    for flag, value in (("--omega-samples", "25"), ("--seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "experiment", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    usage = capsys.readouterr().out
+    assert "--omega-samples" not in usage and "--seed" not in usage
 
 
 def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):

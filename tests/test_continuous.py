@@ -442,3 +442,13 @@ def test_generators_and_lines_compare_by_identity():
     assert line == line and line != twin
     assert len({a, b, a, line, twin, line}) == 4
     assert hash(a) == hash(a) and hash(line) == hash(line)
+
+
+def test_channels_states_and_exponentials_compare_by_identity():
+    # their array fields would make a generated __eq__ ambiguous and the
+    # objects unhashable, as for Liouvillian above
+    for make in (lambda: ad_channel(0.5), singlet_state,
+                 lambda: qmath.Exponential(np.zeros((2, 2)))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)

@@ -16,7 +16,6 @@ from entweave.entanglement import (
 from entweave.qmath import (
     NonHermitian,
     OutOfRange,
-    kron,
     maximally_entangled,
     projector,
     singlet,
@@ -36,7 +35,7 @@ def test_bell_states_are_maximal():
 
 def test_separable_states_vanish(rng):
     assert concurrence(np.eye(4) / 4.0).value == 0.0
-    prod = kron(random_density(2, rng), random_density(2, rng))
+    prod = np.kron(random_density(2, rng), random_density(2, rng))
     assert concurrence(prod).value <= 1e-10
     assert negativity(prod) <= 1e-10
 

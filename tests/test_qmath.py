@@ -21,7 +21,6 @@ from entweave.qmath import (
     hermitian_eig,
     is_hermitian,
     is_unitary,
-    kron,
     maximally_entangled,
     opnorm,
     partial_trace,
@@ -40,9 +39,13 @@ complex_entries = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                                      allow_infinity=False)
 
 
+def matrices(rows, cols):
+    return st.lists(st.lists(complex_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(np.array)
+
+
 def square(n):
-    return st.lists(st.lists(complex_entries, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(np.array)
+    return matrices(n, n)
 
 
 def test_pauli_algebra():
@@ -61,11 +64,17 @@ def test_vec_is_column_stacking():
 
 
 @settings(max_examples=60, deadline=None)
-@given(square(2), square(2), square(2))
-def test_sandwich_identity(a, rho, b):
-    # vec(A rho B) = (B^T (x) A) vec(rho): the convention everything relies on
-    lhs = unvec(kron(b.T, a) @ vec(rho), 2)
-    assert np.allclose(lhs, a @ rho @ b)
+@given(square(2), square(2), square(2), matrices(3, 2), matrices(2, 3))
+def test_sandwich_identity(a, rho, b, a_rect, b_rect):
+    # vec(A rho B) = (B^T (x) A) vec(rho): the convention everything relies
+    # on, for a square and a rectangular (3x2) pair; sandwich_superop(A, B^dag)
+    # is that matrix, with numpy's kron as the independent reference
+    for left, right in ((a, b), (a_rect, b_rect)):
+        superop = np.kron(right.T, left)
+        lhs = unvec(superop @ vec(rho), left.shape[0])
+        assert np.allclose(lhs, left @ rho @ right)
+        np.testing.assert_allclose(sandwich_superop(left, dagger(right)), superop,
+                                   rtol=0.0, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,7 +92,7 @@ def test_unvec_rejects_bad_length():
 def test_partial_trace_on_products(rng):
     a = random_density(2, rng)
     b = random_density(3, rng)
-    ab = kron(a, b)
+    ab = np.kron(a, b)
     assert np.allclose(partial_trace(ab, (2, 3), keep=0), a)
     assert np.allclose(partial_trace(ab, (2, 3), keep=1), b)
     with pytest.raises(DimensionMismatch):
@@ -103,7 +112,7 @@ def test_apply_superop_first_factor_matches_kron(rng):
     a = haar_unitary(2, rng)
     s = sandwich_superop(a, a)
     rho = random_density(4, rng)
-    big = sandwich_superop(kron(a, IDENTITY_2), kron(a, IDENTITY_2))
+    big = sandwich_superop(np.kron(a, IDENTITY_2), np.kron(a, IDENTITY_2))
     assert np.allclose(apply_superop_first_factor(s, rho, 2),
                        apply_superop(big, rho))
 
