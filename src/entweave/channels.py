@@ -22,6 +22,7 @@ from .qmath import (
     OutOfRange,
     apply_superop,
     as_matrix,
+    choi_matrices,
     is_hermitian,
     is_unitary,
     opnorm,
@@ -72,20 +73,6 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _choi_matrices(superop: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_ij Phi(E_ij) (x) E_ij`` (map on the first
-    factor) of a column-stacking superoperator, or of each in a stack
-    ``(..., out_dim**2, in_dim**2)``.
-
-    ``superop[i + out_dim j, a + in_dim b]`` maps ``|a><b|`` to ``|i><j|``, and
-    is entry ``[(i, a), (j, b)]`` of the Choi matrix.
-    """
-    batch = superop.shape[:-2]
-    s = superop.reshape(*batch, out_dim, out_dim, in_dim, in_dim)
-    d = out_dim * in_dim
-    return np.einsum("...jiba->...iajb", s).reshape(*batch, d, d)
-
-
 def _gram(superop: np.ndarray, in_dim: int) -> np.ndarray:
     """``sum_k K^dag K`` of a map: ``Tr Phi(rho) = Tr(gram @ rho)``, and
     ``vec(I)^T superop`` is ``vec(gram^T)``."""
@@ -116,7 +103,7 @@ class QuantumChannel:
             raise DimensionMismatch(
                 f"superoperator of shape {s.shape} does not map d_in x d_in "
                 f"to d_out x d_out matrices")
-        choi = _choi_matrices(s, in_dim, out_dim)
+        choi = choi_matrices(s, in_dim, out_dim)
         if not is_hermitian(choi, tol=1e-8):
             raise NotCompletelyPositive("Choi matrix is not Hermitian")
         low = np.linalg.eigvalsh(choi)[0]
@@ -209,7 +196,7 @@ def unitary_channel(u) -> QuantumChannel:
 
 
 def choi_matrix(c: QuantumChannel) -> np.ndarray:
-    return _choi_matrices(c.superop, c.in_dim, c.out_dim)
+    return choi_matrices(c.superop, c.in_dim, c.out_dim)
 
 
 def choi_state(c: QuantumChannel) -> DensityMatrix:
@@ -255,7 +242,7 @@ def _first_breaking(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :class:`ToleranceConflict` (the first such map in row order); later maps
     cannot.  Each Choi state is checked and eigendecomposed once.
     """
-    choi = _choi_matrices(superops, 2, 2) / 2.0
+    choi = choi_matrices(superops, 2, 2) / 2.0
     conc = _concurrence_from_eigh(*validated_eigh(choi))
     neg = _hermitian_negativity(choi)
     eb = conc.value <= TOL.eb

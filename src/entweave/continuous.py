@@ -26,11 +26,12 @@ from .qmath import (
     DimensionMismatch,
     Exponential,
     OutOfRange,
-    apply_superop_first_factor,
     as_matrix,
+    choi_matrices,
     dagger,
     hermitian_eig,
     opnorm,
+    superop_of_choi,
     vec,
 )
 from .states import DensityMatrix, matrix_of, singlet_state
@@ -240,9 +241,9 @@ class ProfilePoint(NamedTuple):
 
 
 def _evolved_states(source, x: float | np.ndarray,
-                    rho_in: np.ndarray) -> np.ndarray:
-    """``(map (x) id)`` of the probe at one length or a stack of lengths."""
-    out = apply_superop_first_factor(propagation_superop(source, x), rho_in, 2)
+                    probe: np.ndarray) -> np.ndarray:
+    """``(map (x) id)`` of the probe, given as the map whose Choi matrix it is."""
+    out = choi_matrices(propagation_superop(source, x) @ probe, 2, 2)
     # guard against slightly non-PSD output from non-physical generators
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
@@ -255,8 +256,8 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
 
     The probe defaults to the singlet ``(|01> - |10>)/sqrt(2)``; any maximally
     entangled probe gives the same curve (local-unitary invariance), and the
-    curve coincides with the Choi-state concurrence.  The grid is evaluated
-    in consecutive stacks of at most ``_STACK_POINTS`` lengths.
+    curve coincides with the Choi-state concurrence.  The probe is read once as
+    a map; the grid is evaluated in stacks of at most ``_STACK_POINTS`` lengths.
 
     With ``stop_on_unphysical`` the profile is truncated before the first
     point whose evolved state has an eigenvalue below ``EIGENVALUE_FLOOR``,
@@ -265,12 +266,12 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     """
     if steps < 2:
         raise OutOfRange("need at least two profile points")
-    rho_in = matrix_of(initial_state if initial_state is not None
-                       else singlet_state())
+    probe = superop_of_choi(matrix_of(initial_state if initial_state is not None
+                                      else singlet_state()), 2, 2)
     xs = np.linspace(0.0, x_max, steps)
     values, pre = [], []
     for start in range(0, steps, _STACK_POINTS):
-        states = _evolved_states(source, xs[start:start + _STACK_POINTS], rho_in)
+        states = _evolved_states(source, xs[start:start + _STACK_POINTS], probe)
         kept = len(states)
         if stop_on_unphysical:
             low = hermitian_eig(states)[0][:, 0] < EIGENVALUE_FLOOR
@@ -310,11 +311,11 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
     if not 0.0 < xtol < inf:
         raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
-    rho_in = matrix_of(initial_state if initial_state is not None
-                       else singlet_state())
+    probe = superop_of_choi(matrix_of(initial_state if initial_state is not None
+                                      else singlet_state()), 2, 2)
 
     def f(x: float) -> float:
-        return concurrence(_evolved_states(source, x, rho_in)).pre_clamp
+        return concurrence(_evolved_states(source, x, probe)).pre_clamp
 
     if f(0.0) <= TOL.eb:
         raise NoBracket("probe state is not entangled at x = 0")

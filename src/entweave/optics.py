@@ -31,7 +31,7 @@ import numpy as np
 
 from .channels import QuantumChannel
 from .entanglement import _concurrence_from_eigh, werner_state
-from .qmath import OutOfRange, apply_superop_first_factor, projector, sandwich_superop
+from .qmath import OutOfRange, choi_matrices, projector, sandwich_superop, superop_of_choi
 from .states import DensityMatrix, matrix_of, validated_eigh
 
 
@@ -129,40 +129,26 @@ def alpha_for_eta(eta: float) -> float:
     return math.acos(-math.sqrt(eta)) / 2.0
 
 
-def _split_matrix(t: float, r: float, conj: bool) -> np.ndarray:
-    """Raw-amplitude splitter on the path pair; conj selects the return pass."""
-    ph = -1.0j if conj else 1.0j
-    return np.array([[math.sqrt(t), ph * math.sqrt(r)],
-                     [ph * math.sqrt(r), math.sqrt(t)]], dtype=complex)
-
-
-def _pbs_matrix(pbs: PbsParams, conj: bool) -> np.ndarray:
-    """Polarizing splitter on pol (x) path."""
-    h = np.zeros((2, 2), dtype=complex)
-    h[0, 0] = 1.0
-    v = np.eye(2, dtype=complex) - h
-    return (np.kron(h, _split_matrix(pbs.T_H, pbs.R_H, conj))
-            + np.kron(v, _split_matrix(pbs.T_V, pbs.R_V, conj)))
-
-
 def _dif_branches(alpha: float, elements: DifElements) -> tuple[np.ndarray, np.ndarray]:
     """Polarization-space operators of the two output branches.
 
     Returns (main, arm): the postselected port emits main + e^{i omega} arm
-    applied to the input polarization state.  The loop is traced in the
-    pol (x) path basis with path index 0 = a, 1 = b; the signal enters on a.
+    applied to the input polarization state.  Entering on path a, per
+    polarization, the splitter sends ``into[y]`` onto path y (a, b) with plate
+    ``hwp_y``, and its return pass ``back[x][y]`` leaves path x as
+    ``sum_y diag(back[x][y]) @ hwp_y @ diag(into[y])``.
     """
     el = elements
-    loop = (np.kron(hwp(0.0), np.diag([1.0, 0.0])).astype(complex)
-            + np.kron(hwp(alpha), np.diag([0.0, 1.0])).astype(complex))
-    embed = np.kron(np.eye(2, dtype=complex), np.array([[1.0], [0.0]], dtype=complex))
-    stage = _pbs_matrix(el.pbs, conj=True) @ loop @ _pbs_matrix(el.pbs, conj=False) @ embed
+    t = np.sqrt([el.pbs.T_H, el.pbs.T_V])
+    r = 1.0j * np.sqrt([el.pbs.R_H, el.pbs.R_V])
+    into, back = (t, r), ((t, r.conj()), (r.conj(), t))
+    plates = (hwp(0.0), hwp(alpha))
+    path_a, path_b = (sum(back[x][y][:, None] * plates[y] * into[y] for y in (0, 1))
+                      for x in (0, 1))
     ca, cb = (math.sqrt(c) for c in el.coupling)
-    path_a = ca * stage[0::2, :]
-    path_b = cb * stage[1::2, :]
     # final splitter, output port fed by reflected a and transmitted b
-    main = 1.0j * math.sqrt(el.bs.R) * path_a
-    arm = math.sqrt(el.bs.T) * path_b
+    main = 1.0j * math.sqrt(el.bs.R) * (ca * path_a)
+    arm = math.sqrt(el.bs.T) * (cb * path_b)
     return main, arm
 
 
@@ -318,7 +304,7 @@ def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
     for present, xi in ((s.phi_present, phi), (s.theta_present, theta)):
         if present:
             u = hwp(np.broadcast_to(xi, (n,)))
-            plates = np.einsum("nij,nkl->nikjl", u.conj(), u).reshape(n, 4, 4) @ plates
+            plates = sandwich_superop(u, u) @ plates
     difs = []
     for alpha, el in zip((s.alpha1, s.alpha21, s.alpha2), s.elements):
         main, arm = _dif_branches(alpha, el)
@@ -331,10 +317,12 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Output concurrence and success probability of each bench map in the
     stack on the configured Werner input.
 
-    Applies (map (x) id) to the input and renormalizes each output by its
-    postselection trace; every output state is checked before it is scored.
+    Applies (map (x) id) to the input by the Choi reshuffle and renormalizes
+    each output by its postselection trace; every output state is checked
+    before it is scored.
     """
-    out = apply_superop_first_factor(superops, matrix_of(source_state(s)), 2)
+    werner = superop_of_choi(matrix_of(source_state(s)), 2, 2)
+    out = choi_matrices(superops @ werner, 2, 2)
     succ = np.trace(out, axis1=-2, axis2=-1).real
     dark = succ < 1e-12
     if dark.any():
@@ -353,7 +341,8 @@ def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:
     compose as channels; see _bench_superops for the signal order.
     """
     superop = _bench_superops(s, s.theta, s.phi)[0]
-    out = apply_superop_first_factor(superop, matrix_of(source_state(s)), 2)
+    werner = superop_of_choi(matrix_of(source_state(s)), 2, 2)
+    out = choi_matrices(superop @ werner, 2, 2)
     return QuantumChannel(superop), float(np.trace(out).real)
 
 

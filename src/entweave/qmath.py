@@ -4,6 +4,8 @@ Everything in this package works on plain ``numpy`` arrays in the
 computational basis, with index 0 meaning the horizontal / ground state
 ``|0> = |H>`` and index 1 meaning ``|1> = |V>``.  Superoperators use the
 column-stacking convention: ``vec(A @ rho @ B^dag) = kron(conj(B), A) @ vec(rho)``.
+A map acts on half of a pair one way: the pair is read as the Choi matrix of a
+map, and the output is the Choi matrix of the composition (:func:`superop_of_choi`).
 """
 
 from __future__ import annotations
@@ -209,10 +211,14 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
 
 def sandwich_superop(a, b) -> np.ndarray:
     """Superoperator of ``rho -> a @ rho @ dagger(b)``: ``kron(conj(b), a)``,
-    formed as one broadcast product."""
-    a, b = as_matrix(a), as_matrix(b).conj()
-    return (b[:, None, :, None] * a[None, :, None, :]).reshape(
-        b.shape[0] * a.shape[0], b.shape[1] * a.shape[1])
+    formed as one broadcast product.  Stacks ``(..., r, c)`` of ``a`` and
+    ``b`` give the stack of their superoperators."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex).conj()
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionMismatch(f"expected matrices, got shapes {a.shape} and {b.shape}")
+    out = b[..., :, None, :, None] * a[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], b.shape[-2] * a.shape[-2],
+                       b.shape[-1] * a.shape[-1])
 
 
 def apply_superop(superop, rho) -> np.ndarray:
@@ -223,29 +229,33 @@ def apply_superop(superop, rho) -> np.ndarray:
     return unvec(superop @ vec(rho), d_out, d_out)
 
 
-def apply_superop_first_factor(superop, rho, anc_dim: int) -> np.ndarray:
-    """Apply a superoperator to the first tensor factor of a bipartite state.
+def choi_matrices(superop, in_dim: int, out_dim: int) -> np.ndarray:
+    """Unnormalized Choi matrix ``sum_ab Phi(|a><b|) (x) |a><b|`` (map on the
+    first factor) of a column-stacking superoperator, or of each in a stack
+    ``(..., out_dim**2, in_dim**2)``.
 
-    This is the linear extension ``(S (x) id)`` and works for any linear map,
-    completely positive or not.  A stack of superoperators, shape
-    ``(..., d_out**2, d_in**2)``, gives the stack of output states.
+    ``superop[i + out_dim j, a + in_dim b]`` maps ``|a><b|`` to ``|i><j|``, and
+    is entry ``[(i, a), (j, b)]`` of the Choi matrix: an exact reshuffle.
     """
     superop = np.asarray(superop, dtype=complex)
-    rho = as_matrix(rho)
-    if superop.ndim < 2:
-        raise DimensionMismatch(f"expected a superoperator, got shape {superop.shape}")
-    *batch, rows, cols = superop.shape
-    d_out = isqrt(rows)
-    d_in = isqrt(cols)
-    if d_out * d_out != rows or d_in * d_in != cols:
-        raise DimensionMismatch("superoperator dimensions are not perfect squares")
-    if rho.shape != (d_in * anc_dim, d_in * anc_dim):
-        raise DimensionMismatch("state does not match superoperator x ancilla")
-    # column stacking: superop[i + d_out j, a + d_in b] maps |a><b| to |i><j|
-    s = superop.reshape(*batch, d_out, d_out, d_in, d_in)
-    t = rho.reshape(d_in, anc_dim, d_in, anc_dim)
-    out = np.einsum("...jiba,aybz->...iyjz", s, t)
-    return out.reshape(*batch, d_out * anc_dim, d_out * anc_dim)
+    batch, d = superop.shape[:-2], out_dim * in_dim
+    s = superop.reshape(*batch, out_dim, out_dim, in_dim, in_dim)
+    return np.einsum("...jiba->...iajb", s).reshape(*batch, d, d)
+
+
+def superop_of_choi(choi, in_dim: int, out_dim: int) -> np.ndarray:
+    """Inverse of :func:`choi_matrices`, the opposite axis permutation.
+
+    Every ``rho`` on ``C^d_in (x) C^anc`` is the Choi matrix of one linear
+    map, so ``(S (x) id)(rho)`` for any linear ``S`` from ``d_in`` to
+    ``d_out`` is ``choi_matrices(S @ superop_of_choi(rho, anc, d_in), anc, d_out)``.
+    """
+    choi = np.asarray(choi, dtype=complex)
+    batch, d = choi.shape[:-2], out_dim * in_dim
+    if choi.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"matrix of shape {choi.shape} is not {d}x{d}")
+    t = choi.reshape(*batch, out_dim, in_dim, out_dim, in_dim)
+    return np.einsum("...iajb->...jiba", t).reshape(*batch, out_dim ** 2, in_dim ** 2)
 
 
 def opnorm(m) -> float:

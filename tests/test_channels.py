@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from entweave.channels import (
     NotCompletelyPositive,
-    _choi_matrices,
     _first_breaking,
     _orders_and_margins,
     QuantumChannel,
@@ -34,9 +33,11 @@ from entweave.qmath import (
     DimensionMismatch,
     NonHermitian,
     OutOfRange,
+    choi_matrices,
     maximally_entangled,
     partial_transpose,
     projector,
+    superop_of_choi,
 )
 from entweave.states import matrix_of, validate_density
 
@@ -431,12 +432,6 @@ def test_breaking_orders_match_running_products_on_a_grid(rng):
     assert orders[2] == 70 and orders[4] == 7  # ad(0.55), pd(0.05)
 
 
-def _superop_of_choi_state(state):
-    """The map whose :func:`choi_state` is ``state`` (linear, unchecked)."""
-    s = np.einsum("iajb->jiba", 2.0 * np.asarray(state).reshape(2, 2, 2, 2))
-    return s.reshape(4, 4)
-
-
 @pytest.mark.parametrize("kind, error, words", [
     ("non-Hermitian", NonHermitian, "not Hermitian within tolerance"),
     ("trace", ValueError, "is not 1"),
@@ -447,14 +442,14 @@ def test_breaking_scorer_raises_as_validate_density(kind, error, words):
     bad = {"non-Hermitian": bell + 1e-6 * np.triu(np.ones((4, 4)), 1),
            "trace": 1.01 * bell,
            "negative": 1.1 * bell - 0.1 * np.eye(4) / 4.0}[kind]
-    assert np.allclose(_choi_matrices(_superop_of_choi_state(bad), 2, 2) / 2.0, bad)
+    assert np.allclose(choi_matrices(superop_of_choi(2.0 * bad, 2, 2), 2, 2) / 2.0, bad)
     phi, _ = _restored_pair()
     for m, k, flat in ((1, 1, 0), (2, 4, 5), (3, 12, 30)):
         stack = np.array([phi.superop] * (m * k), dtype=complex)
-        stack[flat] = _superop_of_choi_state(bad)
+        stack[flat] = superop_of_choi(2.0 * bad, 2, 2)
         stack = stack.reshape(m, k, 4, 4)
         with pytest.raises(error) as reference:
-            validate_density(_choi_matrices(stack, 2, 2) / 2.0)
+            validate_density(choi_matrices(stack, 2, 2) / 2.0)
         with pytest.raises(error) as scored:
             _first_breaking(stack)
         assert str(scored.value) == str(reference.value)

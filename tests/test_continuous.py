@@ -30,7 +30,7 @@ from entweave.continuous import (
     write_profile_csv,
 )
 from entweave.entanglement import concurrence
-from entweave.qmath import TOL, OutOfRange, apply_superop_first_factor, expm
+from entweave.qmath import TOL, OutOfRange, expm, unvec, vec
 from entweave.states import DensityMatrix, matrix_of, singlet_state
 
 
@@ -76,6 +76,20 @@ def test_undriven_profiles_match_family_concurrence():
         assert math.isclose(p.concurrence, math.exp(-2.0 * p.x), abs_tol=1e-7)
 
 
+def _on_first_qubit(superop, rho):
+    """Reference (map (x) id)(rho), one 2x2 block at a time, as
+    tests/test_optics.py's _reference_point does:
+    (map (x) id)(sum rho_yz (x) |y><z|) = sum map(rho_yz) (x) |y><z|."""
+    blocks = np.asarray(rho).reshape(2, 2, 2, 2)
+    out = np.zeros((4, 4), dtype=complex)
+    for y in range(2):
+        for z in range(2):
+            e = np.zeros((2, 2))
+            e[y, z] = 1.0
+            out += np.kron(unvec(superop @ vec(blocks[:, y, :, z]), 2), e)
+    return out
+
+
 def test_growing_sign_leaves_state_cone():
     bad = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
     with pytest.raises(OutOfRange):
@@ -89,8 +103,7 @@ def test_growing_sign_leaves_state_cone():
         pts = concurrence_profile(bad, x_max, 41, stop_on_unphysical=True)
         lowest = []
         for x in np.linspace(0.0, x_max, 41):
-            out = apply_superop_first_factor(
-                scipy.linalg.expm(bad.generator * x), singlet, 2)
+            out = _on_first_qubit(scipy.linalg.expm(bad.generator * x), singlet)
             lowest.append(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])
         first_bad = next(i for i, w in enumerate(lowest) if w < -1e-8)
         assert len(pts) == first_bad
@@ -129,8 +142,7 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4):
     singlet = matrix_of(singlet_state())
 
     def f(x):
-        out = apply_superop_first_factor(propagation_superop(source, x),
-                                         singlet, 2)
+        out = _on_first_qubit(propagation_superop(source, x), singlet)
         return concurrence(0.5 * (out + out.conj().T)).pre_clamp
 
     xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / 0.02)) + 1)

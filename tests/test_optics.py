@@ -87,6 +87,38 @@ def test_element_validation():
     assert IDEAL.pbs.loss_H == 0.0 and IDEAL.bs.loss == 0.0
 
 
+def _kron_dif_branches(alpha, el):
+    """Reference (main, arm) of one DIF: the loop traced in the pol (x) path
+    basis (path 0 = a, 1 = b) with 4x4 kron products, the signal entering
+    on path a and the return pass through the inverse splitter."""
+    def split(t, r, conj):
+        ph = -1.0j if conj else 1.0j
+        return np.array([[math.sqrt(t), ph * math.sqrt(r)],
+                         [ph * math.sqrt(r), math.sqrt(t)]])
+
+    def pbs(conj):
+        return (np.kron(np.diag([1.0, 0.0]), split(el.pbs.T_H, el.pbs.R_H, conj))
+                + np.kron(np.diag([0.0, 1.0]), split(el.pbs.T_V, el.pbs.R_V, conj)))
+
+    loop = (np.kron(hwp(0.0), np.diag([1.0, 0.0]))
+            + np.kron(hwp(alpha), np.diag([0.0, 1.0])))
+    embed = np.kron(np.eye(2), np.array([[1.0], [0.0]]))
+    stage = pbs(True) @ loop @ pbs(False) @ embed
+    ca, cb = (math.sqrt(c) for c in el.coupling)
+    return (1.0j * math.sqrt(el.bs.R) * ca * stage[0::2],
+            math.sqrt(el.bs.T) * cb * stage[1::2])
+
+
+def test_dif_branches_match_kron_model(rng):
+    lossy = DifElements(MEASURED.bs, MEASURED.pbs, (0.9, 0.7))
+    leaky = DifElements(IDEAL.bs, IDEAL.pbs, (0.8, 0.6))
+    for el in (IDEAL, MEASURED, lossy, leaky):
+        for alpha in rng.uniform(-math.pi, math.pi, size=100):
+            got = optics._dif_branches(alpha, el)
+            for branch, ref in zip(got, _kron_dif_branches(alpha, el)):
+                assert np.max(np.abs(branch - ref)) <= 1e-15
+
+
 def test_ideal_dif_closes_onto_damping():
     for eta in (0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
         ch = dif_map(alpha_for_eta(eta))
@@ -211,6 +243,16 @@ def test_source_state_options():
     for phase in (0.0, 1.0, math.pi):
         c, _ = run_point(identity_setup(source_phase=phase))
         assert math.isclose(c, 0.94, abs_tol=1e-9)
+    # the phase is a local unitary on the untouched qubit, so a whole
+    # measured-element sweep, concurrence and success, is unchanged by it
+    sweeps = [sweep(mprime_setup(preset="measured", source_phase=phase),
+                    "theta", -HALF_PI, HALF_PI, 61)
+              for phase in (0.0, 1.0, math.pi)]
+    for pts in sweeps[:2]:
+        for p, q in zip(pts, sweeps[2]):
+            assert abs(p.concurrence - q.concurrence) <= 1e-12
+            assert abs(p.success_prob - q.success_prob) <= 1e-12
+    assert max(p.concurrence for p in sweeps[2]) > 0.0
 
 
 def test_setup_validation():

@@ -15,7 +15,7 @@ from entweave.qmath import (
     DimensionMismatch,
     NonHermitian,
     apply_superop,
-    apply_superop_first_factor,
+    choi_matrices,
     dagger,
     expm,
     hermitian_eig,
@@ -28,6 +28,7 @@ from entweave.qmath import (
     projector,
     sandwich_superop,
     singlet,
+    superop_of_choi,
     unvec,
     vec,
 )
@@ -75,6 +76,14 @@ def test_sandwich_identity(a, rho, b, a_rect, b_rect):
         assert np.allclose(lhs, left @ rho @ right)
         np.testing.assert_allclose(sandwich_superop(left, dagger(right)), superop,
                                    rtol=0.0, atol=1e-14)
+    # a stack (2, 3) of pairs gives the stack of their superoperators
+    stack_a = np.array([[a, b, rho], [b, rho, a]])
+    stack_b = np.array([[rho, a, b], [a, a, rho]])
+    stacked = sandwich_superop(stack_a, stack_b)
+    assert stacked.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(stacked[idx],
+                              np.kron(np.conj(stack_b[idx]), stack_a[idx]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,16 +117,18 @@ def test_partial_transpose_involution(rng):
     assert np.allclose(both, m.T)
 
 
-def test_apply_superop_first_factor_matches_kron(rng):
+def test_first_factor_by_choi_reshuffle_matches_kron(rng):
+    # (S (x) id)(rho) is the Choi matrix of S composed with the map whose
+    # Choi matrix rho is
     a = haar_unitary(2, rng)
     s = sandwich_superop(a, a)
     rho = random_density(4, rng)
     big = sandwich_superop(np.kron(a, IDENTITY_2), np.kron(a, IDENTITY_2))
-    assert np.allclose(apply_superop_first_factor(s, rho, 2),
+    assert np.allclose(choi_matrices(s @ superop_of_choi(rho, 2, 2), 2, 2),
                        apply_superop(big, rho))
 
 
-def test_apply_superop_first_factor_general_map(rng):
+def test_first_factor_by_choi_reshuffle_general_map(rng):
     # any linear map, output dimension 3 from input 2, qutrit ancilla; the
     # reference sums Phi(|a><b|) (x) rho_ab over the basis |a><b|
     s = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
@@ -129,8 +140,24 @@ def test_apply_superop_first_factor_general_map(rng):
             e = np.zeros((2, 2), dtype=complex)
             e[a, b] = 1.0
             expect += np.kron(unvec(s @ vec(e), 3), t[a, :, b, :])
-    assert np.allclose(apply_superop_first_factor(s, rho, 3), expect,
-                       rtol=0.0, atol=1e-13)
+    got = choi_matrices(s @ superop_of_choi(rho, 3, 2), 3, 3)
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-13)
+
+
+def test_choi_reshuffle_roundtrips_exactly(rng):
+    # a batch of 2 -> 3 maps; both directions are pure axis permutations
+    s = rng.normal(size=(5, 9, 4)) + 1j * rng.normal(size=(5, 9, 4))
+    choi = choi_matrices(s, 2, 3)
+    assert choi.shape == (5, 6, 6)
+    assert np.array_equal(superop_of_choi(choi, 2, 3), s)
+    c = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    assert np.array_equal(choi_matrices(superop_of_choi(c, 2, 3), 2, 3), c)
+    # entry [(i, a), (j, b)] of the Choi matrix is the image of |a><b| at |i><j|
+    e = np.zeros((2, 2))
+    e[1, 0] = 1.0
+    assert np.array_equal(choi[2, 1::2, 0::2], unvec(s[2] @ vec(e), 3))
+    with pytest.raises(DimensionMismatch):
+        superop_of_choi(c, 3, 3)
 
 
 def test_expm_rotation_closed_form():
