@@ -17,15 +17,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Unbounded
-from .entanglement import EIGENVALUE_FLOOR, concurrence
+from .entanglement import EIGENVALUE_FLOOR, _concurrence_from_eigh, concurrence
 from .qmath import (
     LOWERING,
     SIGMA_X,
     SIGMA_Z,
     TOL,
     DimensionMismatch,
-    Exponential,
     OutOfRange,
+    Spectral,
     as_matrix,
     choi_matrices,
     dagger,
@@ -49,20 +49,17 @@ class NoBracket(RuntimeError):
 class Liouvillian:
     """A column-stacking generator matrix for a qubit master equation.
 
-    ``exponential`` is the generator's :class:`~entweave.qmath.Exponential`,
+    ``spectral`` is the generator's :class:`~entweave.qmath.Spectral`,
     factored once at construction, so propagating it never refactors.
     """
 
     generator: np.ndarray
     label: str = ""
-    exponential: Exponential = field(init=False, repr=False, compare=False)
+    spectral: Spectral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.array(as_matrix(self.generator), dtype=complex)
-        if g.shape[0] != g.shape[1]:
-            raise DimensionMismatch("generator must be square")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("generator has non-finite entries")
+        spectral = Spectral(self.generator)
+        g = spectral.matrix
         d = isqrt(g.shape[0])
         if d * d != g.shape[0]:
             raise DimensionMismatch("generator dimension is not a perfect square")
@@ -70,9 +67,8 @@ class Liouvillian:
         tr_row = vec(np.eye(d)).conj() @ g
         if np.max(np.abs(tr_row)) > 1e-8:
             raise ValueError("generator does not preserve trace")
-        exponential = Exponential(g)
-        object.__setattr__(self, "generator", exponential.generator)
-        object.__setattr__(self, "exponential", exponential)
+        object.__setattr__(self, "generator", g)
+        object.__setattr__(self, "spectral", spectral)
 
     @property
     def dim(self) -> int:
@@ -85,8 +81,9 @@ class SwitchedLine:
 
     Positions ``x`` in slice ``k = floor(x / slice_len)`` evolve under
     ``gen_even`` for even ``k`` and ``gen_odd`` for odd ``k``.  The whole-slice
-    propagators ``even = exp(L_even s)`` and ``pair = exp(L_odd s) even`` are
-    computed once, at construction.
+    propagator ``even = exp(L_even s)`` and ``pair``, the
+    :class:`~entweave.qmath.Spectral` of ``exp(L_odd s) even``, are computed
+    once, at construction.  Slice counts from ``2**53`` on are refused.
     """
 
     gen_even: Liouvillian
@@ -94,7 +91,7 @@ class SwitchedLine:
     slice_len: float
     label: str = ""
     even: np.ndarray = field(init=False, repr=False, compare=False)
-    pair: np.ndarray = field(init=False, repr=False, compare=False)
+    pair: Spectral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.slice_len < inf:
@@ -102,10 +99,9 @@ class SwitchedLine:
                              f"got {self.slice_len}")
         if self.gen_even.dim != self.gen_odd.dim:
             raise DimensionMismatch("switched generators must share a dimension")
-        even = self.gen_even.exponential([self.slice_len])[0]
-        pair = self.gen_odd.exponential([self.slice_len])[0] @ even
-        for m in (even, pair):
-            m.setflags(write=False)
+        even = self.gen_even.spectral.exp([self.slice_len])[0]
+        pair = Spectral(self.gen_odd.spectral.exp([self.slice_len])[0] @ even)
+        even.setflags(write=False)
         object.__setattr__(self, "even", even)
         object.__setattr__(self, "pair", pair)
 
@@ -184,35 +180,22 @@ def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
     return SwitchedLine(l1, l2, total_len / n, label=f"n={n}")
 
 
-def _stacked_power(m: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """``m ** e`` for every ``e`` of an array of nonnegative integers: binary
-    powering, one batched product per bit, in the multiplication order of
-    ``numpy.linalg.matrix_power``.  A product with the identity is exact, so
-    points whose bit is clear take the identity in place of the square."""
-    eye = np.eye(len(m), dtype=complex)
-    squares = [m]
-    for _ in range(1, int(exponents.max(initial=0)).bit_length()):
-        squares.append(squares[-1] @ squares[-1])
-    bits = (exponents[:, None] >> np.arange(len(squares))) & 1 == 1
-    factors = np.where(bits[:, :, None, None], np.array(squares), eye)
-    out = np.broadcast_to(eye, (len(exponents), *m.shape))
-    for b in np.flatnonzero(bits.any(axis=0)):
-        out = out @ factors[:, b]
-    return out
-
-
 def _switched_superops(line: SwitchedLine, xs: np.ndarray) -> np.ndarray:
     # the first k whole slices multiply to pair^(k // 2), times even when k is
     # odd; the rest of slice k evolves under that slice's generator
-    k = np.floor(xs / line.slice_len).astype(int)
+    slices = xs / line.slice_len
+    if slices.max(initial=0.0) >= 2.0 ** 53:
+        raise OutOfRange(f"{slices.max():.3g} slices of {line.slice_len:g}: "
+                         f"slice counts from 2**53 on are not exact")
+    k = np.floor(slices).astype(int)
     frac = xs - k * line.slice_len
     odd = k % 2 == 1
-    total = (np.where(odd[:, None, None], line.even, np.eye(len(line.even)))
-             @ _stacked_power(line.pair, k // 2))
+    total = line.pair.power(k // 2)
+    total[odd] = line.even @ total[odd]
     for gen, slot in ((line.gen_even, ~odd), (line.gen_odd, odd)):
         tail = slot & (frac > 0.0)
         if tail.any():
-            total[tail] = gen.exponential(frac[tail]) @ total[tail]
+            total[tail] = gen.spectral.exp(frac[tail]) @ total[tail]
     return total
 
 
@@ -230,7 +213,7 @@ def propagation_superop(source: Liouvillian | SwitchedLine,
     if isinstance(source, SwitchedLine):
         stack = _switched_superops(source, flat)
     else:
-        stack = source.exponential(flat)
+        stack = source.spectral.exp(flat)
     return stack.reshape(xs.shape + stack.shape[-2:])
 
 
@@ -271,16 +254,17 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     xs = np.linspace(0.0, x_max, steps)
     values, pre = [], []
     for start in range(0, steps, _STACK_POINTS):
-        states = _evolved_states(source, xs[start:start + _STACK_POINTS], probe)
-        kept = len(states)
-        if stop_on_unphysical:
-            low = hermitian_eig(states)[0][:, 0] < EIGENVALUE_FLOOR
-            kept = int(np.argmax(low)) if low.any() else kept
+        w, v = hermitian_eig(_evolved_states(source, xs[start:start + _STACK_POINTS],
+                                             probe))
+        low = w[:, 0] < EIGENVALUE_FLOOR
+        kept = int(np.argmax(low)) if low.any() else len(w)
+        if kept < len(w) and not stop_on_unphysical:
+            raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
         if kept:
-            c = concurrence(states[:kept])
+            c = _concurrence_from_eigh(w[:kept], v[:kept])
             values += c.value.tolist()
             pre += c.pre_clamp.tolist()
-        if kept < len(states):
+        if kept < len(w):
             break
     return [ProfilePoint(*p) for p in zip(xs.tolist(), values, pre)]
 

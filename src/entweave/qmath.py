@@ -96,61 +96,73 @@ def hermitian_eig(m, tol: float = TOL.structural):
     return w, v
 
 
-# Largest condition number of the eigenvector matrix at which a generator is
-# exponentiated from its eigendecomposition; past it, scipy's expm is used.
+# Largest condition number of the eigenvector matrix at which exponentials and
+# powers come from the eigendecomposition; past it, scipy's expm and matrix_power.
 EIG_COND_BOUND = 1e3
 
 
 @dataclass(frozen=True, eq=False)
-class Exponential:
-    """``x -> exp(generator * x)`` for one fixed generator, factored once.
+class Spectral:
+    """The exponentials and integer powers of one fixed matrix, factored once.
 
-    Construction takes ``G = V diag(w) V^-1`` (``numpy.linalg.eig``, unit-norm
-    eigenvector columns) and keeps ``factors = (w, V, V^-1)``.  Calling the
-    object with a 1-D array of lengths gives their stack of exponentials,
-    shape ``(len(lengths), d, d)``, as the one broadcast product
-    ``V exp(diag(w) x) V^-1``.  Its error is about ``1e-16 cond(V)``
-    (Moler & Van Loan, SIAM Rev. 45, 3, 2003, method 14), so it fails only
-    near exceptional points, where ``V`` is ill-conditioned.  A generator
-    with ``cond(V) > EIG_COND_BOUND`` (1e3) -- defective or nearly so -- has
-    ``factors = None`` and goes through scipy's scaling-and-squaring Pade
-    exponential (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009)
-    on the stack of ``generator * x``.  Tested against ``scipy.linalg.expm``
-    to 1e-12 on lengths 0 to 20 for the driven AD and PD generators at
-    distances 0 to 0.1 from their exceptional points (cond(V) 1.4e8 at the
-    points, which take the fallback; 7e2 at a distance of 1e-6, where the
-    error is about 1e-13).  Generators with cond(V) of 1.4 to 2.4, as in the
-    benchmark's lines, agree to about 3e-15.
+    Construction takes ``M = V diag(w) V^-1`` (``numpy.linalg.eig``, unit-norm
+    eigenvector columns) and keeps ``factors = (w, V, V^-1)``.  ``exp`` of a
+    1-D array of lengths and ``power`` of a 1-D array of nonnegative integers
+    give stacks ``(n, d, d)``, each one broadcast product:
+    ``V exp(diag(w) x) V^-1`` and ``V diag(w**e) V^-1``.  An exponential's
+    error is about ``1e-16 cond(V)`` (Moler & Van Loan, SIAM Rev. 45, 3, 2003,
+    method 14); a power's grows linearly with ``e``, as binary powering's
+    does.  A matrix with ``cond(V) > EIG_COND_BOUND`` (defective or nearly so,
+    as at the drive's exceptional points) has ``factors = None``: exponentials
+    then go through scipy's scaling-and-squaring Pade ``expm`` (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) on the stack of
+    ``M * x``, powers through ``numpy.linalg.matrix_power`` once per distinct
+    exponent.  Tested: exponentials of the driven AD and PD generators 0 to
+    0.1 from their exceptional points, lengths 0 to 20, against scipy's
+    ``expm`` to 1e-12 (cond(V) 1.4e8 at the points, which fall back; 7e2 at
+    1e-6, error about 1e-13; about 3e-15 at cond(V) 1.4 to 2.4, as in the
+    benchmark's lines); powers of AD and PD slice pairs with cond(V) up to
+    7e2 against ``matrix_power`` to 6.4e-14 up to exponent 45, 4.1e-13 up to
+    300 and 6.8e-12 at 5000.
     """
 
-    generator: np.ndarray
+    matrix: np.ndarray
     factors: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.array(as_matrix(self.generator))
-        if g.shape[0] != g.shape[1]:
-            raise DimensionMismatch("expm needs a square matrix")
-        if not np.all(np.isfinite(g)):
+        m = np.array(as_matrix(self.matrix))
+        if m.shape[0] != m.shape[1]:
+            raise DimensionMismatch("generator must be square")
+        if not np.all(np.isfinite(m)):
             raise ValueError("generator has non-finite entries")
-        w, v = np.linalg.eig(g)
+        w, v = np.linalg.eig(m)
         factors = None
         if np.linalg.cond(v) <= EIG_COND_BOUND:
             factors = (w, v, np.linalg.inv(v))
-        g.setflags(write=False)
-        object.__setattr__(self, "generator", g)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "factors", factors)
 
-    def __call__(self, lengths) -> np.ndarray:
+    def exp(self, lengths) -> np.ndarray:
         xs = np.asarray(lengths, dtype=float)
         if self.factors is None:
-            return scipy.linalg.expm(self.generator * xs[:, None, None])
+            return scipy.linalg.expm(self.matrix * xs[:, None, None])
         w, v, v_inv = self.factors
         return (v * np.exp(np.multiply.outer(xs, w))[:, None, :]) @ v_inv
 
+    def power(self, exponents) -> np.ndarray:
+        es = np.asarray(exponents)
+        if self.factors is None:
+            distinct, where = np.unique(es, return_inverse=True)
+            return np.array([np.linalg.matrix_power(self.matrix, e) for e in distinct]
+                            ).reshape(-1, *self.matrix.shape)[where]
+        w, v, v_inv = self.factors
+        return (v * (w ** es[:, None])[:, None, :]) @ v_inv
+
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential: :class:`Exponential` at the single length 1."""
-    return Exponential(m)([1.0])[0]
+    """Matrix exponential: :meth:`Spectral.exp` at the single length 1."""
+    return Spectral(m).exp([1.0])[0]
 
 
 def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:

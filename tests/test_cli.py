@@ -157,6 +157,19 @@ def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_continuous_refuses_inexact_slice_counts(tmp_path, capsys):
+    # 1e20 slices per line would wrap the int64 slice index and print a
+    # wrong, finite breaking length for the n-line
+    rc = main(["--out", str(tmp_path), "continuous", "--family", "ad",
+               "--n", str(10 ** 20), "--steps", "5", "--x-max", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "slices" in err and "2**53" in err
+    assert f"n{10 ** 20}:" not in out
+    assert not (tmp_path / f"continuous_ad_n{10 ** 20}.csv").exists()
+    assert not (tmp_path / "continuous_manifest.json").exists()
+
+
 def test_continuous_undriven_skips_switched(tmp_path):
     r = run_cli(tmp_path, "continuous", "--family", "ad", "--omega", "0",
                 "--n", "2", "--x-max", "1.0", "--steps", "5")

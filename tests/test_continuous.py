@@ -30,7 +30,7 @@ from entweave.continuous import (
     write_profile_csv,
 )
 from entweave.entanglement import concurrence
-from entweave.qmath import TOL, OutOfRange, expm, unvec, vec
+from entweave.qmath import EIG_COND_BOUND, TOL, OutOfRange, expm, unvec, vec
 from entweave.states import DensityMatrix, matrix_of, singlet_state
 
 
@@ -202,9 +202,10 @@ def test_stacked_propagation_matches_per_point_reference(seed):
     ad = [rotating_ad_liouvillian(j, omega, eps) for j in (1, 2)]
     pd = [rotating_pd_liouvillian(j, omega, eps) for j in (1, 2)]
     s = rng.uniform(0.05, 0.5)
-    bounds = s * np.arange(12)
+    bounds = s * np.concatenate([np.arange(12), np.arange(390, 401)])
     xs = np.concatenate([[0.0], bounds, bounds[1:] - 1e-9, bounds + 1e-9,
-                         rng.uniform(0.0, 12 * s, 20)])
+                         rng.uniform(0.0, 12 * s, 20),
+                         rng.uniform(0.0, 400 * s, 20)])
     sources = [SwitchedLine(*ad, s), SwitchedLine(*pd, s), ad[0], pd[0],
                average_liouvillian(*ad), average_liouvillian(*pd),
                rotating_pd_liouvillian(1, 0.0, eps)]
@@ -217,6 +218,70 @@ def test_stacked_propagation_matches_per_point_reference(seed):
         one = propagation_superop(source, float(xs[-1]))
         assert one.shape == (4, 4)
         np.testing.assert_array_equal(one, stack[-1])
+
+
+def _slice_pairs():
+    """Mirrored slice pairs, and doubled ones near the exceptional points,
+    where cond(V) of the pair reaches 7e2."""
+    for family, exceptional in ((rotating_ad_liouvillian, 1.0 / 8.0),
+                                (rotating_pd_liouvillian, 1.0 / 2.0)):
+        for omega in (0.3, 1.5, 2.5):
+            for s in (0.05, 0.2, 0.9):
+                yield SwitchedLine(family(1, omega, 1.0), family(2, omega, 1.0), s)
+        for d in (1e-6, 1e-5, 1e-3):
+            g = family(1, exceptional + d, 1.0)
+            yield SwitchedLine(g, g, 0.2)
+
+
+def test_spectral_powers_match_matrix_power():
+    conds = []
+    for line in _slice_pairs():
+        if line.pair.factors is None:
+            continue   # the PD pair at a distance of 1e-6 takes the fallback
+        conds.append(np.linalg.cond(line.pair.factors[1]))
+        for exponents, atol in ((np.arange(301), 1e-12),
+                                (np.array([1000, 2500, 5000]), 2e-11)):
+            got = line.pair.power(exponents)
+            for e, m in zip(exponents, got):
+                np.testing.assert_allclose(
+                    m, np.linalg.matrix_power(line.pair.matrix, int(e)),
+                    rtol=0.0, atol=atol)
+    assert len(conds) == 23 and 6e2 < max(conds) < EIG_COND_BOUND
+
+
+def test_defective_pair_takes_matrix_power_fallback(monkeypatch):
+    # at omega = 1/8, eps = 1 the AD generator is defective, and so is the
+    # pair exp(2 L s) of a line that repeats it
+    g = rotating_ad_liouvillian(1, 1.0 / 8.0, 1.0)
+    line = SwitchedLine(g, g, 0.15)
+    assert line.pair.factors is None
+    powers = _count_calls(monkeypatch, qmath.np.linalg, "matrix_power")
+    xs = np.concatenate([0.15 * np.arange(41), np.linspace(0.0, 6.0, 31)])
+    stack = propagation_superop(line, xs)
+    # one matrix_power per distinct whole-pair count, 0 to 20
+    assert len(powers) == 21
+    for x, got in zip(xs, stack):
+        np.testing.assert_allclose(got, _reference_superop(line, x),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_slice_counts_past_exact_float_range_are_refused(monkeypatch):
+    # 1e20 slices would wrap the int64 slice index and give every point the
+    # identity as its whole-slice power
+    powers = _count_calls(monkeypatch, qmath.Spectral, "power")
+    line = switched_line(AD1, AD2, 1.6, 10 ** 20)
+    with pytest.raises(OutOfRange, match="6.25e\\+19 slices"):
+        propagation_superop(line, np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(OutOfRange, match="slices"):
+        concurrence_profile(line, 1.0, 5)
+    assert powers == []
+    with pytest.raises(OutOfRange, match="slices"):
+        eb_length(line, 1.0)
+    # 2**53 is the last exact float slice index: refused at it, run below it
+    edge = SwitchedLine(AD1, AD2, 2.0 ** -53)
+    with pytest.raises(OutOfRange, match="slices"):
+        propagation_superop(edge, 1.0)
+    assert np.all(np.isfinite(propagation_superop(edge, np.nextafter(1.0, 0.0))))
 
 
 def test_small_non_normal_exponents_match_scipy():
@@ -265,9 +330,9 @@ def test_exponential_matches_scipy_across_exceptional_points(monkeypatch,
             np.testing.assert_allclose(got, reference(gen.generator * x),
                                        rtol=0.0, atol=1e-12)
         if d == 0.0:
-            assert gen.exponential.factors is None and len(scipy_calls) == 1
+            assert gen.spectral.factors is None and len(scipy_calls) == 1
         if d >= 1e-3:
-            assert gen.exponential.factors is not None and not scipy_calls
+            assert gen.spectral.factors is not None and not scipy_calls
 
 
 def test_searches_and_profiles_refactor_nothing(monkeypatch):
@@ -277,10 +342,26 @@ def test_searches_and_profiles_refactor_nothing(monkeypatch):
                SwitchedLine(PD1, PD2, 0.2)]
     eigs = _count_calls(monkeypatch, qmath.np.linalg, "eig")
     expms = _count_calls(monkeypatch, qmath.scipy.linalg, "expm")
+    powers = _count_calls(monkeypatch, qmath.np.linalg, "matrix_power")
     for source in sources:
         eb_length(source, 12.0)
         concurrence_profile(source, 6.0, 241)
-    assert eigs == [] and expms == []
+    assert eigs == [] and expms == [] and powers == []
+
+
+def test_profiles_eigendecompose_each_stack_once(monkeypatch):
+    # the floor check and the concurrence share one eigh per stack; the
+    # growing-sign line leaves the cone in the second stack, as below
+    growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
+    probe = singlet_state()
+    eighs = _count_calls(monkeypatch, qmath.np.linalg, "eigh")
+    pts = concurrence_profile(growing, 2e-8, 3000, probe,
+                              stop_on_unphysical=True)
+    assert 1024 < len(pts) < 2048 and len(eighs) == 2
+    eighs.clear()
+    with pytest.raises(OutOfRange, match="matrix has negative eigenvalue -1.365e-08"):
+        concurrence_profile(growing, 2e-8, 3000, probe)
+    assert len(eighs) == 2
 
 
 def test_liouvillian_rejects_non_finite_generator():
@@ -460,7 +541,7 @@ def test_channels_states_and_exponentials_compare_by_identity():
     # their array fields would make a generated __eq__ ambiguous and the
     # objects unhashable, as for Liouvillian above
     for make in (lambda: ad_channel(0.5), singlet_state,
-                 lambda: qmath.Exponential(np.zeros((2, 2)))):
+                 lambda: qmath.Spectral(np.zeros((2, 2)))):
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
