@@ -6,8 +6,10 @@ Three subcommands:
 * ``continuous`` -- switched-generator concurrence profiles and thresholds
 * ``experiment`` -- interferometer-bench sweeps, ideal or measured elements
 
-Every run writes a manifest JSON next to its outputs recording the full
-resolved parameter set; identical invocations produce byte-identical CSVs.
+Each subcommand computes all its outputs before ``main`` writes any; the
+manifest, recording the full resolved parameter set, is written last.  A run
+that exits 2 or 3 writes nothing.  Identical invocations produce
+byte-identical CSVs.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -15,12 +17,14 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from .continuous import (
     eb_length,
     rotating_ad_liouvillian,
     rotating_pd_liouvillian,
-    write_profile_csv,
 )
 from .entanglement import BadDimension
 from .optics import (
@@ -54,7 +57,6 @@ from .optics import (
     mprime_setup,
     setup_from_json,
     sweep,
-    write_sweep_csv,
 )
 from .qmath import (
     SIGMA_X,
@@ -81,23 +83,42 @@ _VALIDATION = (ParseError, OutOfRange, NotUnitary, NonHermitian,
 _NUMERICAL = (ToleranceConflict, NoBracket, ZeroSuccessProbability)
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every output file."""
+class Run(NamedTuple):
+    """What a subcommand computed; nothing of it is on disk yet."""
 
-    command: str
-    parameters: dict
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-    wall_time_s: float = 0.0
-    notes: list = field(default_factory=list)
+    outputs: dict[str, str]  # file name -> text, in writing order
+    manifest_name: str       # written last
+    parameters: dict         # resolved parameters, recorded in the manifest
+    notes: Sequence[str] = ()
 
-    def write(self, out_dir: Path, started: float,
-              stem: str | None = None) -> Path:
-        self.wall_time_s = round(time.monotonic() - started, 3)
-        path = out_dir / f"{stem or self.command}_manifest.json"
-        path.write_text(json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
-        return path
+
+def _write(out_dir: Path, command: str, run: Run, started: float) -> None:
+    """Create ``out_dir``, write every output, then the manifest."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in run.outputs.items():
+        (out_dir / name).write_text(text, newline="")
+    manifest = {
+        "command": command, "parameters": {**run.parameters, "out": str(out_dir)},
+        "outputs": list(run.outputs), "version": __version__,
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "notes": list(run.notes),
+    }
+    (out_dir / run.manifest_name).write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", newline="")
+
+
+PROFILE_HEADER = ("x", "concurrence", "pre_clamp", "label")
+SWEEP_HEADER = ("angle", "concurrence", "success_prob", "preset", "map_label")
+
+
+def _csv_text(header, rows, *tags: str) -> str:
+    """CSV text: numeric cells to 12 significant digits, ``tags`` appended to
+    every row, '\\n' line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([*(f"{v:.12g}" for v in row), *tags] for row in rows)
+    return buf.getvalue()
 
 
 def _unitary_from_string(text: str) -> np.ndarray:
@@ -133,12 +154,6 @@ def _parse_sequence(text: str) -> str:
     return seq
 
 
-def _outdir(args) -> Path:
-    d = Path(args.out)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 # ---------------------------------------------------------------- discrete
 
 
@@ -169,10 +184,8 @@ def _validate_discrete(args) -> tuple[np.ndarray, str | None]:
     return _unitary_from_string(args.unitary), seq
 
 
-def cmd_discrete(args) -> int:
-    started = time.monotonic()
+def cmd_discrete(args) -> Run:
     u_mat, seq = _validate_discrete(args)
-    out_dir = _outdir(args)
     if args.pd is not None:
         base = pd_channel(args.pd)
         base_label = f"pd({args.pd:g})"
@@ -211,15 +224,12 @@ def cmd_discrete(args) -> int:
             print(f"sequence {s['word']}: is_eb={s['is_eb']} "
                   f"concurrence={s['choi_concurrence']:.12g} "
                   f"order={s['eb_order']}")
-    report_path = out_dir / "discrete_report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    manifest = RunManifest("discrete", {
+    report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return Run({"discrete_report.json": report_text}, "discrete_manifest.json", {
         "eta": args.eta, "pd": args.pd, "unitary": args.unitary,
         "sequence": args.sequence, "order_of": args.order_of,
-        "max_order": args.max_order, "out": str(out_dir),
-    }, outputs=[report_path.name])
-    manifest.write(out_dir, started)
-    return EXIT_OK
+        "max_order": args.max_order,
+    })
 
 
 # -------------------------------------------------------------- continuous
@@ -246,64 +256,62 @@ def _validate_continuous(args) -> None:
         raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
 
 
-def cmd_continuous(args) -> int:
-    started = time.monotonic()
-    _validate_continuous(args)
-    out_dir = _outdir(args)
+def _line(source, args) -> tuple[list, float | Unbounded | None, str]:
+    """Profile and breaking length of one line, with the length as printed.
+
+    The length is None when the probe is never entangled, or when the
+    growing-sign generator leaves the physical states before it breaks."""
     decaying = args.dephasing_sign == "decaying"
+    points = concurrence_profile(source, args.x_max, args.steps,
+                                 stop_on_unphysical=not decaying)
+    try:
+        threshold = eb_length(source, max(args.x_max, 20.0), xtol=EB_XTOL)
+    except NoBracket:
+        return points, None, "never entangled on the probe"
+    except OutOfRange:
+        if decaying:
+            raise
+        return points, None, "no breaking length, evolution is unphysical"
+    if isinstance(threshold, float):
+        return points, threshold, (f"eb_length {threshold:.{_EB_DECIMALS}f} "
+                                   f"(xtol {EB_XTOL:g})")
+    return points, threshold, str(threshold)
+
+
+def cmd_continuous(args) -> Run:
+    _validate_continuous(args)
     if args.family == "ad":
-        gen = rotating_ad_liouvillian
-        g1, g2 = gen(1, args.omega, args.eps), gen(2, args.omega, args.eps)
+        g1 = rotating_ad_liouvillian(1, args.omega, args.eps)
+        g2 = rotating_ad_liouvillian(2, args.omega, args.eps)
     else:
+        decaying = args.dephasing_sign == "decaying"
         g1 = rotating_pd_liouvillian(1, args.omega, args.eps, decaying=decaying)
         g2 = rotating_pd_liouvillian(2, args.omega, args.eps, decaying=decaying)
-    x_hi = max(args.x_max, 20.0)
-    manifest = RunManifest("continuous", {
-        "family": args.family, "omega": args.omega, "eps": args.eps,
-        "n": args.n, "x_max": args.x_max, "steps": args.steps,
-        "dephasing_sign": args.dephasing_sign, "out": str(out_dir),
-    })
-
-    def emit(source, label):
-        points = concurrence_profile(source, args.x_max, args.steps,
-                                     stop_on_unphysical=not decaying)
-        if len(points) < args.steps:
-            # growing-sign comparison mode leaves the physical state cone
-            manifest.notes.append(
-                f"{label}: profile truncated at x={points[-1].x:g}, evolved "
-                f"state loses positivity beyond this length")
-        name = f"continuous_{args.family}_{label}.csv"
-        write_profile_csv(out_dir / name, points, label)
-        manifest.outputs.append(name)
-        try:
-            threshold = eb_length(source, x_hi, xtol=EB_XTOL)
-        except NoBracket:
-            threshold = None
-        except OutOfRange:
-            if decaying:
-                raise
-            print(f"{label}: no breaking length, evolution is unphysical")
-            return None
-        if isinstance(threshold, float):
-            print(f"{label}: eb_length {threshold:.{_EB_DECIMALS}f} "
-                  f"(xtol {EB_XTOL:g})")
-        elif threshold is None:
-            print(f"{label}: never entangled on the probe")
-        else:
-            print(f"{label}: {threshold}")
-        return threshold
-
-    single = emit(g1, "single")
+    lines = {"single": _line(g1, args)}
+    single = lines["single"][1]
     if isinstance(single, float):
         for n in args.n:
             line = SwitchedLine(g1, g2, single / n, label=f"n{n}")
-            emit(line, f"n{n}")
-    else:
-        manifest.notes.append("switched lines skipped: no finite "
-                              "single-channel threshold to slice")
-    emit(average_liouvillian(g1, g2), "limit")
-    manifest.write(out_dir, started)
-    return EXIT_OK
+            lines[f"n{n}"] = _line(line, args)
+    lines["limit"] = _line(average_liouvillian(g1, g2), args)
+
+    outputs, notes = {}, []
+    for label, (points, threshold, text) in lines.items():
+        if len(points) < args.steps:
+            # growing-sign comparison mode leaves the physical state cone
+            notes.append(f"{label}: profile truncated at x={points[-1].x:g}, "
+                         f"evolved state loses positivity beyond this length")
+        if label == "single" and not isinstance(threshold, float):
+            notes.append("switched lines skipped: no finite "
+                         "single-channel threshold to slice")
+        outputs[f"continuous_{args.family}_{label}.csv"] = _csv_text(
+            PROFILE_HEADER, points, label)
+        print(f"{label}: {text}")
+    return Run(outputs, "continuous_manifest.json", {
+        "family": args.family, "omega": args.omega, "eps": args.eps,
+        "n": args.n, "x_max": args.x_max, "steps": args.steps,
+        "dephasing_sign": args.dephasing_sign,
+    }, notes)
 
 
 # -------------------------------------------------------------- experiment
@@ -337,6 +345,18 @@ def _summarize(points) -> list[str]:
     return lines
 
 
+def _resolve_angles(args) -> None:
+    """Read the angles given on the command line in degrees when
+    ``--degrees`` is set, and fill in the defaults, which are radians."""
+    given = math.radians if args.degrees else float
+    for name, default in (("theta", math.pi / 4), ("phi", math.pi / 4),
+                          ("source_phase", math.pi)):
+        value = getattr(args, name)
+        setattr(args, name, default if value is None else given(value))
+    args.range = ((-math.pi / 2, math.pi / 2) if args.range is None
+                  else tuple(given(v) for v in args.range))
+
+
 def _validate_experiment(args) -> None:
     if args.steps < 2:
         raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
@@ -350,8 +370,8 @@ def _validate_experiment(args) -> None:
             raise OutOfRange(f"{flag} must be finite, got {value}")
 
 
-def cmd_experiment(args) -> int:
-    started = time.monotonic()
+def cmd_experiment(args) -> Run:
+    _resolve_angles(args)
     _validate_experiment(args)
     if args.setup_json:
         try:
@@ -368,24 +388,20 @@ def cmd_experiment(args) -> int:
         map_label = args.map
         preset_name = args.preset
     vary = args.vary or _DEFAULT_VARY.get(map_label, "theta")
-    out_dir = _outdir(args)
     lo, hi = args.range
     points = sweep(setup, vary, lo, hi, args.steps)
-    name = f"experiment_{map_label}_{preset_name}_{vary}.csv"
-    write_sweep_csv(out_dir / name, points, preset_name, map_label)
     for line in _summarize(points):
         print(line)
-    manifest = RunManifest("experiment", {
+    stem = f"experiment_{map_label}_{preset_name}_{vary}"
+    csv_text = _csv_text(SWEEP_HEADER, points, preset_name, map_label)
+    return Run({f"{stem}.csv": csv_text}, f"{stem}_manifest.json", {
         "map": map_label, "preset": preset_name, "vary": vary,
         "range": [lo, hi], "steps": args.steps, "W": args.W,
         "eta1": args.eta1, "eta2": args.eta2,
         "theta": args.theta, "phi": args.phi,
         "source_phase": args.source_phase,
         "setup_json": args.setup_json, "degrees": args.degrees,
-        "out": str(out_dir),
-    }, outputs=[name])
-    manifest.write(out_dir, started, stem=name[:-len(".csv")])
-    return EXIT_OK
+    })
 
 
 # ------------------------------------------------------------------ parser
@@ -429,47 +445,44 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--map", choices=tuple(_SETUPS), default="mprime")
     e.add_argument("--preset", choices=("ideal", "measured"), default="ideal")
     e.add_argument("--vary", choices=("theta", "phi"), default=None)
-    e.add_argument("--range", type=float, nargs=2,
-                   default=(-math.pi / 2, math.pi / 2))
+    # angles default to None, so --degrees converts only those given
+    e.add_argument("--range", type=float, nargs=2, default=None,
+                   help="swept interval (default -pi/2 pi/2)")
     e.add_argument("--steps", type=int, default=361)
     e.add_argument("--W", type=float, default=0.96, help="Werner parameter")
     e.add_argument("--eta1", type=float, default=0.3)
     e.add_argument("--eta2", type=float, default=0.3)
-    e.add_argument("--theta", type=float, default=math.pi / 4)
-    e.add_argument("--phi", type=float, default=math.pi / 4)
-    e.add_argument("--source-phase", type=float, default=math.pi)
+    e.add_argument("--theta", type=float, default=None, help="(default pi/4)")
+    e.add_argument("--phi", type=float, default=None, help="(default pi/4)")
+    e.add_argument("--source-phase", type=float, default=None,
+                   help="(default pi)")
     e.add_argument("--degrees", action="store_true",
-                   help="interpret all angle inputs as degrees")
+                   help="read the angles given here as degrees")
     e.add_argument("--setup-json", default=None,
                    help="load a full setup document instead of presets")
     return top
 
 
-# built once: parse_args leaves the parser untouched, and the defaults are
-# tuples, so no call can see another's arguments
+# built once: parse_args leaves the parser untouched, and no default is
+# mutable, so no call can see another's arguments
 _PARSER = _build_parser()
 
 
-def _convert_degrees(args) -> None:
-    if getattr(args, "degrees", False):
-        for name in ("theta", "phi", "source_phase"):
-            setattr(args, name, math.radians(getattr(args, name)))
-        args.range = [math.radians(v) for v in args.range]
-
-
 def main(argv=None) -> int:
+    started = time.monotonic()
     args = _PARSER.parse_args(argv)
-    _convert_degrees(args)
     handlers = {"discrete": cmd_discrete, "continuous": cmd_continuous,
                 "experiment": cmd_experiment}
     try:
-        return handlers[args.command](args)
+        run = handlers[args.command](args)
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _VALIDATION as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write(Path(args.out), args.command, run, started)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ approaches the drive-free dissipative semigroup in the limit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import inf, isfinite, isqrt
 from typing import NamedTuple
@@ -323,14 +322,3 @@ def trotter_gap(line: SwitchedLine, x: float,
         reference = average_liouvillian(line.gen_even, line.gen_odd)
     return opnorm(propagation_superop(line, x)
                   - propagation_superop(reference, x))
-
-
-def write_profile_csv(path, points, label: str) -> None:
-    """Profile CSV with deterministic formatting: 12 significant digits,
-    '.' decimal separator, '\\n' line endings."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "concurrence", "pre_clamp", "label"])
-        for p in points:
-            writer.writerow([f"{p.x:.12g}", f"{p.concurrence:.12g}",
-                             f"{p.pre_clamp:.12g}", label])

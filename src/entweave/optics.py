@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -425,15 +425,3 @@ def setup_from_json(text: str) -> OpticalSetup:
         raise ElementInconsistent(f"setup document missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ElementInconsistent(f"malformed setup document: {exc}") from None
-
-
-def write_sweep_csv(path, points: Sequence[SweepPoint], preset: str,
-                    map_label: str) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["angle", "concurrence", "success_prob", "preset", "map_label"])
-        for p in points:
-            w.writerow(["%.12g" % p.angle, "%.12g" % p.concurrence,
-                        "%.12g" % p.success_prob, preset, map_label])

@@ -39,9 +39,9 @@ def test_parser_defaults_are_immutable():
     # main reuses one parser, so a list default one call mutated would be
     # seen by the next
     from entweave.cli import _PARSER
-    cont = _PARSER.parse_args(["continuous", "--family", "ad"])
-    exp = _PARSER.parse_args(["experiment"])
-    assert isinstance(cont.n, tuple) and isinstance(exp.range, tuple)
+    for argv in (["discrete"], ["continuous", "--family", "ad"], ["experiment"]):
+        for value in vars(_PARSER.parse_args(argv)).values():
+            assert isinstance(value, (type(None), bool, int, float, str, tuple))
 
 
 def test_discrete_blocked_sequence_breaks(tmp_path):
@@ -83,6 +83,7 @@ def test_numerical_failure_exit_code(tmp_path):
                 "--steps", "3")
     assert r.returncode == 3
     assert "numerical failure" in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["dark.json"]
 
 
 def test_continuous_outputs(tmp_path):
@@ -160,14 +161,15 @@ def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys,
 def test_continuous_refuses_inexact_slice_counts(tmp_path, capsys):
     # 1e20 slices per line would wrap the int64 slice index and print a
     # wrong, finite breaking length for the n-line
-    rc = main(["--out", str(tmp_path), "continuous", "--family", "ad",
+    out_dir = tmp_path / "out"
+    rc = main(["--out", str(out_dir), "continuous", "--family", "ad",
                "--n", str(10 ** 20), "--steps", "5", "--x-max", "1"])
     out, err = capsys.readouterr()
     assert rc == 2
     assert "slices" in err and "2**53" in err
     assert f"n{10 ** 20}:" not in out
-    assert not (tmp_path / f"continuous_ad_n{10 ** 20}.csv").exists()
-    assert not (tmp_path / "continuous_manifest.json").exists()
+    # the single line was computed before the refusal, but nothing is written
+    assert not out_dir.exists()
 
 
 def test_continuous_undriven_skips_switched(tmp_path):
@@ -230,6 +232,21 @@ def test_experiment_degrees_equivalent(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert ((a / "experiment_m1_ideal_theta.csv").read_bytes()
             == (b / "experiment_m1_ideal_theta.csv").read_bytes())
+
+
+@pytest.mark.parametrize("given", [(), ("--theta", "45")])
+def test_degrees_leaves_defaults_in_radians(tmp_path, given):
+    # --degrees converts only the angles on the command line
+    name = "experiment_m1_ideal_theta.csv"
+    args = ["experiment", "--map", "m1", "--steps", "5"]
+    assert main(["--out", str(tmp_path / "rad"), *args]) == 0
+    assert main(["--out", str(tmp_path / "deg"), *args, "--degrees", *given]) == 0
+    assert ((tmp_path / "rad" / name).read_bytes()
+            == (tmp_path / "deg" / name).read_bytes())
+    manifest = json.loads(
+        (tmp_path / "deg" / "experiment_m1_ideal_theta_manifest.json").read_text())
+    assert manifest["parameters"]["range"] == [-math.pi / 2, math.pi / 2]
+    assert manifest["parameters"]["theta"] == math.pi / 4
 
 
 def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):

@@ -27,7 +27,6 @@ from entweave.continuous import (
     rotating_pd_liouvillian,
     switched_line,
     trotter_gap,
-    write_profile_csv,
 )
 from entweave.entanglement import concurrence
 from entweave.qmath import EIG_COND_BOUND, TOL, OutOfRange, expm, unvec, vec
@@ -516,10 +515,13 @@ def test_profile_on_custom_probe_matches_default():
 
 
 def test_profile_csv_determinism(tmp_path):
+    # the command line writes each profile as this text
+    from entweave.cli import PROFILE_HEADER, _csv_text
+
     pts = concurrence_profile(AD1, 1.0, 5)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_profile_csv(p1, pts, "single")
-    write_profile_csv(p2, pts, "single")
+    for path in (p1, p2):
+        path.write_text(_csv_text(PROFILE_HEADER, pts, "single"), newline="")
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
     assert lines[0] == "x,concurrence,pre_clamp,label"

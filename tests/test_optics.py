@@ -39,7 +39,6 @@ from entweave.optics import (
     setup_to_json,
     source_state,
     sweep,
-    write_sweep_csv,
 )
 from entweave.qmath import OutOfRange, is_unitary, sandwich_superop
 from entweave.states import matrix_of
@@ -288,13 +287,15 @@ def test_sweep_grid_and_csv(tmp_path):
     assert [round(p.angle, 10) for p in pts] == [-1.0, -0.5, 0.0, 0.5, 1.0]
     with pytest.raises(OutOfRange):
         sweep(m1_setup(), "gamma", -1.0, 1.0, 5)
-    path = tmp_path / "s.csv"
-    write_sweep_csv(path, pts, "ideal", "m1")
+    # the command line writes each sweep as this text
+    from entweave.cli import SWEEP_HEADER, _csv_text
+
+    path, path2 = tmp_path / "s.csv", tmp_path / "s2.csv"
+    for p in (path, path2):
+        p.write_text(_csv_text(SWEEP_HEADER, pts, "ideal", "m1"), newline="")
     lines = path.read_text().splitlines()
     assert lines[0] == "angle,concurrence,success_prob,preset,map_label"
     assert len(lines) == 6
-    path2 = tmp_path / "s2.csv"
-    write_sweep_csv(path2, pts, "ideal", "m1")
     assert path.read_bytes() == path2.read_bytes()
 
 
