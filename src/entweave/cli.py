@@ -235,9 +235,9 @@ def cmd_discrete(args) -> Run:
 # -------------------------------------------------------------- continuous
 
 
-# Bisection tolerance of every breaking-length search.  The result is within
-# EB_XTOL / 2 of the threshold, so rounding it to the decimals of EB_XTOL keeps
-# the printed length within EB_XTOL.
+# Tolerance of every breaking-length search.  The result is within EB_XTOL / 2
+# of the threshold, so rounding it to the decimals of EB_XTOL keeps the printed
+# length within EB_XTOL.
 EB_XTOL = 1e-4
 _EB_DECIMALS = math.ceil(-math.log10(EB_XTOL))
 

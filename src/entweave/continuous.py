@@ -10,13 +10,13 @@ approaches the drive-free dissipative semigroup in the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isfinite, isqrt
+from math import copysign, inf, isfinite, isqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import Unbounded
-from .entanglement import EIGENVALUE_FLOOR, _concurrence_from_eigh, concurrence
+from .entanglement import EIGENVALUE_FLOOR, _concurrence_from_eigh
 from .qmath import (
     LOWERING,
     SIGMA_X,
@@ -30,14 +30,26 @@ from .qmath import (
     dagger,
     hermitian_eig,
     opnorm,
+    projector,
+    singlet,
     superop_of_choi,
     vec,
 )
-from .states import DensityMatrix, matrix_of, singlet_state
+from .states import DensityMatrix, matrix_of
 
 # concurrence_profile scores this many grid points in one stack, so memory
 # stays bounded whatever --steps asks for
 _STACK_POINTS = 1024
+
+# eb_length narrows its bracket with this many stacked grids of this many
+# evenly spaced interior lengths before Brent's method takes over.  On [0, 20]
+# the second leaves a bracket 20 / 18**2 = 0.062 wide, so Brent's method meets
+# at most two slice-boundary kinks of the regenerator's n = 16 lines, where its
+# interpolation falls short
+_BRACKET_STACKS = 2
+_BRACKET_POINTS = 17
+
+_EPS = float(np.finfo(float).eps)
 
 
 class NoBracket(RuntimeError):
@@ -222,6 +234,18 @@ class ProfilePoint(NamedTuple):
     pre_clamp: float
 
 
+def _probe(initial_state: DensityMatrix | None) -> np.ndarray:
+    """The probe state read as the map whose Choi matrix it is."""
+    if initial_state is None:
+        return _SINGLET_PROBE
+    return superop_of_choi(matrix_of(initial_state), 2, 2)
+
+
+# the singlet's projector, unvalidated: a DensityMatrix would run eigh at import
+_SINGLET_PROBE = superop_of_choi(projector(singlet()), 2, 2)
+_SINGLET_PROBE.setflags(write=False)
+
+
 def _evolved_states(source, x: float | np.ndarray,
                     probe: np.ndarray) -> np.ndarray:
     """``(map (x) id)`` of the probe, given as the map whose Choi matrix it is."""
@@ -248,8 +272,7 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     """
     if steps < 2:
         raise OutOfRange("need at least two profile points")
-    probe = superop_of_choi(matrix_of(initial_state if initial_state is not None
-                                      else singlet_state()), 2, 2)
+    probe = _probe(initial_state)
     xs = np.linspace(0.0, x_max, steps)
     values, pre = [], []
     for start in range(0, steps, _STACK_POINTS):
@@ -268,50 +291,115 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     return [ProfilePoint(*p) for p in zip(xs.tolist(), values, pre)]
 
 
+def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Brent's zeroin (*Algorithms for Minimization without Derivatives*,
+    1973, ch. 4) on a bracket with ``fa > 0 >= fb``.
+
+    Each step takes an inverse quadratic or secant step inside the bracket
+    ``[b, c]`` and falls back to bisection when that step falls short.  It
+    stops once the bracket is at most ``2 tol`` wide, ``tol = max(xtol / 4,
+    2 eps |b|)``, so ``b`` is within ``xtol / 2`` of the root, or within a few
+    ulps of it when ``xtol / 2`` is finer than that.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.25 * xtol, 2.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        # interpolate only while the step before last (e) was not tiny, and
+        # keep the step only if it lands inside the bracket and beats half of e
+        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        if interpolate:
+            e, d = d, p / q
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else copysign(tol, m)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+
+
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
               xtol: float = 1e-4,
               initial_state: DensityMatrix | None = None) -> float | Unbounded:
     """First propagation length at which the evolved map becomes
     entanglement breaking.
 
-    Bisects the signed pre-clamp concurrence on ``[0, x_hi]`` down to an
-    interval of width ``xtol`` and returns its midpoint, so the answer is
-    within ``xtol / 2`` of the threshold.  The search relies on the line being
-    CP-divisible (``Phi_{x+d} = Lambda_d o Phi_x`` with ``Lambda_d`` a channel,
-    true of every physical generator and every switched line of them): the
-    Choi state, once separable, stays separable, so the pre-clamp sign changes
-    at most once and its value at ``x_hi`` decides whether there is a
+    Scores the signed pre-clamp concurrence at 0 and ``x_hi`` in one stack.
+    Then each of ``_BRACKET_STACKS`` stacks scores ``_BRACKET_POINTS``
+    evenly spaced lengths inside the bracket, and the first of them at or
+    below zero closes a narrower one.  Brent's method narrows that until the
+    answer is within ``xtol / 2`` of the threshold (within a few ulps when
+    ``xtol`` is finer than that).  The search relies on the line being
+    CP-divisible (``Phi_{x+d} = Lambda_d o Phi_x`` with ``Lambda_d`` a
+    channel, true of every physical generator and every switched line of
+    them): the Choi state, once separable, stays separable, so the pre-clamp
+    sign changes at most once, the first sign change on a grid brackets the
+    only root, and the value at ``x_hi`` decides whether there is a
     threshold.  Returns ``Unbounded(x_hi)`` when that value is not below
     ``-TOL.eb``, so that exponentially decaying curves are not mistaken for
-    crossings at the noise floor.  The pre-clamp combination is used because
-    the clamped concurrence is identically zero past the threshold.
+    crossings at the noise floor; such a line costs the one stacked
+    evaluation.  The pre-clamp combination is used because the clamped
+    concurrence is identically zero past the threshold.
 
     Non-physical generators (``rotating_pd_liouvillian(..., decaying=False)``)
-    are not CP-divisible and leave the state cone at finite length; an
-    evaluation past that point, at ``x_hi`` first, raises :class:`OutOfRange`.
+    are not CP-divisible and leave the state cone at finite length; a scored
+    length past that point, ``x_hi`` first, raises :class:`OutOfRange`.
     """
     if not 0.0 < x_hi < inf:
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
     if not 0.0 < xtol < inf:
         raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
-    probe = superop_of_choi(matrix_of(initial_state if initial_state is not None
-                                      else singlet_state()), 2, 2)
+    probe = _probe(initial_state)
 
-    def f(x: float) -> float:
-        return concurrence(_evolved_states(source, x, probe)).pre_clamp
+    def scored(xs):
+        """Pre-clamp concurrence at ``xs[i]`` as ``at(i)``, which refuses a
+        state below ``EIGENVALUE_FLOOR`` as ``concurrence`` does."""
+        w, v = hermitian_eig(_evolved_states(source, np.array(xs, dtype=float),
+                                             probe))
+        pre = _concurrence_from_eigh(w, v).pre_clamp.tolist()
 
-    if f(0.0) <= TOL.eb:
+        def at(i: int) -> float:
+            if w[i, 0] < EIGENVALUE_FLOOR:
+                raise OutOfRange(f"matrix has negative eigenvalue {w[i, 0]:.3e}")
+            return pre[i]
+        return at
+
+    ends = scored([0.0, x_hi])
+    a, fa = 0.0, ends(0)
+    if fa <= TOL.eb:
         raise NoBracket("probe state is not entangled at x = 0")
-    if f(x_hi) >= -TOL.eb:
+    b, fb = float(x_hi), ends(1)
+    if fb >= -TOL.eb:
         return Unbounded(x_hi)
-    lo, hi = 0.0, x_hi
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    fractions = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
+    for _ in range(_BRACKET_STACKS):
+        grid = (a + (b - a) * fractions).tolist()
+        inner = scored(grid)
+        for i, x in enumerate(grid):
+            fx = inner(i)
+            if fx <= 0.0:
+                b, fb = x, fx
+                break
+            a, fa = x, fx
+    return _zeroin(lambda x: scored([x])(0), a, b, fa, fb, xtol)
 
 
 def trotter_gap(line: SwitchedLine, x: float,

@@ -66,7 +66,7 @@ def concurrence(rho) -> ConcurrenceResult:
     move the ``l``s of rank-deficient states, such as the Choi states of
     damping channels, by as much.  ``pre_clamp`` is the signed combination
     before the final clamp; it is what the entanglement-breaking length
-    search bisects on, since ``value`` is identically zero past the
+    search finds the root of, since ``value`` is identically zero past the
     separability threshold.
     """
     w, v = hermitian_eig(_as_two_qubit(rho))

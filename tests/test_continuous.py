@@ -109,7 +109,8 @@ def test_growing_sign_leaves_state_cone():
 
 
 def test_single_channel_thresholds_frozen():
-    # bisection at xtol 1e-4 on the rotating lines, Omega=1.5, eps=1
+    # frozen from a bisection at xtol 1e-4 on the rotating lines, Omega=1.5,
+    # eps=1; any search within its xtol / 2 agrees to 2e-4
     assert math.isclose(eb_length(AD1, 6.0), 1.7739453125, abs_tol=2e-4)
     assert math.isclose(eb_length(PD1, 6.0), 0.8955859375, abs_tol=2e-4)
 
@@ -158,22 +159,60 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(("ad", "pd")), st.floats(0.0, 3.0), st.floats(0.2, 2.0),
-       st.sampled_from((1, 2, 4, 8)))
+       st.sampled_from((1, 2, 4, 8, 16)))
 def test_physical_lines_break_once(family, omega, eps, n):
-    # eb_length decides from f(x_hi) alone; that rests on CP-divisibility,
-    # under which the concurrence never rises along a physical line
+    # eb_length decides from f(x_hi) alone and brackets on its first grid
+    # sign change; that rests on CP-divisibility, under which the
+    # concurrence never rises along a physical line
     gen = rotating_ad_liouvillian if family == "ad" else rotating_pd_liouvillian
     line = switched_line(gen(1, omega, eps), gen(2, omega, eps), 1.0, n)
     x_hi = 3.0
     pts = concurrence_profile(line, x_hi, 61)
     assert max(b.concurrence - a.concurrence
                for a, b in zip(pts, pts[1:])) <= 2e-8
-    got, ref = eb_length(line, x_hi), _scan_eb_length(line, x_hi)
+    # the xtol contract against a reference search a million times finer,
+    # and the cost: one stacked evaluation for a line that never breaks, at
+    # most ten for one that does (bisection of [0, 3] to 1e-4 took 17)
+    ref = _scan_eb_length(line, x_hi, xtol=1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_calls(mp, continuous, "_evolved_states")
+        got = eb_length(line, x_hi)
     if isinstance(ref, Unbounded):
-        assert got == ref
+        assert got == ref and len(calls) == 1
     else:
         assert isinstance(got, float)
-        assert math.isclose(got, ref, abs_tol=2e-4)
+        assert abs(got - ref) <= 1e-4 / 2
+        assert len(calls) <= 10
+
+
+def test_searches_take_at_most_ten_evaluations(monkeypatch):
+    # the regenerator's lines at x_hi = 20, where bisection to 1e-4 took 20
+    # evaluations a search; a line that never breaks costs the one stacked
+    # evaluation of [0, x_hi]
+    calls = _count_calls(monkeypatch, continuous, "_evolved_states")
+    for g1, g2 in ((AD1, AD2), (PD1, PD2)):
+        calls.clear()
+        single = eb_length(g1, 20.0)
+        counts = [len(calls)]
+        for n in (1, 2, 4, 8, 16):
+            calls.clear()
+            assert isinstance(eb_length(SwitchedLine(g1, g2, single / n), 20.0),
+                              float)
+            counts.append(len(calls))
+        assert max(counts) <= 10, counts
+        calls.clear()
+        assert isinstance(eb_length(average_liouvillian(g1, g2), 20.0), Unbounded)
+        assert len(calls) == 1
+
+
+def test_tiny_xtol_search_stops_at_float_resolution(monkeypatch):
+    # bisection to xtol 1e-300 never ended: its bracket stalled at two
+    # adjacent floats; the search now stops a few ulps from the root
+    ref = _scan_eb_length(AD1, 6.0, xtol=1e-12)
+    calls = _count_calls(monkeypatch, continuous, "_evolved_states", cap=64)
+    got = eb_length(AD1, 6.0, xtol=1e-300)
+    assert isinstance(got, float) and abs(got - ref) <= 1e-12
+    assert len(calls) <= 64
 
 
 def _reference_superop(source, x: float) -> np.ndarray:
@@ -298,12 +337,15 @@ def test_small_non_normal_exponents_match_scipy():
                                rtol=0.0, atol=1e-14)
 
 
-def _count_calls(monkeypatch, module, name: str) -> list:
-    """Replace ``module.name`` by a wrapper that records each call."""
+def _count_calls(monkeypatch, module, name: str, cap: int | None = None) -> list:
+    """Replace ``module.name`` by a wrapper that records each call, and
+    raises once there are more than ``cap`` of them."""
     calls, inner = [], getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
+        if cap is not None and len(calls) > cap:
+            raise RuntimeError(f"more than {cap} calls of {name}")
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
