@@ -6,6 +6,7 @@ computational basis, with index 0 meaning the horizontal / ground state
 column-stacking convention: ``vec(A @ rho @ B^dag) = kron(conj(B), A) @ vec(rho)``.
 A map acts on half of a pair one way: the pair is read as the Choi matrix of a
 map, and the output is the Choi matrix of the composition (:func:`superop_of_choi`).
+The package needs numpy only; scipy is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
-import scipy.linalg
 
 
 class DimensionMismatch(ValueError):
@@ -97,8 +97,45 @@ def hermitian_eig(m, tol: float = TOL.structural):
 
 
 # Largest condition number of the eigenvector matrix at which exponentials and
-# powers come from the eigendecomposition; past it, scipy's expm and matrix_power.
+# powers come from the eigendecomposition; past it, the stacked Pade [13/13]
+# exponential (_pade_expm) and numpy's matrix_power.
 EIG_COND_BOUND = 1e3
+
+# Pade [13/13] coefficients and the largest 1-norm at which the approximant
+# meets double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179, 2005, table 2.3 and eq. 2.2).
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0)
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    """Exponential of each matrix of a stack ``(n, d, d)`` by scaling and
+    squaring with the [13/13] Pade approximant (Higham 2005).
+
+    Matrix ``i`` is scaled by ``2**-s_i``, ``s_i = max(0, ceil(log2(|A_i|_1 /
+    theta_13)))``, all approximants come from one stacked solve, and each is
+    squared ``s_i`` times.  A non-finite matrix gives a non-finite result.
+    """
+    mant, expo = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA_13)
+    s = np.maximum(0, expo - (mant == 0.5))   # ceil(log2), 0 for 0, inf and nan
+    a = a * (0.5 ** s)[:, None, None]
+    b = _PADE_13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +151,20 @@ class Spectral:
     method 14); a power's grows linearly with ``e``, as binary powering's
     does.  A matrix with ``cond(V) > EIG_COND_BOUND`` (defective or nearly so,
     as at the drive's exceptional points) has ``factors = None``: exponentials
-    then go through scipy's scaling-and-squaring Pade ``expm`` (Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) on the stack of
+    then go through a numpy-only scaling-and-squaring Pade [13/13] exponential
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005) on the stack of
     ``M * x``, powers through ``numpy.linalg.matrix_power`` once per distinct
-    exponent.  Tested: exponentials of the driven AD and PD generators 0 to
-    0.1 from their exceptional points, lengths 0 to 20, against scipy's
-    ``expm`` to 1e-12 (cond(V) 1.4e8 at the points, which fall back; 7e2 at
-    1e-6, error about 1e-13; about 3e-15 at cond(V) 1.4 to 2.4, as in the
-    benchmark's lines); powers of AD and PD slice pairs with cond(V) up to
-    7e2 against ``matrix_power`` to 6.4e-14 up to exponent 45, 4.1e-13 up to
-    300 and 6.8e-12 at 5000.
+    exponent.  An exponential that is not finite on either path raises
+    :class:`OutOfRange` naming its length.  Tested: exponentials of the driven
+    AD and PD generators 0 to 0.1 from their exceptional points, lengths 0 to
+    20, against scipy's ``expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+    31, 970, 2009) to 1e-12 (cond(V) 1.4e8 at the points, which fall back; 7e2
+    at 1e-6, error about 1e-13; about 3e-15 at cond(V) 1.4 to 2.4, as in the
+    benchmark's lines); the Pade fallback alone against the same oracle to
+    1e-12 on random non-normal 2x2 and 4x4 matrices scaled from 0 to past ten
+    squarings; powers of AD and PD slice pairs with cond(V) up to 7e2 against
+    ``matrix_power`` to 6.4e-14 up to exponent 45, 4.1e-13 up to 300 and
+    6.8e-12 at 5000.
     """
 
     matrix: np.ndarray
@@ -145,10 +186,16 @@ class Spectral:
 
     def exp(self, lengths) -> np.ndarray:
         xs = np.asarray(lengths, dtype=float)
-        if self.factors is None:
-            return scipy.linalg.expm(self.matrix * xs[:, None, None])
-        w, v, v_inv = self.factors
-        return (v * np.exp(np.multiply.outer(xs, w))[:, None, :]) @ v_inv
+        with np.errstate(all="ignore"):   # an overflow is reported below
+            if self.factors is None:
+                out = _pade_expm(self.matrix * xs[:, None, None])
+            else:
+                w, v, v_inv = self.factors
+                out = (v * np.exp(np.multiply.outer(xs, w))[:, None, :]) @ v_inv
+        finite = np.isfinite(out).all(axis=(-2, -1))
+        if not finite.all():
+            raise OutOfRange(f"exponential at length {xs[~finite][0]:g} is not finite")
+        return out
 
     def power(self, exponents) -> np.ndarray:
         es = np.asarray(exponents)

@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import entweave
 from entweave.cli import main
 from entweave.optics import DifElements, IDEAL, identity_setup, setup_to_json
 from dataclasses import replace
@@ -170,6 +173,41 @@ def test_continuous_refuses_inexact_slice_counts(tmp_path, capsys):
     assert f"n{10 ** 20}:" not in out
     # the single line was computed before the refusal, but nothing is written
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("omega", ["1.5", "0.125"])
+def test_continuous_overflowing_exponential_is_refused(tmp_path, capsys, omega):
+    # at omega = 0.125 the AD generator is defective and its exponentials take
+    # the Pade fallback; at 1.5 they come from the eigendecomposition
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out_dir), "continuous", "--family", "ad",
+                   "--omega", omega, "--x-max", "1e300", "--steps", "3"])
+    assert rc == 2
+    assert "exponential at length 5e+299 is not finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_runs_import_no_scipy(tmp_path):
+    # scipy is the test suite's oracle only: a fresh process that runs every
+    # subcommand, the Pade fallback included (omega = 0.125), never loads it
+    src = Path(entweave.__file__).resolve().parent.parent
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from entweave.cli import main
+out = {str(tmp_path)!r}
+assert main(["--out", out + "/d", "discrete"]) == 0
+assert main(["--out", out + "/c", "continuous", "--family", "ad", "--omega",
+             "0.125", "--n", "2", "--x-max", "1", "--steps", "5"]) == 0
+assert main(["--out", out + "/e", "experiment", "--steps", "5"]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
+    assert {p.name for p in tmp_path.iterdir()} == {"d", "c", "e"}
 
 
 def test_continuous_undriven_skips_switched(tmp_path):

@@ -1,6 +1,7 @@
 """Switched-generator propagation: closed forms, frozen thresholds, Trotter."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,21 +360,58 @@ def test_exponential_matches_scipy_across_exceptional_points(monkeypatch,
                                                              exceptional):
     # at eps = 1 the driven AD generator is defective at omega = 1/8 and the
     # driven PD one at omega = 1/2; near them the eigenvector matrix is
-    # ill-conditioned and the exponential must fall back to scipy's
+    # ill-conditioned and the exponential must fall back to the Pade one
     xs = np.concatenate([[0.0, 1e-8, 1e-6], np.linspace(0.0, 20.0, 81)])
     reference = scipy.linalg.expm
-    scipy_calls = _count_calls(monkeypatch, qmath.scipy.linalg, "expm")
+    pade_calls = _count_calls(monkeypatch, qmath, "_pade_expm")
     for d in (0.0, 1e-10, 1e-6, 1e-3, 0.1):
         gen = family(1, exceptional + d, 1.0)
-        scipy_calls.clear()
+        pade_calls.clear()
         stack = propagation_superop(gen, xs)
         for x, got in zip(xs, stack):
             np.testing.assert_allclose(got, reference(gen.generator * x),
                                        rtol=0.0, atol=1e-12)
         if d == 0.0:
-            assert gen.spectral.factors is None and len(scipy_calls) == 1
+            assert gen.spectral.factors is None and len(pade_calls) == 1
         if d >= 1e-3:
-            assert gen.spectral.factors is not None and not scipy_calls
+            assert gen.spectral.factors is not None and not pade_calls
+
+
+def test_pade_fallback_matches_scipy_on_a_mixed_stack():
+    # random non-normal matrices, shifted so that the exponentials stay
+    # bounded, at 1-norms that need no scaling (0, 1, 5) and 10 squarings
+    # (2800 > theta_13 * 2**9); the exponential's own condition grows with
+    # the norm, so past that the two methods part by more than 1e-12
+    rng = np.random.default_rng(17)
+    stack = []
+    for d in (2, 2, 4, 4):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w = np.linalg.eigvals(m)
+        m = m - w[np.argmax(w.real)] * np.eye(d)
+        assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 0.1
+        for norm in (0.0, 1.0, 5.0, 2800.0):
+            stack.append(np.zeros((4, 4), dtype=complex))
+            stack[-1][:d, :d] = m * norm / np.abs(m).sum(axis=0).max()
+    stack = np.array(stack)
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    assert norms.min() == 0.0 and norms.max() > 2 ** 9 * qmath._THETA_13
+    assert np.sum(norms <= qmath._THETA_13) == 12
+    np.testing.assert_allclose(qmath._pade_expm(stack), scipy.linalg.expm(stack),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [1.5, 1.0 / 8.0])
+def test_overflowing_exponential_is_out_of_range(omega):
+    # the AD generator's trace-preserving eigenvalue is 0 only to rounding, so
+    # a length of 1e300 overflows: through the eigendecomposition at omega =
+    # 1.5 and through the Pade fallback at the exceptional point 1/8
+    spectral = rotating_ad_liouvillian(1, omega, 1.0).spectral
+    assert (spectral.factors is None) == (omega == 1.0 / 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="length 1e\\+300 is not finite"):
+            spectral.exp([0.0, 1.0, 1e300])
+        assert np.all(np.isfinite(spectral.exp([0.0, 1.0, 20.0])))
 
 
 def test_searches_and_profiles_refactor_nothing(monkeypatch):
@@ -382,7 +420,7 @@ def test_searches_and_profiles_refactor_nothing(monkeypatch):
     sources = [AD1, SwitchedLine(AD1, AD2, 0.4), average_liouvillian(AD1, AD2),
                SwitchedLine(PD1, PD2, 0.2)]
     eigs = _count_calls(monkeypatch, qmath.np.linalg, "eig")
-    expms = _count_calls(monkeypatch, qmath.scipy.linalg, "expm")
+    expms = _count_calls(monkeypatch, qmath, "_pade_expm")
     powers = _count_calls(monkeypatch, qmath.np.linalg, "matrix_power")
     for source in sources:
         eb_length(source, 12.0)
