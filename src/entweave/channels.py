@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import _concurrence_from_eigh, _hermitian_negativity
+from .entanglement import _hermitian_negativity, _scores
 from .qmath import (
     IDENTITY_2,
     SIGMA_Z,
@@ -30,7 +30,7 @@ from .qmath import (
     unvec,
     vec,
 )
-from .states import DensityMatrix, validated_eigh
+from .states import DensityMatrix, _checked_psd
 
 # Breaking orders are scored in stacks that grow: _FIRST_STACK powers of each
 # channel, then three times the powers scored so far, never more than
@@ -243,7 +243,8 @@ def _first_breaking(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cannot.  Each Choi state is checked and eigendecomposed once.
     """
     choi = choi_matrices(superops, 2, 2) / 2.0
-    conc = _concurrence_from_eigh(*validated_eigh(choi))
+    conc, low = _scores(choi)
+    _checked_psd(low)
     neg = _hermitian_negativity(choi)
     eb = conc.value <= TOL.eb
     # the verdicts disagree and the value that disagrees lies outside the band

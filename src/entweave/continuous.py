@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Unbounded
-from .entanglement import EIGENVALUE_FLOOR, _concurrence_from_eigh
+from .entanglement import _scores
 from .qmath import (
     LOWERING,
     SIGMA_X,
@@ -28,14 +28,13 @@ from .qmath import (
     as_matrix,
     choi_matrices,
     dagger,
-    hermitian_eig,
     opnorm,
     projector,
     singlet,
     superop_of_choi,
     vec,
 )
-from .states import DensityMatrix, matrix_of
+from .states import DensityMatrix, _checked_psd, matrix_of
 
 # concurrence_profile scores this many grid points in one stack, so memory
 # stays bounded whatever --steps asks for
@@ -250,7 +249,8 @@ def _evolved_states(source, x: float | np.ndarray,
                     probe: np.ndarray) -> np.ndarray:
     """``(map (x) id)`` of the probe, given as the map whose Choi matrix it is."""
     out = choi_matrices(propagation_superop(source, x) @ probe, 2, 2)
-    # guard against slightly non-PSD output from non-physical generators
+    # drop the anti-Hermitian roundoff, which outgrows TOL.structural on the
+    # growing-sign generators' large states
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
@@ -265,10 +265,11 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     curve coincides with the Choi-state concurrence.  The probe is read once as
     a map; the grid is evaluated in stacks of at most ``_STACK_POINTS`` lengths.
 
-    With ``stop_on_unphysical`` the profile is truncated before the first
-    point whose evolved state has an eigenvalue below ``EIGENVALUE_FLOOR``,
-    where :func:`concurrence` would raise; generators with the wrong
-    dissipator sign leave the state cone at finite length.
+    States are checked as :func:`concurrence` checks them.  The first with
+    an eigenvalue below ``-TOL.psd`` raises, or with ``stop_on_unphysical``
+    ends the profile; generators with the wrong dissipator sign leave the
+    state cone at finite length.  A trace drift past ``TOL.structural``
+    always raises (far along driven lines; see README).
     """
     if steps < 2:
         raise OutOfRange("need at least two profile points")
@@ -276,17 +277,12 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     xs = np.linspace(0.0, x_max, steps)
     values, pre = [], []
     for start in range(0, steps, _STACK_POINTS):
-        w, v = hermitian_eig(_evolved_states(source, xs[start:start + _STACK_POINTS],
-                                             probe))
-        low = w[:, 0] < EIGENVALUE_FLOOR
-        kept = int(np.argmax(low)) if low.any() else len(w)
-        if kept < len(w) and not stop_on_unphysical:
-            raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
-        if kept:
-            c = _concurrence_from_eigh(w[:kept], v[:kept])
-            values += c.value.tolist()
-            pre += c.pre_clamp.tolist()
-        if kept < len(w):
+        c, low = _scores(_evolved_states(source, xs[start:start + _STACK_POINTS],
+                                         probe))
+        kept = _checked_psd(low, cut=stop_on_unphysical)
+        values += c.value[:kept].tolist()
+        pre += c.pre_clamp[:kept].tolist()
+        if kept < len(low):
             break
     return [ProfilePoint(*p) for p in zip(xs.tolist(), values, pre)]
 
@@ -370,15 +366,14 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     probe = _probe(initial_state)
 
     def scored(xs):
-        """Pre-clamp concurrence at ``xs[i]`` as ``at(i)``, which refuses a
-        state below ``EIGENVALUE_FLOOR`` as ``concurrence`` does."""
-        w, v = hermitian_eig(_evolved_states(source, np.array(xs, dtype=float),
-                                             probe))
-        pre = _concurrence_from_eigh(w, v).pre_clamp.tolist()
+        """Pre-clamp concurrence at ``xs[i]`` as ``at(i)``, checked as by
+        ``concurrence`` but for positivity only once read, in index order."""
+        c, low = _scores(_evolved_states(source, np.array(xs, dtype=float), probe))
+        pre, passed = c.pre_clamp.tolist(), _checked_psd(low, cut=True)
 
         def at(i: int) -> float:
-            if w[i, 0] < EIGENVALUE_FLOOR:
-                raise OutOfRange(f"matrix has negative eigenvalue {w[i, 0]:.3e}")
+            if i >= passed:  # in index order, i is the first below the floor
+                _checked_psd(low)
             return pre[i]
         return at
 

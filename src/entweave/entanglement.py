@@ -10,14 +10,13 @@ from .qmath import (
     SIGMA_Y,
     NonHermitian,
     OutOfRange,
-    hermitian_eig,
     is_hermitian,
     maximally_entangled,
     partial_trace,
     partial_transpose,
     projector,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _checked_psd, _checked_structure
 
 
 class BadDimension(ValueError):
@@ -29,9 +28,6 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 # numpy.linalg.matrix_rank's cutoff: eigenvalues at or below this times the
 # largest are eigensolver noise
 _RANK_CUTOFF = 4.0 * np.finfo(float).eps
-
-# concurrence refuses a state with an eigenvalue below this
-EIGENVALUE_FLOOR = -1e-8
 
 
 class ConcurrenceResult(NamedTuple):
@@ -68,26 +64,37 @@ def concurrence(rho) -> ConcurrenceResult:
     before the final clamp; it is what the entanglement-breaking length
     search finds the root of, since ``value`` is identically zero past the
     separability threshold.
+
+    Every scorer of the package checks each state by one policy, that of
+    :func:`~entweave.states.validate_density`, with its messages: Hermitian
+    and unit trace to ``TOL.structural``, no eigenvalue below ``-TOL.psd``
+    (else :class:`OutOfRange`); the first failing state of a stack is named
+    by its flat index.
     """
-    w, v = hermitian_eig(_as_two_qubit(rho))
-    if w.min() < EIGENVALUE_FLOOR:
-        raise OutOfRange(f"matrix has negative eigenvalue {w.min():.3e}")
-    return _concurrence_from_eigh(w, v)
+    c, low = _scores(rho)
+    _checked_psd(low)
+    return c
 
 
-def _concurrence_from_eigh(w: np.ndarray, v: np.ndarray) -> ConcurrenceResult:
-    """:func:`concurrence` from a checked state's (or stack's) ``eigh``."""
+def _scores(rho) -> tuple[ConcurrenceResult, np.ndarray]:
+    """The one scoring path of two-qubit states: :func:`concurrence` of a
+    state or stack ``(..., 4, 4)`` and each state's smallest eigenvalue, from
+    one ``eigh`` of structurally checked states.  The eigenvalues come back
+    unchecked; each caller holds them to ``-TOL.psd`` with
+    ``states._checked_psd``, all at once or as it reads them.
+    """
+    w, v = np.linalg.eigh(_checked_structure(_as_two_qubit(rho)))
     # eigh sorts ascending, so the last eigenvalue is the largest
-    w = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
-    psi = v * np.sqrt(w)[..., None, :]
+    kept = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
+    psi = v * np.sqrt(kept)[..., None, :]
     # .T puts the four values first (scalars for one state, so the arithmetic
     # stays on scalars); the second .T restores the stack's axes
     lam = np.linalg.svd(psi.swapaxes(-1, -2) @ _YY @ psi, compute_uv=False).T
     pre = (lam[0] - lam[1] - lam[2] - lam[3]).T
     if pre.ndim == 0:
         pre = float(pre)
-        return ConcurrenceResult(max(0.0, pre), pre)
-    return ConcurrenceResult(np.maximum(pre, 0.0), pre)
+        return ConcurrenceResult(max(0.0, pre), pre), w[..., 0]
+    return ConcurrenceResult(np.maximum(pre, 0.0), pre), w[..., 0]
 
 
 def negativity(rho) -> float | np.ndarray:

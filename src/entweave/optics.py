@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel
-from .entanglement import _concurrence_from_eigh, werner_state
+from .entanglement import _scores, werner_state
 from .qmath import OutOfRange, choi_matrices, projector, sandwich_superop, superop_of_choi
-from .states import DensityMatrix, matrix_of, validated_eigh
+from .states import DensityMatrix, _checked_psd, matrix_of
 
 
 class ElementInconsistent(ValueError):
@@ -329,8 +329,9 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ZeroSuccessProbability(
             f"postselection trace {succ[dark][0]:.3e} at {s.label}")
     rho = out / succ[:, None, None]
-    eig = validated_eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
-    return _concurrence_from_eigh(*eig).value, succ
+    conc, low = _scores(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    _checked_psd(low)
+    return conc.value, succ
 
 
 def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:

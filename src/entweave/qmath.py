@@ -82,20 +82,6 @@ def is_unitary(m, tol: float = TOL.structural) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
-def hermitian_eig(m, tol: float = TOL.structural):
-    """Eigendecomposition of a Hermitian matrix, or of a stack of them with
-    shape ``(..., d, d)``, eigenvalues ascending.
-
-    Returns ``(w, v)`` with ``m @ v[..., :, k] = w[..., k] * v[..., :, k]``.
-    Raises :class:`NonHermitian` when any matrix fails the hermiticity check.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise NonHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w, v
-
-
 # Largest condition number of the eigenvector matrix at which exponentials and
 # powers come from the eigendecomposition; past it, the stacked Pade [13/13]
 # exponential (_pade_expm) and numpy's matrix_power.

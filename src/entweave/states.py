@@ -10,6 +10,7 @@ from .qmath import (
     TOL,
     DimensionMismatch,
     NonHermitian,
+    OutOfRange,
     as_matrix,
     projector,
     singlet,
@@ -19,41 +20,49 @@ from .qmath import (
 def _first_failure(ok) -> tuple[int, str] | None:
     """None if every matrix passes a check, else the flat index of the first
     that fails and the phrase locating it (empty for a single matrix)."""
-    if np.ndim(ok) == 0:
-        return None if ok else (0, "")
-    bad = np.flatnonzero(~ok)
-    return (int(bad[0]), f" at stack index {bad[0]}") if bad.size else None
+    if ok.all():
+        return None
+    bad = int(np.flatnonzero(~ok)[0])
+    return bad, (f" at stack index {bad}" if ok.ndim else "")
 
 
-def validated_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Check a density matrix, or a stack of them with shape ``(..., d, d)``,
-    point by point, and return the ``numpy.linalg.eigh`` the check took.
-
-    Every matrix must be Hermitian and have unit trace to the structural
-    tolerance, and no eigenvalue may lie below ``-TOL.psd``.  The first
-    matrix that fails raises; within a stack the message gives its flat
-    index.
-    """
+def _checked_structure(m) -> np.ndarray:
+    """``m`` as a complex array, once it passes the structural checks of
+    :func:`validate_density`."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-    herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    herm = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if fail := _first_failure(herm <= TOL.structural):
         raise NonHermitian(f"density matrix is not Hermitian within tolerance{fail[1]}")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    if fail := _first_failure(np.abs(tr - 1.0) <= TOL.structural):
+    tr = m.trace(axis1=-2, axis2=-1)
+    if fail := _first_failure(abs(tr - 1.0) <= TOL.structural):
         raise ValueError(f"density matrix trace {np.ravel(tr)[fail[0]]} is not 1{fail[1]}")
-    w, v = np.linalg.eigh(m)
-    if fail := _first_failure(w[..., 0] >= -TOL.psd):
-        raise ValueError(f"density matrix has negative eigenvalue "
-                         f"{np.ravel(w[..., 0])[fail[0]]:.3e}{fail[1]}")
-    return w, v
+    return m
+
+
+def _checked_psd(low, cut: bool = False) -> int:
+    """How many leading states have their smallest eigenvalue ``low`` at or
+    above ``-TOL.psd``, the one positivity floor; the first below it raises
+    :class:`OutOfRange` as :func:`validate_density` does, unless ``cut``."""
+    fail = _first_failure(np.asarray(low) >= -TOL.psd)
+    if fail and not cut:
+        raise OutOfRange(f"density matrix has negative eigenvalue "
+                         f"{np.ravel(low)[fail[0]]:.3e}{fail[1]}")
+    return fail[0] if fail else np.size(low)
 
 
 def validate_density(m) -> np.ndarray:
-    """The checks of :func:`validated_eigh`; returns ``m`` as a complex array."""
-    m = np.asarray(m, dtype=complex)
-    validated_eigh(m)
+    """Check a density matrix, or a stack of them with shape ``(..., d, d)``,
+    point by point, and return it as a complex array.
+
+    Every matrix must be Hermitian and have unit trace to the structural
+    tolerance, and no eigenvalue may lie below ``-TOL.psd``
+    (:class:`OutOfRange`).  The first matrix that fails raises; within a
+    stack the message gives its flat index.
+    """
+    m = _checked_structure(m)
+    _checked_psd(np.linalg.eigvalsh(m)[..., 0])
     return m
 
 

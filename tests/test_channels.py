@@ -271,13 +271,13 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
     import entweave.channels as channels
 
     shapes = []
-    true_concurrence = channels._concurrence_from_eigh
+    true_scores = channels._scores
 
-    def counting(w, v):
-        shapes.append(np.shape(v)[:-2])
-        return true_concurrence(w, v)
+    def counting(rho):
+        shapes.append(np.shape(rho)[:-2])
+        return true_scores(rho)
 
-    monkeypatch.setattr(channels, "_concurrence_from_eigh", counting)
+    monkeypatch.setattr(channels, "_scores", counting)
     phi, psi = _restored_pair()
     blocked = compose_signal_chain([psi, psi, phi, phi])  # breaks at once
     orders = [o for o, _ in _orders_and_margins([phi, psi, blocked], 64)]
@@ -455,6 +455,24 @@ def test_breaking_scorer_raises_as_validate_density(kind, error, words):
         assert str(scored.value) == str(reference.value)
         assert words in str(scored.value)
         assert str(scored.value).endswith(f"at stack index {flat}")
+
+
+def test_one_validation_policy_for_every_scorer():
+    # -5e-9 lies below -TOL.psd = -1e-9, the one floor of every scorer
+    bell = projector(maximally_entangled())
+    slightly = (1.0 + 2e-8) * bell - 2e-8 * np.eye(4) / 4.0
+    assert math.isclose(np.linalg.eigvalsh(slightly)[0], -5e-9, rel_tol=1e-6)
+    stack = superop_of_choi(2.0 * slightly, 2, 2)[None, None]
+    with pytest.raises(OutOfRange) as scored:
+        _first_breaking(stack)
+    with pytest.raises(OutOfRange) as direct:
+        concurrence(choi_matrices(stack, 2, 2) / 2.0)
+    assert str(scored.value) == str(direct.value) == (
+        "density matrix has negative eigenvalue -5.000e-09 at stack index 0")
+    with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue -5.000e-09$"):
+        concurrence(slightly)
+    with pytest.raises(ValueError, match="^density matrix trace .* is not 1$"):
+        concurrence(1.01 * bell)
 
 
 def test_signal_chain_validates_only_the_product(rng, monkeypatch):

@@ -189,6 +189,18 @@ def test_continuous_overflowing_exponential_is_refused(tmp_path, capsys, omega):
     assert not out_dir.exists()
 
 
+def test_continuous_trace_drift_is_refused(tmp_path, capsys):
+    # the propagators' trace drifts from 1 by about eps per unit length, so
+    # far enough along a switched line the evolved probe's trace leaves 1 by
+    # more than TOL.structural, and the run is refused, not scored
+    out_dir = tmp_path / "out"
+    rc = main(["--out", str(out_dir), "continuous", "--family", "ad",
+               "--n", "16", "--x-max", "1e5", "--steps", "3"])
+    assert rc == 2
+    assert "density matrix trace" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_runs_import_no_scipy(tmp_path):
     # scipy is the test suite's oracle only: a fresh process that runs every
     # subcommand, the Pade fallback included (omega = 0.125), never loads it

@@ -95,18 +95,28 @@ def test_growing_sign_leaves_state_cone():
     with pytest.raises(OutOfRange):
         concurrence_profile(bad, 2.0, 41)
     # per-point reference: the first grid point whose evolved state has an
-    # eigenvalue below -1e-8, the floor concurrence refuses.  The lowest
-    # eigenvalue is -x, so the cut falls at x = 1e-8, which the second grid
+    # eigenvalue below -TOL.psd, the floor concurrence refuses.  The lowest
+    # eigenvalue is -x, so the cut falls at x = 1e-9, which the second grid
     # places between two points.
     singlet = matrix_of(singlet_state())
-    for x_max in (2.0, 2.1e-8):
+    for x_max in (2.0, 2.1e-9):
         pts = concurrence_profile(bad, x_max, 41, stop_on_unphysical=True)
         lowest = []
         for x in np.linspace(0.0, x_max, 41):
             out = _on_first_qubit(scipy.linalg.expm(bad.generator * x), singlet)
             lowest.append(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])
-        first_bad = next(i for i, w in enumerate(lowest) if w < -1e-8)
+        first_bad = next(i for i, w in enumerate(lowest) if w < -TOL.psd)
         assert len(pts) == first_bad
+
+
+def test_search_refuses_a_state_below_the_floor():
+    # the growing-sign line's lowest eigenvalue is -x: at x_hi = 1.5e-9 the
+    # second state of the search's first stack is below -TOL.psd, while the
+    # first, at x = 0, is read and passes
+    growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
+    with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue "
+                                         "-1.500e-09 at stack index 1$"):
+        eb_length(growing, 1.5e-9)
 
 
 def test_single_channel_thresholds_frozen():
@@ -434,12 +444,14 @@ def test_profiles_eigendecompose_each_stack_once(monkeypatch):
     growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
     probe = singlet_state()
     eighs = _count_calls(monkeypatch, qmath.np.linalg, "eigh")
-    pts = concurrence_profile(growing, 2e-8, 3000, probe,
+    pts = concurrence_profile(growing, 2e-9, 3000, probe,
                               stop_on_unphysical=True)
     assert 1024 < len(pts) < 2048 and len(eighs) == 2
     eighs.clear()
-    with pytest.raises(OutOfRange, match="matrix has negative eigenvalue -1.365e-08"):
-        concurrence_profile(growing, 2e-8, 3000, probe)
+    # the first state below -TOL.psd, at its index within the second stack
+    with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue "
+                                         "-1.000e-09 at stack index 476$"):
+        concurrence_profile(growing, 2e-9, 3000, probe)
     assert len(eighs) == 2
 
 
@@ -498,10 +510,10 @@ def test_profile_stacks_match_one_stack(monkeypatch):
         return inner(source, x)
 
     monkeypatch.setattr(continuous, "propagation_superop", recording)
-    # the growing-sign line is cut at x = 1e-8, which on this grid lies
+    # the growing-sign line is cut at x = 1e-9, which on this grid lies
     # past the first stack
     growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
-    cases = [(SwitchedLine(AD1, AD2, 0.3), 2.0, False), (growing, 2e-8, True)]
+    cases = [(SwitchedLine(AD1, AD2, 0.3), 2.0, False), (growing, 2e-9, True)]
     stacked = [concurrence_profile(src, x_max, 3000, stop_on_unphysical=stop)
                for src, x_max, stop in cases]
     assert max(sizes) == 1024

@@ -1,12 +1,15 @@
 """Concurrence and negativity against closed-form oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entweave
 from entweave.entanglement import (
     BadDimension,
     concurrence,
@@ -186,3 +189,24 @@ def test_measures_reject_non_hermitian_input(rng):
     near = rho.copy()
     near[0, 3] += 1e-9
     assert negativity(near) == pytest.approx(negativity(rho), abs=1e-8)
+
+
+def test_one_function_eigendecomposes_states():
+    # every state is scored by entanglement._scores under one validation
+    # policy; a second eigh anywhere in the package would be a second
+    # scoring path that can bypass it
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "eigh":
+            found.append(where)
+        if isinstance(node, ast.ImportFrom):
+            found.extend(where for alias in node.names if alias.name == "eigh")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(entweave.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == ["entanglement._scores"]

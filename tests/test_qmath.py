@@ -13,12 +13,10 @@ from entweave.qmath import (
     SIGMA_Z,
     TOL,
     DimensionMismatch,
-    NonHermitian,
     apply_superop,
     choi_matrices,
     dagger,
     expm,
-    hermitian_eig,
     is_hermitian,
     is_unitary,
     maximally_entangled,
@@ -165,15 +163,6 @@ def test_expm_rotation_closed_form():
     assert np.allclose(expm(1j * t * SIGMA_X),
                        np.cos(t) * IDENTITY_2 + 1j * np.sin(t) * SIGMA_X)
     assert np.allclose(expm(np.zeros((3, 3))), np.eye(3))
-
-
-def test_hermitian_eig_sorted_and_guarded(rng):
-    m = random_density(4, rng)
-    w, v = hermitian_eig(m)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose(v @ np.diag(w) @ dagger(v), m)
-    with pytest.raises(NonHermitian):
-        hermitian_eig(LOWERING)
 
 
 def test_unitary_checks(rng):
