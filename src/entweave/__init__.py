@@ -42,7 +42,6 @@ from .channels import (
 )
 from .continuous import (
     Liouvillian,
-    NoBracket,
     SwitchedLine,
     average_liouvillian,
     concurrence_profile,
@@ -80,7 +79,6 @@ __all__ = [
     "EbVerdict",
     "ElementInconsistent",
     "Liouvillian",
-    "NoBracket",
     "NonHermitian",
     "NotCompletelyPositive",
     "NotUnitary",

@@ -1,7 +1,9 @@
 """Qubit channels as column-stacking superoperators.
 
 A channel is its superoperator matrix and nothing else: composition is the
-matrix product, and the Choi matrix is a reshape of it.
+matrix product, and the Choi matrix is a reshape of it.  It acts on a state
+as ``unvec(superop @ vec(rho), d)`` and on half of a pair by the Choi
+reshuffle of ``qmath``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .qmath import (
     DimensionMismatch,
     NotUnitary,
     OutOfRange,
-    apply_superop,
     as_matrix,
     choi_matrices,
     is_hermitian,
@@ -134,12 +135,6 @@ class QuantumChannel:
     @property
     def out_dim(self) -> int:
         return isqrt(self.superop.shape[0])
-
-    def apply(self, rho) -> np.ndarray:
-        rho = as_matrix(rho)
-        if rho.shape != (self.in_dim, self.in_dim):
-            raise DimensionMismatch("state dimension does not match channel input")
-        return apply_superop(self.superop, rho)
 
     def normalized(self) -> "QuantumChannel":
         """Rescale a uniformly trace-decreasing map to a trace-preserving one.

@@ -8,8 +8,9 @@ Three subcommands:
 
 Each subcommand computes all its outputs before ``main`` writes any; the
 manifest, recording the full resolved parameter set, is written last.  A run
-that exits 2 or 3 writes nothing.  Identical invocations produce
-byte-identical CSVs.
+that exits 2 or 3 writes nothing, and each file is written whole or not at
+all: to a temporary file in ``--out``, then renamed into place.  Identical
+invocations produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -21,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -39,7 +41,6 @@ from .channels import (
     pd_channel,
 )
 from .continuous import (
-    NoBracket,
     SwitchedLine,
     average_liouvillian,
     concurrence_profile,
@@ -80,7 +81,7 @@ class ParseError(ValueError):
 
 _VALIDATION = (ParseError, OutOfRange, NotUnitary, NonHermitian,
                DimensionMismatch, BadDimension, ElementInconsistent, ValueError)
-_NUMERICAL = (ToleranceConflict, NoBracket, ZeroSuccessProbability)
+_NUMERICAL = (ToleranceConflict, ZeroSuccessProbability)
 
 
 class Run(NamedTuple):
@@ -92,19 +93,31 @@ class Run(NamedTuple):
     notes: Sequence[str] = ()
 
 
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it into
+    place, so a write that fails midway leaves no partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write(out_dir: Path, command: str, run: Run, started: float) -> None:
     """Create ``out_dir``, write every output, then the manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in run.outputs.items():
-        (out_dir / name).write_text(text, newline="")
+        _write_file(out_dir / name, text)
     manifest = {
         "command": command, "parameters": {**run.parameters, "out": str(out_dir)},
         "outputs": list(run.outputs), "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
         "notes": list(run.notes),
     }
-    (out_dir / run.manifest_name).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", newline="")
+    _write_file(out_dir / run.manifest_name,
+                json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 PROFILE_HEADER = ("x", "concurrence", "pre_clamp", "label")
@@ -259,15 +272,13 @@ def _validate_continuous(args) -> None:
 def _line(source, args) -> tuple[list, float | Unbounded | None, str]:
     """Profile and breaking length of one line, with the length as printed.
 
-    The length is None when the probe is never entangled, or when the
-    growing-sign generator leaves the physical states before it breaks."""
+    The length is None when the growing-sign generator leaves the physical
+    states before it breaks."""
     decaying = args.dephasing_sign == "decaying"
     points = concurrence_profile(source, args.x_max, args.steps,
                                  stop_on_unphysical=not decaying)
     try:
         threshold = eb_length(source, max(args.x_max, 20.0), xtol=EB_XTOL)
-    except NoBracket:
-        return points, None, "never entangled on the probe"
     except OutOfRange:
         if decaying:
             raise
@@ -291,7 +302,7 @@ def cmd_continuous(args) -> Run:
     single = lines["single"][1]
     if isinstance(single, float):
         for n in args.n:
-            line = SwitchedLine(g1, g2, single / n, label=f"n{n}")
+            line = SwitchedLine(g1, g2, single / n)
             lines[f"n{n}"] = _line(line, args)
     lines["limit"] = _line(average_liouvillian(g1, g2), args)
 

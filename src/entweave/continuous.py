@@ -4,7 +4,9 @@ The generators come in mirrored pairs: a fixed dissipator plus a coherent
 drive whose sign flips between the two family members.  A switched line
 alternates the pair over equal slices of propagation length; interleaving
 finer and finer slices pushes the entanglement-breaking threshold out and
-approaches the drive-free dissipative semigroup in the limit.
+approaches the drive-free dissipative semigroup in the limit.  Every line is
+probed with the singlet, so its concurrence curve is that of its Choi state
+and its breaking length belongs to the line itself.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .qmath import (
     superop_of_choi,
     vec,
 )
-from .states import DensityMatrix, _checked_psd, matrix_of
+from .states import _checked_psd
 
 # concurrence_profile scores this many grid points in one stack, so memory
 # stays bounded whatever --steps asks for
@@ -51,10 +53,6 @@ _BRACKET_POINTS = 17
 _EPS = float(np.finfo(float).eps)
 
 
-class NoBracket(RuntimeError):
-    """No sign change of the pre-clamp concurrence inside the search range."""
-
-
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """A column-stacking generator matrix for a qubit master equation.
@@ -64,7 +62,6 @@ class Liouvillian:
     """
 
     generator: np.ndarray
-    label: str = ""
     spectral: Spectral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,7 +96,6 @@ class SwitchedLine:
     gen_even: Liouvillian
     gen_odd: Liouvillian
     slice_len: float
-    label: str = ""
     even: np.ndarray = field(init=False, repr=False, compare=False)
     pair: Spectral = field(init=False, repr=False, compare=False)
 
@@ -153,7 +149,7 @@ def rotating_ad_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     """
     _check_rates(omega, eps)
     gen = _hamiltonian_superop(_drive(j, omega)) + eps * _dissipator_superop(LOWERING)
-    return Liouvillian(gen, label=f"ad[j={j},omega={omega:g},eps={eps:g}]")
+    return Liouvillian(gen)
 
 
 def rotating_pd_liouvillian(j: int, omega: float, eps: float,
@@ -170,14 +166,14 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float,
     sz_part = np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
     sign = 1.0 if decaying else -1.0
     gen = _hamiltonian_superop(_drive(j, omega)) + sign * eps * sz_part
-    return Liouvillian(gen, label=f"pd[j={j},omega={omega:g},eps={eps:g}]")
+    return Liouvillian(gen)
 
 
 def average_liouvillian(a: Liouvillian, b: Liouvillian) -> Liouvillian:
     """Mean generator: the infinitely-fine interleaving limit of a switched pair."""
     if a.dim != b.dim:
         raise DimensionMismatch("generators must share a dimension")
-    return Liouvillian((a.generator + b.generator) / 2.0, label="limit")
+    return Liouvillian((a.generator + b.generator) / 2.0)
 
 
 def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
@@ -187,7 +183,7 @@ def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
         raise OutOfRange("slice count must be at least 1")
     if not 0.0 < total_len < inf:
         raise OutOfRange(f"total length must be positive and finite, got {total_len}")
-    return SwitchedLine(l1, l2, total_len / n, label=f"n={n}")
+    return SwitchedLine(l1, l2, total_len / n)
 
 
 def _switched_superops(line: SwitchedLine, xs: np.ndarray) -> np.ndarray:
@@ -233,53 +229,45 @@ class ProfilePoint(NamedTuple):
     pre_clamp: float
 
 
-def _probe(initial_state: DensityMatrix | None) -> np.ndarray:
-    """The probe state read as the map whose Choi matrix it is."""
-    if initial_state is None:
-        return _SINGLET_PROBE
-    return superop_of_choi(matrix_of(initial_state), 2, 2)
-
-
-# the singlet's projector, unvalidated: a DensityMatrix would run eigh at import
+# the singlet's projector read as the map whose Choi matrix it is, unvalidated:
+# a DensityMatrix would run eigh at import
 _SINGLET_PROBE = superop_of_choi(projector(singlet()), 2, 2)
 _SINGLET_PROBE.setflags(write=False)
 
 
-def _evolved_states(source, x: float | np.ndarray,
-                    probe: np.ndarray) -> np.ndarray:
-    """``(map (x) id)`` of the probe, given as the map whose Choi matrix it is."""
-    out = choi_matrices(propagation_superop(source, x) @ probe, 2, 2)
+def _evolved_states(source, x: float | np.ndarray) -> np.ndarray:
+    """``(map (x) id)`` of the singlet probe."""
+    out = choi_matrices(propagation_superop(source, x) @ _SINGLET_PROBE, 2, 2)
     # drop the anti-Hermitian roundoff, which outgrows TOL.structural on the
     # growing-sign generators' large states
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
-                        steps: int,
-                        initial_state: DensityMatrix | None = None,
-                        stop_on_unphysical: bool = False):
-    """Concurrence of ``(map (x) id)`` on an entangled probe along the line.
+                        steps: int, stop_on_unphysical: bool = False):
+    """Concurrence of ``(map (x) id)`` on the singlet probe
+    ``(|01> - |10>)/sqrt(2)`` along the line.
 
-    The probe defaults to the singlet ``(|01> - |10>)/sqrt(2)``; any maximally
-    entangled probe gives the same curve (local-unitary invariance), and the
-    curve coincides with the Choi-state concurrence.  The probe is read once as
-    a map; the grid is evaluated in stacks of at most ``_STACK_POINTS`` lengths.
+    The probe is maximally entangled, so the curve is the line's own: it
+    coincides with the Choi-state concurrence, which decides entanglement
+    breaking (Horodecki, Shor & Ruskai, 2003).  The probe is read once as a
+    map; the grid is evaluated in stacks of at most ``_STACK_POINTS`` lengths.
 
-    States are checked as :func:`concurrence` checks them.  The first with
-    an eigenvalue below ``-TOL.psd`` raises, or with ``stop_on_unphysical``
-    ends the profile; generators with the wrong dissipator sign leave the
-    state cone at finite length.  A trace drift past ``TOL.structural``
-    always raises (far along driven lines; see README).
+    States are checked as :func:`concurrence` checks them, and a refusal
+    names the length.  The first with an eigenvalue below ``-TOL.psd``
+    raises, or with ``stop_on_unphysical`` ends the profile; generators with
+    the wrong dissipator sign leave the state cone at finite length.  A
+    trace drift past ``TOL.structural`` always raises (far along driven
+    lines; see README).
     """
     if steps < 2:
         raise OutOfRange("need at least two profile points")
-    probe = _probe(initial_state)
     xs = np.linspace(0.0, x_max, steps)
     values, pre = [], []
     for start in range(0, steps, _STACK_POINTS):
-        c, low = _scores(_evolved_states(source, xs[start:start + _STACK_POINTS],
-                                         probe))
-        kept = _checked_psd(low, cut=stop_on_unphysical)
+        chunk = xs[start:start + _STACK_POINTS]
+        c, low = _scores(_evolved_states(source, chunk), chunk)
+        kept = _checked_psd(low, cut=stop_on_unphysical, lengths=chunk)
         values += c.value[:kept].tolist()
         pre += c.pre_clamp[:kept].tolist()
         if kept < len(low):
@@ -333,13 +321,13 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 
 
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
-              xtol: float = 1e-4,
-              initial_state: DensityMatrix | None = None) -> float | Unbounded:
+              xtol: float = 1e-4) -> float | Unbounded:
     """First propagation length at which the evolved map becomes
     entanglement breaking.
 
-    Scores the signed pre-clamp concurrence at 0 and ``x_hi`` in one stack.
-    Then each of ``_BRACKET_STACKS`` stacks scores ``_BRACKET_POINTS``
+    Scores the signed pre-clamp concurrence of the evolved singlet probe (1
+    at length 0, as in :func:`concurrence_profile`) at 0 and ``x_hi`` in one
+    stack.  Then each of ``_BRACKET_STACKS`` stacks scores ``_BRACKET_POINTS``
     evenly spaced lengths inside the bracket, and the first of them at or
     below zero closes a narrower one.  Brent's method narrows that until the
     answer is within ``xtol / 2`` of the threshold (within a few ulps when
@@ -357,30 +345,29 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
 
     Non-physical generators (``rotating_pd_liouvillian(..., decaying=False)``)
     are not CP-divisible and leave the state cone at finite length; a scored
-    length past that point, ``x_hi`` first, raises :class:`OutOfRange`.
+    length past that point, ``x_hi`` first, raises :class:`OutOfRange`
+    naming the length.
     """
     if not 0.0 < x_hi < inf:
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
     if not 0.0 < xtol < inf:
         raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
-    probe = _probe(initial_state)
 
     def scored(xs):
         """Pre-clamp concurrence at ``xs[i]`` as ``at(i)``, checked as by
         ``concurrence`` but for positivity only once read, in index order."""
-        c, low = _scores(_evolved_states(source, np.array(xs, dtype=float), probe))
+        xs = np.array(xs, dtype=float)
+        c, low = _scores(_evolved_states(source, xs), xs)
         pre, passed = c.pre_clamp.tolist(), _checked_psd(low, cut=True)
 
         def at(i: int) -> float:
             if i >= passed:  # in index order, i is the first below the floor
-                _checked_psd(low)
+                _checked_psd(low, lengths=xs)
             return pre[i]
         return at
 
     ends = scored([0.0, x_hi])
     a, fa = 0.0, ends(0)
-    if fa <= TOL.eb:
-        raise NoBracket("probe state is not entangled at x = 0")
     b, fb = float(x_hi), ends(1)
     if fb >= -TOL.eb:
         return Unbounded(x_hi)
@@ -397,11 +384,8 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     return _zeroin(lambda x: scored([x])(0), a, b, fa, fb, xtol)
 
 
-def trotter_gap(line: SwitchedLine, x: float,
-                reference: Liouvillian | None = None) -> float:
+def trotter_gap(line: SwitchedLine, x: float) -> float:
     """Superoperator distance between the switched propagation and the mean
     generator propagated over the same length."""
-    if reference is None:
-        reference = average_liouvillian(line.gen_even, line.gen_odd)
-    return opnorm(propagation_superop(line, x)
-                  - propagation_superop(reference, x))
+    mean = average_liouvillian(line.gen_even, line.gen_odd)
+    return opnorm(propagation_superop(line, x) - propagation_superop(mean, x))

@@ -76,14 +76,15 @@ def concurrence(rho) -> ConcurrenceResult:
     return c
 
 
-def _scores(rho) -> tuple[ConcurrenceResult, np.ndarray]:
+def _scores(rho, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
     """The one scoring path of two-qubit states: :func:`concurrence` of a
     state or stack ``(..., 4, 4)`` and each state's smallest eigenvalue, from
     one ``eigh`` of structurally checked states.  The eigenvalues come back
     unchecked; each caller holds them to ``-TOL.psd`` with
-    ``states._checked_psd``, all at once or as it reads them.
+    ``states._checked_psd``, all at once or as it reads them.  A stack along
+    a line passes its ``lengths``, so that a refusal names the length.
     """
-    w, v = np.linalg.eigh(_checked_structure(_as_two_qubit(rho)))
+    w, v = np.linalg.eigh(_checked_structure(_as_two_qubit(rho), lengths))
     # eigh sorts ascending, so the last eigenvalue is the largest
     kept = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
     psi = v * np.sqrt(kept)[..., None, :]
@@ -127,7 +128,7 @@ def werner_state(w: float, omega: DensityMatrix | None = None) -> DensityMatrix:
     if not 0.0 <= w <= 1.0:
         raise OutOfRange(f"mixing weight {w} outside [0, 1]")
     if omega is None:
-        pure = projector(maximally_entangled(2))
+        pure = projector(maximally_entangled())
     else:
         pure = _as_two_qubit(omega)
         purity = float(np.trace(pure @ pure).real)

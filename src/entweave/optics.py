@@ -5,8 +5,9 @@ splitter splits |H> and |V> onto two paths of a loop, half-wave plates rotate
 the path-b polarization, the same splitter recombines the loop, and the
 horizontal light left on path b picks up a random phase before a final beam
 splitter merges everything onto one postselected output port.  Averaging the
-random phase removes the cross terms, leaving a two-branch Kraus map that, for
-ideal elements, is exactly the amplitude-damping channel.
+random phase removes the cross terms, leaving the sum of the two branches'
+superoperators, which for ideal elements is exactly the amplitude-damping
+channel.
 
 Three DIFs in series, with half-wave plates between them, act on one half of a
 Werner pair; sweeps over the plate angles reproduce the experiment's
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,6 @@ class BeamSplitterParams:
 
     T: float
     R: float
-    loss: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.T and 0.0 <= self.R):
@@ -60,7 +60,6 @@ class BeamSplitterParams:
         if self.T + self.R > 1.0 + _ETOL:
             raise ElementInconsistent(
                 f"T + R = {self.T + self.R:.4f} exceeds 1")
-        object.__setattr__(self, "loss", max(0.0, 1.0 - self.T - self.R))
 
 
 @dataclass(frozen=True)
@@ -71,15 +70,11 @@ class PbsParams:
     R_H: float
     T_V: float
     R_V: float
-    loss_H: float = field(init=False)
-    loss_V: float = field(init=False)
 
     def __post_init__(self):
         for t, r, pol in ((self.T_H, self.R_H, "H"), (self.T_V, self.R_V, "V")):
             if t < 0.0 or r < 0.0 or t + r > 1.0 + _ETOL:
                 raise ElementInconsistent(f"{pol} parameters violate T + R <= 1")
-        object.__setattr__(self, "loss_H", max(0.0, 1.0 - self.T_H - self.R_H))
-        object.__setattr__(self, "loss_V", max(0.0, 1.0 - self.T_V - self.R_V))
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class DifElements:
 IDEAL = DifElements(BeamSplitterParams(0.5, 0.5), PbsParams(1.0, 0.0, 0.0, 1.0))
 
 # Bench-characterized averages.  The H triple as stated sums to more than 1,
-# so the loss fields are always derived as 1 - T - R.
+# so only T and R are taken from it, and each element loses 1 - T - R.
 MEASURED = DifElements(BeamSplitterParams(0.48, 0.44),
                        PbsParams(0.965, 0.0185, 0.004, 0.948))
 
@@ -152,25 +147,22 @@ def _dif_branches(alpha: float, elements: DifElements) -> tuple[np.ndarray, np.n
     return main, arm
 
 
-def dif_map(alpha: float,
-            bs: BeamSplitterParams | None = None,
-            pbs: PbsParams | None = None,
-            *,
-            coupling: tuple[float, float] = (1.0, 1.0)) -> QuantumChannel:
-    """Trace-nonincreasing polarization map of one double interferometer.
+def _dif_superop(alpha: float, elements: DifElements) -> np.ndarray:
+    """Superoperator of one DIF averaged over its random output phase: with
+    branches (main, arm), ``S_main + S_arm``, since the cross terms vanish."""
+    main, arm = _dif_branches(alpha, elements)
+    return sandwich_superop(main, main) + sandwich_superop(arm, arm)
 
-    The random output phase is averaged analytically: the cross terms between
-    the phase-carrying branch and the rest vanish, leaving the two-operator
-    Kraus form.
+
+def dif_map(alpha: float, elements: DifElements = IDEAL) -> QuantumChannel:
+    """Trace-nonincreasing polarization map of one double interferometer,
+    averaged over its random output phase (``_dif_superop``).
 
     With ideal elements the normalized map is exactly the damping channel of
     parameter eta(alpha) given by cos(2 alpha) = -sqrt(eta), at success
     probability 1/2.
     """
-    elements = DifElements(bs if bs is not None else IDEAL.bs,
-                           pbs if pbs is not None else IDEAL.pbs,
-                           coupling)
-    return QuantumChannel.from_kraus(_dif_branches(alpha, elements))
+    return QuantumChannel(_dif_superop(alpha, elements))
 
 
 @dataclass(frozen=True)
@@ -296,8 +288,8 @@ def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
     angle arrays (1 when both are scalars).
 
     Signal order: DIF1, [phi plate], [theta plate], DIF2, [phi plate],
-    [theta plate], DIF3.  Averaged over its random phase, a DIF with branches
-    (main, arm) is ``S_main + S_arm``: the cross terms vanish.
+    [theta plate], DIF3, each DIF averaged over its random phase
+    (``_dif_superop``).
     """
     n = np.broadcast(theta, phi).size
     plates = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
@@ -305,11 +297,8 @@ def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
         if present:
             u = hwp(np.broadcast_to(xi, (n,)))
             plates = sandwich_superop(u, u) @ plates
-    difs = []
-    for alpha, el in zip((s.alpha1, s.alpha21, s.alpha2), s.elements):
-        main, arm = _dif_branches(alpha, el)
-        difs.append(sandwich_superop(main, main) + sandwich_superop(arm, arm))
-    d1, d2, d3 = difs
+    d1, d2, d3 = (_dif_superop(alpha, el)
+                  for alpha, el in zip((s.alpha1, s.alpha21, s.alpha2), s.elements))
     return d3 @ (plates @ (d2 @ (plates @ d1)))
 
 

@@ -12,7 +12,6 @@ The package needs numpy only; scipy is the test suite's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
@@ -193,11 +192,6 @@ class Spectral:
         return (v * (w ** es[:, None])[:, None, :]) @ v_inv
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential: :meth:`Spectral.exp` at the single length 1."""
-    return Spectral(m).exp([1.0])[0]
-
-
 def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -246,12 +240,12 @@ def vec(m) -> np.ndarray:
     return as_matrix(m).flatten(order="F")
 
 
-def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
+def unvec(v, d: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a ``d x d`` matrix."""
     v = np.asarray(v, dtype=complex).ravel()
-    cols = rows if cols is None else cols
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of size {v.size} is not {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    if v.size != d * d:
+        raise DimensionMismatch(f"vector of size {v.size} is not {d}x{d}")
+    return v.reshape((d, d), order="F")
 
 
 def sandwich_superop(a, b) -> np.ndarray:
@@ -264,14 +258,6 @@ def sandwich_superop(a, b) -> np.ndarray:
     out = b[..., :, None, :, None] * a[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], b.shape[-2] * a.shape[-2],
                        b.shape[-1] * a.shape[-1])
-
-
-def apply_superop(superop, rho) -> np.ndarray:
-    superop = as_matrix(superop)
-    d_out = isqrt(superop.shape[0])
-    if d_out * d_out != superop.shape[0]:
-        raise DimensionMismatch("superoperator output dimension is not a perfect square")
-    return unvec(superop @ vec(rho), d_out, d_out)
 
 
 def choi_matrices(superop, in_dim: int, out_dim: int) -> np.ndarray:
@@ -308,12 +294,12 @@ def opnorm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def maximally_entangled(d: int = 2) -> np.ndarray:
-    """The vector sum_i |ii> / sqrt(d)."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / np.sqrt(d)
+def maximally_entangled() -> np.ndarray:
+    """(|00> + |11>)/sqrt(2)."""
+    v = np.zeros(4, dtype=complex)
+    v[0] = 1.0
+    v[3] = 1.0
+    return v / np.sqrt(2.0)
 
 
 def singlet() -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Validated density matrices and a few reference two-qubit states."""
+"""Validated density matrices and a few reference two-qubit states.
+
+A refusal names the failing matrix of a stack by its flat index, or by its
+propagation length when the stack lies along a line.
+"""
 
 from __future__ import annotations
 
@@ -17,35 +21,41 @@ from .qmath import (
 )
 
 
-def _first_failure(ok) -> tuple[int, str] | None:
+def _first_failure(ok, lengths=None) -> tuple[int, str] | None:
     """None if every matrix passes a check, else the flat index of the first
-    that fails and the phrase locating it (empty for a single matrix)."""
+    that fails and the phrase locating it: its propagation length when the
+    stack's ``lengths`` are given, else its stack index (empty for a single
+    matrix)."""
     if ok.all():
         return None
     bad = int(np.flatnonzero(~ok)[0])
+    if lengths is not None:
+        return bad, f" at x = {lengths[bad]:.3g}"
     return bad, (f" at stack index {bad}" if ok.ndim else "")
 
 
-def _checked_structure(m) -> np.ndarray:
+def _checked_structure(m, lengths=None) -> np.ndarray:
     """``m`` as a complex array, once it passes the structural checks of
-    :func:`validate_density`."""
+    :func:`validate_density`; a failure is located as by ``_first_failure``."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
     herm = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if fail := _first_failure(herm <= TOL.structural):
+    if fail := _first_failure(herm <= TOL.structural, lengths):
         raise NonHermitian(f"density matrix is not Hermitian within tolerance{fail[1]}")
     tr = m.trace(axis1=-2, axis2=-1)
-    if fail := _first_failure(abs(tr - 1.0) <= TOL.structural):
-        raise ValueError(f"density matrix trace {np.ravel(tr)[fail[0]]} is not 1{fail[1]}")
+    if fail := _first_failure(abs(tr - 1.0) <= TOL.structural, lengths):
+        # the Hermitian check bounds the imaginary part to roundoff
+        raise ValueError(f"density matrix trace {np.ravel(tr)[fail[0]].real} "
+                         f"is not 1{fail[1]}")
     return m
 
 
-def _checked_psd(low, cut: bool = False) -> int:
+def _checked_psd(low, cut: bool = False, lengths=None) -> int:
     """How many leading states have their smallest eigenvalue ``low`` at or
     above ``-TOL.psd``, the one positivity floor; the first below it raises
     :class:`OutOfRange` as :func:`validate_density` does, unless ``cut``."""
-    fail = _first_failure(np.asarray(low) >= -TOL.psd)
+    fail = _first_failure(np.asarray(low) >= -TOL.psd, lengths)
     if fail and not cut:
         raise OutOfRange(f"density matrix has negative eigenvalue "
                          f"{np.ravel(low)[fail[0]]:.3e}{fail[1]}")
@@ -80,10 +90,6 @@ class DensityMatrix:
         m = validate_density(np.array(as_matrix(self.matrix), dtype=complex))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def matrix_of(rho) -> np.ndarray:

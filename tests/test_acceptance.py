@@ -215,7 +215,7 @@ def test_criterion_5_switched_extension():
 
         def length(n):
             if n not in lengths:
-                got = eb_length(SwitchedLine(g1, g2, ell / n, label=f"n{n}"),
+                got = eb_length(SwitchedLine(g1, g2, ell / n),
                                 6.0 * ell)
                 lengths[n] = math.inf if isinstance(got, Unbounded) else got
             return lengths[n]

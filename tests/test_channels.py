@@ -38,6 +38,8 @@ from entweave.qmath import (
     partial_transpose,
     projector,
     superop_of_choi,
+    unvec,
+    vec,
 )
 from entweave.states import matrix_of, validate_density
 
@@ -78,7 +80,7 @@ def test_superop_matches_kraus_action(rng):
     c = QuantumChannel.from_kraus(kraus)
     rho = random_density(2, rng)
     direct = sum(k @ rho @ k.conj().T for k in kraus)
-    assert np.allclose(c.apply(rho), direct)
+    assert np.allclose(unvec(c.superop @ vec(rho), 2), direct)
 
 
 @settings(max_examples=50, deadline=None)
@@ -145,7 +147,7 @@ def test_choi_matrix_is_the_e_ij_sum(rng):
         for j in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
-            expect += np.kron(c.apply(e), e)
+            expect += np.kron(unvec(c.superop @ vec(e), 3), e)
     assert np.array_equal(choi_matrix(c), expect)
 
 
@@ -162,8 +164,8 @@ def test_signal_chain_matches_stepwise_action(rng):
     rho = random_density(2, rng)
     step = rho
     for c in chain:
-        step = c.apply(step)
-    assert np.allclose(total.apply(rho), step)
+        step = unvec(c.superop @ vec(step), 2)
+    assert np.allclose(unvec(total.superop @ vec(rho), 2), step)
 
 
 def test_unitary_channels_never_break(rng):

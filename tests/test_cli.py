@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -197,8 +198,38 @@ def test_continuous_trace_drift_is_refused(tmp_path, capsys):
     rc = main(["--out", str(out_dir), "continuous", "--family", "ad",
                "--n", "16", "--x-max", "1e5", "--steps", "3"])
     assert rc == 2
-    assert "density matrix trace" in capsys.readouterr().err
+    # the refusal names the length, x = 5e4 of the three-point grid, and
+    # prints the trace as a real number
+    assert re.fullmatch(r"invalid input: density matrix trace 1\.0000000002\d* "
+                        r"is not 1 at x = 5e\+04\n", capsys.readouterr().err)
     assert not out_dir.exists()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    # the second file's write stops halfway with an OSError, as on a full
+    # disk: the first file stays whole, and nothing of the second, no
+    # temporary file and no manifest is left
+    args = ["continuous", "--family", "ad", "--n", "1", "--x-max", "1",
+            "--steps", "5"]
+    write_text = Path.write_text
+    calls = []
+
+    def half_then_fail(self, text, *rest, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            write_text(self, text[:len(text) // 2], *rest, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, text, *rest, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    out_dir = tmp_path / "out"
+    with pytest.raises(OSError, match="No space"):
+        main(["--out", str(out_dir), *args])
+    monkeypatch.undo()
+    first = "continuous_ad_single.csv"
+    assert [p.name for p in out_dir.iterdir()] == [first]
+    assert main(["--out", str(tmp_path / "whole"), *args]) == 0
+    assert (out_dir / first).read_bytes() == (tmp_path / "whole" / first).read_bytes()
 
 
 def test_runs_import_no_scipy(tmp_path):

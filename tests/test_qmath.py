@@ -13,10 +13,9 @@ from entweave.qmath import (
     SIGMA_Z,
     TOL,
     DimensionMismatch,
-    apply_superop,
+    Spectral,
     choi_matrices,
     dagger,
-    expm,
     is_hermitian,
     is_unitary,
     maximally_entangled,
@@ -88,7 +87,7 @@ def test_sandwich_identity(a, rho, b, a_rect, b_rect):
 @given(square(2), square(2))
 def test_sandwich_superop_applies_conjugation(a, rho):
     s = sandwich_superop(a, a)
-    assert np.allclose(apply_superop(s, rho), a @ rho @ dagger(a))
+    assert np.allclose(unvec(s @ vec(rho), 2), a @ rho @ dagger(a))
 
 
 def test_unvec_rejects_bad_length():
@@ -123,7 +122,7 @@ def test_first_factor_by_choi_reshuffle_matches_kron(rng):
     rho = random_density(4, rng)
     big = sandwich_superop(np.kron(a, IDENTITY_2), np.kron(a, IDENTITY_2))
     assert np.allclose(choi_matrices(s @ superop_of_choi(rho, 2, 2), 2, 2),
-                       apply_superop(big, rho))
+                       unvec(big @ vec(rho), 4))
 
 
 def test_first_factor_by_choi_reshuffle_general_map(rng):
@@ -160,9 +159,9 @@ def test_choi_reshuffle_roundtrips_exactly(rng):
 
 def test_expm_rotation_closed_form():
     t = 0.7
-    assert np.allclose(expm(1j * t * SIGMA_X),
+    assert np.allclose(Spectral(1j * t * SIGMA_X).exp([1.0])[0],
                        np.cos(t) * IDENTITY_2 + 1j * np.sin(t) * SIGMA_X)
-    assert np.allclose(expm(np.zeros((3, 3))), np.eye(3))
+    assert np.allclose(Spectral(np.zeros((3, 3))).exp([1.0])[0], np.eye(3))
 
 
 def test_unitary_checks(rng):
