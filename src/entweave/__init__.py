@@ -17,7 +17,6 @@ from .qmath import (
 )
 from .states import DensityMatrix, matrix_of, singlet_state
 from .entanglement import (
-    BadDimension,
     ConcurrenceResult,
     concurrence,
     negativity,
@@ -71,7 +70,6 @@ from .optics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadDimension",
     "ConcurrenceResult",
     "DensityMatrix",
     "DifElements",

@@ -1,15 +1,15 @@
 """Qubit channels as column-stacking superoperators.
 
 A channel is its superoperator matrix and nothing else: composition is the
-matrix product, and the Choi matrix is a reshape of it.  It acts on a state
-as ``unvec(superop @ vec(rho), d)`` and on half of a pair by the Choi
-reshuffle of ``qmath``.
+matrix product, and the Choi matrix is a reshape of it.  Every channel maps
+one qubit to one qubit, so its superoperator is 4x4.  It acts on a state as
+``unvec(superop @ vec(rho))`` and on half of a pair by the Choi reshuffle of
+``qmath``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .qmath import (
     DimensionMismatch,
     NotUnitary,
     OutOfRange,
+    _qubit_shaped,
     as_matrix,
     choi_matrices,
     is_hermitian,
@@ -74,21 +75,21 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _gram(superop: np.ndarray, in_dim: int) -> np.ndarray:
+def _gram(superop: np.ndarray) -> np.ndarray:
     """``sum_k K^dag K`` of a map: ``Tr Phi(rho) = Tr(gram @ rho)``, and
     ``vec(I)^T superop`` is ``vec(gram^T)``."""
-    out_dim = isqrt(superop.shape[0])
-    return unvec(vec(np.eye(out_dim)) @ superop, in_dim).T
+    return unvec(vec(np.eye(2)) @ superop).T
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """A completely positive, trace-nonincreasing map, stored as its
-    column-stacking superoperator: ``vec(Phi(rho)) = superop @ vec(rho)``.
+    """A completely positive, trace-nonincreasing qubit map, stored as its
+    4x4 column-stacking superoperator: ``vec(Phi(rho)) = superop @ vec(rho)``.
 
-    Construction checks complete positivity (the Choi matrix is Hermitian and
-    has no eigenvalue below ``-TOL.psd``, else :class:`NotCompletelyPositive`)
-    and that the map does not amplify trace (the Gram matrix
+    Construction refuses any other shape (:class:`DimensionMismatch`), and
+    checks complete positivity (the Choi matrix is Hermitian and has no
+    eigenvalue below ``-TOL.psd``, else :class:`NotCompletelyPositive`) and
+    that the map does not amplify trace (the Gram matrix
     ``sum_k K^dag K``, read off ``vec(I)^T superop``, has no eigenvalue above
     ``1 + TOL.psd``, else ``ValueError``).  Kraus operators go in through
     :meth:`from_kraus`.
@@ -98,43 +99,28 @@ class QuantumChannel:
     trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
-        s = _frozen(as_matrix(self.superop))
-        out_dim, in_dim = isqrt(s.shape[0]), isqrt(s.shape[1])
-        if not s.size or s.shape != (out_dim * out_dim, in_dim * in_dim):
-            raise DimensionMismatch(
-                f"superoperator of shape {s.shape} does not map d_in x d_in "
-                f"to d_out x d_out matrices")
-        choi = choi_matrices(s, in_dim, out_dim)
+        s = _frozen(_qubit_shaped(as_matrix(self.superop), (4, 4)))
+        choi = choi_matrices(s)
         if not is_hermitian(choi, tol=1e-8):
             raise NotCompletelyPositive("Choi matrix is not Hermitian")
         low = np.linalg.eigvalsh(choi)[0]
         if low < -TOL.psd:
             raise NotCompletelyPositive(f"Choi matrix has negative eigenvalue {low:.3e}")
-        gram = _gram(s, in_dim)
+        gram = _gram(s)
         high = np.linalg.eigvalsh(gram)[-1]
         if high > 1.0 + TOL.psd:
             raise ValueError(f"map amplifies trace: max eig {high:.6f}")
-        tp = bool(np.max(np.abs(gram - np.eye(in_dim))) <= TOL.structural)
+        tp = bool(np.max(np.abs(gram - np.eye(2))) <= TOL.structural)
         object.__setattr__(self, "superop", s)
         object.__setattr__(self, "trace_preserving", tp)
 
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QuantumChannel":
-        """The map ``rho -> sum_k K rho K^dag``."""
-        ks = [as_matrix(k) for k in kraus]
+        """The map ``rho -> sum_k K rho K^dag`` of 2x2 Kraus operators."""
+        ks = [_qubit_shaped(as_matrix(k), (2, 2)) for k in kraus]
         if not ks:
             raise DimensionMismatch("need at least one Kraus operator")
-        if any(k.shape != ks[0].shape for k in ks):
-            raise DimensionMismatch("Kraus operators must share one shape")
         return cls(sum(sandwich_superop(k, k) for k in ks))
-
-    @property
-    def in_dim(self) -> int:
-        return isqrt(self.superop.shape[1])
-
-    @property
-    def out_dim(self) -> int:
-        return isqrt(self.superop.shape[0])
 
     def normalized(self) -> "QuantumChannel":
         """Rescale a uniformly trace-decreasing map to a trace-preserving one.
@@ -142,18 +128,18 @@ class QuantumChannel:
         Requires ``sum_k K^dag K`` proportional to the identity; postselected
         maps with state-dependent success probability are rejected.
         """
-        gram = _gram(self.superop, self.in_dim)
-        c = float(np.trace(gram).real) / self.in_dim
+        gram = _gram(self.superop)
+        c = float(np.trace(gram).real) / 2
         if c <= 0.0:
             raise ValueError("cannot normalize the zero map")
-        if np.max(np.abs(gram - c * np.eye(self.in_dim))) > TOL.compare * max(1.0, c):
+        if np.max(np.abs(gram - c * np.eye(2))) > TOL.compare * max(1.0, c):
             raise ValueError("success probability is state dependent; "
                              "normalize per input state instead")
         return QuantumChannel(self.superop / c)
 
 
-def identity_channel(d: int = 2) -> QuantumChannel:
-    return QuantumChannel.from_kraus((np.eye(d, dtype=complex),))
+def identity_channel() -> QuantumChannel:
+    return QuantumChannel.from_kraus((np.eye(2, dtype=complex),))
 
 
 def ad_channel(eta: float) -> QuantumChannel:
@@ -191,13 +177,13 @@ def unitary_channel(u) -> QuantumChannel:
 
 
 def choi_matrix(c: QuantumChannel) -> np.ndarray:
-    return choi_matrices(c.superop, c.in_dim, c.out_dim)
+    return choi_matrices(c.superop)
 
 
 def choi_state(c: QuantumChannel) -> DensityMatrix:
     """Choi state ``(Phi (x) id)(|Omega><Omega|)`` with the channel acting on
     the first qubit; valid only for trace-preserving channels."""
-    return DensityMatrix(choi_matrix(c) / c.in_dim)
+    return DensityMatrix(choi_matrix(c) / 2)
 
 
 def compose(first: QuantumChannel, then: QuantumChannel) -> QuantumChannel:
@@ -211,10 +197,7 @@ def compose_signal_chain(chain: Sequence[QuantumChannel]) -> QuantumChannel:
     if not chain:
         raise DimensionMismatch("empty channel chain")
     total = chain[0].superop
-    for first, then in zip(chain, chain[1:]):
-        if first.out_dim != then.in_dim:
-            raise DimensionMismatch(
-                f"cannot feed a {first.out_dim}-dim output into a {then.in_dim}-dim input")
+    for then in chain[1:]:
         total = then.superop @ total
     return QuantumChannel(total)
 
@@ -237,7 +220,7 @@ def _first_breaking(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :class:`ToleranceConflict` (the first such map in row order); later maps
     cannot.  Each Choi state is checked and eigendecomposed once.
     """
-    choi = choi_matrices(superops, 2, 2) / 2.0
+    choi = choi_matrices(superops) / 2.0
     conc, low = _scores(choi)
     _checked_psd(low)
     neg = _hermitian_negativity(choi)
@@ -298,8 +281,6 @@ def _orders_and_margins(channels: Sequence[QuantumChannel],
     if max_n < 1:
         raise OutOfRange("max_n must be at least 1")
     for c in channels:
-        if c.in_dim != 2 or c.out_dim != 2:
-            raise DimensionMismatch("entanglement-breaking test is for qubit channels")
         if not c.trace_preserving:
             raise ValueError("entanglement-breaking test needs a trace-preserving map")
     supers = np.array([c.superop for c in channels])

@@ -9,10 +9,12 @@ Three subcommands:
 Each subcommand computes all its outputs before ``main`` writes any; the
 manifest, recording the full resolved parameter set, is written last.  A run
 that exits 2 or 3 writes nothing, and each file is written whole or not at
-all: to a temporary file in ``--out``, then renamed into place.  Identical
+all: to a temporary file in ``--out``, then renamed into place.  A write that
+fails (``--out`` names a file, the disk is full) exits 4 with one line naming
+the file, leaving only the files written whole before it.  Identical
 invocations produce byte-identical CSVs.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .continuous import (
     rotating_ad_liouvillian,
     rotating_pd_liouvillian,
 )
-from .entanglement import BadDimension
 from .optics import (
     ElementInconsistent,
     ZeroSuccessProbability,
@@ -73,6 +74,7 @@ from .qmath import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_WRITE = 4
 
 
 class ParseError(ValueError):
@@ -80,7 +82,7 @@ class ParseError(ValueError):
 
 
 _VALIDATION = (ParseError, OutOfRange, NotUnitary, NonHermitian,
-               DimensionMismatch, BadDimension, ElementInconsistent, ValueError)
+               DimensionMismatch, ElementInconsistent, ValueError)
 _NUMERICAL = (ToleranceConflict, ZeroSuccessProbability)
 
 
@@ -95,13 +97,16 @@ class Run(NamedTuple):
 
 def _write_file(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path`` and rename it into
-    place, so a write that fails midway leaves no partial file."""
+    place, so a write that fails midway leaves no partial file.  An
+    ``OSError`` names ``path``, not the temporary file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, newline="")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            exc.filename = str(path)
         raise
 
 
@@ -492,7 +497,12 @@ def main(argv=None) -> int:
     except _VALIDATION as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write(Path(args.out), args.command, run, started)
+    try:
+        _write(Path(args.out), args.command, run, started)
+    except OSError as exc:
+        print(f"write failure: {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_WRITE
     return EXIT_OK
 
 

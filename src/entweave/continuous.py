@@ -12,7 +12,7 @@ and its breaking length belongs to the line itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import copysign, inf, isfinite, isqrt
+from math import copysign, inf, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +24,9 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Z,
     TOL,
-    DimensionMismatch,
     OutOfRange,
     Spectral,
+    _qubit_shaped,
     as_matrix,
     choi_matrices,
     dagger,
@@ -55,7 +55,8 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """A column-stacking generator matrix for a qubit master equation.
+    """A 4x4 column-stacking generator matrix for a qubit master equation;
+    any other shape raises :class:`~entweave.qmath.DimensionMismatch`.
 
     ``spectral`` is the generator's :class:`~entweave.qmath.Spectral`,
     factored once at construction, so propagating it never refactors.
@@ -65,21 +66,14 @@ class Liouvillian:
     spectral: Spectral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spectral = Spectral(self.generator)
+        spectral = Spectral(_qubit_shaped(self.generator, (4, 4)))
         g = spectral.matrix
-        d = isqrt(g.shape[0])
-        if d * d != g.shape[0]:
-            raise DimensionMismatch("generator dimension is not a perfect square")
         # trace preservation: <<I| L = 0
-        tr_row = vec(np.eye(d)).conj() @ g
+        tr_row = vec(np.eye(2)).conj() @ g
         if np.max(np.abs(tr_row)) > 1e-8:
             raise ValueError("generator does not preserve trace")
         object.__setattr__(self, "generator", g)
         object.__setattr__(self, "spectral", spectral)
-
-    @property
-    def dim(self) -> int:
-        return isqrt(self.generator.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +97,6 @@ class SwitchedLine:
         if not 0.0 < self.slice_len < inf:
             raise OutOfRange(f"slice length must be positive and finite, "
                              f"got {self.slice_len}")
-        if self.gen_even.dim != self.gen_odd.dim:
-            raise DimensionMismatch("switched generators must share a dimension")
         even = self.gen_even.spectral.exp([self.slice_len])[0]
         pair = Spectral(self.gen_odd.spectral.exp([self.slice_len])[0] @ even)
         even.setflags(write=False)
@@ -171,8 +163,6 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float,
 
 def average_liouvillian(a: Liouvillian, b: Liouvillian) -> Liouvillian:
     """Mean generator: the infinitely-fine interleaving limit of a switched pair."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("generators must share a dimension")
     return Liouvillian((a.generator + b.generator) / 2.0)
 
 
@@ -210,7 +200,7 @@ def propagation_superop(source: Liouvillian | SwitchedLine,
     """Column-stacking superoperator of evolution from 0 to x.
 
     A scalar ``x`` gives one matrix; an array of lengths gives the stack of
-    their superoperators, shape ``x.shape + (d*d, d*d)``.
+    their superoperators, shape ``x.shape + (4, 4)``.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0.0) & (xs < np.inf)):
@@ -231,13 +221,13 @@ class ProfilePoint(NamedTuple):
 
 # the singlet's projector read as the map whose Choi matrix it is, unvalidated:
 # a DensityMatrix would run eigh at import
-_SINGLET_PROBE = superop_of_choi(projector(singlet()), 2, 2)
+_SINGLET_PROBE = superop_of_choi(projector(singlet()))
 _SINGLET_PROBE.setflags(write=False)
 
 
 def _evolved_states(source, x: float | np.ndarray) -> np.ndarray:
     """``(map (x) id)`` of the singlet probe."""
-    out = choi_matrices(propagation_superop(source, x) @ _SINGLET_PROBE, 2, 2)
+    out = choi_matrices(propagation_superop(source, x) @ _SINGLET_PROBE)
     # drop the anti-Hermitian roundoff, which outgrows TOL.structural on the
     # growing-sign generators' large states
     return 0.5 * (out + out.conj().swapaxes(-1, -2))

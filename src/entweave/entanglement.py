@@ -10,6 +10,7 @@ from .qmath import (
     SIGMA_Y,
     NonHermitian,
     OutOfRange,
+    _qubit_shaped,
     is_hermitian,
     maximally_entangled,
     partial_trace,
@@ -17,10 +18,6 @@ from .qmath import (
     projector,
 )
 from .states import DensityMatrix, _checked_psd, _checked_structure
-
-
-class BadDimension(ValueError):
-    """The measure is only defined for two-qubit (4x4) states."""
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -36,10 +33,7 @@ class ConcurrenceResult(NamedTuple):
 
 
 def _as_two_qubit(rho) -> np.ndarray:
-    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise BadDimension(f"need a 4x4 two-qubit state, got {m.shape}")
-    return m
+    return _qubit_shaped(getattr(rho, "matrix", rho), (4, 4))
 
 
 def concurrence(rho) -> ConcurrenceResult:
@@ -47,7 +41,7 @@ def concurrence(rho) -> ConcurrenceResult:
 
     One state, 4x4, gives floats; a stack, shape ``(..., 4, 4)``, gives
     arrays of its shape without the last two axes, each entry equal to the
-    single-state result.
+    single-state result.  Any other shape raises :class:`DimensionMismatch`.
 
     ``value`` is ``max(0, l1 - l2 - l3 - l4)`` where the ``l``s are the
     descending square roots of the eigenvalues of ``rho @ spin_flip(rho)``.
@@ -113,7 +107,7 @@ def negativity(rho) -> float | np.ndarray:
 
 def _hermitian_negativity(m: np.ndarray) -> float | np.ndarray:
     # the partial transpose only permutes entries, so it is Hermitian too
-    w = np.linalg.eigvalsh(partial_transpose(m, (2, 2), 1))
+    w = np.linalg.eigvalsh(partial_transpose(m))
     neg = -np.where(w < 0.0, w, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
 
@@ -133,8 +127,8 @@ def werner_state(w: float, omega: DensityMatrix | None = None) -> DensityMatrix:
         pure = _as_two_qubit(omega)
         purity = float(np.trace(pure @ pure).real)
         half = np.eye(2) / 2.0
-        marg_a = partial_trace(pure, (2, 2), 0)
-        marg_b = partial_trace(pure, (2, 2), 1)
+        marg_a = partial_trace(pure, 0)
+        marg_b = partial_trace(pure, 1)
         if (abs(purity - 1.0) > 1e-8
                 or np.max(np.abs(marg_a - half)) > 1e-8
                 or np.max(np.abs(marg_b - half)) > 1e-8):

@@ -200,24 +200,13 @@ class OpticalSetup:
             raise ElementInconsistent("need one element set per DIF")
 
 
-def resolve_elements(preset) -> tuple[DifElements, DifElements, DifElements]:
-    """Accept a preset name, one DifElements, or a 3-tuple of them."""
-    if isinstance(preset, str):
-        try:
-            e = _PRESETS[preset.lower()]
-        except KeyError:
-            raise ElementInconsistent(f"unknown element preset {preset!r}") from None
-        return (e, e, e)
-    if isinstance(preset, DifElements):
-        return (preset, preset, preset)
-    elems = tuple(preset)
-    if len(elems) != 3 or not all(isinstance(e, DifElements) for e in elems):
-        raise ElementInconsistent("expected three DifElements")
-    return elems
-
-
-def _preset_name(preset) -> str:
-    return preset.lower() if isinstance(preset, str) else "custom"
+def resolve_elements(preset: str) -> tuple[DifElements, DifElements, DifElements]:
+    """The element set of a preset name, once per DIF."""
+    try:
+        e = _PRESETS[preset.lower()]
+    except KeyError:
+        raise ElementInconsistent(f"unknown element preset {preset!r}") from None
+    return (e, e, e)
 
 
 def mprime_setup(eta1: float = 0.3, eta2: float = 0.3, *,
@@ -230,7 +219,7 @@ def mprime_setup(eta1: float = 0.3, eta2: float = 0.3, *,
                         alpha_for_eta(eta2), theta=theta, phi=phi,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase,
-                        preset=_preset_name(preset), label="mprime")
+                        preset=preset.lower(), label="mprime")
 
 
 def m1_setup(eta2: float = 0.3, *, theta: float = math.pi / 4,
@@ -242,7 +231,7 @@ def m1_setup(eta2: float = 0.3, *, theta: float = math.pi / 4,
     return OpticalSetup(math.pi / 2, a, a, theta=theta, phi_present=False,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase,
-                        preset=_preset_name(preset), label="m1")
+                        preset=preset.lower(), label="m1")
 
 
 def m2_setup(eta1: float = 0.3, *, phi: float = math.pi / 4,
@@ -254,7 +243,7 @@ def m2_setup(eta1: float = 0.3, *, phi: float = math.pi / 4,
     return OpticalSetup(a, a, math.pi / 2, phi=phi, theta_present=False,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase,
-                        preset=_preset_name(preset), label="m2")
+                        preset=preset.lower(), label="m2")
 
 
 def identity_setup(*, preset="ideal", w: float = 0.96,
@@ -265,7 +254,7 @@ def identity_setup(*, preset="ideal", w: float = 0.96,
                         theta_present=False, phi_present=False,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase,
-                        preset=_preset_name(preset), label="identity")
+                        preset=preset.lower(), label="identity")
 
 
 def source_state(s: OpticalSetup) -> DensityMatrix:
@@ -310,8 +299,8 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     each output by its postselection trace; every output state is checked
     before it is scored.
     """
-    werner = superop_of_choi(matrix_of(source_state(s)), 2, 2)
-    out = choi_matrices(superops @ werner, 2, 2)
+    werner = superop_of_choi(matrix_of(source_state(s)))
+    out = choi_matrices(superops @ werner)
     succ = np.trace(out, axis1=-2, axis2=-1).real
     dark = succ < 1e-12
     if dark.any():
@@ -331,8 +320,8 @@ def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:
     compose as channels; see _bench_superops for the signal order.
     """
     superop = _bench_superops(s, s.theta, s.phi)[0]
-    werner = superop_of_choi(matrix_of(source_state(s)), 2, 2)
-    out = choi_matrices(superop @ werner, 2, 2)
+    werner = superop_of_choi(matrix_of(source_state(s)))
+    out = choi_matrices(superop @ werner)
     return QuantumChannel(superop), float(np.trace(out).real)
 
 

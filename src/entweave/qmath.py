@@ -1,11 +1,14 @@
-"""Dense complex linear algebra for small quantum systems.
+"""Dense complex linear algebra for qubits and qubit pairs.
 
 Everything in this package works on plain ``numpy`` arrays in the
 computational basis, with index 0 meaning the horizontal / ground state
-``|0> = |H>`` and index 1 meaning ``|1> = |V>``.  Superoperators use the
-column-stacking convention: ``vec(A @ rho @ B^dag) = kron(conj(B), A) @ vec(rho)``.
-A map acts on half of a pair one way: the pair is read as the Choi matrix of a
-map, and the output is the Choi matrix of the composition (:func:`superop_of_choi`).
+``|0> = |H>`` and index 1 meaning ``|1> = |V>``.  Every map acts on one qubit
+and every state of a pair is 4x4, so the reshuffles and partial operations
+here take 2x2 or ``(..., 4, 4)`` arrays only and refuse any other shape with
+:class:`DimensionMismatch`.  Superoperators use the column-stacking
+convention: ``vec(A @ rho @ B^dag) = kron(conj(B), A) @ vec(rho)``.  A map
+acts on half of a pair one way: the pair is read as the Choi matrix of a map,
+and the output is the Choi matrix of the composition (:func:`superop_of_choi`).
 The package needs numpy only; scipy is the test suite's oracle.
 """
 
@@ -192,47 +195,31 @@ class Spectral:
         return (v * (w ** es[:, None])[:, None, :]) @ v_inv
 
 
-def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch("tensor factors must have dimension >= 1")
-    total = int(np.prod(dims))
-    if m.shape[-2:] != (total, total):
-        raise DimensionMismatch(
-            f"matrix of shape {m.shape} does not factor into dims {dims}")
-    return dims
-
-
-def partial_trace(m, dims, keep: int) -> np.ndarray:
-    """Trace out every tensor factor except ``dims[keep]``."""
-    m = as_matrix(m)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    if not 0 <= keep < n:
-        raise DimensionMismatch(f"keep index {keep} out of range for {n} factors")
-    t = m.reshape(dims + dims)
-    order = [keep] + [i for i in range(n) if i != keep]
-    t = np.transpose(t, order + [n + i for i in order])
-    dk = dims[keep]
-    rest = int(np.prod(dims)) // dk
-    t = t.reshape(dk, rest, dk, rest)
-    return np.einsum("arbr->ab", t)
-
-
-def partial_transpose(m, dims, which: int) -> np.ndarray:
-    """Transpose the tensor factor ``dims[which]``, leaving the rest alone, in
-    a matrix or in each matrix of a stack ``(..., D, D)``."""
+def _qubit_shaped(m, shape: tuple[int, ...]) -> np.ndarray:
+    """``m`` as a complex array whose last axes have the qubit ``shape``
+    (``(4,)``, ``(2, 2)`` or ``(4, 4)``), else :class:`DimensionMismatch`
+    naming its shape."""
     m = np.asarray(m, dtype=complex)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    if not 0 <= which < n:
-        raise DimensionMismatch(f"transpose index {which} out of range for {n} factors")
-    batch = m.shape[:-2]
-    t = m.reshape(batch + dims + dims)
-    axes = list(range(t.ndim))
-    i, j = len(batch) + which, len(batch) + n + which
-    axes[i], axes[j] = axes[j], axes[i]
-    return np.transpose(t, axes).reshape(m.shape)
+    if m.shape[-len(shape):] != shape:
+        raise DimensionMismatch(
+            f"shape {m.shape} does not end in the qubit shape {shape}")
+    return m
+
+
+def partial_trace(m, keep: int) -> np.ndarray:
+    """Reduced state of qubit ``keep`` (0 or 1) of a 4x4 two-qubit matrix."""
+    t = _qubit_shaped(as_matrix(m), (4, 4)).reshape(2, 2, 2, 2)
+    if keep not in (0, 1):
+        raise DimensionMismatch(f"keep index {keep} is not a qubit of a pair")
+    return np.einsum("arbr->ab" if keep == 0 else "rarb->ab", t)
+
+
+def partial_transpose(m) -> np.ndarray:
+    """Transpose the second qubit of a 4x4 matrix, or of each matrix of a
+    stack ``(..., 4, 4)``, leaving the first alone."""
+    m = _qubit_shaped(m, (4, 4))
+    t = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
+    return t.swapaxes(-3, -1).reshape(m.shape)
 
 
 def vec(m) -> np.ndarray:
@@ -240,12 +227,9 @@ def vec(m) -> np.ndarray:
     return as_matrix(m).flatten(order="F")
 
 
-def unvec(v, d: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``d x d`` matrix."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != d * d:
-        raise DimensionMismatch(f"vector of size {v.size} is not {d}x{d}")
-    return v.reshape((d, d), order="F")
+def unvec(v) -> np.ndarray:
+    """Inverse of :func:`vec` for a 2x2 matrix."""
+    return _qubit_shaped(np.ravel(v), (4,)).reshape((2, 2), order="F")
 
 
 def sandwich_superop(a, b) -> np.ndarray:
@@ -260,33 +244,31 @@ def sandwich_superop(a, b) -> np.ndarray:
                        b.shape[-1] * a.shape[-1])
 
 
-def choi_matrices(superop, in_dim: int, out_dim: int) -> np.ndarray:
+def choi_matrices(superop) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_ab Phi(|a><b|) (x) |a><b|`` (map on the
-    first factor) of a column-stacking superoperator, or of each in a stack
-    ``(..., out_dim**2, in_dim**2)``.
+    first qubit) of a column-stacking qubit superoperator, or of each in a
+    stack ``(..., 4, 4)``.
 
-    ``superop[i + out_dim j, a + in_dim b]`` maps ``|a><b|`` to ``|i><j|``, and
-    is entry ``[(i, a), (j, b)]`` of the Choi matrix: an exact reshuffle.
+    ``superop[i + 2 j, a + 2 b]`` maps ``|a><b|`` to ``|i><j|``, and is entry
+    ``[(i, a), (j, b)]`` of the Choi matrix: an exact reshuffle.
     """
-    superop = np.asarray(superop, dtype=complex)
-    batch, d = superop.shape[:-2], out_dim * in_dim
-    s = superop.reshape(*batch, out_dim, out_dim, in_dim, in_dim)
-    return np.einsum("...jiba->...iajb", s).reshape(*batch, d, d)
+    superop = _qubit_shaped(superop, (4, 4))
+    batch = superop.shape[:-2]
+    s = superop.reshape(*batch, 2, 2, 2, 2)
+    return np.einsum("...jiba->...iajb", s).reshape(*batch, 4, 4)
 
 
-def superop_of_choi(choi, in_dim: int, out_dim: int) -> np.ndarray:
+def superop_of_choi(choi) -> np.ndarray:
     """Inverse of :func:`choi_matrices`, the opposite axis permutation.
 
-    Every ``rho`` on ``C^d_in (x) C^anc`` is the Choi matrix of one linear
-    map, so ``(S (x) id)(rho)`` for any linear ``S`` from ``d_in`` to
-    ``d_out`` is ``choi_matrices(S @ superop_of_choi(rho, anc, d_in), anc, d_out)``.
+    Every two-qubit ``rho`` is the Choi matrix of one linear qubit map, so
+    ``(S (x) id)(rho)`` for any linear qubit map ``S`` is
+    ``choi_matrices(S @ superop_of_choi(rho))``.
     """
-    choi = np.asarray(choi, dtype=complex)
-    batch, d = choi.shape[:-2], out_dim * in_dim
-    if choi.shape[-2:] != (d, d):
-        raise DimensionMismatch(f"matrix of shape {choi.shape} is not {d}x{d}")
-    t = choi.reshape(*batch, out_dim, in_dim, out_dim, in_dim)
-    return np.einsum("...iajb->...jiba", t).reshape(*batch, out_dim ** 2, in_dim ** 2)
+    choi = _qubit_shaped(choi, (4, 4))
+    batch = choi.shape[:-2]
+    t = choi.reshape(*batch, 2, 2, 2, 2)
+    return np.einsum("...iajb->...jiba", t).reshape(*batch, 4, 4)
 
 
 def opnorm(m) -> float:

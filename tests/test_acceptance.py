@@ -332,7 +332,7 @@ def test_criterion_9_measure_sanity(rng):
                compose(ad_channel(0.5), unitary_channel(SIGMA_X))):
         choi = np.asarray(choi_state(ch).matrix)
         w = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
-        marg = partial_trace(choi, (2, 2), keep=1)  # trace out the output slot
+        marg = partial_trace(choi, keep=1)  # trace out the output slot
         cptp.append(w.min() > -1e-10
                     and np.allclose(marg, np.eye(2) / 2.0, atol=1e-10)
                     and abs(np.trace(choi).real - 1.0) < 1e-10)

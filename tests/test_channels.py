@@ -1,6 +1,7 @@
 """Channel algebra: superoperator/Kraus/Choi consistency and EB verdicts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from entweave.channels import (
     superop_distance,
     unitary_channel,
 )
+from entweave.continuous import Liouvillian
 from entweave.entanglement import concurrence
 from entweave.qmath import (
     SIGMA_X,
@@ -57,7 +59,6 @@ def _restored_pair(eta=0.3, u_mat=SIGMA_X):
 
 def test_basic_channel_shapes():
     c = ad_channel(0.3)
-    assert c.in_dim == c.out_dim == 2
     assert c.trace_preserving
     assert np.linalg.matrix_rank(choi_matrix(c)) == 2  # two Kraus operators
     assert c.superop.shape == (4, 4)
@@ -73,6 +74,21 @@ def test_validation_guards():
     # Kraus set with gram above identity amplifies trace
     with pytest.raises(ValueError):
         QuantumChannel.from_kraus((np.eye(2) * 1.1,))
+    # every map is a qubit map and every scored state a two-qubit state:
+    # anything else is refused where it enters, naming its shape
+    widen = np.zeros((3, 2), dtype=complex)
+    widen[:2, :2] = np.eye(2)  # a qubit embedded in a qutrit
+    stack = np.broadcast_to(np.eye(9, dtype=complex), (5, 9, 9))
+    for refused, shape in (
+            (lambda: QuantumChannel(np.eye(9)), "(9, 9)"),
+            (lambda: QuantumChannel.from_kraus((widen,)), "(3, 2)"),
+            (lambda: Liouvillian(np.zeros((9, 9))), "(9, 9)"),
+            (lambda: choi_matrices(stack), "(5, 9, 9)"),
+            (lambda: superop_of_choi(stack), "(5, 9, 9)"),
+            (lambda: partial_transpose(stack), "(5, 9, 9)"),
+            (lambda: concurrence(np.eye(3) / 3.0), "(3, 3)")):
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            refused()
 
 
 def test_superop_matches_kraus_action(rng):
@@ -80,7 +96,7 @@ def test_superop_matches_kraus_action(rng):
     c = QuantumChannel.from_kraus(kraus)
     rho = random_density(2, rng)
     direct = sum(k @ rho @ k.conj().T for k in kraus)
-    assert np.allclose(unvec(c.superop @ vec(rho), 2), direct)
+    assert np.allclose(unvec(c.superop @ vec(rho)), direct)
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,16 +154,15 @@ def test_superop_constructor_rejects_non_cp_and_amplifying():
 
 
 def test_choi_matrix_is_the_e_ij_sum(rng):
-    # a 2 -> 3 channel from a Haar isometry into qutrit (x) qubit environment
+    # a qubit channel from a Haar isometry into a qutrit environment
     iso = haar_unitary(6, rng)[:, :2]
-    c = QuantumChannel.from_kraus((iso[:3], iso[3:]))
-    assert (c.in_dim, c.out_dim) == (2, 3)
-    expect = np.zeros((6, 6), dtype=complex)
+    c = QuantumChannel.from_kraus((iso[:2], iso[2:4], iso[4:]))
+    expect = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
-            expect += np.kron(unvec(c.superop @ vec(e), 3), e)
+            expect += np.kron(unvec(c.superop @ vec(e)), e)
     assert np.array_equal(choi_matrix(c), expect)
 
 
@@ -164,8 +179,8 @@ def test_signal_chain_matches_stepwise_action(rng):
     rho = random_density(2, rng)
     step = rho
     for c in chain:
-        step = unvec(c.superop @ vec(step), 2)
-    assert np.allclose(unvec(total.superop @ vec(rho), 2), step)
+        step = unvec(c.superop @ vec(step))
+    assert np.allclose(unvec(total.superop @ vec(rho)), step)
 
 
 def test_unitary_channels_never_break(rng):
@@ -368,7 +383,7 @@ def test_choi_is_normalized_cptp(rng):
     w = np.linalg.eigvalsh(choi)
     assert w.min() > -1e-10
     # Choi positivity survives partial transposition for EB channels only;
-    # here just confirm choi_matrix is choi_state times in_dim
+    # here just confirm choi_matrix is choi_state times the input dimension 2
     assert np.allclose(choi_matrix(c), 2.0 * choi)
 
 
@@ -444,14 +459,14 @@ def test_breaking_scorer_raises_as_validate_density(kind, error, words):
     bad = {"non-Hermitian": bell + 1e-6 * np.triu(np.ones((4, 4)), 1),
            "trace": 1.01 * bell,
            "negative": 1.1 * bell - 0.1 * np.eye(4) / 4.0}[kind]
-    assert np.allclose(choi_matrices(superop_of_choi(2.0 * bad, 2, 2), 2, 2) / 2.0, bad)
+    assert np.allclose(choi_matrices(superop_of_choi(2.0 * bad)) / 2.0, bad)
     phi, _ = _restored_pair()
     for m, k, flat in ((1, 1, 0), (2, 4, 5), (3, 12, 30)):
         stack = np.array([phi.superop] * (m * k), dtype=complex)
-        stack[flat] = superop_of_choi(2.0 * bad, 2, 2)
+        stack[flat] = superop_of_choi(2.0 * bad)
         stack = stack.reshape(m, k, 4, 4)
         with pytest.raises(error) as reference:
-            validate_density(choi_matrices(stack, 2, 2) / 2.0)
+            validate_density(choi_matrices(stack) / 2.0)
         with pytest.raises(error) as scored:
             _first_breaking(stack)
         assert str(scored.value) == str(reference.value)
@@ -464,11 +479,11 @@ def test_one_validation_policy_for_every_scorer():
     bell = projector(maximally_entangled())
     slightly = (1.0 + 2e-8) * bell - 2e-8 * np.eye(4) / 4.0
     assert math.isclose(np.linalg.eigvalsh(slightly)[0], -5e-9, rel_tol=1e-6)
-    stack = superop_of_choi(2.0 * slightly, 2, 2)[None, None]
+    stack = superop_of_choi(2.0 * slightly)[None, None]
     with pytest.raises(OutOfRange) as scored:
         _first_breaking(stack)
     with pytest.raises(OutOfRange) as direct:
-        concurrence(choi_matrices(stack, 2, 2) / 2.0)
+        concurrence(choi_matrices(stack) / 2.0)
     assert str(scored.value) == str(direct.value) == (
         "density matrix has negative eigenvalue -5.000e-09 at stack index 0")
     with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue -5.000e-09$"):
@@ -498,15 +513,7 @@ def test_signal_chain_validates_only_the_product(rng, monkeypatch):
 
 
 def test_signal_chain_checks_every_joint():
-    iso = np.zeros((3, 2), dtype=complex)
-    iso[:2, :2] = np.eye(2)  # a qubit embedded in a qutrit
-    widen = QuantumChannel.from_kraus((iso,))
-    assert (widen.in_dim, widen.out_dim) == (2, 3)
-    qubit, qutrit = identity_channel(2), identity_channel(3)
-    compose_signal_chain([qubit, widen, qutrit])
-    for bad in ([widen, qubit], [qubit, qubit, widen, widen],
-                [widen, qutrit, qubit]):
-        with pytest.raises(DimensionMismatch, match="cannot feed a 3-dim output"):
-            compose_signal_chain(bad)
+    # every channel is a qubit map, so every joint lines up; only an empty
+    # chain is refused
     with pytest.raises(DimensionMismatch):
         compose_signal_chain([])

@@ -205,10 +205,11 @@ def test_continuous_trace_drift_is_refused(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     # the second file's write stops halfway with an OSError, as on a full
-    # disk: the first file stays whole, and nothing of the second, no
-    # temporary file and no manifest is left
+    # disk: the run exits 4 with one line naming that file, the first file
+    # stays whole, and nothing of the second, no temporary file and no
+    # manifest is left
     args = ["continuous", "--family", "ad", "--n", "1", "--x-max", "1",
             "--steps", "5"]
     write_text = Path.write_text
@@ -223,13 +224,26 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", half_then_fail)
     out_dir = tmp_path / "out"
-    with pytest.raises(OSError, match="No space"):
-        main(["--out", str(out_dir), *args])
+    assert main(["--out", str(out_dir), *args]) == 4
     monkeypatch.undo()
+    second = out_dir / "continuous_ad_n1.csv"
+    err = capsys.readouterr().err
+    assert err == f"write failure: {second}: No space left on device\n"
     first = "continuous_ad_single.csv"
     assert [p.name for p in out_dir.iterdir()] == [first]
     assert main(["--out", str(tmp_path / "whole"), *args]) == 0
     assert (out_dir / first).read_bytes() == (tmp_path / "whole" / first).read_bytes()
+    # --out names an existing file: the verdicts print, nothing is written
+    # and the file is untouched
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    capsys.readouterr()
+    assert main(["--out", str(taken), "discrete"]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("P: is_eb=False")
+    assert err == f"write failure: {taken}: File exists\n"
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "taken", "whole"]
 
 
 def test_runs_import_no_scipy(tmp_path):

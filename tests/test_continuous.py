@@ -85,7 +85,7 @@ def _on_first_qubit(superop, rho):
         for z in range(2):
             e = np.zeros((2, 2))
             e[y, z] = 1.0
-            out += np.kron(unvec(superop @ vec(blocks[:, y, :, z]), 2), e)
+            out += np.kron(unvec(superop @ vec(blocks[:, y, :, z])), e)
     return out
 
 

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 import entweave
 from entweave.entanglement import (
-    BadDimension,
     concurrence,
     negativity,
     werner_state,
 )
 from entweave.qmath import (
+    DimensionMismatch,
     NonHermitian,
     OutOfRange,
     maximally_entangled,
@@ -44,9 +44,9 @@ def test_separable_states_vanish(rng):
 
 
 def test_dimension_guard():
-    with pytest.raises(BadDimension):
+    with pytest.raises(DimensionMismatch):
         concurrence(np.eye(2) / 2.0)
-    with pytest.raises(BadDimension):
+    with pytest.raises(DimensionMismatch):
         negativity(np.eye(8) / 8.0)
 
 

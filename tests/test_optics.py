@@ -118,7 +118,7 @@ def test_ideal_dif_closes_onto_damping():
     for eta in (0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
         ch = dif_map(alpha_for_eta(eta))
         assert superop_distance(ch.normalized(), ad_channel(eta)) < 1e-10
-        gram = _gram(ch.superop, 2)
+        gram = _gram(ch.superop)
         assert np.allclose(gram, np.eye(2) / 2.0, atol=1e-12)  # success 1/2
 
 
@@ -168,7 +168,7 @@ def test_ideal_m1_m2_coincide():
 
 def test_measured_single_dif_transmission():
     ch = dif_map(HALF_PI, MEASURED)
-    gram = _gram(ch.superop, 2)
+    gram = _gram(ch.superop)
     succ = float(np.trace(gram).real / 2.0)  # on the maximally mixed input
     assert math.isclose(succ, 0.413918335, abs_tol=1e-9)
     assert 0.25 <= succ <= 0.42
@@ -307,7 +307,7 @@ def _reference_point(s):
         for z in range(2):
             e = np.zeros((2, 2))
             e[y, z] = 1.0
-            out += np.kron(unvec(total.superop @ vec(blocks[:, y, :, z]), 2), e)
+            out += np.kron(unvec(total.superop @ vec(blocks[:, y, :, z])), e)
     succ = float(np.trace(out).real)
     rho = out / succ
     return concurrence(0.5 * (rho + rho.conj().T)).value, succ

@@ -58,7 +58,7 @@ def test_pauli_algebra():
 def test_vec_is_column_stacking():
     m = np.array([[1, 2], [3, 4]])
     assert np.array_equal(vec(m), np.array([1, 3, 2, 4]))
-    assert np.array_equal(unvec(vec(m), 2), m)
+    assert np.array_equal(unvec(vec(m)), m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,10 +66,11 @@ def test_vec_is_column_stacking():
 def test_sandwich_identity(a, rho, b, a_rect, b_rect):
     # vec(A rho B) = (B^T (x) A) vec(rho): the convention everything relies
     # on, for a square and a rectangular (3x2) pair; sandwich_superop(A, B^dag)
-    # is that matrix, with numpy's kron as the independent reference
+    # is that matrix, with numpy's kron as the independent reference.  unvec
+    # is for 2x2 matrices, so the 3x3 image is unstacked by its own reshape
     for left, right in ((a, b), (a_rect, b_rect)):
         superop = np.kron(right.T, left)
-        lhs = unvec(superop @ vec(rho), left.shape[0])
+        lhs = (superop @ vec(rho)).reshape((left.shape[0],) * 2, order="F")
         assert np.allclose(lhs, left @ rho @ right)
         np.testing.assert_allclose(sandwich_superop(left, dagger(right)), superop,
                                    rtol=0.0, atol=1e-14)
@@ -87,31 +88,34 @@ def test_sandwich_identity(a, rho, b, a_rect, b_rect):
 @given(square(2), square(2))
 def test_sandwich_superop_applies_conjugation(a, rho):
     s = sandwich_superop(a, a)
-    assert np.allclose(unvec(s @ vec(rho), 2), a @ rho @ dagger(a))
+    assert np.allclose(unvec(s @ vec(rho)), a @ rho @ dagger(a))
 
 
 def test_unvec_rejects_bad_length():
     with pytest.raises(DimensionMismatch):
-        unvec(np.arange(5), 2)
+        unvec(np.arange(5))
 
 
 def test_partial_trace_on_products(rng):
     a = random_density(2, rng)
-    b = random_density(3, rng)
+    b = random_density(2, rng)
     ab = np.kron(a, b)
-    assert np.allclose(partial_trace(ab, (2, 3), keep=0), a)
-    assert np.allclose(partial_trace(ab, (2, 3), keep=1), b)
-    with pytest.raises(DimensionMismatch):
-        partial_trace(ab, (2, 2), keep=0)
+    assert np.allclose(partial_trace(ab, keep=0), a)
+    assert np.allclose(partial_trace(ab, keep=1), b)
+    with pytest.raises(DimensionMismatch, match=r"\(6, 6\)"):
+        partial_trace(np.kron(a, random_density(3, rng)), keep=0)
 
 
 def test_partial_transpose_involution(rng):
     m = random_density(4, rng)
-    pt = partial_transpose(m, (2, 2), which=1)
-    assert np.allclose(partial_transpose(pt, (2, 2), which=1), m)
-    # full transpose = transpose on both factors
-    both = partial_transpose(pt, (2, 2), which=0)
-    assert np.allclose(both, m.T)
+    pt = partial_transpose(m)
+    assert np.allclose(partial_transpose(pt), m)
+    # on a product it transposes the second factor only, in every matrix of
+    # a stack
+    a, b = haar_unitary(2, rng), haar_unitary(2, rng)
+    assert np.array_equal(partial_transpose(np.kron(a, b)), np.kron(a, b.T))
+    stack = np.array([m, np.kron(a, b)])
+    assert np.array_equal(partial_transpose(stack)[1], np.kron(a, b.T))
 
 
 def test_first_factor_by_choi_reshuffle_matches_kron(rng):
@@ -121,40 +125,40 @@ def test_first_factor_by_choi_reshuffle_matches_kron(rng):
     s = sandwich_superop(a, a)
     rho = random_density(4, rng)
     big = sandwich_superop(np.kron(a, IDENTITY_2), np.kron(a, IDENTITY_2))
-    assert np.allclose(choi_matrices(s @ superop_of_choi(rho, 2, 2), 2, 2),
-                       unvec(big @ vec(rho), 4))
+    assert np.allclose(choi_matrices(s @ superop_of_choi(rho)),
+                       (big @ vec(rho)).reshape((4, 4), order="F"))
 
 
 def test_first_factor_by_choi_reshuffle_general_map(rng):
-    # any linear map, output dimension 3 from input 2, qutrit ancilla; the
-    # reference sums Phi(|a><b|) (x) rho_ab over the basis |a><b|
-    s = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
-    rho = random_density(6, rng)
-    t = rho.reshape(2, 3, 2, 3)
-    expect = np.zeros((9, 9), dtype=complex)
+    # any linear qubit map, not completely positive; the reference sums
+    # Phi(|a><b|) (x) rho_ab over the basis |a><b|
+    s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = random_density(4, rng)
+    t = rho.reshape(2, 2, 2, 2)
+    expect = np.zeros((4, 4), dtype=complex)
     for a in range(2):
         for b in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[a, b] = 1.0
-            expect += np.kron(unvec(s @ vec(e), 3), t[a, :, b, :])
-    got = choi_matrices(s @ superop_of_choi(rho, 3, 2), 3, 3)
+            expect += np.kron(unvec(s @ vec(e)), t[a, :, b, :])
+    got = choi_matrices(s @ superop_of_choi(rho))
     assert np.allclose(got, expect, rtol=0.0, atol=1e-13)
 
 
 def test_choi_reshuffle_roundtrips_exactly(rng):
-    # a batch of 2 -> 3 maps; both directions are pure axis permutations
-    s = rng.normal(size=(5, 9, 4)) + 1j * rng.normal(size=(5, 9, 4))
-    choi = choi_matrices(s, 2, 3)
-    assert choi.shape == (5, 6, 6)
-    assert np.array_equal(superop_of_choi(choi, 2, 3), s)
-    c = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
-    assert np.array_equal(choi_matrices(superop_of_choi(c, 2, 3), 2, 3), c)
+    # a batch of linear qubit maps; both directions are pure axis permutations
+    s = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    choi = choi_matrices(s)
+    assert choi.shape == (5, 4, 4)
+    assert np.array_equal(superop_of_choi(choi), s)
+    c = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    assert np.array_equal(choi_matrices(superop_of_choi(c)), c)
     # entry [(i, a), (j, b)] of the Choi matrix is the image of |a><b| at |i><j|
     e = np.zeros((2, 2))
     e[1, 0] = 1.0
-    assert np.array_equal(choi[2, 1::2, 0::2], unvec(s[2] @ vec(e), 3))
+    assert np.array_equal(choi[2, 1::2, 0::2], unvec(s[2] @ vec(e)))
     with pytest.raises(DimensionMismatch):
-        superop_of_choi(c, 3, 3)
+        superop_of_choi(rng.normal(size=(5, 6, 6)))
 
 
 def test_expm_rotation_closed_form():
