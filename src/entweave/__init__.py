@@ -62,8 +62,6 @@ from .optics import (
     m2_setup,
     mprime_setup,
     run_point,
-    setup_from_json,
-    setup_to_json,
     sweep,
 )
 
@@ -113,8 +111,6 @@ __all__ = [
     "rotating_ad_liouvillian",
     "rotating_pd_liouvillian",
     "run_point",
-    "setup_from_json",
-    "setup_to_json",
     "singlet_state",
     "sweep",
     "switched_line",

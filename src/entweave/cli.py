@@ -6,13 +6,14 @@ Three subcommands:
 * ``continuous`` -- switched-generator concurrence profiles and thresholds
 * ``experiment`` -- interferometer-bench sweeps, ideal or measured elements
 
-Each subcommand computes all its outputs before ``main`` writes any; the
-manifest, recording the full resolved parameter set, is written last.  A run
-that exits 2 or 3 writes nothing, and each file is written whole or not at
-all: to a temporary file in ``--out``, then renamed into place.  A write that
-fails (``--out`` names a file, the disk is full) exits 4 with one line naming
-the file, leaving only the files written whole before it.  Identical
-invocations produce byte-identical CSVs.
+The bench is described by a map name and an element preset only.  Each
+subcommand computes all its outputs before ``main`` writes any; the manifest,
+recording every parsed argument as resolved (defaults filled in, angles in
+radians), is written last.  A run that exits 2 or 3 writes nothing, and each
+file is written whole or not at all: to a temporary file in ``--out``, then
+renamed into place.  A write that fails (``--out`` names a file, the disk is
+full) exits 4 with one line naming the file, leaving only the files written
+whole before it.  Identical invocations produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 """
@@ -51,13 +52,11 @@ from .continuous import (
     rotating_pd_liouvillian,
 )
 from .optics import (
-    ElementInconsistent,
     ZeroSuccessProbability,
     identity_setup,
     m1_setup,
     m2_setup,
     mprime_setup,
-    setup_from_json,
     sweep,
 )
 from .qmath import (
@@ -78,11 +77,11 @@ EXIT_WRITE = 4
 
 
 class ParseError(ValueError):
-    """Malformed sequence string, unitary descriptor, or JSON payload."""
+    """Malformed sequence string or unitary descriptor."""
 
 
 _VALIDATION = (ParseError, OutOfRange, NotUnitary, NonHermitian,
-               DimensionMismatch, ElementInconsistent, ValueError)
+               DimensionMismatch, ValueError)
 _NUMERICAL = (ToleranceConflict, ZeroSuccessProbability)
 
 
@@ -91,7 +90,6 @@ class Run(NamedTuple):
 
     outputs: dict[str, str]  # file name -> text, in writing order
     manifest_name: str       # written last
-    parameters: dict         # resolved parameters, recorded in the manifest
     notes: Sequence[str] = ()
 
 
@@ -110,13 +108,16 @@ def _write_file(path: Path, text: str) -> None:
         raise
 
 
-def _write(out_dir: Path, command: str, run: Run, started: float) -> None:
-    """Create ``out_dir``, write every output, then the manifest."""
+def _write(args, run: Run, started: float) -> None:
+    """Create ``--out``, write every output, then the manifest, whose
+    parameters are the parsed ``args`` as the subcommand resolved them."""
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in run.outputs.items():
         _write_file(out_dir / name, text)
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     manifest = {
-        "command": command, "parameters": {**run.parameters, "out": str(out_dir)},
+        "command": args.command, "parameters": {**parameters, "out": str(out_dir)},
         "outputs": list(run.outputs), "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
         "notes": list(run.notes),
@@ -198,7 +199,7 @@ def _validate_discrete(args) -> tuple[np.ndarray, str | None]:
         _in_unit_interval("--pd", args.pd)
     if args.max_order < 1:
         raise OutOfRange(f"--max-order must be at least 1, got {args.max_order}")
-    seq = _parse_sequence(args.sequence) if args.sequence else None
+    seq = _parse_sequence(args.sequence) if args.sequence is not None else None
     return _unitary_from_string(args.unitary), seq
 
 
@@ -243,11 +244,7 @@ def cmd_discrete(args) -> Run:
                   f"concurrence={s['choi_concurrence']:.12g} "
                   f"order={s['eb_order']}")
     report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return Run({"discrete_report.json": report_text}, "discrete_manifest.json", {
-        "eta": args.eta, "pd": args.pd, "unitary": args.unitary,
-        "sequence": args.sequence, "order_of": args.order_of,
-        "max_order": args.max_order,
-    })
+    return Run({"discrete_report.json": report_text}, "discrete_manifest.json")
 
 
 # -------------------------------------------------------------- continuous
@@ -323,11 +320,7 @@ def cmd_continuous(args) -> Run:
         outputs[f"continuous_{args.family}_{label}.csv"] = _csv_text(
             PROFILE_HEADER, points, label)
         print(f"{label}: {text}")
-    return Run(outputs, "continuous_manifest.json", {
-        "family": args.family, "omega": args.omega, "eps": args.eps,
-        "n": args.n, "x_max": args.x_max, "steps": args.steps,
-        "dephasing_sign": args.dephasing_sign,
-    }, notes)
+    return Run(outputs, "continuous_manifest.json", notes)
 
 
 # -------------------------------------------------------------- experiment
@@ -363,7 +356,8 @@ def _summarize(points) -> list[str]:
 
 def _resolve_angles(args) -> None:
     """Read the angles given on the command line in degrees when
-    ``--degrees`` is set, and fill in the defaults, which are radians."""
+    ``--degrees`` is set, and fill in the defaults: radians for the angles,
+    the map's swept angle for ``--vary``."""
     given = math.radians if args.degrees else float
     for name, default in (("theta", math.pi / 4), ("phi", math.pi / 4),
                           ("source_phase", math.pi)):
@@ -371,6 +365,7 @@ def _resolve_angles(args) -> None:
         setattr(args, name, default if value is None else given(value))
     args.range = ((-math.pi / 2, math.pi / 2) if args.range is None
                   else tuple(given(v) for v in args.range))
+    args.vary = args.vary or _DEFAULT_VARY[args.map]
 
 
 def _validate_experiment(args) -> None:
@@ -389,35 +384,13 @@ def _validate_experiment(args) -> None:
 def cmd_experiment(args) -> Run:
     _resolve_angles(args)
     _validate_experiment(args)
-    if args.setup_json:
-        try:
-            setup = setup_from_json(Path(args.setup_json).read_text())
-        except OSError as exc:
-            raise ParseError(f"--setup-json: cannot read {args.setup_json!r}: "
-                             f"{exc.strerror}") from None
-        except ValueError as exc:  # undecodable text or a malformed document
-            raise ParseError(f"--setup-json: {exc}") from None
-        map_label = setup.label
-        preset_name = setup.preset
-    else:
-        setup = _SETUPS[args.map](args)
-        map_label = args.map
-        preset_name = args.preset
-    vary = args.vary or _DEFAULT_VARY.get(map_label, "theta")
     lo, hi = args.range
-    points = sweep(setup, vary, lo, hi, args.steps)
+    points = sweep(_SETUPS[args.map](args), args.vary, lo, hi, args.steps)
     for line in _summarize(points):
         print(line)
-    stem = f"experiment_{map_label}_{preset_name}_{vary}"
-    csv_text = _csv_text(SWEEP_HEADER, points, preset_name, map_label)
-    return Run({f"{stem}.csv": csv_text}, f"{stem}_manifest.json", {
-        "map": map_label, "preset": preset_name, "vary": vary,
-        "range": [lo, hi], "steps": args.steps, "W": args.W,
-        "eta1": args.eta1, "eta2": args.eta2,
-        "theta": args.theta, "phi": args.phi,
-        "source_phase": args.source_phase,
-        "setup_json": args.setup_json, "degrees": args.degrees,
-    })
+    stem = f"experiment_{args.map}_{args.preset}_{args.vary}"
+    csv_text = _csv_text(SWEEP_HEADER, points, args.preset, args.map)
+    return Run({f"{stem}.csv": csv_text}, f"{stem}_manifest.json")
 
 
 # ------------------------------------------------------------------ parser
@@ -474,8 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="(default pi)")
     e.add_argument("--degrees", action="store_true",
                    help="read the angles given here as degrees")
-    e.add_argument("--setup-json", default=None,
-                   help="load a full setup document instead of presets")
     return top
 
 
@@ -498,7 +469,7 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        _write(Path(args.out), args.command, run, started)
+        _write(args, run, started)
     except OSError as exc:
         print(f"write failure: {exc.filename}: {exc.strerror or exc}",
               file=sys.stderr)

@@ -78,7 +78,7 @@ def _scores(rho, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
     ``states._checked_psd``, all at once or as it reads them.  A stack along
     a line passes its ``lengths``, so that a refusal names the length.
     """
-    w, v = np.linalg.eigh(_checked_structure(_as_two_qubit(rho), lengths))
+    w, v = np.linalg.eigh(_checked_structure(getattr(rho, "matrix", rho), lengths))
     # eigh sorts ascending, so the last eigenvalue is the largest
     kept = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
     psi = v * np.sqrt(kept)[..., None, :]

@@ -23,7 +23,6 @@ backwards), which is what makes the ideal loop close exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,19 +78,16 @@ class PbsParams:
 
 @dataclass(frozen=True)
 class DifElements:
-    """Per-interferometer element set: loop splitter, output splitter, and
-    per-path fiber-coupling efficiencies (unmeasured in the experiment;
-    default lossless)."""
+    """Element set of an interferometer: loop splitter and output splitter.
+
+    A path's loss before the output splitter, such as a fiber's collection
+    efficiency, is written into that splitter: path efficiencies (c_a, c_b)
+    of paths a and b are the output splitter with T * c_b and R * c_a,
+    since path a leaves by reflection and path b by transmission.
+    """
 
     bs: BeamSplitterParams
     pbs: PbsParams
-    coupling: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coupling)
-        if len(c) != 2 or not all(0.0 <= x <= 1.0 for x in c):
-            raise ElementInconsistent("coupling efficiencies must lie in [0, 1]")
-        object.__setattr__(self, "coupling", c)
 
 
 IDEAL = DifElements(BeamSplitterParams(0.5, 0.5), PbsParams(1.0, 0.0, 0.0, 1.0))
@@ -140,10 +136,9 @@ def _dif_branches(alpha: float, elements: DifElements) -> tuple[np.ndarray, np.n
     plates = (hwp(0.0), hwp(alpha))
     path_a, path_b = (sum(back[x][y][:, None] * plates[y] * into[y] for y in (0, 1))
                       for x in (0, 1))
-    ca, cb = (math.sqrt(c) for c in el.coupling)
     # final splitter, output port fed by reflected a and transmitted b
-    main = 1.0j * math.sqrt(el.bs.R) * (ca * path_a)
-    arm = math.sqrt(el.bs.T) * (cb * path_b)
+    main = 1.0j * math.sqrt(el.bs.R) * path_a
+    arm = math.sqrt(el.bs.T) * path_b
     return main, arm
 
 
@@ -167,14 +162,15 @@ def dif_map(alpha: float, elements: DifElements = IDEAL) -> QuantumChannel:
 
 @dataclass(frozen=True)
 class OpticalSetup:
-    """Angles, element sets, and input parameters of the three-DIF bench.
+    """Angles, elements, and input parameters of the three-DIF bench.
 
     ``alpha1``, ``alpha21``, ``alpha2`` are the loop plate angles of the three
-    DIFs in signal order; ``phi`` plates sit right after the first and second
-    DIF, ``theta`` plates right after the phi plates.  ``source_phase`` is the
+    DIFs in signal order, all three built from the one element set
+    ``elements``; ``phi`` plates sit right after the first and second DIF,
+    ``theta`` plates right after the phi plates.  ``source_phase`` is the
     relative phase of the entangled-pair ket (|HV> + e^{i phase}|VH>)/sqrt(2);
     the experiment does not pin it, and entanglement verdicts cannot depend on
-    it.
+    it.  ``label`` names the bench in a :class:`ZeroSuccessProbability`.
     """
 
     alpha1: float
@@ -184,10 +180,9 @@ class OpticalSetup:
     phi: float = math.pi / 4
     theta_present: bool = True
     phi_present: bool = True
-    elements: tuple[DifElements, DifElements, DifElements] = (IDEAL, IDEAL, IDEAL)
+    elements: DifElements = IDEAL
     W: float = 0.96
     source_phase: float = math.pi
-    preset: str = "ideal"
     label: str = "custom"
 
     def __post_init__(self):
@@ -196,17 +191,16 @@ class OpticalSetup:
                 raise OutOfRange(f"{name} is not finite")
         if not 0.0 <= self.W <= 1.0:
             raise OutOfRange(f"Werner parameter {self.W} outside [0, 1]")
-        if len(self.elements) != 3:
-            raise ElementInconsistent("need one element set per DIF")
+        if not isinstance(self.elements, DifElements):
+            raise ElementInconsistent("elements must be one DifElements set")
 
 
-def resolve_elements(preset: str) -> tuple[DifElements, DifElements, DifElements]:
-    """The element set of a preset name, once per DIF."""
+def resolve_elements(preset: str) -> DifElements:
+    """The element set of a preset name."""
     try:
-        e = _PRESETS[preset.lower()]
+        return _PRESETS[preset.lower()]
     except KeyError:
         raise ElementInconsistent(f"unknown element preset {preset!r}") from None
-    return (e, e, e)
 
 
 def mprime_setup(eta1: float = 0.3, eta2: float = 0.3, *,
@@ -218,8 +212,7 @@ def mprime_setup(eta1: float = 0.3, eta2: float = 0.3, *,
     return OpticalSetup(alpha_for_eta(eta1), alpha_for_eta(eta1 * eta2),
                         alpha_for_eta(eta2), theta=theta, phi=phi,
                         elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase,
-                        preset=preset.lower(), label="mprime")
+                        source_phase=source_phase, label="mprime")
 
 
 def m1_setup(eta2: float = 0.3, *, theta: float = math.pi / 4,
@@ -230,8 +223,7 @@ def m1_setup(eta2: float = 0.3, *, theta: float = math.pi / 4,
     a = alpha_for_eta(eta2)
     return OpticalSetup(math.pi / 2, a, a, theta=theta, phi_present=False,
                         elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase,
-                        preset=preset.lower(), label="m1")
+                        source_phase=source_phase, label="m1")
 
 
 def m2_setup(eta1: float = 0.3, *, phi: float = math.pi / 4,
@@ -242,8 +234,7 @@ def m2_setup(eta1: float = 0.3, *, phi: float = math.pi / 4,
     a = alpha_for_eta(eta1)
     return OpticalSetup(a, a, math.pi / 2, phi=phi, theta_present=False,
                         elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase,
-                        preset=preset.lower(), label="m2")
+                        source_phase=source_phase, label="m2")
 
 
 def identity_setup(*, preset="ideal", w: float = 0.96,
@@ -253,8 +244,7 @@ def identity_setup(*, preset="ideal", w: float = 0.96,
     return OpticalSetup(math.pi / 2, math.pi / 2, math.pi / 2,
                         theta_present=False, phi_present=False,
                         elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase,
-                        preset=preset.lower(), label="identity")
+                        source_phase=source_phase, label="identity")
 
 
 def source_state(s: OpticalSetup) -> DensityMatrix:
@@ -286,8 +276,8 @@ def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
         if present:
             u = hwp(np.broadcast_to(xi, (n,)))
             plates = sandwich_superop(u, u) @ plates
-    d1, d2, d3 = (_dif_superop(alpha, el)
-                  for alpha, el in zip((s.alpha1, s.alpha21, s.alpha2), s.elements))
+    d1, d2, d3 = (_dif_superop(alpha, s.elements)
+                  for alpha in (s.alpha1, s.alpha21, s.alpha2))
     return d3 @ (plates @ (d2 @ (plates @ d1)))
 
 
@@ -357,50 +347,3 @@ def sweep(s: OpticalSetup, vary: str, lo: float, hi: float,
         p.extend(p_part.tolist())
     return [SweepPoint(*row) for row in zip(angles.tolist(), c, p)]
 
-
-def _elements_doc(e: DifElements) -> dict:
-    return {"bs": {"T": e.bs.T, "R": e.bs.R},
-            "pbs": {"T_H": e.pbs.T_H, "R_H": e.pbs.R_H,
-                    "T_V": e.pbs.T_V, "R_V": e.pbs.R_V},
-            "coupling": list(e.coupling)}
-
-
-def _elements_from_doc(doc: dict) -> DifElements:
-    return DifElements(BeamSplitterParams(doc["bs"]["T"], doc["bs"]["R"]),
-                       PbsParams(doc["pbs"]["T_H"], doc["pbs"]["R_H"],
-                                 doc["pbs"]["T_V"], doc["pbs"]["R_V"]),
-                       tuple(doc.get("coupling", (1.0, 1.0))))
-
-
-def setup_to_json(s: OpticalSetup) -> str:
-    doc = {
-        "label": s.label,
-        "preset": s.preset,
-        "alpha1": s.alpha1, "alpha21": s.alpha21, "alpha2": s.alpha2,
-        "theta": s.theta, "phi": s.phi,
-        "theta_present": s.theta_present, "phi_present": s.phi_present,
-        "W": s.W, "source_phase": s.source_phase,
-        "elements": [_elements_doc(e) for e in s.elements],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def setup_from_json(text: str) -> OpticalSetup:
-    """Read a setup_to_json document; a malformed one raises ElementInconsistent."""
-    try:
-        doc = json.loads(text)
-        elems = tuple(_elements_from_doc(d) for d in doc["elements"])
-        if len(elems) != 3:
-            raise ElementInconsistent("expected three DIF element sets")
-        return OpticalSetup(doc["alpha1"], doc["alpha21"], doc["alpha2"],
-                            theta=doc["theta"], phi=doc["phi"],
-                            theta_present=doc["theta_present"],
-                            phi_present=doc["phi_present"],
-                            elements=elems, W=doc["W"],
-                            source_phase=doc["source_phase"],
-                            preset=doc.get("preset", "custom"),
-                            label=doc.get("label", "custom"))
-    except KeyError as exc:
-        raise ElementInconsistent(f"setup document missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ElementInconsistent(f"malformed setup document: {exc}") from None

@@ -12,9 +12,9 @@ import numpy as np
 
 from .qmath import (
     TOL,
-    DimensionMismatch,
     NonHermitian,
     OutOfRange,
+    _qubit_shaped,
     as_matrix,
     projector,
     singlet,
@@ -36,10 +36,10 @@ def _first_failure(ok, lengths=None) -> tuple[int, str] | None:
 
 def _checked_structure(m, lengths=None) -> np.ndarray:
     """``m`` as a complex array, once it passes the structural checks of
-    :func:`validate_density`; a failure is located as by ``_first_failure``."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
+    :func:`validate_density`; a failure is located as by ``_first_failure``.
+    A state is two qubits, so any shape but ``(..., 4, 4)`` raises
+    :class:`DimensionMismatch`."""
+    m = _qubit_shaped(m, (4, 4))
     herm = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if fail := _first_failure(herm <= TOL.structural, lengths):
         raise NonHermitian(f"density matrix is not Hermitian within tolerance{fail[1]}")
@@ -63,8 +63,8 @@ def _checked_psd(low, cut: bool = False, lengths=None) -> int:
 
 
 def validate_density(m) -> np.ndarray:
-    """Check a density matrix, or a stack of them with shape ``(..., d, d)``,
-    point by point, and return it as a complex array.
+    """Check a two-qubit density matrix, or a stack of them with shape
+    ``(..., 4, 4)``, point by point, and return it as a complex array.
 
     Every matrix must be Hermitian and have unit trace to the structural
     tolerance, and no eigenvalue may lie below ``-TOL.psd``
@@ -78,7 +78,7 @@ def validate_density(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian, unit-trace, positive-semidefinite matrix.
+    """A Hermitian, unit-trace, positive-semidefinite 4x4 matrix.
 
     Construction validates all three properties with
     :func:`validate_density` and freezes the underlying array.

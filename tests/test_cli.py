@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
+import argparse
 import json
 import math
 import re
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import entweave
+from entweave import cli
 from entweave.cli import main
-from entweave.optics import DifElements, IDEAL, identity_setup, setup_to_json
+from entweave.optics import BeamSplitterParams, DifElements, IDEAL, identity_setup
 from dataclasses import replace
 
 
@@ -37,6 +39,33 @@ def test_discrete_report_and_manifest(tmp_path):
     assert manifest["command"] == "discrete"
     assert manifest["outputs"] == ["discrete_report.json"]
     assert manifest["parameters"]["sequence"] == "QPQP"
+
+
+def test_manifest_records_every_parsed_argument(tmp_path):
+    # the manifest's parameters are exactly the subcommand's parser
+    # destinations plus --out, as resolved: the map's swept angle filled in,
+    # angles given in degrees recorded in radians
+    subparsers = next(a for a in cli._PARSER._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    runs = {
+        "discrete": (["--sequence", "QP"], "discrete_manifest.json"),
+        "continuous": (["--family", "ad", "--n", "2", "--x-max", "1",
+                        "--steps", "5"], "continuous_manifest.json"),
+        "experiment": (["--map", "m2", "--steps", "5", "--degrees",
+                        "--phi", "30", "--range", "-90", "90"],
+                       "experiment_m2_ideal_phi_manifest.json"),
+    }
+    for command, (args, name) in runs.items():
+        out = tmp_path / command
+        assert main(["--out", str(out), command, *args]) == 0
+        params = json.loads((out / name).read_text())["parameters"]
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        assert set(params) == (dests - {"help"}) | {"out"}
+        assert params["out"] == str(out)
+    assert params["vary"] == "phi"
+    assert params["phi"] == math.radians(30)
+    assert params["range"] == [math.radians(-90), math.radians(90)]
+    assert params["theta"] == math.pi / 4
 
 
 def test_parser_defaults_are_immutable():
@@ -78,16 +107,18 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli(tmp_path, "nonsense").returncode == 2  # argparse error
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    dark = DifElements(IDEAL.bs, IDEAL.pbs, coupling=(0.0, 0.0))
-    s = replace(identity_setup(), elements=(dark, dark, dark))
-    doc = tmp_path / "dark.json"
-    doc.write_text(setup_to_json(s))
-    r = run_cli(tmp_path, "experiment", "--setup-json", str(doc),
-                "--steps", "3")
-    assert r.returncode == 3
-    assert "numerical failure" in r.stderr
-    assert [p.name for p in tmp_path.iterdir()] == ["dark.json"]
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # no command-line input darkens the bench, so the identity map is
+    # swapped for one whose output splitter passes no light
+    dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
+    monkeypatch.setitem(cli._SETUPS, "identity",
+                        lambda a: replace(identity_setup(), elements=dark))
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "experiment", "--map", "identity",
+               "--steps", "3"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_continuous_outputs(tmp_path):
@@ -122,39 +153,20 @@ def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-_GOOD_SETUP = json.loads(setup_to_json(identity_setup()))
-# malformed --setup-json documents, by file name
-_BAD_SETUPS = {
-    "setup-list.json": "[]",
-    "setup-elements.json": json.dumps({**_GOOD_SETUP, "elements": [1, 2, 3]}),
-    "setup-theta.json": json.dumps({**_GOOD_SETUP, "theta": "abc"}),
-    "setup-null.json": json.dumps({**_GOOD_SETUP, "W": None}),
-    "setup-no-elements.json": json.dumps({**_GOOD_SETUP, "elements": []}),
-    "setup-truncated.json": "{",
-    "setup-not-utf8.json": "\xff",  # written as latin-1: one byte, not UTF-8
-}
-
-
 @pytest.mark.parametrize("bad", [
     ("discrete", "--eta", "1.4"), ("discrete", "--eta", "nan"),
     ("discrete", "--pd", "-0.1"), ("discrete", "--pd", "inf"),
     ("discrete", "--max-order", "0"), ("discrete", "--sequence", "QXP"),
     ("discrete", "--unitary", "nope"), ("discrete", "--unitary", "[[1,0]]"),
-    ("discrete", "--unitary", "[[1,0],[0,2]]"),
+    ("discrete", "--unitary", "[[1,0],[0,2]]"), ("discrete", "--sequence", ""),
     ("experiment", "--steps", "0"), ("experiment", "--steps", "1"),
     ("experiment", "--W", "nan"), ("experiment", "--W", "1.2"),
     ("experiment", "--eta1", "-0.1"), ("experiment", "--eta2", "inf"),
     ("experiment", "--theta", "inf"), ("experiment", "--phi", "nan"),
     ("experiment", "--source-phase", "inf"),
     ("experiment", "--range", "0", "nan"), ("experiment", "--range", "inf", "1"),
-    ("experiment", "--setup-json", "no-such-setup.json"),
-    *[("experiment", "--setup-json", name) for name in _BAD_SETUPS],
 ])
-def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys,
-                                                      monkeypatch, bad):
-    monkeypatch.chdir(tmp_path)
-    for name, text in _BAD_SETUPS.items():
-        (tmp_path / name).write_text(text, encoding="latin-1")
+def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys, bad):
     out = tmp_path / "out"
     rc = main(["--out", str(out), *bad])
     assert rc == 2
@@ -345,9 +357,11 @@ def test_degrees_leaves_defaults_in_radians(tmp_path, given):
 
 
 def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
-    # the phase average is exact, so there is no sampled mode to select
+    # the phase average is exact, so there is no sampled mode to select, and
+    # the bench is named by --map and --preset only, so no setup document
     out = tmp_path / "out"
-    for flag, value in (("--omega-samples", "25"), ("--seed", "3")):
+    for flag, value in (("--omega-samples", "25"), ("--seed", "3"),
+                        ("--setup-json", "setup.json")):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(out), "experiment", flag, value])
         assert exc.value.code == 2
@@ -357,6 +371,7 @@ def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
         main(["experiment", "--help"])
     usage = capsys.readouterr().out
     assert "--omega-samples" not in usage and "--seed" not in usage
+    assert "--setup-json" not in usage
 
 
 def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):

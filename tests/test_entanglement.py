@@ -48,6 +48,11 @@ def test_dimension_guard():
         concurrence(np.eye(2) / 2.0)
     with pytest.raises(DimensionMismatch):
         negativity(np.eye(8) / 8.0)
+    # a state is checked for two qubits where it enters, not first when scored
+    with pytest.raises(DimensionMismatch, match=r"\(3, 3\)"):
+        DensityMatrix(np.eye(3) / 3.0)
+    with pytest.raises(DimensionMismatch, match=r"\(2, 2\)"):
+        validate_density(np.eye(2) / 2.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,5 @@
 """Interferometer bench: ideal closure onto damping, measured-element effects."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -34,9 +33,7 @@ from entweave.optics import (
     m2_setup,
     mprime_setup,
     run_point,
-    setup_from_json,
     setup_map,
-    setup_to_json,
     source_state,
     sweep,
 )
@@ -78,8 +75,6 @@ def test_element_validation():
         BeamSplitterParams(0.7, 0.5)       # T + R > 1
     with pytest.raises(ElementInconsistent):
         BeamSplitterParams(-0.1, 0.5)
-    with pytest.raises(ElementInconsistent):
-        DifElements(IDEAL.bs, IDEAL.pbs, coupling=(1.2, 1.0))
 
 
 def _kron_dif_branches(alpha, el):
@@ -99,14 +94,15 @@ def _kron_dif_branches(alpha, el):
             + np.kron(hwp(alpha), np.diag([0.0, 1.0])))
     embed = np.kron(np.eye(2), np.array([[1.0], [0.0]]))
     stage = pbs(True) @ loop @ pbs(False) @ embed
-    ca, cb = (math.sqrt(c) for c in el.coupling)
-    return (1.0j * math.sqrt(el.bs.R) * ca * stage[0::2],
-            math.sqrt(el.bs.T) * cb * stage[1::2])
+    return (1.0j * math.sqrt(el.bs.R) * stage[0::2],
+            math.sqrt(el.bs.T) * stage[1::2])
 
 
 def test_dif_branches_match_kron_model(rng):
-    lossy = DifElements(MEASURED.bs, MEASURED.pbs, (0.9, 0.7))
-    leaky = DifElements(IDEAL.bs, IDEAL.pbs, (0.8, 0.6))
+    # path couplings (c_a, c_b) folded into the output splitter as
+    # (T c_b, R c_a): (0.9, 0.7) on the measured elements, (0.8, 0.6) on ideal
+    lossy = DifElements(BeamSplitterParams(0.48 * 0.7, 0.44 * 0.9), MEASURED.pbs)
+    leaky = DifElements(BeamSplitterParams(0.5 * 0.6, 0.5 * 0.8), IDEAL.pbs)
     for el in (IDEAL, MEASURED, lossy, leaky):
         for alpha in rng.uniform(-math.pi, math.pi, size=100):
             got = optics._dif_branches(alpha, el)
@@ -219,7 +215,8 @@ def test_monte_carlo_phase_average(rng):
     # z S(arm, main) + conj(z) S(main, arm) of their mean phase factor z: an
     # exact identity, so averaging the phase exactly (z = 0) leaves dif_map
     alpha = alpha_for_eta(0.3)
-    for el in (IDEAL, MEASURED, DifElements(MEASURED.bs, MEASURED.pbs, (0.9, 0.7))):
+    lossy = DifElements(BeamSplitterParams(0.48 * 0.7, 0.44 * 0.9), MEASURED.pbs)
+    for el in (IDEAL, MEASURED, lossy):
         main, arm = optics._dif_branches(alpha, el)
         phases = np.exp(1.0j * rng.uniform(0.0, 2.0 * math.pi, size=200))
         sampled = QuantumChannel.from_kraus(
@@ -257,25 +254,17 @@ def test_setup_validation():
         mprime_setup(w=1.3)
     with pytest.raises(ElementInconsistent):
         mprime_setup(preset="nope")
+    with pytest.raises(ElementInconsistent):  # one element set serves all DIFs
+        OpticalSetup(0.1, 0.1, 0.1, elements=(IDEAL, IDEAL, IDEAL))
 
 
 def test_zero_success_raises():
-    dark = DifElements(IDEAL.bs, IDEAL.pbs, coupling=(0.0, 0.0))
+    dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
     s = identity_setup()
     s = OpticalSetup(s.alpha1, s.alpha21, s.alpha2, theta_present=False,
-                     phi_present=False, elements=(dark, dark, dark))
+                     phi_present=False, elements=dark)
     with pytest.raises(ZeroSuccessProbability):
         run_point(s)
-
-
-def test_setup_json_roundtrip():
-    s = mprime_setup(0.25, 0.4, theta=0.3, phi=-0.2, preset="measured")
-    back = setup_from_json(setup_to_json(s))
-    assert back == s
-    doc = json.loads(setup_to_json(s))
-    assert doc["label"] == "mprime"
-    with pytest.raises(ValueError):
-        setup_from_json(json.dumps({"alpha1": 0.0}))
 
 
 def test_sweep_grid_and_csv(tmp_path):
@@ -321,9 +310,9 @@ def _reference_map(s):
         plates.append(unitary_channel(hwp(s.phi)))
     if s.theta_present:
         plates.append(unitary_channel(hwp(s.theta)))
-    return compose_signal_chain([stage(s.alpha1, s.elements[0]), *plates,
-                                 stage(s.alpha21, s.elements[1]), *plates,
-                                 stage(s.alpha2, s.elements[2])])
+    return compose_signal_chain([stage(s.alpha1, s.elements), *plates,
+                                 stage(s.alpha21, s.elements), *plates,
+                                 stage(s.alpha2, s.elements)])
 
 
 @pytest.mark.parametrize("preset", ["ideal", "measured"])
@@ -351,8 +340,8 @@ def test_long_sweep_runs_in_stacks():
 
 
 def test_dark_sweep_raises_with_label():
-    dark = DifElements(IDEAL.bs, IDEAL.pbs, coupling=(0.0, 0.0))
-    s = replace(identity_setup(), elements=(dark, dark, dark))
+    dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
+    s = replace(identity_setup(), elements=dark)
     with pytest.raises(ZeroSuccessProbability, match="identity"):
         sweep(s, "theta", -1.0, 1.0, 5)
     with pytest.raises(OutOfRange, match="theta is not finite"):
