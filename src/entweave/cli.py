@@ -21,8 +21,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -45,9 +43,9 @@ from .channels import (
 )
 from .continuous import (
     SwitchedLine,
+    _profile,
+    _search,
     average_liouvillian,
-    concurrence_profile,
-    eb_length,
     rotating_ad_liouvillian,
     rotating_pd_liouvillian,
 )
@@ -132,12 +130,11 @@ SWEEP_HEADER = ("angle", "concurrence", "success_prob", "preset", "map_label")
 
 def _csv_text(header, rows, *tags: str) -> str:
     """CSV text: numeric cells to 12 significant digits, ``tags`` appended to
-    every row, '\\n' line endings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([*(f"{v:.12g}" for v in row), *tags] for row in rows)
-    return buf.getvalue()
+    every row, '\\n' line endings.  The tags are fixed labels, preset and
+    map names, which need no quoting."""
+    fmt = ",".join(["%.12g"] * (len(header) - len(tags)) + ["%s"] * len(tags))
+    lines = [",".join(header), *(fmt % (*row, *tags) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _unitary_from_string(text: str) -> np.ndarray:
@@ -252,7 +249,8 @@ def cmd_discrete(args) -> Run:
 
 # Tolerance of every breaking-length search.  The result is within EB_XTOL / 2
 # of the threshold, so rounding it to the decimals of EB_XTOL keeps the printed
-# length within EB_XTOL.
+# length within EB_XTOL.  The search is seeded with the line's profile, scored
+# in one stack with x_hi, so a line that never breaks costs that stack alone.
 EB_XTOL = 1e-4
 _EB_DECIMALS = math.ceil(-math.log10(EB_XTOL))
 
@@ -274,17 +272,25 @@ def _validate_continuous(args) -> None:
 def _line(source, args) -> tuple[list, float | Unbounded | None, str]:
     """Profile and breaking length of one line, with the length as printed.
 
-    The length is None when the growing-sign generator leaves the physical
-    states before it breaks."""
+    The profile grid and the search bound ``x_hi`` are scored together, and
+    the breaking-length search starts from those values.  The length is None
+    when the growing-sign generator leaves the physical states before
+    ``x_hi``."""
     decaying = args.dephasing_sign == "decaying"
-    points = concurrence_profile(source, args.x_max, args.steps,
-                                 stop_on_unphysical=not decaying)
+    x_hi = max(args.x_max, 20.0)
     try:
-        threshold = eb_length(source, max(args.x_max, 20.0), xtol=EB_XTOL)
+        scored = _profile(source, args.x_max, args.steps, cut=not decaying,
+                          x_hi=x_hi)
     except OutOfRange:
         if decaying:
             raise
+        # the growing-sign line's exponential at x_hi overflows: profile alone
+        scored = _profile(source, args.x_max, args.steps, cut=True)
+    points = scored[:args.steps]
+    if scored[-1].x < x_hi:
         return points, None, "no breaking length, evolution is unphysical"
+    threshold = _search(source, [p.x for p in scored],
+                        [p.pre_clamp for p in scored], EB_XTOL)
     if isinstance(threshold, float):
         return points, threshold, (f"eb_length {threshold:.{_EB_DECIMALS}f} "
                                    f"(xtol {EB_XTOL:g})")
@@ -300,13 +306,16 @@ def cmd_continuous(args) -> Run:
         decaying = args.dephasing_sign == "decaying"
         g1 = rotating_pd_liouvillian(1, args.omega, args.eps, decaying=decaying)
         g2 = rotating_pd_liouvillian(2, args.omega, args.eps, decaying=decaying)
+    # built before any line is scored, so a mean that overflows is refused
+    # before any work
+    mean = average_liouvillian(g1, g2)
     lines = {"single": _line(g1, args)}
     single = lines["single"][1]
     if isinstance(single, float):
         for n in args.n:
             line = SwitchedLine(g1, g2, single / n)
             lines[f"n{n}"] = _line(line, args)
-    lines["limit"] = _line(average_liouvillian(g1, g2), args)
+    lines["limit"] = _line(mean, args)
 
     outputs, notes = {}, []
     for label, (points, threshold, text) in lines.items():

@@ -38,17 +38,21 @@ from .qmath import (
 )
 from .states import _checked_psd
 
-# concurrence_profile scores this many grid points in one stack, so memory
-# stays bounded whatever --steps asks for
+# profiles score this many grid points in one stack, so memory stays bounded
+# whatever --steps asks for
 _STACK_POINTS = 1024
 
-# eb_length narrows its bracket with this many stacked grids of this many
-# evenly spaced interior lengths before Brent's method takes over.  On [0, 20]
-# the second leaves a bracket 20 / 18**2 = 0.062 wide, so Brent's method meets
-# at most two slice-boundary kinks of the regenerator's n = 16 lines, where its
-# interpolation falls short
-_BRACKET_STACKS = 2
+# the breaking-length search narrows a bracket wider than x_hi / 18**2 with
+# stacked grids of this many evenly spaced interior lengths: two grids from
+# [0, x_hi].  On [0, 20] that leaves a bracket 0.062 wide, so Brent's method
+# meets at most two slice-boundary kinks of the regenerator's n = 16 lines,
+# where its interpolation falls short
 _BRACKET_POINTS = 17
+
+# then one stack of this many lengths about xtol apart, centred on the root
+# interpolated from the samples around the sign change, usually holds two
+# neighbours that straddle it
+_WINDOW_POINTS = 16
 
 _EPS = float(np.finfo(float).eps)
 
@@ -157,13 +161,21 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float,
     _check_rates(omega, eps)
     sz_part = np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
     sign = 1.0 if decaying else -1.0
-    gen = _hamiltonian_superop(_drive(j, omega)) + sign * eps * sz_part
+    # a rate past half the largest float overflows here; the Liouvillian's
+    # check on non-finite entries refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = _hamiltonian_superop(_drive(j, omega)) + sign * eps * sz_part
     return Liouvillian(gen)
 
 
 def average_liouvillian(a: Liouvillian, b: Liouvillian) -> Liouvillian:
-    """Mean generator: the infinitely-fine interleaving limit of a switched pair."""
-    return Liouvillian((a.generator + b.generator) / 2.0)
+    """Mean generator: the infinitely-fine interleaving limit of a switched pair.
+
+    A mean that overflows is refused by the :class:`Liouvillian` check on
+    non-finite entries alone, without floating-point warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (a.generator + b.generator) / 2.0
+    return Liouvillian(mean)
 
 
 def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
@@ -233,6 +245,36 @@ def _evolved_states(source, x: float | np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
+def _scored(source, xs: np.ndarray, cut: bool = False) -> tuple[list, list]:
+    """Concurrence and pre-clamp concurrence at the lengths ``xs``, scored as
+    one stack, up to the first state with an eigenvalue below ``-TOL.psd``;
+    that state raises :class:`OutOfRange` naming its length, unless ``cut``."""
+    c, low = _scores(_evolved_states(source, xs), xs)
+    kept = _checked_psd(low, cut=cut, lengths=xs)
+    return c.value[:kept].tolist(), c.pre_clamp[:kept].tolist()
+
+
+def _profile(source, x_max: float, steps: int, cut: bool,
+             x_hi: float | None = None) -> list[ProfilePoint]:
+    """The points of ``concurrence_profile(source, x_max, steps, cut)``, and
+    then the point at ``x_hi`` when that lies beyond ``x_max``: it joins the
+    last stack, so the whole line costs the profile's stacks."""
+    if steps < 2:
+        raise OutOfRange("need at least two profile points")
+    xs = np.linspace(0.0, x_max, steps)
+    if x_hi is not None and x_hi > x_max:
+        xs = np.append(xs, x_hi)
+    points = []
+    for start in range(0, steps, _STACK_POINTS):
+        end = start + _STACK_POINTS
+        chunk = xs[start:end if end < steps else None]
+        values, pre = _scored(source, chunk, cut)
+        points += map(ProfilePoint, chunk.tolist(), values, pre)
+        if len(pre) < len(chunk):
+            break
+    return points
+
+
 def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
                         steps: int, stop_on_unphysical: bool = False):
     """Concurrence of ``(map (x) id)`` on the singlet probe
@@ -250,19 +292,7 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     trace drift past ``TOL.structural`` always raises (far along driven
     lines; see README).
     """
-    if steps < 2:
-        raise OutOfRange("need at least two profile points")
-    xs = np.linspace(0.0, x_max, steps)
-    values, pre = [], []
-    for start in range(0, steps, _STACK_POINTS):
-        chunk = xs[start:start + _STACK_POINTS]
-        c, low = _scores(_evolved_states(source, chunk), chunk)
-        kept = _checked_psd(low, cut=stop_on_unphysical, lengths=chunk)
-        values += c.value[:kept].tolist()
-        pre += c.pre_clamp[:kept].tolist()
-        if kept < len(low):
-            break
-    return [ProfilePoint(*p) for p in zip(xs.tolist(), values, pre)]
+    return _profile(source, x_max, steps, stop_on_unphysical)
 
 
 def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
@@ -310,6 +340,84 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
             d = e = b - a
 
 
+def _inverse_interpolation(xs: list, fs: list) -> float:
+    """The length at which the polynomial ``x(f)`` through the samples
+    ``(fs[i], xs[i])`` (Lagrange's form) reaches ``f = 0``; nan when two
+    values coincide."""
+    if len(set(fs)) < len(fs):
+        return float("nan")
+    root = 0.0
+    for i, (x, f) in enumerate(zip(xs, fs)):
+        for k, g in enumerate(fs):
+            if k != i:
+                x *= g / (g - f)
+        root += x
+    return root
+
+
+def _first_nonpositive(fs: list) -> int:
+    return next(i for i, f in enumerate(fs) if f <= 0.0)
+
+
+def _search(source, xs: list, fs: list, xtol: float) -> float | Unbounded:
+    """First root of the pre-clamp concurrence along ``source``, from the
+    ascending lengths ``xs``, ``0`` first and ``x_hi`` last, and their scored
+    values ``fs``, each state of which passed the positivity floor.
+
+    1. ``Unbounded(x_hi)`` when ``f(x_hi)`` is not below ``-TOL.eb``.
+    2. The first sample at or below zero closes the bracket.
+    3. Stacked grids of ``_BRACKET_POINTS`` interior lengths narrow it while
+       it is wider than ``x_hi / 18**2``: two grids from ``[0, x_hi]``, none
+       from a fine profile.
+    4. One stack of ``_WINDOW_POINTS`` lengths, neighbours at most ``xtol``
+       apart, is centred on the root interpolated (inverse Lagrange) through
+       the four samples nearest the sign change.  When two neighbours
+       straddle the sign change, their midpoint is within ``xtol / 2`` of
+       the root.  The window is skipped when the estimate falls outside the
+       bracket, or when ``xtol`` is within a few ulps of the lengths.
+    5. Otherwise Brent's method finishes on the bracket that is left; slice
+       boundaries are kinks, which it meets by bisection.
+
+    A scored state below the floor raises :class:`OutOfRange` naming its
+    length.
+    """
+    x_hi = xs[-1]
+    if fs[-1] >= -TOL.eb:
+        return Unbounded(x_hi)
+
+    def pre(lengths) -> list:
+        return _scored(source, np.asarray(lengths, dtype=float))[1]
+
+    j = _first_nonpositive(fs)
+    # the slack absorbs the rounding of the grid lengths, which may leave the
+    # second bracket from [0, x_hi] a few ulps wider than x_hi / 18**2
+    narrow = x_hi / (_BRACKET_POINTS + 1) ** 2 * (1.0 + 1e-9)
+    fractions = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
+    while xs[j] - xs[j - 1] > narrow:
+        a, b = xs[j - 1], xs[j]
+        grid = (a + (b - a) * fractions).tolist()
+        xs, fs = [a, *grid, b], [fs[j - 1], *pre(grid), fs[j]]
+        j = _first_nonpositive(fs)
+    a, b, fa, fb = xs[j - 1], xs[j], fs[j - 1], fs[j]
+    # neighbours of the window are at most xtol apart after rounding
+    step = xtol - 4.0 * _EPS * (b + 2.0 * xtol)
+    near = slice(max(j - 2, 0), j + 2)
+    root = _inverse_interpolation(xs[near], fs[near])
+    # an estimate outside the bracket means a kink (a slice boundary) bends
+    # the samples, and the window would miss
+    if b - a > xtol and step > 0.5 * xtol and a < root < b:
+        offsets = (np.arange(_WINDOW_POINTS) - 0.5 * (_WINDOW_POINTS - 1)) * step
+        half = offsets[-1]
+        window = min(max(root, a + half), b - half) + offsets
+        window = window[(window > a) & (window < b)].tolist()
+        xs, fs = [a, *window, b], [fa, *pre(window), fb]
+        j = _first_nonpositive(fs)
+        a, b, fa, fb = xs[j - 1], xs[j], fs[j - 1], fs[j]
+    if b - a <= xtol:
+        return 0.5 * (a + b)
+    return _zeroin(lambda x: pre([x])[0], a, b, fa, fb, xtol)
+
+
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
               xtol: float = 1e-4) -> float | Unbounded:
     """First propagation length at which the evolved map becomes
@@ -317,21 +425,25 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
 
     Scores the signed pre-clamp concurrence of the evolved singlet probe (1
     at length 0, as in :func:`concurrence_profile`) at 0 and ``x_hi`` in one
-    stack.  Then each of ``_BRACKET_STACKS`` stacks scores ``_BRACKET_POINTS``
-    evenly spaced lengths inside the bracket, and the first of them at or
-    below zero closes a narrower one.  Brent's method narrows that until the
-    answer is within ``xtol / 2`` of the threshold (within a few ulps when
-    ``xtol`` is finer than that).  The search relies on the line being
-    CP-divisible (``Phi_{x+d} = Lambda_d o Phi_x`` with ``Lambda_d`` a
-    channel, true of every physical generator and every switched line of
-    them): the Choi state, once separable, stays separable, so the pre-clamp
-    sign changes at most once, the first sign change on a grid brackets the
-    only root, and the value at ``x_hi`` decides whether there is a
-    threshold.  Returns ``Unbounded(x_hi)`` when that value is not below
-    ``-TOL.eb``, so that exponentially decaying curves are not mistaken for
-    crossings at the noise floor; such a line costs the one stacked
-    evaluation.  The pre-clamp combination is used because the clamped
-    concurrence is identically zero past the threshold.
+    stack, and starts the search from those two values: stacked grids of
+    ``_BRACKET_POINTS`` interior lengths narrow the bracket (two, from
+    ``[0, x_hi]``), one stack of ``_WINDOW_POINTS`` lengths ``xtol`` apart
+    around the interpolated root usually ends it, and Brent's method
+    finishes otherwise.  The answer is within ``xtol / 2`` of the threshold
+    (within a few ulps when ``xtol`` is finer than that).  The command line
+    starts the same search from a line's profile instead.
+
+    The search relies on the line being CP-divisible (``Phi_{x+d} =
+    Lambda_d o Phi_x`` with ``Lambda_d`` a channel, true of every physical
+    generator and every switched line of them): the Choi state, once
+    separable, stays separable, so the pre-clamp sign changes at most once,
+    the first sign change on a grid brackets the only root, and the value
+    at ``x_hi`` decides whether there is a threshold.  Returns
+    ``Unbounded(x_hi)`` when that value is not below ``-TOL.eb``, so that
+    exponentially decaying curves are not mistaken for crossings at the
+    noise floor; such a line costs the one stacked evaluation.  The
+    pre-clamp combination is used because the clamped concurrence is
+    identically zero past the threshold.
 
     Non-physical generators (``rotating_pd_liouvillian(..., decaying=False)``)
     are not CP-divisible and leave the state cone at finite length; a scored
@@ -342,36 +454,8 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
     if not 0.0 < xtol < inf:
         raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
-
-    def scored(xs):
-        """Pre-clamp concurrence at ``xs[i]`` as ``at(i)``, checked as by
-        ``concurrence`` but for positivity only once read, in index order."""
-        xs = np.array(xs, dtype=float)
-        c, low = _scores(_evolved_states(source, xs), xs)
-        pre, passed = c.pre_clamp.tolist(), _checked_psd(low, cut=True)
-
-        def at(i: int) -> float:
-            if i >= passed:  # in index order, i is the first below the floor
-                _checked_psd(low, lengths=xs)
-            return pre[i]
-        return at
-
-    ends = scored([0.0, x_hi])
-    a, fa = 0.0, ends(0)
-    b, fb = float(x_hi), ends(1)
-    if fb >= -TOL.eb:
-        return Unbounded(x_hi)
-    fractions = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
-    for _ in range(_BRACKET_STACKS):
-        grid = (a + (b - a) * fractions).tolist()
-        inner = scored(grid)
-        for i, x in enumerate(grid):
-            fx = inner(i)
-            if fx <= 0.0:
-                b, fb = x, fx
-                break
-            a, fa = x, fx
-    return _zeroin(lambda x: scored([x])(0), a, b, fa, fb, xtol)
+    xs = [0.0, float(x_hi)]
+    return _search(source, xs, _scored(source, np.array(xs))[1], xtol)
 
 
 def trotter_gap(line: SwitchedLine, x: float) -> float:

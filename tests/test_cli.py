@@ -202,6 +202,28 @@ def test_continuous_overflowing_exponential_is_refused(tmp_path, capsys, omega):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("family", ["ad", "pd"])
+def test_continuous_overflowing_generator_is_refused_first(tmp_path, capsys,
+                                                           monkeypatch, family):
+    # at eps = 1e308 the AD pair is finite but its sum, and so the mean
+    # generator, overflows; the PD generators overflow themselves.  Either is
+    # refused before any line is scored, with one line and no warning
+    from entweave import continuous
+    scored = []
+    monkeypatch.setattr(continuous, "_evolved_states",
+                        lambda *args: scored.append(args))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out_dir), "continuous", "--family", family,
+                   "--eps", "1e308", "--steps", "3", "--n", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("invalid input: generator has "
+                                       "non-finite entries\n")
+    assert not out_dir.exists()
+    assert scored == []
+
+
 def test_continuous_trace_drift_is_refused(tmp_path, capsys):
     # the propagators' trace drifts from 1 by about eps per unit length, so
     # far enough along a switched line the evolved probe's trace leaves 1 by
@@ -211,8 +233,9 @@ def test_continuous_trace_drift_is_refused(tmp_path, capsys):
                "--n", "16", "--x-max", "1e5", "--steps", "3"])
     assert rc == 2
     # the refusal names the length, x = 5e4 of the three-point grid, and
-    # prints the trace as a real number
-    assert re.fullmatch(r"invalid input: density matrix trace 1\.0000000002\d* "
+    # prints the trace as a real number, whose digits follow the last bits of
+    # the single-line length that the slices are cut from
+    assert re.fullmatch(r"invalid input: density matrix trace 1\.0000000003\d* "
                         r"is not 1 at x = 5e\+04\n", capsys.readouterr().err)
     assert not out_dir.exists()
 
@@ -259,8 +282,9 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
 
 
 def test_runs_import_no_scipy(tmp_path):
-    # scipy is the test suite's oracle only: a fresh process that runs every
-    # subcommand, the Pade fallback included (omega = 0.125), never loads it
+    # scipy and mpmath are the test suite's oracles only: a fresh process that
+    # runs every subcommand, the Pade fallback included (omega = 0.125), never
+    # loads them
     src = Path(entweave.__file__).resolve().parent.parent
     code = f"""
 import sys
@@ -271,7 +295,8 @@ assert main(["--out", out + "/d", "discrete"]) == 0
 assert main(["--out", out + "/c", "continuous", "--family", "ad", "--omega",
              "0.125", "--n", "2", "--x-max", "1", "--steps", "5"]) == 0
 assert main(["--out", out + "/e", "experiment", "--steps", "5"]) == 0
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.partition(".")[0] in ("scipy", "mpmath")))
 """
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -297,6 +322,20 @@ def test_continuous_growing_sign_truncates(tmp_path):
     assert any("truncated" in note for note in manifest["notes"])
     lines = (tmp_path / "continuous_pd_single.csv").read_text().splitlines()
     assert len(lines) < 12
+
+
+def test_continuous_growing_sign_overflow_past_profile(tmp_path):
+    # at eps = 18 the growing-sign exponential overflows at x_hi = 20 but not
+    # on the profile's [0, 0.1]: the profile is kept and the lines report no
+    # breaking length, as when the search was scored apart from the profile
+    r = run_cli(tmp_path, "continuous", "--family", "pd", "--dephasing-sign",
+                "growing", "--eps", "18", "--n", "2", "--x-max", "0.1",
+                "--steps", "11")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ("single: no breaking length, evolution is unphysical\n"
+                        "limit: no breaking length, evolution is unphysical\n")
+    lines = (tmp_path / "continuous_pd_single.csv").read_text().splitlines()
+    assert 1 < len(lines) < 12
 
 
 def test_continuous_byte_determinism(tmp_path):

@@ -3,13 +3,14 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entweave import continuous, qmath
+from entweave import cli, continuous, qmath
 from entweave.channels import (
     QuantumChannel,
     Unbounded,
@@ -146,16 +147,18 @@ def test_switched_thresholds_frozen():
     assert math.isclose(eb_length(pd4, 8.0), 1.537578125, abs_tol=2e-4)
 
 
-def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4):
-    """Reference search: scan a 0.02 grid for the first pre-clamp concurrence
-    below -TOL.eb, then bisect that bracket down to xtol."""
+def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
+                    spacing: float = 0.02):
+    """Reference search: scan a grid of the given spacing for the first
+    pre-clamp concurrence below -TOL.eb, then bisect that bracket down to
+    xtol."""
     singlet = matrix_of(singlet_state())
 
     def f(x):
         out = _on_first_qubit(propagation_superop(source, x), singlet)
         return concurrence(0.5 * (out + out.conj().T)).pre_clamp
 
-    xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / 0.02)) + 1)
+    xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / spacing)) + 1)
     for lo, hi in zip(xs, xs[1:]):
         if f(hi) < -TOL.eb:
             break
@@ -223,6 +226,114 @@ def test_tiny_xtol_search_stops_at_float_resolution(monkeypatch):
     got = eb_length(AD1, 6.0, xtol=1e-300)
     assert isinstance(got, float) and abs(got - ref) <= 1e-12
     assert len(calls) <= 64
+
+
+def _line_costs(monkeypatch, out, *args: str) -> list:
+    """Run ``continuous`` with ``args`` into ``out`` and return, for each
+    line in the order scored, its stacks (calls of ``_evolved_states``) and
+    its unrounded breaking length."""
+    calls = _count_calls(monkeypatch, continuous, "_evolved_states")
+    costs, line = [], cli._line
+
+    def counted(source, args):
+        before = len(calls)
+        _, threshold, _ = result = line(source, args)
+        costs.append((len(calls) - before, threshold))
+        return result
+
+    monkeypatch.setattr(cli, "_line", counted)
+    assert cli.main(["--out", str(out), "continuous", *args]) == 0
+    return costs
+
+
+@pytest.mark.parametrize("family", ["ad", "pd"])
+def test_cli_lines_search_from_their_profiles(tmp_path, monkeypatch, family):
+    # the README's runs: the search starts from the profile's 241 lengths,
+    # scored in one stack with x_hi = 20, so a line costs that stack and at
+    # most nine more, and the limit line, which never breaks, that stack alone
+    costs = _line_costs(monkeypatch, tmp_path, "--family", family)
+    assert len(costs) == 7
+    assert all(1 <= stacks <= 10 for stacks, _ in costs), costs
+    assert all(isinstance(length, float) for _, length in costs[:-1])
+    assert costs[-1] == (1, Unbounded(20.0))
+
+
+def test_cli_undriven_run_scores_two_stacks(tmp_path, monkeypatch):
+    costs = _line_costs(monkeypatch, tmp_path, "--family", "ad", "--omega", "0")
+    assert costs == [(1, Unbounded(20.0)), (1, Unbounded(20.0))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("ad", "pd")), st.floats(0.0, 3.0), st.floats(0.2, 2.0),
+       st.sampled_from((1, 2, 4, 16)), st.floats(0.3, 30.0),
+       st.sampled_from((3, 61, 241)))
+@example("ad", 1.5, 1.0, 16, 25.0, 1500)
+@example("pd", 0.0, 1.0, 1, 21.0, 1500)
+@example("pd", 0.0, 1.0, 1, 6.0, 1500)
+def test_cli_search_from_the_profile_keeps_xtol(family, omega, eps, n, x_max,
+                                                steps):
+    # the length the command line finds from a line's profile, with x_hi
+    # = max(--x-max, 20) scored in the profile's last stack, against a
+    # reference search a million times finer, on a coarse scan, as every
+    # physical line changes sign once; a line that never breaks costs its
+    # profile's stacks alone
+    gen = rotating_ad_liouvillian if family == "ad" else rotating_pd_liouvillian
+    line = switched_line(gen(1, omega, eps), gen(2, omega, eps), 1.0, n)
+    args = cli._PARSER.parse_args(["continuous", "--family", family,
+                                   "--x-max", repr(x_max), "--steps", str(steps)])
+    x_hi = max(x_max, 20.0)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_calls(mp, continuous, "_evolved_states")
+        points, got, _ = cli._line(line, args)
+    assert len(points) == steps
+    ref = _scan_eb_length(line, x_hi, xtol=1e-10, spacing=0.25)
+    if isinstance(ref, Unbounded):
+        assert got == ref
+        assert len(calls) == math.ceil(steps / continuous._STACK_POINTS)
+    else:
+        assert isinstance(got, float)
+        assert abs(got - ref) <= cli.EB_XTOL / 2
+
+
+def _oracle_eb_length(gen, guess: float) -> mpmath.mpf:
+    """The single line's breaking length to 40 digits, in mpmath alone: the
+    exponential of the generator, the singlet's image under the map on the
+    first qubit, and the root of the determinant of its partial transpose,
+    which is negative exactly when two qubits are entangled (Augusiak,
+    Demianowicz & Horodecki, PRA 77, 030301(R), 2008)."""
+    with mpmath.workdps(40):
+        g = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                           for row in gen.generator])
+        # the singlet's amplitudes c[a][b], a on the first qubit
+        c = [[0, 1 / mpmath.sqrt(2)], [-1 / mpmath.sqrt(2), 0]]
+
+        def det_pt(x):
+            s = mpmath.expm(g * x)   # column-stacking: vec(X)[i + 2 j] = X[i, j]
+            pt = mpmath.matrix(4, 4)
+            for i, i2, b, b2 in np.ndindex(2, 2, 2, 2):
+                # (map (x) id)(|psi><psi|) at (i b, i2 b2), transposed on b
+                pt[2 * i + b2, 2 * i2 + b] = sum(
+                    s[i + 2 * i2, a + 2 * a2] * c[a][b] * c[a2][b2]
+                    for a in range(2) for a2 in range(2))
+            return mpmath.re(mpmath.det(pt))
+
+        return mpmath.findroot(det_pt, mpmath.mpf(guess))
+
+
+@pytest.mark.parametrize("gen, oracle", [
+    (AD1, "1.7739296349313415183"), (PD1, "0.89559681755138097008")],
+    ids=["ad", "pd"])
+def test_single_lengths_match_a_40_digit_oracle(gen, oracle):
+    # the oracle shares nothing with numpy's eig, the concurrence or the
+    # search; its roots to 20 digits are pinned beside it
+    root = _oracle_eb_length(gen, eb_length(gen, 6.0))
+    assert mpmath.nstr(root, 20) == oracle
+    assert abs(eb_length(gen, 6.0, xtol=1e-13) - root) <= 1e-12
+    family = "ad" if gen is AD1 else "pd"
+    args = cli._PARSER.parse_args(["continuous", "--family", family])
+    _, length, text = cli._line(gen, args)
+    assert abs(length - root) <= cli.EB_XTOL / 2
+    assert abs(float(text.split()[1]) - root) <= cli.EB_XTOL
 
 
 def _reference_superop(source, x: float) -> np.ndarray:
