@@ -269,26 +269,14 @@ def _validate_continuous(args) -> None:
         raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
 
 
-def _line(source, args) -> tuple[list, float | Unbounded | None, str]:
+def _line(source, args) -> tuple[list, float | Unbounded, str]:
     """Profile and breaking length of one line, with the length as printed.
 
     The profile grid and the search bound ``x_hi`` are scored together, and
-    the breaking-length search starts from those values.  The length is None
-    when the growing-sign generator leaves the physical states before
-    ``x_hi``."""
-    decaying = args.dephasing_sign == "decaying"
-    x_hi = max(args.x_max, 20.0)
-    try:
-        scored = _profile(source, args.x_max, args.steps, cut=not decaying,
-                          x_hi=x_hi)
-    except OutOfRange:
-        if decaying:
-            raise
-        # the growing-sign line's exponential at x_hi overflows: profile alone
-        scored = _profile(source, args.x_max, args.steps, cut=True)
+    the breaking-length search starts from those values."""
+    scored = _profile(source, args.x_max, args.steps,
+                      x_hi=max(args.x_max, 20.0))
     points = scored[:args.steps]
-    if scored[-1].x < x_hi:
-        return points, None, "no breaking length, evolution is unphysical"
     threshold = _search(source, [p.x for p in scored],
                         [p.pre_clamp for p in scored], EB_XTOL)
     if isinstance(threshold, float):
@@ -303,9 +291,8 @@ def cmd_continuous(args) -> Run:
         g1 = rotating_ad_liouvillian(1, args.omega, args.eps)
         g2 = rotating_ad_liouvillian(2, args.omega, args.eps)
     else:
-        decaying = args.dephasing_sign == "decaying"
-        g1 = rotating_pd_liouvillian(1, args.omega, args.eps, decaying=decaying)
-        g2 = rotating_pd_liouvillian(2, args.omega, args.eps, decaying=decaying)
+        g1 = rotating_pd_liouvillian(1, args.omega, args.eps)
+        g2 = rotating_pd_liouvillian(2, args.omega, args.eps)
     # built before any line is scored, so a mean that overflows is refused
     # before any work
     mean = average_liouvillian(g1, g2)
@@ -319,10 +306,6 @@ def cmd_continuous(args) -> Run:
 
     outputs, notes = {}, []
     for label, (points, threshold, text) in lines.items():
-        if len(points) < args.steps:
-            # growing-sign comparison mode leaves the physical state cone
-            notes.append(f"{label}: profile truncated at x={points[-1].x:g}, "
-                         f"evolved state loses positivity beyond this length")
         if label == "single" and not isinstance(threshold, float):
             notes.append("switched lines skipped: no finite "
                          "single-channel threshold to slice")
@@ -434,10 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="slice counts for the switched lines")
     c.add_argument("--x-max", type=float, default=6.0)
     c.add_argument("--steps", type=int, default=241)
-    c.add_argument("--dephasing-sign", choices=("decaying", "growing"),
-                   default="decaying",
-                   help="growing reproduces the non-physical sign of the "
-                        "dephasing generator for comparison")
 
     e = sub.add_parser("experiment", help="interferometer-bench sweeps")
     e.add_argument("--map", choices=tuple(_SETUPS), default="mprime")

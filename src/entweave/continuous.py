@@ -148,23 +148,19 @@ def rotating_ad_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     return Liouvillian(gen)
 
 
-def rotating_pd_liouvillian(j: int, omega: float, eps: float,
-                            decaying: bool = True) -> Liouvillian:
+def rotating_pd_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     """Dephasing generator with the same mirrored x-axis drive.
 
     The dephasing part is ``eps (sigma_z rho sigma_z - rho)``, under which
     coherences decay as ``exp(-2 eps x)``; with omega = 0 the propagator is the
-    phase-damping channel with parameter ``exp(-2 eps x)``.  ``decaying=False``
-    flips the sign of the dissipative part, which makes coherences grow and the
-    propagator non-physical; it exists only as a comparison mode.
+    phase-damping channel with parameter ``exp(-2 eps x)``.
     """
     _check_rates(omega, eps)
     sz_part = np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
-    sign = 1.0 if decaying else -1.0
     # a rate past half the largest float overflows here; the Liouvillian's
     # check on non-finite entries refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = _hamiltonian_superop(_drive(j, omega)) + sign * eps * sz_part
+        gen = _hamiltonian_superop(_drive(j, omega)) + eps * sz_part
     return Liouvillian(gen)
 
 
@@ -240,25 +236,26 @@ _SINGLET_PROBE.setflags(write=False)
 def _evolved_states(source, x: float | np.ndarray) -> np.ndarray:
     """``(map (x) id)`` of the singlet probe."""
     out = choi_matrices(propagation_superop(source, x) @ _SINGLET_PROBE)
-    # drop the anti-Hermitian roundoff, which outgrows TOL.structural on the
-    # growing-sign generators' large states
+    # keep the Hermitian part: the committed curves and pinned lengths were
+    # computed with it, and the last bits it moves decide where far driven
+    # lines fail the trace check
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
-def _scored(source, xs: np.ndarray, cut: bool = False) -> tuple[list, list]:
+def _scored(source, xs: np.ndarray) -> tuple[list, list]:
     """Concurrence and pre-clamp concurrence at the lengths ``xs``, scored as
-    one stack, up to the first state with an eigenvalue below ``-TOL.psd``;
-    that state raises :class:`OutOfRange` naming its length, unless ``cut``."""
+    one stack; the first state with an eigenvalue below ``-TOL.psd`` raises
+    :class:`OutOfRange` naming its length."""
     c, low = _scores(_evolved_states(source, xs), xs)
-    kept = _checked_psd(low, cut=cut, lengths=xs)
-    return c.value[:kept].tolist(), c.pre_clamp[:kept].tolist()
+    _checked_psd(low, lengths=xs)
+    return c.value.tolist(), c.pre_clamp.tolist()
 
 
-def _profile(source, x_max: float, steps: int, cut: bool,
+def _profile(source, x_max: float, steps: int,
              x_hi: float | None = None) -> list[ProfilePoint]:
-    """The points of ``concurrence_profile(source, x_max, steps, cut)``, and
-    then the point at ``x_hi`` when that lies beyond ``x_max``: it joins the
-    last stack, so the whole line costs the profile's stacks."""
+    """The points of ``concurrence_profile(source, x_max, steps)``, and then
+    the point at ``x_hi`` when that lies beyond ``x_max``: it joins the last
+    stack, so the whole line costs the profile's stacks."""
     if steps < 2:
         raise OutOfRange("need at least two profile points")
     xs = np.linspace(0.0, x_max, steps)
@@ -268,15 +265,13 @@ def _profile(source, x_max: float, steps: int, cut: bool,
     for start in range(0, steps, _STACK_POINTS):
         end = start + _STACK_POINTS
         chunk = xs[start:end if end < steps else None]
-        values, pre = _scored(source, chunk, cut)
+        values, pre = _scored(source, chunk)
         points += map(ProfilePoint, chunk.tolist(), values, pre)
-        if len(pre) < len(chunk):
-            break
     return points
 
 
 def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
-                        steps: int, stop_on_unphysical: bool = False):
+                        steps: int):
     """Concurrence of ``(map (x) id)`` on the singlet probe
     ``(|01> - |10>)/sqrt(2)`` along the line.
 
@@ -286,13 +281,12 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     map; the grid is evaluated in stacks of at most ``_STACK_POINTS`` lengths.
 
     States are checked as :func:`concurrence` checks them, and a refusal
-    names the length.  The first with an eigenvalue below ``-TOL.psd``
-    raises, or with ``stop_on_unphysical`` ends the profile; generators with
-    the wrong dissipator sign leave the state cone at finite length.  A
-    trace drift past ``TOL.structural`` always raises (far along driven
-    lines; see README).
+    names the length: the first with an eigenvalue below ``-TOL.psd`` raises
+    (only a generator not of Lindblad form leaves the state cone), as does a
+    trace drift past ``TOL.structural`` (far along driven lines; see
+    README).
     """
-    return _profile(source, x_max, steps, stop_on_unphysical)
+    return _profile(source, x_max, steps)
 
 
 def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
@@ -445,8 +439,7 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     pre-clamp combination is used because the clamped concurrence is
     identically zero past the threshold.
 
-    Non-physical generators (``rotating_pd_liouvillian(..., decaying=False)``)
-    are not CP-divisible and leave the state cone at finite length; a scored
+    A generator not of Lindblad form can leave the state cone; a scored
     length past that point, ``x_hi`` first, raises :class:`OutOfRange`
     naming the length.
     """

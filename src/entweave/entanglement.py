@@ -74,9 +74,9 @@ def _scores(rho, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
     """The one scoring path of two-qubit states: :func:`concurrence` of a
     state or stack ``(..., 4, 4)`` and each state's smallest eigenvalue, from
     one ``eigh`` of structurally checked states.  The eigenvalues come back
-    unchecked; each caller holds them to ``-TOL.psd`` with
-    ``states._checked_psd``, all at once or as it reads them.  A stack along
-    a line passes its ``lengths``, so that a refusal names the length.
+    unchecked; each caller holds the whole stack to ``-TOL.psd`` with
+    ``states._checked_psd``.  A stack along a line passes its ``lengths``, so
+    that a refusal names the length.
     """
     w, v = np.linalg.eigh(_checked_structure(getattr(rho, "matrix", rho), lengths))
     # eigh sorts ascending, so the last eigenvalue is the largest

@@ -51,15 +51,13 @@ def _checked_structure(m, lengths=None) -> np.ndarray:
     return m
 
 
-def _checked_psd(low, cut: bool = False, lengths=None) -> int:
-    """How many leading states have their smallest eigenvalue ``low`` at or
-    above ``-TOL.psd``, the one positivity floor; the first below it raises
-    :class:`OutOfRange` as :func:`validate_density` does, unless ``cut``."""
-    fail = _first_failure(np.asarray(low) >= -TOL.psd, lengths)
-    if fail and not cut:
+def _checked_psd(low, lengths=None) -> None:
+    """Hold each state's smallest eigenvalue ``low`` to ``-TOL.psd``, the one
+    positivity floor: the first state below it raises :class:`OutOfRange`,
+    as :func:`validate_density` does, located as by ``_first_failure``."""
+    if fail := _first_failure(np.asarray(low) >= -TOL.psd, lengths):
         raise OutOfRange(f"density matrix has negative eigenvalue "
                          f"{np.ravel(low)[fail[0]]:.3e}{fail[1]}")
-    return fail[0] if fail else np.size(low)
 
 
 def validate_density(m) -> np.ndarray:

@@ -314,30 +314,6 @@ def test_continuous_undriven_skips_switched(tmp_path):
     assert any("skipped" in note for note in manifest["notes"])
 
 
-def test_continuous_growing_sign_truncates(tmp_path):
-    r = run_cli(tmp_path, "continuous", "--family", "pd", "--dephasing-sign",
-                "growing", "--n", "2", "--x-max", "1.0", "--steps", "11")
-    assert r.returncode == 0
-    manifest = json.loads((tmp_path / "continuous_manifest.json").read_text())
-    assert any("truncated" in note for note in manifest["notes"])
-    lines = (tmp_path / "continuous_pd_single.csv").read_text().splitlines()
-    assert len(lines) < 12
-
-
-def test_continuous_growing_sign_overflow_past_profile(tmp_path):
-    # at eps = 18 the growing-sign exponential overflows at x_hi = 20 but not
-    # on the profile's [0, 0.1]: the profile is kept and the lines report no
-    # breaking length, as when the search was scored apart from the profile
-    r = run_cli(tmp_path, "continuous", "--family", "pd", "--dephasing-sign",
-                "growing", "--eps", "18", "--n", "2", "--x-max", "0.1",
-                "--steps", "11")
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == ("single: no breaking length, evolution is unphysical\n"
-                        "limit: no breaking length, evolution is unphysical\n")
-    lines = (tmp_path / "continuous_pd_single.csv").read_text().splitlines()
-    assert 1 < len(lines) < 12
-
-
 def test_continuous_byte_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -396,21 +372,25 @@ def test_degrees_leaves_defaults_in_radians(tmp_path, given):
 
 
 def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
-    # the phase average is exact, so there is no sampled mode to select, and
-    # the bench is named by --map and --preset only, so no setup document
+    # the phase average is exact, so there is no sampled mode to select; the
+    # bench is named by --map and --preset only, so no setup document; and
+    # every line is physical, so no dephasing sign to flip
     out = tmp_path / "out"
-    for flag, value in (("--omega-samples", "25"), ("--seed", "3"),
-                        ("--setup-json", "setup.json")):
+    cases = (("experiment", "--omega-samples", "25"), ("experiment", "--seed", "3"),
+             ("experiment", "--setup-json", "setup.json"),
+             ("continuous", "--dephasing-sign", "growing"))
+    required = {"experiment": [], "continuous": ["--family", "pd"]}
+    for command, flag, value in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["--out", str(out), "experiment", flag, value])
+            main(["--out", str(out), command, *required[command], flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
-    with pytest.raises(SystemExit):
-        main(["experiment", "--help"])
-    usage = capsys.readouterr().out
-    assert "--omega-samples" not in usage and "--seed" not in usage
-    assert "--setup-json" not in usage
+    for command in required:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert not [flag for c, flag, _ in cases if c == command and flag in usage]
 
 
 def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):

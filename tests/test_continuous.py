@@ -30,7 +30,15 @@ from entweave.continuous import (
     trotter_gap,
 )
 from entweave.entanglement import concurrence
-from entweave.qmath import EIG_COND_BOUND, TOL, OutOfRange, Spectral, unvec, vec
+from entweave.qmath import (
+    EIG_COND_BOUND,
+    SIGMA_Z,
+    TOL,
+    OutOfRange,
+    Spectral,
+    unvec,
+    vec,
+)
 from entweave.states import matrix_of, singlet_state
 
 
@@ -38,6 +46,12 @@ AD1 = rotating_ad_liouvillian(1, 1.5, 1.0)
 AD2 = rotating_ad_liouvillian(2, 1.5, 1.0)
 PD1 = rotating_pd_liouvillian(1, 1.5, 1.0)
 PD2 = rotating_pd_liouvillian(2, 1.5, 1.0)
+
+# PD1's drive with the dephasing part's sign flipped: trace preserving but
+# not of Lindblad form, so its evolved probe leaves the state cone at once,
+# its lowest eigenvalue -x
+NON_CP = continuous.Liouvillian(rotating_pd_liouvillian(1, 1.5, 0.0).generator
+                                - (np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4)))
 
 
 def test_generators_preserve_trace():
@@ -90,33 +104,29 @@ def _on_first_qubit(superop, rho):
     return out
 
 
-def test_growing_sign_leaves_state_cone():
-    bad = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
-    with pytest.raises(OutOfRange):
-        concurrence_profile(bad, 2.0, 41)
+def test_profile_refuses_the_first_length_below_the_floor():
     # per-point reference: the first grid point whose evolved state has an
     # eigenvalue below -TOL.psd, the floor concurrence refuses.  The lowest
-    # eigenvalue is -x, so the cut falls at x = 1e-9, which the second grid
+    # eigenvalue is -x, so the floor falls at x = 1e-9, which the second grid
     # places between two points.
     singlet = matrix_of(singlet_state())
     for x_max in (2.0, 2.1e-9):
-        pts = concurrence_profile(bad, x_max, 41, stop_on_unphysical=True)
+        xs = np.linspace(0.0, x_max, 41)
         lowest = []
-        for x in np.linspace(0.0, x_max, 41):
-            out = _on_first_qubit(scipy.linalg.expm(bad.generator * x), singlet)
+        for x in xs:
+            out = _on_first_qubit(scipy.linalg.expm(NON_CP.generator * x), singlet)
             lowest.append(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])
         first_bad = next(i for i, w in enumerate(lowest) if w < -TOL.psd)
-        assert len(pts) == first_bad
+        with pytest.raises(OutOfRange, match=f" at x = {xs[first_bad]:.3g}$"):
+            concurrence_profile(NON_CP, x_max, 41)
 
 
 def test_search_refuses_a_state_below_the_floor():
-    # the growing-sign line's lowest eigenvalue is -x: at x_hi = 1.5e-9 the
-    # second state of the search's first stack is below -TOL.psd, while the
-    # first, at x = 0, is read and passes
-    growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
+    # at x_hi = 1.5e-9 the second state of the search's first stack is below
+    # -TOL.psd, while the first, at x = 0, is read and passes
     with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue "
                                          "-1.500e-09 at x = 1.5e-09$"):
-        eb_length(growing, 1.5e-9)
+        eb_length(NON_CP, 1.5e-9)
 
 
 def test_single_channel_thresholds_frozen():
@@ -150,8 +160,8 @@ def test_switched_thresholds_frozen():
 def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
                     spacing: float = 0.02):
     """Reference search: scan a grid of the given spacing for the first
-    pre-clamp concurrence below -TOL.eb, then bisect that bracket down to
-    xtol."""
+    pre-clamp concurrence below -TOL.eb, then bisect the bracket from the
+    last positive value before it down to xtol."""
     singlet = matrix_of(singlet_state())
 
     def f(x):
@@ -159,9 +169,15 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
         return concurrence(0.5 * (out + out.conj().T)).pre_clamp
 
     xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / spacing)) + 1)
-    for lo, hi in zip(xs, xs[1:]):
-        if f(hi) < -TOL.eb:
+    lo = 0.0
+    for hi in xs[1:]:
+        value = f(hi)
+        if value < -TOL.eb:
             break
+        # a slowly falling curve can sit in [-TOL.eb, 0] for a grid step or
+        # more past its root, which then lies before this point
+        if value > 0.0:
+            lo = hi
     else:
         return Unbounded(x_hi)
     while hi - lo > xtol:
@@ -270,6 +286,9 @@ def test_cli_undriven_run_scores_two_stacks(tmp_path, monkeypatch):
 @example("ad", 1.5, 1.0, 16, 25.0, 1500)
 @example("pd", 0.0, 1.0, 1, 21.0, 1500)
 @example("pd", 0.0, 1.0, 1, 6.0, 1500)
+# the root, 7.9826, lies a grid step before the reference scan's first
+# point below -TOL.eb, 8.25: the pre-clamp value at 8.0 is -3.4e-10
+@example("pd", 6.103515625e-05, 1.171875, 1, 1.0, 3)
 def test_cli_search_from_the_profile_keeps_xtol(family, omega, eps, n, x_max,
                                                 steps):
     # the length the command line finds from a line's profile, with x_hi
@@ -553,18 +572,13 @@ def test_searches_and_profiles_refactor_nothing(monkeypatch):
 
 
 def test_profiles_eigendecompose_each_stack_once(monkeypatch):
-    # the floor check and the concurrence share one eigh per stack; the
-    # growing-sign line leaves the cone in the second stack, as below
-    growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
+    # the floor check and the concurrence share one eigh per stack: the
+    # first state below -TOL.psd, grid point 1500 (index 476 of the second
+    # stack), is refused by name of its length after two
     eighs = _count_calls(monkeypatch, qmath.np.linalg, "eigh")
-    pts = concurrence_profile(growing, 2e-9, 3000, stop_on_unphysical=True)
-    assert 1024 < len(pts) < 2048 and len(eighs) == 2
-    eighs.clear()
-    # the first state below -TOL.psd, grid point 1500 (index 476 of the
-    # second stack), named by its length
     with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue "
                                          "-1.000e-09 at x = 1e-09$"):
-        concurrence_profile(growing, 2e-9, 3000)
+        concurrence_profile(NON_CP, 2e-9, 3000)
     assert len(eighs) == 2
 
 
@@ -623,22 +637,23 @@ def test_profile_stacks_match_one_stack(monkeypatch):
         return inner(source, x)
 
     monkeypatch.setattr(continuous, "propagation_superop", recording)
-    # the growing-sign line is cut at x = 1e-9, which on this grid lies
-    # past the first stack
-    growing = rotating_pd_liouvillian(1, 1.5, 1.0, decaying=False)
-    cases = [(SwitchedLine(AD1, AD2, 0.3), 2.0, False), (growing, 2e-9, True)]
-    stacked = [concurrence_profile(src, x_max, 3000, stop_on_unphysical=stop)
-               for src, x_max, stop in cases]
+    line = SwitchedLine(AD1, AD2, 0.3)
+    # the non-CP line leaves the cone at x = 1e-9, which on its grid lies
+    # past the first stack: scored in stacks or whole, the same state is
+    # refused
+    refusal = "^density matrix has negative eigenvalue -1.000e-09 at x = 1e-09$"
+    stacked = concurrence_profile(line, 2.0, 3000)
+    with pytest.raises(OutOfRange, match=refusal):
+        concurrence_profile(NON_CP, 2e-9, 3000)
     assert max(sizes) == 1024
     monkeypatch.setattr(continuous, "_STACK_POINTS", 4096)
-    whole = [concurrence_profile(src, x_max, 3000, stop_on_unphysical=stop)
-             for src, x_max, stop in cases]
-    assert len(stacked[0]) == 3000
-    assert 1024 < len(stacked[1]) < 2048
-    for a, b in zip(stacked, whole):
-        assert len(a) == len(b)
-        np.testing.assert_allclose(np.array(a), np.array(b), rtol=0.0,
-                                   atol=1e-15)
+    whole = concurrence_profile(line, 2.0, 3000)
+    with pytest.raises(OutOfRange, match=refusal):
+        concurrence_profile(NON_CP, 2e-9, 3000)
+    assert max(sizes) == 3000
+    assert len(stacked) == len(whole) == 3000
+    np.testing.assert_allclose(np.array(stacked), np.array(whole), rtol=0.0,
+                               atol=1e-15)
 
 
 def test_switched_line_factory():
