@@ -12,7 +12,7 @@ and its breaking length belongs to the line itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import copysign, inf, isfinite
+from math import inf, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -42,16 +42,16 @@ from .states import _checked_psd
 # whatever --steps asks for
 _STACK_POINTS = 1024
 
-# the breaking-length search narrows a bracket wider than x_hi / 18**2 with
-# stacked grids of this many evenly spaced interior lengths: two grids from
-# [0, x_hi].  On [0, 20] that leaves a bracket 0.062 wide, so Brent's method
-# meets at most two slice-boundary kinks of the regenerator's n = 16 lines,
-# where its interpolation falls short
+# each round of the breaking-length search scores one stack inside its
+# bracket: a grid of this many evenly spaced interior lengths, which narrows
+# the bracket 18-fold, or a window (below)
 _BRACKET_POINTS = 17
 
-# then one stack of this many lengths about xtol apart, centred on the root
-# interpolated from the samples around the sign change, usually holds two
-# neighbours that straddle it
+# a window is this many lengths about xtol apart, centred on the root
+# interpolated from the samples around the sign change; it usually holds two
+# neighbours that straddle the root.  It is tried once the bracket is at most
+# x_hi / 18**2 wide: after two grids from [0, x_hi], at once from the
+# regenerator's 241-point profile
 _WINDOW_POINTS = 16
 
 _EPS = float(np.finfo(float).eps)
@@ -289,51 +289,6 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     return _profile(source, x_max, steps)
 
 
-def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    """Brent's zeroin (*Algorithms for Minimization without Derivatives*,
-    1973, ch. 4) on a bracket with ``fa > 0 >= fb``.
-
-    Each step takes an inverse quadratic or secant step inside the bracket
-    ``[b, c]`` and falls back to bisection when that step falls short.  It
-    stops once the bracket is at most ``2 tol`` wide, ``tol = max(xtol / 4,
-    2 eps |b|)``, so ``b`` is within ``xtol / 2`` of the root, or within a few
-    ulps of it when ``xtol / 2`` is finer than that.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(0.25 * xtol, 2.0 * _EPS * abs(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        # interpolate only while the step before last (e) was not tiny, and
-        # keep the step only if it lands inside the bracket and beats half of e
-        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
-        if interpolate:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = abs(p), (-q if p > 0.0 else q)
-            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
-        if interpolate:
-            e, d = d, p / q
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else copysign(tol, m)
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-
-
 def _inverse_interpolation(xs: list, fs: list) -> float:
     """The length at which the polynomial ``x(f)`` through the samples
     ``(fs[i], xs[i])`` (Lagrange's form) reaches ``f = 0``; nan when two
@@ -349,67 +304,57 @@ def _inverse_interpolation(xs: list, fs: list) -> float:
     return root
 
 
-def _first_nonpositive(fs: list) -> int:
-    return next(i for i, f in enumerate(fs) if f <= 0.0)
-
-
 def _search(source, xs: list, fs: list, xtol: float) -> float | Unbounded:
     """First root of the pre-clamp concurrence along ``source``, from the
     ascending lengths ``xs``, ``0`` first and ``x_hi`` last, and their scored
     values ``fs``, each state of which passed the positivity floor.
 
-    1. ``Unbounded(x_hi)`` when ``f(x_hi)`` is not below ``-TOL.eb``.
-    2. The first sample at or below zero closes the bracket.
-    3. Stacked grids of ``_BRACKET_POINTS`` interior lengths narrow it while
-       it is wider than ``x_hi / 18**2``: two grids from ``[0, x_hi]``, none
-       from a fine profile.
-    4. One stack of ``_WINDOW_POINTS`` lengths, neighbours at most ``xtol``
-       apart, is centred on the root interpolated (inverse Lagrange) through
-       the four samples nearest the sign change.  When two neighbours
-       straddle the sign change, their midpoint is within ``xtol / 2`` of
-       the root.  The window is skipped when the estimate falls outside the
-       bracket, or when ``xtol`` is within a few ulps of the lengths.
-    5. Otherwise Brent's method finishes on the bracket that is left; slice
-       boundaries are kinks, which it meets by bisection.
+    ``Unbounded(x_hi)`` when ``f(x_hi)`` is not below ``-TOL.eb``.  Otherwise
+    the first sample at or below zero closes a bracket, and each round scores
+    one stack inside it and keeps the first sign change:
 
-    A scored state below the floor raises :class:`OutOfRange` naming its
-    length.
+    - a window of ``_WINDOW_POINTS`` lengths at most ``xtol`` apart, centred
+      on the root interpolated (inverse Lagrange) through the four samples
+      nearest the sign change, when the bracket is at most ``x_hi / 18**2``
+      wide, the estimate lies inside it, ``xtol`` is coarser than a few ulps
+      of the lengths and the round before was not a window;
+    - otherwise a grid of ``_BRACKET_POINTS`` evenly spaced interior lengths.
+
+    A window that misses (a slice boundary is a kink that bends the samples)
+    is followed by a grid, so every round narrows the bracket.  The search
+    stops once the bracket ``[a, b]`` is at most ``max(xtol, 16 eps b)`` wide
+    and returns its midpoint: within ``xtol / 2`` of the root, or within a
+    few ulps when ``xtol / 2`` is finer than that.  A scored state below the
+    floor raises :class:`OutOfRange` naming its length.
     """
     x_hi = xs[-1]
     if fs[-1] >= -TOL.eb:
         return Unbounded(x_hi)
-
-    def pre(lengths) -> list:
-        return _scored(source, np.asarray(lengths, dtype=float))[1]
-
-    j = _first_nonpositive(fs)
     # the slack absorbs the rounding of the grid lengths, which may leave the
     # second bracket from [0, x_hi] a few ulps wider than x_hi / 18**2
     narrow = x_hi / (_BRACKET_POINTS + 1) ** 2 * (1.0 + 1e-9)
     fractions = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
-    while xs[j] - xs[j - 1] > narrow:
+    offsets = np.arange(_WINDOW_POINTS) - 0.5 * (_WINDOW_POINTS - 1)
+    windowed = False
+    while True:
+        j = next(i for i, f in enumerate(fs) if f <= 0.0)
         a, b = xs[j - 1], xs[j]
-        grid = (a + (b - a) * fractions).tolist()
-        xs, fs = [a, *grid, b], [fs[j - 1], *pre(grid), fs[j]]
-        j = _first_nonpositive(fs)
-    a, b, fa, fb = xs[j - 1], xs[j], fs[j - 1], fs[j]
-    # neighbours of the window are at most xtol apart after rounding
-    step = xtol - 4.0 * _EPS * (b + 2.0 * xtol)
-    near = slice(max(j - 2, 0), j + 2)
-    root = _inverse_interpolation(xs[near], fs[near])
-    # an estimate outside the bracket means a kink (a slice boundary) bends
-    # the samples, and the window would miss
-    if b - a > xtol and step > 0.5 * xtol and a < root < b:
-        offsets = (np.arange(_WINDOW_POINTS) - 0.5 * (_WINDOW_POINTS - 1)) * step
-        half = offsets[-1]
-        window = min(max(root, a + half), b - half) + offsets
-        window = window[(window > a) & (window < b)].tolist()
-        xs, fs = [a, *window, b], [fa, *pre(window), fb]
-        j = _first_nonpositive(fs)
-        a, b, fa, fb = xs[j - 1], xs[j], fs[j - 1], fs[j]
-    if b - a <= xtol:
-        return 0.5 * (a + b)
-    return _zeroin(lambda x: pre([x])[0], a, b, fa, fb, xtol)
+        if b - a <= max(xtol, 16.0 * _EPS * b):
+            return 0.5 * (a + b)
+        # neighbours of a window are at most xtol apart after rounding
+        step = xtol - 4.0 * _EPS * (b + 2.0 * xtol)
+        near = slice(max(j - 2, 0), j + 2)
+        root = _inverse_interpolation(xs[near], fs[near])
+        windowed = (not windowed and b - a <= narrow and step > 0.5 * xtol
+                    and a < root < b)
+        if windowed:
+            half = offsets[-1] * step
+            lengths = min(max(root, a + half), b - half) + offsets * step
+            lengths = lengths[(lengths > a) & (lengths < b)]
+        else:
+            lengths = a + (b - a) * fractions
+        values = _scored(source, lengths)[1]
+        xs, fs = [a, *lengths.tolist(), b], [fs[j - 1], *values, fs[j]]
 
 
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
@@ -419,13 +364,13 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
 
     Scores the signed pre-clamp concurrence of the evolved singlet probe (1
     at length 0, as in :func:`concurrence_profile`) at 0 and ``x_hi`` in one
-    stack, and starts the search from those two values: stacked grids of
-    ``_BRACKET_POINTS`` interior lengths narrow the bracket (two, from
-    ``[0, x_hi]``), one stack of ``_WINDOW_POINTS`` lengths ``xtol`` apart
-    around the interpolated root usually ends it, and Brent's method
-    finishes otherwise.  The answer is within ``xtol / 2`` of the threshold
-    (within a few ulps when ``xtol`` is finer than that).  The command line
-    starts the same search from a line's profile instead.
+    stack, and starts the search from those two values: each round scores
+    one stack, a grid of ``_BRACKET_POINTS`` interior lengths across the
+    bracket or a window of ``_WINDOW_POINTS`` lengths ``xtol`` apart around
+    the interpolated root; a window usually ends the search after two
+    grids.  The answer is within ``xtol / 2`` of the threshold (within a few
+    ulps when ``xtol`` is finer than that).  The command line starts the
+    same search from a line's profile instead.
 
     The search relies on the line being CP-divisible (``Phi_{x+d} =
     Lambda_d o Phi_x`` with ``Lambda_d`` a channel, true of every physical

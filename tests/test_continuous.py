@@ -201,7 +201,8 @@ def test_physical_lines_break_once(family, omega, eps, n):
                for a, b in zip(pts, pts[1:])) <= 2e-8
     # the xtol contract against a reference search a million times finer,
     # and the cost: one stacked evaluation for a line that never breaks, at
-    # most ten for one that does (bisection of [0, 3] to 1e-4 took 17)
+    # most seven for one that does: [0, 3], two grids, then at worst a
+    # missed window and a grid, twice (bisection to 1e-4 took 17)
     ref = _scan_eb_length(line, x_hi, xtol=1e-10)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_calls(mp, continuous, "_evolved_states")
@@ -211,13 +212,13 @@ def test_physical_lines_break_once(family, omega, eps, n):
     else:
         assert isinstance(got, float)
         assert abs(got - ref) <= 1e-4 / 2
-        assert len(calls) <= 10
+        assert len(calls) <= 7
 
 
-def test_searches_take_at_most_ten_evaluations(monkeypatch):
+def test_searches_take_at_most_six_evaluations(monkeypatch):
     # the regenerator's lines at x_hi = 20, where bisection to 1e-4 took 20
-    # evaluations a search; a line that never breaks costs the one stacked
-    # evaluation of [0, x_hi]
+    # evaluations a search: two grids, then windows and grids, 4 to 6 stacks;
+    # a line that never breaks costs the one stacked evaluation of [0, x_hi]
     calls = _count_calls(monkeypatch, continuous, "_evolved_states")
     for g1, g2 in ((AD1, AD2), (PD1, PD2)):
         calls.clear()
@@ -228,7 +229,7 @@ def test_searches_take_at_most_ten_evaluations(monkeypatch):
             assert isinstance(eb_length(SwitchedLine(g1, g2, single / n), 20.0),
                               float)
             counts.append(len(calls))
-        assert max(counts) <= 10, counts
+        assert max(counts) <= 6, counts
         calls.clear()
         assert isinstance(eb_length(average_liouvillian(g1, g2), 20.0), Unbounded)
         assert len(calls) == 1
@@ -266,12 +267,30 @@ def _line_costs(monkeypatch, out, *args: str) -> list:
 def test_cli_lines_search_from_their_profiles(tmp_path, monkeypatch, family):
     # the README's runs: the search starts from the profile's 241 lengths,
     # scored in one stack with x_hi = 20, so a line costs that stack and at
-    # most nine more, and the limit line, which never breaks, that stack alone
+    # most four more, and the limit line, which never breaks, that stack alone
     costs = _line_costs(monkeypatch, tmp_path, "--family", family)
     assert len(costs) == 7
-    assert all(1 <= stacks <= 10 for stacks, _ in costs), costs
+    assert all(1 <= stacks <= 5 for stacks, _ in costs), costs
     assert all(isinstance(length, float) for _, length in costs[:-1])
     assert costs[-1] == (1, Unbounded(20.0))
+
+
+def test_kinked_line_costs_at_most_six_stacks(tmp_path, monkeypatch):
+    # a seeded benchmark line whose n = 16 root, 11.430, lies past --x-max
+    # with the slice boundary 11.408 inside its last grid bracket; the kink
+    # sends the interpolated window past the root, and the grid that follows
+    # the miss holds every line to six stacks, profile included
+    omega, eps = 1.6479586046784864, 0.9673254419617582
+    costs = _line_costs(monkeypatch, tmp_path, "--family", "ad", "--omega",
+                        repr(omega), "--eps", repr(eps), "--n", "4", "16",
+                        "--steps", "61")
+    assert len(costs) == 4
+    assert all(stacks <= 6 for stacks, _ in costs), costs
+    single, n16 = costs[0][1], costs[2][1]
+    line = SwitchedLine(rotating_ad_liouvillian(1, omega, eps),
+                        rotating_ad_liouvillian(2, omega, eps), single / 16)
+    ref = _scan_eb_length(line, 20.0, xtol=1e-10, spacing=0.25)
+    assert abs(n16 - ref) <= cli.EB_XTOL / 2
 
 
 def test_cli_undriven_run_scores_two_stacks(tmp_path, monkeypatch):
