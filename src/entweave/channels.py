@@ -34,10 +34,11 @@ from .qmath import (
 )
 from .states import DensityMatrix, _checked_psd
 
-# Breaking orders are scored in stacks that grow: _FIRST_STACK powers of each
-# channel, then three times the powers scored so far, never more than
-# _POWER_STACK at a time, so memory stays bounded whatever --max-order asks for
-# and a channel that breaks early is not powered far past its order
+# Breaking orders are searched by galloping, then narrowing a bracket: the
+# first _FIRST_STACK powers of each channel, then one power of two per round
+# until one breaks, so no power past twice the order is formed; then at most
+# _POWER_STACK powers inside the bracket per round, so a round holds at most
+# that many powers of a channel whatever --max-order asks for
 _FIRST_STACK = 4
 _POWER_STACK = 64
 
@@ -209,16 +210,15 @@ def superop_distance(a, b) -> float:
     return opnorm(np.asarray(sa) - np.asarray(sb))
 
 
-def _first_breaking(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score a stack ``(m, k, 4, 4)``: ``k`` consecutive powers of each of
-    ``m`` trace-preserving qubit channels.
+def _verdicts(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score a stack ``(..., 4, 4)`` of trace-preserving qubit maps.
 
-    Returns the index of each row's first entanglement-breaking map (``k`` if
-    none is) and the signed pre-clamp concurrences of every Choi state, shape
-    ``(m, k)``.  A map up to its row's first breaking index whose concurrence
-    and PPT verdicts disagree beyond ``TOL.conflict_band`` raises
-    :class:`ToleranceConflict` (the first such map in row order); later maps
-    cannot.  Each Choi state is checked and eigendecomposed once.
+    Returns, per map, whether it is entanglement breaking (Choi concurrence
+    ``<= TOL.eb``), whether its concurrence and PPT verdicts disagree beyond
+    ``TOL.conflict_band``, the signed pre-clamp concurrence and the
+    negativity; the caller decides which disagreements count.  Each Choi
+    state is checked as a density matrix and eigendecomposed once, and the
+    first that fails raises as :func:`validate_density` does.
     """
     choi = choi_matrices(superops) / 2.0
     conc, low = _scores(choi)
@@ -228,14 +228,67 @@ def _first_breaking(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the verdicts disagree and the value that disagrees lies outside the band
     conflict = ((eb & (neg > TOL.conflict_band))
                 | ((neg <= TOL.eb) & (conc.value > TOL.conflict_band)))
-    k = eb.shape[-1]
-    first = np.where(eb.any(axis=-1), eb.argmax(axis=-1), k)
-    bad = np.argwhere(conflict & (np.arange(k) <= first[:, None]))
-    if bad.size:
-        i = tuple(bad[0])
-        raise ToleranceConflict(
-            f"concurrence {conc.value[i]:.3e} vs negativity {neg[i]:.3e}")
-    return first, conc.pre_clamp
+    return eb, conflict, conc.pre_clamp, neg
+
+
+def _conflict(pre: float, neg: float) -> ToleranceConflict:
+    return ToleranceConflict(f"concurrence {max(0.0, pre):.3e} vs negativity {neg:.3e}")
+
+
+def _power_grid(step: np.ndarray, count: int, base: np.ndarray | None) -> np.ndarray:
+    """``step^j @ base`` for ``j = 1..count`` (``step^j`` without a base),
+    formed by doubling: the next ``j`` powers are the first ``j`` times
+    ``step^j``, about ``log2(count) + 1`` stacked products in all."""
+    powers = step[None]
+    while (j := len(powers)) < count:
+        powers = np.concatenate((powers, powers[:count - j] @ powers[-1]))
+    return powers if base is None else powers @ base
+
+
+def _from_squares(squares: list[np.ndarray], e: int) -> np.ndarray:
+    """``S^e`` from ``squares[j] = S^(2^j)``, one product per further bit."""
+    bits = [sq for j, sq in enumerate(squares) if e >> j & 1]
+    power = bits[0]
+    for sq in bits[1:]:
+        power = sq @ power
+    return power
+
+
+@dataclass(eq=False)
+class _OrderSearch:
+    """One channel's breaking-order search: the bracket between ``lo``, its
+    highest power scored that does not break, and ``hi``, its lowest power
+    scored that breaks (0 while none has)."""
+
+    superop: np.ndarray
+    lo: int = 0
+    hi: int = 0
+    base: np.ndarray | None = None  # S^lo, None for lo = 0
+    squares: list[np.ndarray] = field(default_factory=list)  # S^(2^j)
+    pending: ToleranceConflict | None = None  # power hi's conflict
+    margin: float = 0.0  # power 1's signed pre-clamp concurrence
+
+    def next_powers(self, max_n: int) -> tuple[range, np.ndarray]:
+        """The exponents of the next powers to score and the powers.
+
+        First powers 1 to ``_FIRST_STACK``; while none breaks, the square of
+        the last (capped at ``max_n``, a product of the squares); then at
+        most ``_POWER_STACK`` powers inside the bracket, a power-of-two
+        stride apart."""
+        if not self.lo:
+            step, stride, count = self.superop, 1, min(_FIRST_STACK, max_n)
+        elif not self.hi:
+            stride, count = min(self.lo, max_n - self.lo), 1
+            step = _from_squares(self.squares, stride)
+        else:
+            shift = ((self.hi - self.lo - 1) // (_POWER_STACK + 1)).bit_length()
+            stride, count = 1 << shift, (self.hi - self.lo - 1) >> shift
+            step = self.squares[shift]
+        exps = range(self.lo + stride, self.lo + stride * count + 1, stride)
+        powers = _power_grid(step, count, self.base)
+        if not self.hi:
+            self.squares += [p for e, p in zip(exps, powers) if not e & (e - 1)]
+        return exps, powers
 
 
 def is_eb(c: QuantumChannel) -> EbVerdict:
@@ -246,9 +299,9 @@ def is_eb(c: QuantumChannel) -> EbVerdict:
     transpose: for two qubits both criteria are exact, so a disagreement
     outside a small band around zero is numerical pathology and raises
     :class:`ToleranceConflict`.  ``margin`` reports the signed pre-clamp
-    concurrence.
+    concurrence.  It scores the one Choi state of the channel itself.
     """
-    ((order, margin),) = _orders_and_margins([c], 1)
+    (((order, margin),), _) = _orders_and_margins([c], 1)
     return EbVerdict(order == 1, margin)
 
 
@@ -256,52 +309,63 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
     """Smallest n such that the n-fold self-composition is entanglement
     breaking; ``Unbounded(max_n)`` if no power up to ``max_n`` is.
 
-    The powers ``S, S^2, ...`` of the superoperator are formed by doubling
-    and scored in stacks that grow (4, 12, 48, then 64 at a time), with the
-    verdict of :func:`is_eb`.  Every power up to the returned order is
-    formed, validated and checked for a tolerance conflict; powers past the
-    stack that holds the order are not formed.  Monotone by construction:
-    once a power is breaking, every later power is.
+    The search relies on absorption: once ``S^n`` is breaking, so is every
+    later power, since the Choi state of ``S^(n+1)`` is ``S (x) id`` applied
+    to that of ``S^n`` and a local channel cannot raise concurrence.  It
+    gallops (powers 1 to 4, then 8, 16, ... by squaring, the last capped at
+    ``max_n``) until a power breaks, then scores at most 64 evenly spaced
+    powers inside the bracket per round, so no power past twice the order
+    (or ``max_n``) is formed.  Every scored power gets the verdict of
+    :func:`is_eb` and is validated; those up to the returned order are also
+    cross-checked for a tolerance conflict.  Powers the search skips are
+    not scored at all.
     """
-    return _orders_and_margins([c], max_n)[0][0]
+    return _orders_and_margins([c], max_n)[0][0][0]
 
 
-def _orders_and_margins(channels: Sequence[QuantumChannel],
-                        max_n: int) -> list[tuple[int | Unbounded, float]]:
+def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
+                        ) -> tuple[list[tuple[int | Unbounded, float]], int]:
     """:func:`eb_order` of every channel, and the margin :func:`is_eb`
-    reports for it, taken from the same scoring of its first power.
+    reports for it, taken from the same scoring of its first power; beside
+    them, the number of Choi states scored.
 
-    The unresolved channels are scored together, one ``(m, k, 4, 4)`` stack
-    of their next ``k`` powers per round; a channel drops out once a power
-    in its stack breaks.  A stack of ``k`` powers takes about ``log2(k) + 1``
-    stacked products: doubling (the next ``j`` powers are the first ``j``
-    times ``S^j``), then one product with the power carried from the rounds
-    before.  Up to power 200 this agrees with running products to 1e-13.
+    Each round scores one flat stack of every unresolved channel's next
+    powers (:meth:`_OrderSearch.next_powers`).  A scored power raises
+    :class:`ToleranceConflict` if it conflicts and does not break, or if it
+    is the channel's order; a breaking power that closed a bracket the
+    order lies inside does not count.  Up to power 200 every formed power
+    agrees with running products to 1e-13.
     """
     if max_n < 1:
         raise OutOfRange("max_n must be at least 1")
     for c in channels:
         if not c.trace_preserving:
             raise ValueError("entanglement-breaking test needs a trace-preserving map")
-    supers = np.array([c.superop for c in channels])
-    orders: list[int | Unbounded] = [Unbounded(float(max_n))] * len(channels)
-    margins: list[float] = []
-    live = np.arange(len(channels))
-    power = np.broadcast_to(np.eye(4, dtype=complex), supers.shape)
-    done = 0
-    while live.size and done < max_n:
-        k = min(3 * done or _FIRST_STACK, _POWER_STACK, max_n - done)
-        powers = supers[live]  # S^1..S^j as one tall (m, 4j, 4) stack per row
-        while (j := powers.shape[1] // 4) < k:  # S^(j+i) = S^i S^j for i <= j
-            powers = np.hstack((powers, powers[:, :4 * (k - j)] @ powers[:, -4:]))
-        powers = (powers @ power).reshape(-1, k, 4, 4)
-        first, pre = _first_breaking(powers)
-        if not done:
-            margins = [float(m) for m in pre[:, 0]]
-        for row in np.flatnonzero(first < k):
-            orders[live[row]] = done + int(first[row]) + 1
-        keep = first == k
-        live, power = live[keep], powers[keep, -1]
-        done += k
-    return list(zip(orders, margins))
-
+    searches = [_OrderSearch(c.superop) for c in channels]
+    live, scored = searches, 0
+    while live:
+        rounds = [(s, *s.next_powers(max_n)) for s in live]
+        powers = np.concatenate([p for _, _, p in rounds])
+        eb, conflict, pre, neg = _verdicts(powers)
+        scored += len(powers)
+        eb, conflict = eb.tolist(), conflict.tolist()
+        start, live = 0, []
+        for s, exps, stack in rounds:
+            end = start + len(exps)
+            first = next((k for k in range(start, end) if eb[k]), end)
+            for k in range(start, first):
+                if conflict[k]:
+                    raise _conflict(pre[k], neg[k])
+            if not s.lo:
+                s.margin = float(pre[start])
+            if first > start:
+                s.lo, s.base = exps[first - start - 1], stack[first - start - 1]
+            if first < end:
+                s.hi = exps[first - start]
+                s.pending = _conflict(pre[first], neg[first]) if conflict[first] else None
+            if s.hi == s.lo + 1 and s.pending:
+                raise s.pending
+            if s.hi > s.lo + 1 or (not s.hi and s.lo < max_n):
+                live.append(s)
+            start = end
+    return [(s.hi or Unbounded(float(max_n)), s.margin) for s in searches], scored

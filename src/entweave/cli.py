@@ -89,6 +89,7 @@ class Run(NamedTuple):
     outputs: dict[str, str]  # file name -> text, in writing order
     manifest_name: str       # written last
     notes: Sequence[str] = ()
+    counts: dict[str, int] = {}  # work the core calls report, into the manifest
 
 
 def _write_file(path: Path, text: str) -> None:
@@ -118,7 +119,7 @@ def _write(args, run: Run, started: float) -> None:
         "command": args.command, "parameters": {**parameters, "out": str(out_dir)},
         "outputs": list(run.outputs), "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "notes": list(run.notes),
+        "notes": list(run.notes), "counts": dict(run.counts),
     }
     _write_file(out_dir / run.manifest_name,
                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -215,8 +216,8 @@ def cmd_discrete(args) -> Run:
     channels = [phi, psi]
     if seq:
         channels.append(compose_signal_chain([phi if ch == "P" else psi for ch in seq]))
-    # P, Q and the word are scored together, one growing stack of powers
-    scored = _orders_and_margins(channels, args.max_order)
+    # P, Q and the word are scored together, one stack of powers per round
+    scored, choi_states = _orders_and_margins(channels, args.max_order)
     report = {
         "base": base_label,
         "unitary": args.unitary,
@@ -241,7 +242,8 @@ def cmd_discrete(args) -> Run:
                   f"concurrence={s['choi_concurrence']:.12g} "
                   f"order={s['eb_order']}")
     report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return Run({"discrete_report.json": report_text}, "discrete_manifest.json")
+    return Run({"discrete_report.json": report_text}, "discrete_manifest.json",
+               counts={"choi_states_scored": choi_states})
 
 
 # -------------------------------------------------------------- continuous

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from entweave.channels import (
     NotCompletelyPositive,
-    _first_breaking,
+    _OrderSearch,
     _orders_and_margins,
+    _verdicts,
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
@@ -248,7 +249,7 @@ def _eb_order_per_power(c, max_n):
 def test_stacked_eb_order_matches_per_power_reference(rng):
     cases = [(ad_channel(0.3), 16), (pd_channel(0.05), 16),
              (pd_channel(0.4), 16),            # never breaks: Unbounded
-             (ad_channel(0.55), 80),           # order 70, past one stack of 64
+             (ad_channel(0.55), 80),           # order 70, past the square 64
              (pd_channel(0.73), 80),           # order 66
              (unitary_channel(haar_unitary(2, rng)), 5)]
     for k in range(24):
@@ -263,17 +264,17 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
         orders.append(got)
         assert got == _eb_order_per_power(c, max_n)
         # the discrete report's one scoring gives is_eb's margin exactly
-        assert _orders_and_margins([c], max_n) == [(got, is_eb(c).margin)]
+        assert _orders_and_margins([c], max_n)[0] == [(got, is_eb(c).margin)]
     assert orders[1] == 7 and orders[3] == 70 and orders[4] == 66
     assert sum(isinstance(o, Unbounded) for o in orders) >= 3
     assert len({o for o in orders if isinstance(o, int)}) >= 4
-    # many channels in one growing stack: rows resolve in different stacks,
-    # some past the 64-power cap, and each matches its own reference
+    # many channels searched together: rows resolve in different rounds,
+    # some past the square 64, and each matches its own reference
     phi, _ = _restored_pair()
     mixed = [_depolarizing(), phi, pd_channel(0.05), pd_channel(0.73),
              ad_channel(0.55), pd_channel(0.97)]  # orders 1, 2, 7, 66, 70, 681
     for max_n in (1, 3, 5, 17, 64, 80):
-        scored = _orders_and_margins(mixed, max_n)
+        scored = _orders_and_margins(mixed, max_n)[0]
         assert len(scored) == len(mixed)
         for c, (order, margin) in zip(mixed, scored):
             assert order == _eb_order_per_power(c, max_n)
@@ -282,9 +283,9 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
 
 
 def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
-    # the restored pair breaks at order 2, so its first stack of 4 powers
-    # settles both rows; only a row that has not broken goes on to the
-    # later stacks (4, then 12, 48 and 64 at a time)
+    # the restored pair breaks at order 2, so the first round of 4 powers
+    # settles both rows; only a row that has not broken gallops on, one
+    # square per round, and a row that breaks inside its bracket narrows it
     import entweave.channels as channels
 
     shapes = []
@@ -297,65 +298,66 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
     monkeypatch.setattr(channels, "_scores", counting)
     phi, psi = _restored_pair()
     blocked = compose_signal_chain([psi, psi, phi, phi])  # breaks at once
-    orders = [o for o, _ in _orders_and_margins([phi, psi, blocked], 64)]
-    assert orders == [2, 2, 1]
-    assert shapes == [(3, 4)]  # 3 x 4 powers, not 3 x 64
+    scored, states = _orders_and_margins([phi, psi, blocked], 64)
+    assert [o for o, _ in scored] == [2, 2, 1]
+    assert shapes == [(12,)] and states == 12  # 3 x 4 powers, not 3 x 64
     shapes.clear()
-    orders = [o for o, _ in _orders_and_margins([phi, pd_channel(0.97), psi], 64)]
-    assert orders == [2, Unbounded(64.0), 2]
-    assert shapes == [(3, 4), (1, 12), (1, 48)]
+    scored, states = _orders_and_margins([phi, pd_channel(0.97), psi], 64)
+    assert [o for o, _ in scored] == [2, Unbounded(64.0), 2]
+    # the unbounded row scores powers 1-4, 8, 16, 32 and 64: 8, not 64
+    assert shapes == [(12,), (1,), (1,), (1,), (1,)] and states == 16
     shapes.clear()
-    _orders_and_margins([pd_channel(0.97)], 200)
-    assert shapes == [(1, 4), (1, 12), (1, 48), (1, 64), (1, 64), (1, 8)]
+    assert _orders_and_margins([pd_channel(0.97)], 200)[1] == 10
+    assert shapes == [(4,)] + [(1,)] * 6  # 8, 16, 32, 64, 128, then 200
+    shapes.clear()
+    # ad(0.55) breaks at 70: powers 1-4, 8, ..., 64, then 80 (capped at
+    # max_n) closes the bracket and its 15 interior powers find the order
+    scored, states = _orders_and_margins([ad_channel(0.55)], 80)
+    assert scored[0][0] == 70 and states == 24
+    assert shapes == [(4,)] + [(1,)] * 5 + [(15,)]
 
 
 def test_conflict_past_the_order_never_raises(monkeypatch):
-    # every power of the interrupted map from the second on is breaking; fake
-    # a concurrence/PPT conflict on a chosen power and see where it counts
+    # fake a concurrence/PPT conflict on one chosen power and see where it
+    # counts: at every scored power up to the order, never past it
     import entweave.channels as channels
 
-    phi, _ = _restored_pair()
-    true_negativity = channels._hermitian_negativity
+    phi, _ = _restored_pair()  # order 2
+    slow = ad_channel(0.55)    # order 70
+    true_verdicts = channels._verdicts
 
-    def conflicting_from(power):
-        def fake(rho):
-            n = np.array(true_negativity(rho))
-            n[..., power - 1:] = 0.5
-            return n
+    def conflicting_at(c, power):
+        target = compose_signal_chain([c] * power).superop
+
+        def fake(superops):
+            eb, conflict, pre, neg = true_verdicts(superops)
+            hit = np.abs(superops - target).max(axis=(-2, -1)) < 1e-12
+            return eb, conflict | hit, pre, neg
         return fake
 
-    monkeypatch.setattr(channels, "_hermitian_negativity", conflicting_from(3))
-    assert eb_order(phi, 16) == 2
-    monkeypatch.setattr(channels, "_hermitian_negativity", conflicting_from(2))
-    with pytest.raises(ToleranceConflict):
-        eb_order(phi, 16)
+    for c, power, raises in ((phi, 2, True), (phi, 3, False)):
+        monkeypatch.setattr(channels, "_verdicts", conflicting_at(c, power))
+        if raises:
+            with pytest.raises(ToleranceConflict):
+                eb_order(phi, 16)
+        else:
+            assert eb_order(phi, 16) == 2
 
-    # a second row, in the first stack beside the first row and then alone
-    # once the first broke: a conflict up to its own order raises, one past
-    # it does not
-    slow = ad_channel(0.55)  # order 70, in the fourth stack (powers 65-80)
-
-    def conflicting_at(power, value):
-        target = matrix_of(choi_state(compose_signal_chain([slow] * power)))
-
-        def fake(rho):
-            n = np.array(true_negativity(rho))
-            hit = np.abs(np.asarray(rho) - target).max(axis=(-2, -1)) < 1e-14
-            n[hit] = value
-            return n
-        return fake
-
-    # powers 3 and 10 are entangled (concurrence 0.55^1.5 and 0.55^5), so
-    # negativity 0 contradicts them
-    for power, value, raises in ((3, 0.0, True), (10, 0.0, True),
-                                 (70, 0.5, True), (71, 0.5, False)):
-        monkeypatch.setattr(channels, "_hermitian_negativity",
-                            conflicting_at(power, value))
+    # both rows in the first round, then ad(0.55) alone: it scores 1-4, the
+    # squares 8, 16, 32 and 64, then 80 (max_n), which breaks, and the
+    # bracket's interior 65-79.  Powers 1 and 3, the square 32, the bracket
+    # power 66 and the order 70 raise; 71 (scored beside 70) and 80 (which
+    # closed the bracket) lie past the order and do not.  Power 10 is
+    # entangled but no longer raises: the gallop steps from 8 to 16, so it
+    # is never formed, let alone cross-checked.
+    for power, raises in ((1, True), (3, True), (32, True), (66, True),
+                          (70, True), (71, False), (80, False), (10, False)):
+        monkeypatch.setattr(channels, "_verdicts", conflicting_at(slow, power))
         if raises:
             with pytest.raises(ToleranceConflict):
                 _orders_and_margins([phi, slow], 80)
         else:
-            assert [o for o, _ in _orders_and_margins([phi, slow], 80)] == [2, 70]
+            assert [o for o, _ in _orders_and_margins([phi, slow], 80)[0]] == [2, 70]
 
 
 def test_eb_classification_floor():
@@ -413,31 +415,36 @@ def _sandwiched(base, rng):
 
 
 def test_doubled_powers_match_running_products(rng, monkeypatch):
-    # record every stack of powers the scorer is handed; reporting no row as
-    # breaking keeps every channel live, so all 200 powers are formed
+    # record every power the search forms, squares and capped powers
+    # included, with its exponent, and hold it to the running product
     import entweave.channels as channels
 
-    stacks = []
-    true_first_breaking = channels._first_breaking
+    formed = []
+    true_next_powers = _OrderSearch.next_powers
 
-    def unbroken(superops):
-        stacks.append(superops.copy())
-        _, pre = true_first_breaking(superops)
-        return np.full(len(superops), superops.shape[1]), pre
+    def recording(search, max_n):
+        exps, powers = true_next_powers(search, max_n)
+        formed.append((search.superop, exps, powers.copy()))
+        return exps, powers
 
-    monkeypatch.setattr(channels, "_first_breaking", unbroken)
-    bases = [ad_channel(v) for v in (0.3, 0.55, 0.9, 0.999)]
+    monkeypatch.setattr(_OrderSearch, "next_powers", recording)
+    bases = [ad_channel(v) for v in (0.3, 0.55, 0.76, 0.9, 0.999)]
     bases += [pd_channel(v) for v in (0.05, 0.5, 0.97, 1.0)]
     chans = bases + [_sandwiched(b, rng) for b in bases]
-    _orders_and_margins(chans, 200)
-    assert [s.shape[1] for s in stacks] == [4, 12, 48, 64, 64, 8]
-    formed = np.concatenate(stacks, axis=1)
-    assert formed.shape == (len(chans), 200, 4, 4)
-    for c, powers in zip(chans, formed):
-        running = c.superop
-        for n in range(200):
-            assert np.abs(powers[n] - running).max() <= 1e-13, n + 1
-            running = c.superop @ running
+    orders = [o for o, _ in _orders_and_margins(chans, 200)[0]]
+    assert orders[1:4] == [70, 152, Unbounded(200.0)]  # ad(0.55, 0.76, 0.9)
+    running = {}
+    for superop, exps, powers in formed:
+        key = id(superop)
+        if key not in running:
+            running[key] = [superop]
+            while len(running[key]) < 200:
+                running[key].append(superop @ running[key][-1])
+        for n, power in zip(exps, powers):
+            assert np.abs(power - running[key][n - 1]).max() <= 1e-13, n
+    strides = {exps.step for _, exps, _ in formed}
+    assert {1, 2} <= strides  # (128, 200) holds more than 64 powers
+    assert max(exps[-1] for _, exps, _ in formed) == 200
 
 
 def test_breaking_orders_match_running_products_on_a_grid(rng):
@@ -447,6 +454,81 @@ def test_breaking_orders_match_running_products_on_a_grid(rng):
     orders = [eb_order(c, 80) for c in grid]
     assert orders == [_eb_order_per_power(c, 80) for c in grid]
     assert orders[2] == 70 and orders[4] == 7  # ad(0.55), pd(0.05)
+
+
+def _with_order(n, damping):
+    """A bare damping (dephasing) channel whose breaking order is ``n``: the
+    Choi concurrence of its k-th power, eta^(k/2) (p^k), crosses TOL.eb =
+    1e-9 half a power before ``n``."""
+    if damping:
+        return ad_channel(1e-9 ** (2.0 / (n - 0.5)))
+    return pd_channel(1e-9 ** (1.0 / (n - 0.5)))
+
+
+@pytest.mark.parametrize("damping", [True, False])
+def test_orders_at_and_next_to_powers_of_two(damping):
+    # the gallop scores 1-4 and the powers of two, so an order on a power
+    # of two closes a bracket with it and one just past it opens the next
+    for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129):
+        c = _with_order(n, damping)
+        assert eb_order(c, 200) == _eb_order_per_power(c, 200) == n
+
+
+def test_orders_match_the_reference_at_every_max_n(rng):
+    # orders at and one past each max_n, where the search must report the
+    # order itself and Unbounded(max_n), and two sandwiched channels; the
+    # reference is computed once to power 200 and truncated
+    chans = [_with_order(n, n % 2 == 0)
+             for n in (1, 2, 3, 4, 5, 6, 63, 64, 65, 66, 80, 81, 200, 201)]
+    chans += [_sandwiched(ad_channel(0.55), rng), _sandwiched(pd_channel(0.8), rng)]
+    reference = [_eb_order_per_power(c, 200) for c in chans]
+    for max_n in (1, 2, 3, 5, 63, 64, 65, 80, 200):
+        expected = [r if isinstance(r, int) and r <= max_n else Unbounded(float(max_n))
+                    for r in reference]
+        assert [o for o, _ in _orders_and_margins(chans, max_n)[0]] == expected
+        assert [eb_order(c, max_n) for c in chans] == expected
+    assert reference[:13] == [1, 2, 3, 4, 5, 6, 63, 64, 65, 66, 80, 81, 200]
+    assert reference[13] == Unbounded(200.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), damping=st.booleans(),
+       value=st.floats(0.05, 0.95), word=st.text("PQ", min_size=1, max_size=6),
+       max_n=st.integers(1, 200))
+def test_breaking_orders_of_sandwiched_words_match_the_reference(seed, damping, value,
+                                                                  word, max_n):
+    # P meets the Haar unitary first, Q its inverse last, as on the command
+    # line; P, Q and the word are searched together
+    u_mat = haar_unitary(2, np.random.default_rng(seed))
+    u, u_dag = unitary_channel(u_mat), unitary_channel(u_mat.conj().T)
+    base = ad_channel(value) if damping else pd_channel(value)
+    p, q = compose(u, base), compose(base, u_dag)
+    chans = [p, q, compose_signal_chain([p if ch == "P" else q for ch in word])]
+    scored, _ = _orders_and_margins(chans, max_n)
+    assert [o for o, _ in scored] == [_eb_order_per_power(c, max_n) for c in chans]
+
+
+def test_no_round_holds_more_than_a_stack_of_one_channel(monkeypatch):
+    import entweave.channels as channels
+
+    counts = []
+    true_next_powers = _OrderSearch.next_powers
+
+    def recording(search, max_n):
+        exps, powers = true_next_powers(search, max_n)
+        counts.append(len(powers))
+        return exps, powers
+
+    monkeypatch.setattr(_OrderSearch, "next_powers", recording)
+    # orders 152, 20713 and 414445: at 10**6 the gallop leaves brackets of
+    # 127, 16383 and 262143 interior powers, and a power-of-two stride picks
+    # 63 of them per round; at 200 the first closes the bracket (128, 200)
+    chans = [ad_channel(0.76), pd_channel(0.999), ad_channel(0.9999)]
+    for max_n, orders, widest in ((200, [152, Unbounded(200.0), Unbounded(200.0)], 35),
+                                  (10 ** 6, [152, 20713, 414445], 63)):
+        counts.clear()
+        assert [o for o, _ in _orders_and_margins(chans, max_n)[0]] == orders
+        assert max(counts) == widest <= channels._POWER_STACK
 
 
 @pytest.mark.parametrize("kind, error, words", [
@@ -468,7 +550,7 @@ def test_breaking_scorer_raises_as_validate_density(kind, error, words):
         with pytest.raises(error) as reference:
             validate_density(choi_matrices(stack) / 2.0)
         with pytest.raises(error) as scored:
-            _first_breaking(stack)
+            _verdicts(stack)
         assert str(scored.value) == str(reference.value)
         assert words in str(scored.value)
         assert str(scored.value).endswith(f"at stack index {flat}")
@@ -481,7 +563,7 @@ def test_one_validation_policy_for_every_scorer():
     assert math.isclose(np.linalg.eigvalsh(slightly)[0], -5e-9, rel_tol=1e-6)
     stack = superop_of_choi(2.0 * slightly)[None, None]
     with pytest.raises(OutOfRange) as scored:
-        _first_breaking(stack)
+        _verdicts(stack)
     with pytest.raises(OutOfRange) as direct:
         concurrence(choi_matrices(stack) / 2.0)
     assert str(scored.value) == str(direct.value) == (

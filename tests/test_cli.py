@@ -38,6 +38,9 @@ def test_discrete_report_and_manifest(tmp_path):
     assert manifest["command"] == "discrete"
     assert manifest["outputs"] == ["discrete_report.json"]
     assert manifest["parameters"]["sequence"] == "QPQP"
+    # powers 1-4 of P, Q and the word; the word (order 9) then scores 8 and
+    # 16, and the 7 powers between them
+    assert manifest["counts"] == {"choi_states_scored": 21}
 
 
 def test_manifest_records_every_parsed_argument(tmp_path):
@@ -81,6 +84,16 @@ def test_discrete_blocked_sequence_breaks(tmp_path):
     assert r.returncode == 0
     report = json.loads((tmp_path / "discrete_report.json").read_text())
     assert report["sequence"]["is_eb"]
+
+
+def test_discrete_deep_orders(tmp_path, capsys):
+    # orders past 20000 are bracketed by powers of two and narrowed; no power
+    # past twice an order is formed, so P^524288, squared 19 times from P
+    # with a trace 1.2e-10 off, is never scored
+    assert main(["--out", str(tmp_path), "discrete", "--pd", "0.999",
+                 "--max-order", "1000000", "--sequence", "PQQ"]) == 0
+    orders = [line.rsplit("order=", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    assert orders == ["20713", "20713", "6905"]
 
 
 def test_order_of_prints_bare_number(tmp_path):
