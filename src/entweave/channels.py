@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import _hermitian_negativity, _scores
+from .entanglement import _derived_scores, _hermitian_negativity
 from .qmath import (
     IDENTITY_2,
     SIGMA_Z,
@@ -32,7 +32,7 @@ from .qmath import (
     unvec,
     vec,
 )
-from .states import DensityMatrix, _checked_psd
+from .states import DensityMatrix
 
 # Breaking orders are searched by galloping, then narrowing a bracket: the
 # first _FIRST_STACK powers of each channel, then one power of two per round
@@ -217,12 +217,10 @@ def _verdicts(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     ``<= TOL.eb``), whether its concurrence and PPT verdicts disagree beyond
     ``TOL.conflict_band``, the signed pre-clamp concurrence and the
     negativity; the caller decides which disagreements count.  Each Choi
-    state is checked as a density matrix and eigendecomposed once, and the
-    first that fails raises as :func:`validate_density` does.
+    state is scored once by ``entanglement._derived_scores``, which raises as
+    :func:`validate_density` does on the first below ``-TOL.psd``.
     """
-    choi = choi_matrices(superops) / 2.0
-    conc, low = _scores(choi)
-    _checked_psd(low)
+    conc, choi = _derived_scores(choi_matrices(superops))
     neg = _hermitian_negativity(choi)
     eb = conc.value <= TOL.eb
     # the verdicts disagree and the value that disagrees lies outside the band

@@ -4,9 +4,9 @@ The generators come in mirrored pairs: a fixed dissipator plus a coherent
 drive whose sign flips between the two family members.  A switched line
 alternates the pair over equal slices of propagation length; interleaving
 finer and finer slices pushes the entanglement-breaking threshold out and
-approaches the drive-free dissipative semigroup in the limit.  Every line is
-probed with the singlet, so its concurrence curve is that of its Choi state
-and its breaking length belongs to the line itself.
+approaches the drive-free dissipative semigroup in the limit.  A line is
+scored by its Choi states, as a channel's powers are, so its concurrence
+curve and its breaking length belong to the line itself.
 """
 
 from __future__ import annotations
@@ -18,25 +18,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Unbounded
-from .entanglement import _scores
+from .entanglement import _derived_scores
 from .qmath import (
     LOWERING,
     SIGMA_X,
     SIGMA_Z,
     TOL,
+    NonHermitian,
     OutOfRange,
     Spectral,
     _qubit_shaped,
     as_matrix,
     choi_matrices,
     dagger,
+    is_hermitian,
     opnorm,
-    projector,
-    singlet,
-    superop_of_choi,
     vec,
 )
-from .states import _checked_psd
 
 # profiles score this many grid points in one stack, so memory stays bounded
 # whatever --steps asks for
@@ -62,21 +60,28 @@ class Liouvillian:
     """A 4x4 column-stacking generator matrix for a qubit master equation;
     any other shape raises :class:`~entweave.qmath.DimensionMismatch`.
 
-    ``spectral`` is the generator's :class:`~entweave.qmath.Spectral`,
-    factored once at construction, so propagating it never refactors.
+    A generator with non-finite entries, or that does not preserve
+    Hermiticity (its Choi reshuffle Hermitian to 1e-8, as for a
+    ``QuantumChannel``) or trace, is refused before it is factored.
+    ``spectral`` is its :class:`~entweave.qmath.Spectral`, factored once at
+    construction, so propagating it never refactors.
     """
 
     generator: np.ndarray
     spectral: Spectral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spectral = Spectral(_qubit_shaped(self.generator, (4, 4)))
-        g = spectral.matrix
+        g = _qubit_shaped(as_matrix(self.generator), (4, 4))
+        if not np.isfinite(g).all():
+            raise ValueError("generator has non-finite entries")
+        if not is_hermitian(choi_matrices(g), tol=1e-8):
+            raise NonHermitian("generator does not preserve Hermiticity")
         # trace preservation: <<I| L = 0
         tr_row = vec(np.eye(2)).conj() @ g
         if np.max(np.abs(tr_row)) > 1e-8:
             raise ValueError("generator does not preserve trace")
-        object.__setattr__(self, "generator", g)
+        spectral = Spectral(g)
+        object.__setattr__(self, "generator", spectral.matrix)
         object.__setattr__(self, "spectral", spectral)
 
 
@@ -227,27 +232,10 @@ class ProfilePoint(NamedTuple):
     pre_clamp: float
 
 
-# the singlet's projector read as the map whose Choi matrix it is, unvalidated:
-# a DensityMatrix would run eigh at import
-_SINGLET_PROBE = superop_of_choi(projector(singlet()))
-_SINGLET_PROBE.setflags(write=False)
-
-
-def _evolved_states(source, x: float | np.ndarray) -> np.ndarray:
-    """``(map (x) id)`` of the singlet probe."""
-    out = choi_matrices(propagation_superop(source, x) @ _SINGLET_PROBE)
-    # keep the Hermitian part: the committed curves and pinned lengths were
-    # computed with it, and the last bits it moves decide where far driven
-    # lines fail the trace check
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
-
-
 def _scored(source, xs: np.ndarray) -> tuple[list, list]:
     """Concurrence and pre-clamp concurrence at the lengths ``xs``, scored as
-    one stack; the first state with an eigenvalue below ``-TOL.psd`` raises
-    :class:`OutOfRange` naming its length."""
-    c, low = _scores(_evolved_states(source, xs), xs)
-    _checked_psd(low, lengths=xs)
+    one stack; a refusal names the length."""
+    c, _ = _derived_scores(choi_matrices(propagation_superop(source, xs)), xs)
     return c.value.tolist(), c.pre_clamp.tolist()
 
 
@@ -272,19 +260,14 @@ def _profile(source, x_max: float, steps: int,
 
 def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
                         steps: int):
-    """Concurrence of ``(map (x) id)`` on the singlet probe
-    ``(|01> - |10>)/sqrt(2)`` along the line.
+    """Concurrence of the line's Choi state, which decides entanglement
+    breaking (Horodecki, Shor & Ruskai, 2003), in stacks of at most
+    ``_STACK_POINTS`` lengths.
 
-    The probe is maximally entangled, so the curve is the line's own: it
-    coincides with the Choi-state concurrence, which decides entanglement
-    breaking (Horodecki, Shor & Ruskai, 2003).  The probe is read once as a
-    map; the grid is evaluated in stacks of at most ``_STACK_POINTS`` lengths.
-
-    States are checked as :func:`concurrence` checks them, and a refusal
-    names the length: the first with an eigenvalue below ``-TOL.psd`` raises
-    (only a generator not of Lindblad form leaves the state cone), as does a
-    trace drift past ``TOL.structural`` (far along driven lines; see
-    README).
+    Each Choi state is divided by its trace and made Hermitian.  The first
+    with an eigenvalue below ``-TOL.psd`` (only a generator not of Lindblad
+    form leaves the state cone) or a trace that has vanished raises, naming
+    its length.
     """
     return _profile(source, x_max, steps)
 
@@ -362,8 +345,8 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     """First propagation length at which the evolved map becomes
     entanglement breaking.
 
-    Scores the signed pre-clamp concurrence of the evolved singlet probe (1
-    at length 0, as in :func:`concurrence_profile`) at 0 and ``x_hi`` in one
+    Scores the signed pre-clamp concurrence of the line's Choi state (1 at
+    length 0, as in :func:`concurrence_profile`) at 0 and ``x_hi`` in one
     stack, and starts the search from those two values: each round scores
     one stack, a grid of ``_BRACKET_POINTS`` interior lengths across the
     bracket or a window of ``_WINDOW_POINTS`` lengths ``xtol`` apart around

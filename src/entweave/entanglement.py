@@ -17,7 +17,7 @@ from .qmath import (
     partial_transpose,
     projector,
 )
-from .states import DensityMatrix, _checked_psd, _checked_structure
+from .states import DensityMatrix, _checked_psd, _checked_structure, _first_failure
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -25,6 +25,8 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 # numpy.linalg.matrix_rank's cutoff: eigenvalues at or below this times the
 # largest are eigensolver noise
 _RANK_CUTOFF = 4.0 * np.finfo(float).eps
+
+_VANISHED_TRACE = 1e-12  # below this, a derived state has nothing to normalize
 
 
 class ConcurrenceResult(NamedTuple):
@@ -59,26 +61,22 @@ def concurrence(rho) -> ConcurrenceResult:
     search finds the root of, since ``value`` is identically zero past the
     separability threshold.
 
-    Every scorer of the package checks each state by one policy, that of
-    :func:`~entweave.states.validate_density`, with its messages: Hermitian
-    and unit trace to ``TOL.structural``, no eigenvalue below ``-TOL.psd``
-    (else :class:`OutOfRange`); the first failing state of a stack is named
-    by its flat index.
+    A state passed here is checked as :func:`~entweave.states.validate_density`
+    checks it, with its messages; the first failing state of a stack is
+    named by its flat index.
     """
-    c, low = _scores(rho)
+    c, low = _scores(_checked_structure(getattr(rho, "matrix", rho)))
     _checked_psd(low)
     return c
 
 
-def _scores(rho, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
+def _scores(rho: np.ndarray) -> tuple[ConcurrenceResult, np.ndarray]:
     """The one scoring path of two-qubit states: :func:`concurrence` of a
-    state or stack ``(..., 4, 4)`` and each state's smallest eigenvalue, from
-    one ``eigh`` of structurally checked states.  The eigenvalues come back
-    unchecked; each caller holds the whole stack to ``-TOL.psd`` with
-    ``states._checked_psd``.  A stack along a line passes its ``lengths``, so
-    that a refusal names the length.
+    Hermitian state or stack ``(..., 4, 4)`` and each state's smallest
+    eigenvalue, from one ``eigh``.  It checks nothing; each caller holds the
+    eigenvalues to ``-TOL.psd`` with ``states._checked_psd``.
     """
-    w, v = np.linalg.eigh(_checked_structure(getattr(rho, "matrix", rho), lengths))
+    w, v = np.linalg.eigh(rho)
     # eigh sorts ascending, so the last eigenvalue is the largest
     kept = np.where(w > _RANK_CUTOFF * w[..., -1:], w, 0.0)
     psi = v * np.sqrt(kept)[..., None, :]
@@ -90,6 +88,26 @@ def _scores(rho, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
         pre = float(pre)
         return ConcurrenceResult(max(0.0, pre), pre), w[..., 0]
     return ConcurrenceResult(np.maximum(pre, 0.0), pre), w[..., 0]
+
+
+def _derived_scores(out: np.ndarray, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
+    """:func:`concurrence` of derived states, the stacked outputs
+    ``(map (x) id)(probe)`` of the package's own arithmetic, and the states
+    as scored: each divided by its complex trace (far along a driven line
+    the trace drifts and its phase grows), Hermitian part kept.  A trace
+    that is not finite or below ``_VANISHED_TRACE`` in magnitude raises
+    ``ValueError``; an eigenvalue below ``-TOL.psd`` raises as
+    ``_checked_psd`` does.  Either names the state by its length when
+    ``lengths`` are given."""
+    tr = np.trace(out, axis1=-2, axis2=-1)
+    if fail := _first_failure(np.isfinite(tr) & (abs(tr) >= _VANISHED_TRACE), lengths):
+        raise ValueError(f"state trace {abs(np.ravel(tr)[fail[0]]):.3g} has vanished "
+                         f"or is not finite{fail[1]}")
+    rho = out / tr[..., None, None]
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    c, low = _scores(rho)
+    _checked_psd(low, lengths)
+    return c, rho
 
 
 def negativity(rho) -> float | np.ndarray:

@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel
-from .entanglement import _scores, werner_state
+from .entanglement import _derived_scores, werner_state
 from .qmath import OutOfRange, choi_matrices, projector, sandwich_superop, superop_of_choi
-from .states import DensityMatrix, _checked_psd, matrix_of
+from .states import DensityMatrix, matrix_of
 
 
 class ElementInconsistent(ValueError):
@@ -285,9 +285,8 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Output concurrence and success probability of each bench map in the
     stack on the configured Werner input.
 
-    Applies (map (x) id) to the input by the Choi reshuffle and renormalizes
-    each output by its postselection trace; every output state is checked
-    before it is scored.
+    Applies (map (x) id) to the input by the Choi reshuffle;
+    ``_derived_scores`` renormalizes each output by its postselection trace.
     """
     werner = superop_of_choi(matrix_of(source_state(s)))
     out = choi_matrices(superops @ werner)
@@ -296,10 +295,7 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if dark.any():
         raise ZeroSuccessProbability(
             f"postselection trace {succ[dark][0]:.3e} at {s.label}")
-    rho = out / succ[:, None, None]
-    conc, low = _scores(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
-    _checked_psd(low)
-    return conc.value, succ
+    return _derived_scores(out)[0].value, succ
 
 
 def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:

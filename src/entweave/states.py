@@ -34,17 +34,17 @@ def _first_failure(ok, lengths=None) -> tuple[int, str] | None:
     return bad, (f" at stack index {bad}" if ok.ndim else "")
 
 
-def _checked_structure(m, lengths=None) -> np.ndarray:
+def _checked_structure(m) -> np.ndarray:
     """``m`` as a complex array, once it passes the structural checks of
     :func:`validate_density`; a failure is located as by ``_first_failure``.
     A state is two qubits, so any shape but ``(..., 4, 4)`` raises
     :class:`DimensionMismatch`."""
     m = _qubit_shaped(m, (4, 4))
     herm = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if fail := _first_failure(herm <= TOL.structural, lengths):
+    if fail := _first_failure(herm <= TOL.structural):
         raise NonHermitian(f"density matrix is not Hermitian within tolerance{fail[1]}")
     tr = m.trace(axis1=-2, axis2=-1)
-    if fail := _first_failure(abs(tr - 1.0) <= TOL.structural, lengths):
+    if fail := _first_failure(abs(tr - 1.0) <= TOL.structural):
         # the Hermitian check bounds the imaginary part to roundoff
         raise ValueError(f"density matrix trace {np.ravel(tr)[fail[0]].real} "
                          f"is not 1{fail[1]}")

@@ -222,7 +222,7 @@ def test_continuous_overflowing_generator_is_refused_first(tmp_path, capsys,
     # refused before any line is scored, with one line and no warning
     from entweave import continuous
     scored = []
-    monkeypatch.setattr(continuous, "_evolved_states",
+    monkeypatch.setattr(continuous, "propagation_superop",
                         lambda *args: scored.append(args))
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
@@ -236,19 +236,99 @@ def test_continuous_overflowing_generator_is_refused_first(tmp_path, capsys,
     assert scored == []
 
 
-def test_continuous_trace_drift_is_refused(tmp_path, capsys):
-    # the propagators' trace drifts from 1 by about eps per unit length, so
-    # far enough along a switched line the evolved probe's trace leaves 1 by
-    # more than TOL.structural, and the run is refused, not scored
+def _mp_choi_pre_clamp(line, x: float) -> float:
+    """Pre-clamp concurrence of a switched line's Choi state at ``x``, in
+    mpmath at 50 digits: the same whole slices ``k`` and float tail as the
+    package's propagator cuts ``x`` into, the slice exponentials and the
+    pair's power by squaring in 50 digits, the Choi state divided by its
+    trace, and Wootters' ``l``s from the eigenvalues of
+    ``rho (sigma_y x sigma_y) rho^* (sigma_y x sigma_y)``."""
+    import mpmath
+    import numpy as np
+
+    with mpmath.workdps(50):
+        def mp(m):
+            return mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                                  for row in m])
+
+        s = mpmath.mpf(line.slice_len)
+        k = math.floor(x / line.slice_len)
+        even = mpmath.expm(mp(line.gen_even.generator) * s)
+        pair = mpmath.expm(mp(line.gen_odd.generator) * s) * even
+        total, e = mpmath.eye(4), k // 2
+        while e:
+            if e & 1:
+                total = pair * total
+            pair, e = pair * pair, e >> 1
+        gen = line.gen_even
+        if k % 2:
+            total, gen = even * total, line.gen_odd
+        tail = mpmath.mpf(x - k * line.slice_len)
+        total = mpmath.expm(mp(gen.generator) * tail) * total
+        choi = mpmath.matrix(4, 4)
+        for i, a, j, b in np.ndindex(2, 2, 2, 2):
+            # superop[i + 2 j, a + 2 b] is Choi entry [(i, a), (j, b)]
+            choi[2 * i + a, 2 * j + b] = total[i + 2 * j, a + 2 * b]
+        tr = sum(choi[i, i] for i in range(4))
+        rho = choi / tr
+        yy = mp(np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]))
+        flipped = yy * rho.apply(mpmath.conj) * yy
+        eigs = mpmath.eig(rho * flipped, left=False, right=False)
+        ls = sorted((mpmath.sqrt(max(mpmath.re(w), 0)) for w in eigs), reverse=True)
+        return float(ls[0] - ls[1] - ls[2] - ls[3])
+
+
+def test_far_switched_line_is_scored(tmp_path, capsys, monkeypatch):
+    # far along a switched line the propagated Choi matrix's trace drifts
+    # (by about 2e-10 relative at x = 1e5 on the n = 16 AD line, past the
+    # 1e-10 of the structural checks); the scorer divides the trace out, so
+    # the run is scored, and its last n16 row agrees with a 50-digit
+    # propagator of the same line
+    from entweave.continuous import SwitchedLine
+    lines = []
+
+    def recording(*args):
+        lines.append(SwitchedLine(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(cli, "SwitchedLine", recording)
     out_dir = tmp_path / "out"
     rc = main(["--out", str(out_dir), "continuous", "--family", "ad",
                "--n", "16", "--x-max", "1e5", "--steps", "3"])
+    assert rc == 0, capsys.readouterr().err
+    rows = (out_dir / "continuous_ad_n16.csv").read_text().splitlines()
+    x, _, pre, label = rows[-1].split(",")
+    assert (float(x), label) == (1e5, "n16")
+    (line,) = lines
+    assert abs(float(pre) - _mp_choi_pre_clamp(line, 1e5)) <= 1e-12
+
+
+def test_deep_unitary_powers_are_scored(tmp_path):
+    # a dephasing of p = 1 is the identity, so P and Q are unitary and never
+    # break; their powers up to 1e6 drift in trace by rounding, which the
+    # scorer divides out instead of refusing the run as invalid input
+    r = run_cli(tmp_path, "discrete", "--pd", "1", "--unitary",
+                "[[0.6, 0.8], [-0.8, 0.6]]", "--max-order", "1000000")
+    assert r.returncode == 0, r.stderr
+    for key in ("P", "Q"):
+        assert (f"{key}: is_eb=False concurrence=1 "
+                f"order=unbounded (searched up to 1e+06)") in r.stdout
+
+
+def test_vanished_trace_is_refused(tmp_path, capsys):
+    # at x = 5e19 the single PD line's propagator underflows: the Choi
+    # matrix's trace is 0, so there is no state to normalize, and the run is
+    # refused with one line naming the length, without a floating-point
+    # warning and without writing anything
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out_dir), "continuous", "--family", "pd",
+                   "--n", "2", "--x-max", "1e20", "--steps", "3"])
     assert rc == 2
-    # the refusal names the length, x = 1e5 of the three-point grid, and
-    # prints the trace as a real number; both follow the last bits of the
-    # single-line length that the slices are cut from
-    assert capsys.readouterr().err == ("invalid input: density matrix trace "
-                                       "1.0000000001001361 is not 1 at x = 1e+05\n")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(" at x = 5e+19\n")
+    assert "state trace 0 has vanished" in err
     assert not out_dir.exists()
 
 

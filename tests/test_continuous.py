@@ -205,7 +205,7 @@ def test_physical_lines_break_once(family, omega, eps, n):
     # missed window and a grid, twice (bisection to 1e-4 took 17)
     ref = _scan_eb_length(line, x_hi, xtol=1e-10)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_calls(mp, continuous, "_evolved_states")
+        calls = _count_calls(mp, continuous, "propagation_superop")
         got = eb_length(line, x_hi)
     if isinstance(ref, Unbounded):
         assert got == ref and len(calls) == 1
@@ -219,7 +219,7 @@ def test_searches_take_at_most_six_evaluations(monkeypatch):
     # the regenerator's lines at x_hi = 20, where bisection to 1e-4 took 20
     # evaluations a search: two grids, then windows and grids, 4 to 6 stacks;
     # a line that never breaks costs the one stacked evaluation of [0, x_hi]
-    calls = _count_calls(monkeypatch, continuous, "_evolved_states")
+    calls = _count_calls(monkeypatch, continuous, "propagation_superop")
     for g1, g2 in ((AD1, AD2), (PD1, PD2)):
         calls.clear()
         single = eb_length(g1, 20.0)
@@ -239,7 +239,7 @@ def test_tiny_xtol_search_stops_at_float_resolution(monkeypatch):
     # bisection to xtol 1e-300 never ended: its bracket stalled at two
     # adjacent floats; the search now stops a few ulps from the root
     ref = _scan_eb_length(AD1, 6.0, xtol=1e-12)
-    calls = _count_calls(monkeypatch, continuous, "_evolved_states", cap=64)
+    calls = _count_calls(monkeypatch, continuous, "propagation_superop", cap=64)
     got = eb_length(AD1, 6.0, xtol=1e-300)
     assert isinstance(got, float) and abs(got - ref) <= 1e-12
     assert len(calls) <= 64
@@ -247,9 +247,9 @@ def test_tiny_xtol_search_stops_at_float_resolution(monkeypatch):
 
 def _line_costs(monkeypatch, out, *args: str) -> list:
     """Run ``continuous`` with ``args`` into ``out`` and return, for each
-    line in the order scored, its stacks (calls of ``_evolved_states``) and
-    its unrounded breaking length."""
-    calls = _count_calls(monkeypatch, continuous, "_evolved_states")
+    line in the order scored, its stacks (calls of ``propagation_superop``)
+    and its unrounded breaking length."""
+    calls = _count_calls(monkeypatch, continuous, "propagation_superop")
     costs, line = [], cli._line
 
     def counted(source, args):
@@ -321,7 +321,7 @@ def test_cli_search_from_the_profile_keeps_xtol(family, omega, eps, n, x_max,
                                    "--x-max", repr(x_max), "--steps", str(steps)])
     x_hi = max(x_max, 20.0)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_calls(mp, continuous, "_evolved_states")
+        calls = _count_calls(mp, continuous, "propagation_superop")
         points, got, _ = cli._line(line, args)
     assert len(points) == steps
     ref = _scan_eb_length(line, x_hi, xtol=1e-10, spacing=0.25)
@@ -607,6 +607,22 @@ def test_liouvillian_rejects_non_finite_generator():
             continuous.Liouvillian(np.full((4, 4), bad))
     with pytest.raises(ValueError, match="non-finite"):
         Spectral(np.array([[0.0, np.nan], [0.0, 0.0]])).exp([1.0])
+
+
+def test_liouvillian_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
+    # a term 0.3j at entry [2, 0] leaves the trace row alone, so the
+    # generator still preserves trace, but it maps Hermitian states to
+    # non-Hermitian ones; it is refused before it is factored, where the
+    # scorer's Hermitian part would otherwise hide it behind a breaking
+    # length (1.7737)
+    bad = AD1.generator.copy()
+    bad[2, 0] += 0.3j
+    factored = _count_calls(monkeypatch, continuous, "Spectral")
+    with pytest.raises(qmath.NonHermitian, match="does not preserve Hermiticity"):
+        continuous.Liouvillian(bad)
+    assert factored == []
+    continuous.Liouvillian(AD1.generator)
+    assert len(factored) == 1
 
 
 def test_rotating_generators_reject_non_finite_rates():

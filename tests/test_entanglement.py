@@ -197,8 +197,8 @@ def test_measures_reject_non_hermitian_input(rng):
 
 
 def test_one_function_eigendecomposes_states():
-    # every state is scored by entanglement._scores under one validation
-    # policy; a second eigh anywhere in the package would be a second
+    # every state is scored by entanglement._scores under one positivity
+    # floor; a second eigh anywhere in the package would be a second
     # scoring path that can bypass it
     found = []
 
