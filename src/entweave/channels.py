@@ -34,9 +34,11 @@ from .qmath import (
 )
 from .states import DensityMatrix
 
-# Breaking orders are searched by galloping, then narrowing a bracket: the
-# first _FIRST_STACK powers of each channel, then one power of two per round
-# until one breaks, so no power past twice the order is formed; then at most
+# Breaking orders are searched by galloping, then narrowing a bracket.  The
+# first round holds the first _FIRST_STACK powers of each channel and the
+# powers of two up to _POWER_STACK (the last capped at --max-order); past it
+# the gallop scores one power of two per round until one breaks, so no power
+# past max(_POWER_STACK, twice the order) is formed.  Then at most
 # _POWER_STACK powers inside the bracket per round, so a round holds at most
 # that many powers of a channel whatever --max-order asks for
 _FIRST_STACK = 4
@@ -252,41 +254,66 @@ def _from_squares(squares: list[np.ndarray], e: int) -> np.ndarray:
     return power
 
 
+def _gallop(squares: list[np.ndarray], lo: int, power: np.ndarray, max_n: int
+            ) -> tuple[int, np.ndarray]:
+    """The gallop's next exponent past ``lo`` and its power, from ``power =
+    S^lo`` (one map or a stack): ``2 lo``, the square ``S^lo @ S^lo``
+    appended to ``squares``, or ``max_n`` if nearer, ``S^(max_n - lo) @ S^lo``."""
+    stride = min(lo, max_n - lo)
+    power = _from_squares(squares, stride) @ power
+    if stride == lo:
+        squares.append(power)
+    return lo + stride, power
+
+
+def _first_round(superops: np.ndarray, max_n: int
+                 ) -> tuple[list[int], np.ndarray, list[np.ndarray]]:
+    """The first round of the order search for a stack ``(C, 4, 4)`` of
+    maps: its exponents, the powers ``(C, len(exps), 4, 4)`` and the squares
+    ``S^(2^j)`` formed.
+
+    Powers 1 to ``_FIRST_STACK`` by :func:`_power_grid`, then the gallop
+    (:func:`_gallop`) up to ``min(max_n, _POWER_STACK)``: 8, 16, 32 and 64,
+    each formed with the operands a later gallop round would use."""
+    count = min(_FIRST_STACK, max_n)
+    exps = list(range(1, count + 1))
+    powers = list(_power_grid(superops, count, None))
+    squares = [p for e, p in zip(exps, powers) if not e & (e - 1)]
+    while exps[-1] < min(max_n, _POWER_STACK):
+        exp, power = _gallop(squares, exps[-1], powers[-1], max_n)
+        exps.append(exp)
+        powers.append(power)
+    return exps, np.stack(powers, axis=1), squares
+
+
 @dataclass(eq=False)
 class _OrderSearch:
     """One channel's breaking-order search: the bracket between ``lo``, its
     highest power scored that does not break, and ``hi``, its lowest power
-    scored that breaks (0 while none has)."""
+    scored that breaks (0 while none has), after the shared first round."""
 
     superop: np.ndarray
+    squares: list[np.ndarray]  # S^(2^j), as many as formed
     lo: int = 0
     hi: int = 0
     base: np.ndarray | None = None  # S^lo, None for lo = 0
-    squares: list[np.ndarray] = field(default_factory=list)  # S^(2^j)
     pending: ToleranceConflict | None = None  # power hi's conflict
     margin: float = 0.0  # power 1's signed pre-clamp concurrence
 
     def next_powers(self, max_n: int) -> tuple[range, np.ndarray]:
-        """The exponents of the next powers to score and the powers.
+        """The exponents of the next powers to score and the powers, after
+        the first round (:func:`_first_round`).
 
-        First powers 1 to ``_FIRST_STACK``; while none breaks, the square of
-        the last (capped at ``max_n``, a product of the squares); then at
-        most ``_POWER_STACK`` powers inside the bracket, a power-of-two
+        While none breaks, the gallop's next power (:func:`_gallop`); then
+        at most ``_POWER_STACK`` powers inside the bracket, a power-of-two
         stride apart."""
-        if not self.lo:
-            step, stride, count = self.superop, 1, min(_FIRST_STACK, max_n)
-        elif not self.hi:
-            stride, count = min(self.lo, max_n - self.lo), 1
-            step = _from_squares(self.squares, stride)
-        else:
-            shift = ((self.hi - self.lo - 1) // (_POWER_STACK + 1)).bit_length()
-            stride, count = 1 << shift, (self.hi - self.lo - 1) >> shift
-            step = self.squares[shift]
-        exps = range(self.lo + stride, self.lo + stride * count + 1, stride)
-        powers = _power_grid(step, count, self.base)
         if not self.hi:
-            self.squares += [p for e, p in zip(exps, powers) if not e & (e - 1)]
-        return exps, powers
+            exp, power = _gallop(self.squares, self.lo, self.base, max_n)
+            return range(exp, exp + 1), power[None]
+        shift = ((self.hi - self.lo - 1) // (_POWER_STACK + 1)).bit_length()
+        stride, count = 1 << shift, (self.hi - self.lo - 1) >> shift
+        exps = range(self.lo + stride, self.lo + stride * count + 1, stride)
+        return exps, _power_grid(self.squares[shift], count, self.base)
 
 
 def is_eb(c: QuantumChannel) -> EbVerdict:
@@ -299,7 +326,7 @@ def is_eb(c: QuantumChannel) -> EbVerdict:
     :class:`ToleranceConflict`.  ``margin`` reports the signed pre-clamp
     concurrence.  It scores the one Choi state of the channel itself.
     """
-    (((order, margin),), _) = _orders_and_margins([c], 1)
+    (((order, margin),), *_) = _orders_and_margins([c], 1)
     return EbVerdict(order == 1, margin)
 
 
@@ -310,28 +337,32 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
     The search relies on absorption: once ``S^n`` is breaking, so is every
     later power, since the Choi state of ``S^(n+1)`` is ``S (x) id`` applied
     to that of ``S^n`` and a local channel cannot raise concurrence.  It
-    gallops (powers 1 to 4, then 8, 16, ... by squaring, the last capped at
-    ``max_n``) until a power breaks, then scores at most 64 evenly spaced
-    powers inside the bracket per round, so no power past twice the order
-    (or ``max_n``) is formed.  Every scored power gets the verdict of
-    :func:`is_eb` and is validated; those up to the returned order are also
-    cross-checked for a tolerance conflict.  Powers the search skips are
-    not scored at all.
+    gallops: one first round of powers 1 to 4 and the squares 8, 16, 32 and
+    64, then one square per round until a power breaks, each square the
+    square of the last and the last capped at ``max_n``.  Then it scores at
+    most 64 evenly spaced powers inside the bracket per round, so no power
+    past max(64, twice the order), or ``max_n``, is formed.  Every scored
+    power gets the verdict of :func:`is_eb` and is validated; those up to
+    the returned order are also cross-checked for a tolerance conflict.
+    Powers the search skips are not scored at all.
     """
     return _orders_and_margins([c], max_n)[0][0][0]
 
 
 def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
-                        ) -> tuple[list[tuple[int | Unbounded, float]], int]:
+                        ) -> tuple[list[tuple[int | Unbounded, float]], int, int]:
     """:func:`eb_order` of every channel, and the margin :func:`is_eb`
     reports for it, taken from the same scoring of its first power; beside
-    them, the number of Choi states scored.
+    them, the number of Choi states scored and of scoring rounds.
 
-    Each round scores one flat stack of every unresolved channel's next
-    powers (:meth:`_OrderSearch.next_powers`).  A scored power raises
-    :class:`ToleranceConflict` if it conflicts and does not break, or if it
-    is the channel's order; a breaking power that closed a bracket the
-    order lies inside does not count.  Up to power 200 every formed power
+    Each round scores one flat stack.  The first holds every channel's
+    powers 1 to 4 and squares up to ``min(max_n, 64)``, formed from one
+    ``(channels, 4, 4)`` stack (:func:`_first_round`), so at ``max_n = 64``
+    a search takes at most two rounds; each later one holds every unresolved
+    channel's next powers (:meth:`_OrderSearch.next_powers`).  A scored
+    power raises :class:`ToleranceConflict` if it conflicts and does not
+    break, or if it is the channel's order; a breaking power that closed a
+    bracket the order lies inside does not count.  Up to power 200 every formed power
     agrees with running products to 1e-13.
     """
     if max_n < 1:
@@ -339,13 +370,15 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
     for c in channels:
         if not c.trace_preserving:
             raise ValueError("entanglement-breaking test needs a trace-preserving map")
-    searches = [_OrderSearch(c.superop) for c in channels]
-    live, scored = searches, 0
-    while live:
-        rounds = [(s, *s.next_powers(max_n)) for s in live]
+    exps, stacks, squares = _first_round(np.stack([c.superop for c in channels]), max_n)
+    searches = [_OrderSearch(c.superop, [sq[k] for sq in squares])
+                for k, c in enumerate(channels)]
+    rounds = [(s, exps, stack) for s, stack in zip(searches, stacks)]
+    scored = scoring_rounds = 0
+    while rounds:
         powers = np.concatenate([p for _, _, p in rounds])
         eb, conflict, pre, neg = _verdicts(powers)
-        scored += len(powers)
+        scored, scoring_rounds = scored + len(powers), scoring_rounds + 1
         eb, conflict = eb.tolist(), conflict.tolist()
         start, live = 0, []
         for s, exps, stack in rounds:
@@ -366,4 +399,6 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
             if s.hi > s.lo + 1 or (not s.hi and s.lo < max_n):
                 live.append(s)
             start = end
-    return [(s.hi or Unbounded(float(max_n)), s.margin) for s in searches], scored
+        rounds = [(s, *s.next_powers(max_n)) for s in live]
+    return ([(s.hi or Unbounded(float(max_n)), s.margin) for s in searches],
+            scored, scoring_rounds)

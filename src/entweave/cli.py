@@ -217,7 +217,7 @@ def cmd_discrete(args) -> Run:
     if seq:
         channels.append(compose_signal_chain([phi if ch == "P" else psi for ch in seq]))
     # P, Q and the word are scored together, one stack of powers per round
-    scored, choi_states = _orders_and_margins(channels, args.max_order)
+    scored, choi_states, rounds = _orders_and_margins(channels, args.max_order)
     report = {
         "base": base_label,
         "unitary": args.unitary,
@@ -243,7 +243,7 @@ def cmd_discrete(args) -> Run:
                   f"order={s['eb_order']}")
     report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return Run({"discrete_report.json": report_text}, "discrete_manifest.json",
-               counts={"choi_states_scored": choi_states})
+               counts={"choi_states_scored": choi_states, "scoring_rounds": rounds})
 
 
 # -------------------------------------------------------------- continuous

@@ -281,10 +281,8 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
     assert [o for o, _ in scored] == [1, 2, 7, 66, 70, Unbounded(80.0)]
 
 
-def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
-    # the restored pair breaks at order 2, so the first round of 4 powers
-    # settles both rows; only a row that has not broken gallops on, one
-    # square per round, and a row that breaks inside its bracket narrows it
+def _counting_scores(monkeypatch):
+    """The stack shapes every call of ``_derived_scores`` is given."""
     import entweave.channels as channels
 
     shapes = []
@@ -295,25 +293,97 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
         return true_scores(out)
 
     monkeypatch.setattr(channels, "_derived_scores", counting)
+    return shapes
+
+
+def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
+    # the first round holds powers 1-4 and the squares 8-64 of every row, so
+    # at max 64 it settles them all; past 64 a row that has not broken
+    # gallops on, one square per round, and a row that breaks inside its
+    # bracket narrows it
+    shapes = _counting_scores(monkeypatch)
+
     phi, psi = _restored_pair()
     blocked = compose_signal_chain([psi, psi, phi, phi])  # breaks at once
-    scored, states = _orders_and_margins([phi, psi, blocked], 64)
+    scored, states, rounds = _orders_and_margins([phi, psi, blocked], 64)
     assert [o for o, _ in scored] == [2, 2, 1]
-    assert shapes == [(12,)] and states == 12  # 3 x 4 powers, not 3 x 64
+    assert shapes == [(24,)] and (states, rounds) == (24, 1)  # 3 x 8, not 3 x 64
     shapes.clear()
-    scored, states = _orders_and_margins([phi, pd_channel(0.97), psi], 64)
+    scored, states, rounds = _orders_and_margins([phi, pd_channel(0.97), psi], 64)
     assert [o for o, _ in scored] == [2, Unbounded(64.0), 2]
-    # the unbounded row scores powers 1-4, 8, 16, 32 and 64: 8, not 64
-    assert shapes == [(12,), (1,), (1,), (1,), (1,)] and states == 16
+    assert shapes == [(24,)] and (states, rounds) == (24, 1)
     shapes.clear()
-    assert _orders_and_margins([pd_channel(0.97)], 200)[1] == 10
-    assert shapes == [(4,)] + [(1,)] * 6  # 8, 16, 32, 64, 128, then 200
+    assert _orders_and_margins([pd_channel(0.97)], 200)[1:] == (10, 3)
+    assert shapes == [(8,), (1,), (1,)]  # 1-4 and 8-64, 128, then 200
     shapes.clear()
-    # ad(0.55) breaks at 70: powers 1-4, 8, ..., 64, then 80 (capped at
+    # ad(0.55) breaks at 70: powers 1-4 and 8, ..., 64, then 80 (capped at
     # max_n) closes the bracket and its 15 interior powers find the order
-    scored, states = _orders_and_margins([ad_channel(0.55)], 80)
-    assert scored[0][0] == 70 and states == 24
-    assert shapes == [(4,)] + [(1,)] * 5 + [(15,)]
+    scored, states, rounds = _orders_and_margins([ad_channel(0.55)], 80)
+    assert scored[0][0] == 70 and (states, rounds) == (24, 3)
+    assert shapes == [(8,), (1,), (15,)]
+
+
+def test_an_unbounded_row_costs_one_round_at_max_64(monkeypatch):
+    # pd(0.97) never breaks by power 64: powers 1-4, 8, 16, 32 and 64 in one
+    # round, 8 Choi states instead of 64
+    shapes = _counting_scores(monkeypatch)
+    scored, states, rounds = _orders_and_margins([pd_channel(0.97)], 64)
+    assert scored[0][0] == Unbounded(64.0)
+    assert shapes == [(8,)] and (states, rounds) == (8, 1)
+
+
+def _recording_searches(monkeypatch):
+    """Every exponent the search forms, per round: the first round's list
+    (:func:`_first_round`) and each later :meth:`_OrderSearch.next_powers`."""
+    import entweave.channels as channels
+
+    formed = []
+    true_first_round, true_next_powers = channels._first_round, _OrderSearch.next_powers
+
+    def first_round(superops, max_n):
+        exps, powers, squares = true_first_round(superops, max_n)
+        formed.append((None, list(exps)))
+        return exps, powers, squares
+
+    def next_powers(search, max_n):
+        exps, powers = true_next_powers(search, max_n)
+        formed.append((search, list(exps)))
+        return exps, powers
+
+    monkeypatch.setattr(channels, "_first_round", first_round)
+    monkeypatch.setattr(_OrderSearch, "next_powers", next_powers)
+    return formed
+
+
+def test_gallop_resumes_past_64_one_square_per_round(monkeypatch):
+    formed = _recording_searches(monkeypatch)
+    assert _orders_and_margins([pd_channel(0.97)], 200)[0][0][0] == Unbounded(200.0)
+    assert [exps for _, exps in formed] == [[1, 2, 3, 4, 8, 16, 32, 64], [128], [200]]
+    formed.clear()
+    # below 64 the last power of the first round is capped at max_n, a
+    # product of the squares, and no later round follows
+    assert _orders_and_margins([pd_channel(0.97)], 50)[0][0][0] == Unbounded(50.0)
+    assert [exps for _, exps in formed] == [[1, 2, 3, 4, 8, 16, 32, 50]]
+
+
+def test_no_formed_power_exceeds_64_or_twice_the_order(monkeypatch):
+    # orders 2, 7, 66, 70, 152, 681, 20713 and unbounded, each searched to
+    # several max_n: the first round stops at 64 (or max_n) and the gallop
+    # past it at the first power of two not below the order
+    formed = _recording_searches(monkeypatch)
+    phi, _ = _restored_pair()
+    chans = [phi, pd_channel(0.05), pd_channel(0.73), ad_channel(0.55),
+             ad_channel(0.76), pd_channel(0.97), pd_channel(0.999), pd_channel(1.0)]
+    for max_n in (3, 50, 64, 80, 200, 10 ** 6):
+        formed.clear()
+        orders = [o for o, _ in _orders_and_margins(chans, max_n)[0]]
+        bound = {id(c.superop): max_n if isinstance(o, Unbounded)
+                 else min(max_n, max(64, 2 * o)) for c, o in zip(chans, orders)}
+        (first, first_exps), *later = formed
+        assert first is None and max(first_exps) == min(max_n, 64)
+        for search, exps in later:
+            assert max(exps) <= bound[id(search.superop)], (max_n, exps)
+    assert orders == [2, 7, 66, 70, 152, 681, 20713, Unbounded(1e6)]
 
 
 def test_conflict_past_the_order_never_raises(monkeypatch):
@@ -342,9 +412,9 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
         else:
             assert eb_order(phi, 16) == 2
 
-    # both rows in the first round, then ad(0.55) alone: it scores 1-4, the
-    # squares 8, 16, 32 and 64, then 80 (max_n), which breaks, and the
-    # bracket's interior 65-79.  Powers 1 and 3, the square 32, the bracket
+    # both rows in the first round, then ad(0.55) alone: it scores 1-4 and
+    # the squares 8, 16, 32 and 64 in it, then 80 (max_n), which breaks, and
+    # the bracket's interior 65-79.  Powers 1 and 3, the square 32, the bracket
     # power 66 and the order 70 raise; 71 (scored beside 70) and 80 (which
     # closed the bracket) lie past the order and do not.  Power 10 is
     # entangled but no longer raises: the gallop steps from 8 to 16, so it
@@ -414,18 +484,25 @@ def _sandwiched(base, rng):
 
 
 def test_doubled_powers_match_running_products(rng, monkeypatch):
-    # record every power the search forms, squares and capped powers
-    # included, with its exponent, and hold it to the running product
+    # record every power the search forms, the first round's, squares and
+    # capped powers included, with its exponent, and hold it to the running
+    # product
     import entweave.channels as channels
 
     formed = []
-    true_next_powers = _OrderSearch.next_powers
+    true_first_round, true_next_powers = channels._first_round, _OrderSearch.next_powers
+
+    def first_round(superops, max_n):
+        exps, powers, squares = true_first_round(superops, max_n)
+        formed.extend((s, exps, p.copy()) for s, p in zip(superops, powers))
+        return exps, powers, squares
 
     def recording(search, max_n):
         exps, powers = true_next_powers(search, max_n)
         formed.append((search.superop, exps, powers.copy()))
         return exps, powers
 
+    monkeypatch.setattr(channels, "_first_round", first_round)
     monkeypatch.setattr(_OrderSearch, "next_powers", recording)
     bases = [ad_channel(v) for v in (0.3, 0.55, 0.76, 0.9, 0.999)]
     bases += [pd_channel(v) for v in (0.05, 0.5, 0.97, 1.0)]
@@ -434,14 +511,15 @@ def test_doubled_powers_match_running_products(rng, monkeypatch):
     assert orders[1:4] == [70, 152, Unbounded(200.0)]  # ad(0.55, 0.76, 0.9)
     running = {}
     for superop, exps, powers in formed:
-        key = id(superop)
+        key = superop.tobytes()
         if key not in running:
             running[key] = [superop]
             while len(running[key]) < 200:
                 running[key].append(superop @ running[key][-1])
         for n, power in zip(exps, powers):
             assert np.abs(power - running[key][n - 1]).max() <= 1e-13, n
-    strides = {exps.step for _, exps, _ in formed}
+    assert formed[0][1] == [1, 2, 3, 4, 8, 16, 32, 64]
+    strides = {exps.step for _, exps, _ in formed[len(chans):]}
     assert {1, 2} <= strides  # (128, 200) holds more than 64 powers
     assert max(exps[-1] for _, exps, _ in formed) == 200
 
@@ -503,7 +581,7 @@ def test_breaking_orders_of_sandwiched_words_match_the_reference(seed, damping, 
     base = ad_channel(value) if damping else pd_channel(value)
     p, q = compose(u, base), compose(base, u_dag)
     chans = [p, q, compose_signal_chain([p if ch == "P" else q for ch in word])]
-    scored, _ = _orders_and_margins(chans, max_n)
+    scored = _orders_and_margins(chans, max_n)[0]
     assert [o for o, _ in scored] == [_eb_order_per_power(c, max_n) for c in chans]
 
 

@@ -38,9 +38,10 @@ def test_discrete_report_and_manifest(tmp_path):
     assert manifest["command"] == "discrete"
     assert manifest["outputs"] == ["discrete_report.json"]
     assert manifest["parameters"]["sequence"] == "QPQP"
-    # powers 1-4 of P, Q and the word; the word (order 9) then scores 8 and
-    # 16, and the 7 powers between them
-    assert manifest["counts"] == {"choi_states_scored": 21}
+    # one round of powers 1-4, 8 and 16 (the default --max-order) of P, Q
+    # and the word; the word (order 9) then scores the 7 powers between 8
+    # and 16 in a second round
+    assert manifest["counts"] == {"choi_states_scored": 25, "scoring_rounds": 2}
 
 
 def test_manifest_records_every_parsed_argument(tmp_path):
@@ -87,13 +88,17 @@ def test_discrete_blocked_sequence_breaks(tmp_path):
 
 
 def test_discrete_deep_orders(tmp_path, capsys):
-    # orders past 20000 are bracketed by powers of two and narrowed; no power
-    # past twice an order is formed, so P^524288, squared 19 times from P
-    # with a trace 1.2e-10 off, is never scored
+    # orders past 20000 are bracketed by powers of two and narrowed: one
+    # round of powers 1-4 and the squares up to 64, then one square per round
+    # until 32768 (P, Q) and 8192 (the word) break, then at most 64 powers
+    # inside each bracket per round.  No power past max(64, twice an order)
+    # is formed, so no square deeper than 32768 is ever scored.
     assert main(["--out", str(tmp_path), "discrete", "--pd", "0.999",
                  "--max-order", "1000000", "--sequence", "PQQ"]) == 0
     orders = [line.rsplit("order=", 1)[1] for line in capsys.readouterr().out.splitlines()]
     assert orders == ["20713", "20713", "6905"]
+    manifest = json.loads((tmp_path / "discrete_manifest.json").read_text())
+    assert manifest["counts"] == {"choi_states_scored": 433, "scoring_rounds": 13}
 
 
 def test_order_of_prints_bare_number(tmp_path):

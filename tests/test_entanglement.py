@@ -215,3 +215,34 @@ def test_one_function_eigendecomposes_states():
     for path in sorted(Path(entweave.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert found == ["entanglement._scores"]
+
+
+def test_near_rank_deficient_choi_state_is_good_to_1e_12():
+    # the word PPQP of a Haar-sandwiched ad(0.459): its Choi state has
+    # smallest eigenvalue 1.5e-11, outside the closed forms; the tau form's
+    # root eigenvalues cost digits here (measured 5.0e-13 from a 50-digit
+    # evaluation of the same float matrix, against 1e-14 on closed forms)
+    import mpmath
+
+    from entweave.channels import (ad_channel, choi_matrix, compose,
+                                   compose_signal_chain, unitary_channel)
+
+    u = np.array([[-0.9475739293580296 + 0.3178935133470756j,
+                   -0.026508802000143324 + 0.018564643528879467j],
+                  [-0.022130665977185448 - 0.023613474887093918j,
+                   0.8620800922569603 + 0.5057376315456404j]])
+    base = ad_channel(0.4590426889875381)
+    p = compose(unitary_channel(u), base)
+    q = compose(base, unitary_channel(u.conj().T))
+    rho = choi_matrix(compose_signal_chain([p, p, q, p]))
+    rho = rho / np.trace(rho)
+    rho = (rho + rho.conj().T) / 2
+    assert 1e-11 < np.linalg.eigvalsh(rho)[0] < 2e-11
+    with mpmath.workdps(50):
+        r = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in rho])
+        yy = mpmath.matrix(np.kron([[0, -1], [1, 0]], [[0, -1], [1, 0]]).tolist())
+        flipped = r * yy * r.conjugate() * yy  # yy is -(sigma_y (x) sigma_y)
+        roots = sorted((mpmath.sqrt(abs(mpmath.re(e))) for e in mpmath.eig(flipped)[0]),
+                       reverse=True)
+        exact = float(roots[0] - roots[1] - roots[2] - roots[3])
+    assert abs(concurrence(rho).pre_clamp - exact) < 1e-12
