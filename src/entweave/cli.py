@@ -8,12 +8,12 @@ Three subcommands:
 
 The bench is described by a map name and an element preset only.  Each
 subcommand computes all its outputs before ``main`` writes any; the manifest,
-recording every parsed argument as resolved (defaults filled in, angles in
-radians), is written last.  A run that exits 2 or 3 writes nothing, and each
-file is written whole or not at all: to a temporary file in ``--out``, then
-renamed into place.  A write that fails (``--out`` names a file, the disk is
-full) exits 4 with one line naming the file, leaving only the files written
-whole before it.  Identical invocations produce byte-identical CSVs.
+recording every parsed argument as resolved (defaults filled in), is written
+last.  A run that exits 2 or 3 writes nothing, and each file is written whole
+or not at all: to a temporary file in ``--out``, then renamed into place.  A
+write that fails (``--out`` names a file, the disk is full) exits 4 with one
+line naming the file, leaving only the files written whole before it.
+Identical invocations produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 """
@@ -60,8 +60,6 @@ from .optics import (
 from .qmath import (
     SIGMA_X,
     SIGMA_Z,
-    DimensionMismatch,
-    NonHermitian,
     NotUnitary,
     OutOfRange,
     is_unitary,
@@ -78,8 +76,6 @@ class ParseError(ValueError):
     """Malformed sequence string or unitary descriptor."""
 
 
-_VALIDATION = (ParseError, OutOfRange, NotUnitary, NonHermitian,
-               DimensionMismatch, ValueError)
 _NUMERICAL = (ToleranceConflict, ZeroSuccessProbability)
 
 
@@ -228,19 +224,11 @@ def cmd_discrete(args) -> Run:
         report["sequence"] = {"word": seq,
                               **{k: v for k, v in _channel_report(seq, *scored[2]).items()
                                  if k != "label"}}
-    if args.order_of:
-        print(report[args.order_of]["eb_order"])
-    else:
-        for key in ("P", "Q"):
-            r = report[key]
-            print(f"{key}: is_eb={r['is_eb']} "
-                  f"concurrence={r['choi_concurrence']:.12g} "
-                  f"order={r['eb_order']}")
-        if seq:
-            s = report["sequence"]
-            print(f"sequence {s['word']}: is_eb={s['is_eb']} "
-                  f"concurrence={s['choi_concurrence']:.12g} "
-                  f"order={s['eb_order']}")
+    for key in ("P", "Q", "sequence")[:len(scored)]:
+        r = report[key]
+        name = f"sequence {seq}" if key == "sequence" else key
+        print(f"{name}: is_eb={r['is_eb']} "
+              f"concurrence={r['choi_concurrence']:.12g} order={r['eb_order']}")
     report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return Run({"discrete_report.json": report_text}, "discrete_manifest.json",
                counts={"choi_states_scored": choi_states, "scoring_rounds": rounds})
@@ -348,20 +336,6 @@ def _summarize(points) -> list[str]:
     return lines
 
 
-def _resolve_angles(args) -> None:
-    """Read the angles given on the command line in degrees when
-    ``--degrees`` is set, and fill in the defaults: radians for the angles,
-    the map's swept angle for ``--vary``."""
-    given = math.radians if args.degrees else float
-    for name, default in (("theta", math.pi / 4), ("phi", math.pi / 4),
-                          ("source_phase", math.pi)):
-        value = getattr(args, name)
-        setattr(args, name, default if value is None else given(value))
-    args.range = ((-math.pi / 2, math.pi / 2) if args.range is None
-                  else tuple(given(v) for v in args.range))
-    args.vary = args.vary or _DEFAULT_VARY[args.map]
-
-
 def _validate_experiment(args) -> None:
     if args.steps < 2:
         raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
@@ -376,7 +350,7 @@ def _validate_experiment(args) -> None:
 
 
 def cmd_experiment(args) -> Run:
-    _resolve_angles(args)
+    args.vary = args.vary or _DEFAULT_VARY[args.map]
     _validate_experiment(args)
     lo, hi = args.range
     points = sweep(_SETUPS[args.map](args), args.vary, lo, hi, args.steps)
@@ -407,8 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="x, z, zx-diag, or a JSON 2x2 matrix")
     d.add_argument("--sequence", default=None,
                    help="word over P/Q, leftmost applied first")
-    d.add_argument("--order-of", choices=("P", "Q"), default=None,
-                   help="print the breaking order of one factor")
     d.add_argument("--max-order", type=int, default=16)
 
     c = sub.add_parser("continuous", help="switched-generator profiles")
@@ -424,19 +396,16 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--map", choices=tuple(_SETUPS), default="mprime")
     e.add_argument("--preset", choices=("ideal", "measured"), default="ideal")
     e.add_argument("--vary", choices=("theta", "phi"), default=None)
-    # angles default to None, so --degrees converts only those given
-    e.add_argument("--range", type=float, nargs=2, default=None,
-                   help="swept interval (default -pi/2 pi/2)")
+    e.add_argument("--range", type=float, nargs=2,
+                   default=(-math.pi / 2, math.pi / 2),
+                   help="swept interval in radians (default -pi/2 pi/2)")
     e.add_argument("--steps", type=int, default=361)
     e.add_argument("--W", type=float, default=0.96, help="Werner parameter")
     e.add_argument("--eta1", type=float, default=0.3)
     e.add_argument("--eta2", type=float, default=0.3)
-    e.add_argument("--theta", type=float, default=None, help="(default pi/4)")
-    e.add_argument("--phi", type=float, default=None, help="(default pi/4)")
-    e.add_argument("--source-phase", type=float, default=None,
-                   help="(default pi)")
-    e.add_argument("--degrees", action="store_true",
-                   help="read the angles given here as degrees")
+    e.add_argument("--theta", type=float, default=math.pi / 4, help="(default pi/4)")
+    e.add_argument("--phi", type=float, default=math.pi / 4, help="(default pi/4)")
+    e.add_argument("--source-phase", type=float, default=math.pi, help="(default pi)")
     return top
 
 
@@ -455,7 +424,7 @@ def main(argv=None) -> int:
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _VALIDATION as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

@@ -8,16 +8,15 @@ import numpy as np
 
 from .qmath import (
     SIGMA_Y,
-    NonHermitian,
     OutOfRange,
     _qubit_shaped,
-    is_hermitian,
     maximally_entangled,
     partial_trace,
     partial_transpose,
     projector,
 )
-from .states import DensityMatrix, _checked_psd, _checked_structure, _first_failure
+from .states import (DensityMatrix, _checked_psd, _checked_structure, _first_failure,
+                     validate_density)
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -119,12 +118,11 @@ def negativity(rho) -> float | np.ndarray:
 
     One state, 4x4, gives a float; a stack, shape ``(..., 4, 4)``, gives an
     array of its shape without the last two axes, each entry equal to the
-    single-state result.
+    single-state result.  A state passed here is checked by
+    :func:`~entweave.states.validate_density`, as :func:`concurrence` checks
+    it.
     """
-    m = _as_two_qubit(rho)
-    if not is_hermitian(m, tol=1e-8):
-        raise NonHermitian("matrix is not Hermitian within tolerance")
-    return _hermitian_negativity(m)
+    return _hermitian_negativity(validate_density(getattr(rho, "matrix", rho)))
 
 
 def _hermitian_negativity(m: np.ndarray) -> float | np.ndarray:

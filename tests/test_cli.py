@@ -46,16 +46,15 @@ def test_discrete_report_and_manifest(tmp_path):
 
 def test_manifest_records_every_parsed_argument(tmp_path):
     # the manifest's parameters are exactly the subcommand's parser
-    # destinations plus --out, as resolved: the map's swept angle filled in,
-    # angles given in degrees recorded in radians
+    # destinations plus --out, as resolved: the map's swept angle filled in
     subparsers = next(a for a in cli._PARSER._actions
                       if isinstance(a, argparse._SubParsersAction))
     runs = {
         "discrete": (["--sequence", "QP"], "discrete_manifest.json"),
         "continuous": (["--family", "ad", "--n", "2", "--x-max", "1",
                         "--steps", "5"], "continuous_manifest.json"),
-        "experiment": (["--map", "m2", "--steps", "5", "--degrees",
-                        "--phi", "30", "--range", "-90", "90"],
+        "experiment": (["--map", "m2", "--steps", "5",
+                        "--phi", "0.5", "--range", "-1.5", "1.5"],
                        "experiment_m2_ideal_phi_manifest.json"),
     }
     for command, (args, name) in runs.items():
@@ -66,8 +65,8 @@ def test_manifest_records_every_parsed_argument(tmp_path):
         assert set(params) == (dests - {"help"}) | {"out"}
         assert params["out"] == str(out)
     assert params["vary"] == "phi"
-    assert params["phi"] == math.radians(30)
-    assert params["range"] == [math.radians(-90), math.radians(90)]
+    assert params["phi"] == 0.5
+    assert params["range"] == [-1.5, 1.5]
     assert params["theta"] == math.pi / 4
 
 
@@ -101,18 +100,12 @@ def test_discrete_deep_orders(tmp_path, capsys):
     assert manifest["counts"] == {"choi_states_scored": 433, "scoring_rounds": 13}
 
 
-def test_order_of_prints_bare_number(tmp_path):
-    r = run_cli(tmp_path, "discrete", "--pd", "0.4", "--unitary", "zx-diag",
-                "--order-of", "P")
-    assert r.returncode == 0
-    assert r.stdout.strip() == "2"
-
-
 def test_unitary_json_matrix(tmp_path):
     mat = json.dumps([[0.0, 1.0], [1.0, 0.0]])
-    r = run_cli(tmp_path, "discrete", "--unitary", mat, "--order-of", "P")
+    r = run_cli(tmp_path, "discrete", "--unitary", mat)
     assert r.returncode == 0
-    assert r.stdout.strip() == "2"
+    report = json.loads((tmp_path / "discrete_report.json").read_text())
+    assert report["P"]["eb_order"] == 2
 
 
 def test_validation_exit_codes(tmp_path):
@@ -441,45 +434,21 @@ def test_experiment_m2_defaults_to_phi(tmp_path):
     assert (tmp_path / "experiment_m2_ideal_phi.csv").exists()
 
 
-def test_experiment_degrees_equivalent(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    r1 = run_cli(a, "experiment", "--map", "m1", "--steps", "5")
-    r2 = run_cli(b, "experiment", "--map", "m1", "--steps", "5", "--degrees",
-                 "--range", "-90", "90", "--theta", "45", "--phi", "45",
-                 "--source-phase", "180")
-    assert r1.returncode == r2.returncode == 0
-    assert ((a / "experiment_m1_ideal_theta.csv").read_bytes()
-            == (b / "experiment_m1_ideal_theta.csv").read_bytes())
-
-
-@pytest.mark.parametrize("given", [(), ("--theta", "45")])
-def test_degrees_leaves_defaults_in_radians(tmp_path, given):
-    # --degrees converts only the angles on the command line
-    name = "experiment_m1_ideal_theta.csv"
-    args = ["experiment", "--map", "m1", "--steps", "5"]
-    assert main(["--out", str(tmp_path / "rad"), *args]) == 0
-    assert main(["--out", str(tmp_path / "deg"), *args, "--degrees", *given]) == 0
-    assert ((tmp_path / "rad" / name).read_bytes()
-            == (tmp_path / "deg" / name).read_bytes())
-    manifest = json.loads(
-        (tmp_path / "deg" / "experiment_m1_ideal_theta_manifest.json").read_text())
-    assert manifest["parameters"]["range"] == [-math.pi / 2, math.pi / 2]
-    assert manifest["parameters"]["theta"] == math.pi / 4
-
-
 def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
     # the phase average is exact, so there is no sampled mode to select; the
     # bench is named by --map and --preset only, so no setup document; and
-    # every line is physical, so no dephasing sign to flip
+    # every line is physical, so no dephasing sign to flip; angles are
+    # radians only, and the order is read from the report, so neither a unit
+    # switch nor a bare-order print
     out = tmp_path / "out"
     cases = (("experiment", "--omega-samples", "25"), ("experiment", "--seed", "3"),
              ("experiment", "--setup-json", "setup.json"),
-             ("continuous", "--dephasing-sign", "growing"))
-    required = {"experiment": [], "continuous": ["--family", "pd"]}
-    for command, flag, value in cases:
+             ("continuous", "--dephasing-sign", "growing"),
+             ("experiment", "--degrees"), ("discrete", "--order-of", "P"))
+    required = {"experiment": [], "continuous": ["--family", "pd"], "discrete": []}
+    for command, flag, *value in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["--out", str(out), command, *required[command], flag, value])
+            main(["--out", str(out), command, *required[command], flag, *value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
@@ -487,7 +456,7 @@ def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         usage = capsys.readouterr().out
-        assert not [flag for c, flag, _ in cases if c == command and flag in usage]
+        assert not [flag for c, flag, *_ in cases if c == command and flag in usage]
 
 
 def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):

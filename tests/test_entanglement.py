@@ -190,10 +190,25 @@ def test_measures_reject_non_hermitian_input(rng):
             concurrence(bad)
         with pytest.raises(NonHermitian):
             negativity(bad)
-    # within the negativity's looser 1e-8 hermiticity tolerance it still scores
+    # both hold states to the one structural tolerance, 1e-10
     near = rho.copy()
     near[0, 3] += 1e-9
-    assert negativity(near) == pytest.approx(negativity(rho), abs=1e-8)
+    for measure in (concurrence, negativity):
+        with pytest.raises(NonHermitian):
+            measure(near)
+
+
+def test_negativity_validates_as_concurrence_does():
+    # a state off unit trace or below the positivity floor is refused by
+    # both measures, with the same message, instead of scored
+    bell = projector(maximally_entangled())
+    cases = ((1.01 * bell, ValueError, "trace 1.0099999999999998 is not 1"),
+             (1.1 * bell - 0.1 * np.eye(4) / 4, OutOfRange,
+              "negative eigenvalue -2.500e-02"))
+    for bad, error, message in cases:
+        for measure in (concurrence, negativity):
+            with pytest.raises(error, match=message):
+                measure(bad)
 
 
 def test_one_function_eigendecomposes_states():
