@@ -28,6 +28,7 @@ from .channels import (
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
+    Undecided,
     ad_channel,
     choi_matrix,
     choi_state,
@@ -86,6 +87,7 @@ __all__ = [
     "ToleranceConflict",
     "Tolerances",
     "Unbounded",
+    "Undecided",
     "ZeroSuccessProbability",
     "ad_channel",
     "alpha_for_eta",

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import _derived_scores, _hermitian_negativity
+from .entanglement import _derived_scores, _normalized
 from .qmath import (
     IDENTITY_2,
     SIGMA_Z,
@@ -28,21 +28,38 @@ from .qmath import (
     is_hermitian,
     is_unitary,
     opnorm,
+    partial_transpose,
     sandwich_superop,
     unvec,
     vec,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _checked_psd
 
-# Breaking orders are searched by galloping, then narrowing a bracket.  The
+# Breaking orders are searched by galloping, then narrowing brackets.  The
 # first round holds the first _FIRST_STACK powers of each channel and the
 # powers of two up to _POWER_STACK (the last capped at --max-order); past it
-# the gallop scores one power of two per round until one breaks, so no power
-# past max(_POWER_STACK, twice the order) is formed.  Then at most
-# _POWER_STACK powers inside the bracket per round, so a round holds at most
-# that many powers of a channel whatever --max-order asks for
+# the gallop scores one power of two per round until one certainly breaks, so
+# no power past max(_POWER_STACK, twice the first that does) is formed.  Then
+# at most _POWER_STACK powers inside each bracket per round, so a round holds
+# at most that many powers of a channel per bracket whatever --max-order asks
+# for
 _FIRST_STACK = 4
 _POWER_STACK = 64
+
+# The verdict on power n of a channel reads lambda_min of the partial
+# transpose of its Choi state against the band delta_n = _BAND * n * eps *
+# lambda_max: at or above delta_n the power certainly breaks, at or below
+# -delta_n it certainly transmits, in between double precision cannot tell.
+# delta_n covers forming the power (about eps (1 + log2 n) lambda_max) and the
+# input's rounding, which the n-th power carries n times.  Against the exact
+# powers of tests/test_exact_orders.py (50 digits) the float lambda_min is
+# off by at most 0.75 delta_n at every power 1-64 of every case there, the
+# most at power 1 of ad(3/10) under zx-diag; a Haar-conjugated pd(0.2)
+# measured 0.42 delta_64 at power 64 against 60-digit powers.
+_BAND = 1.0
+# past 2**52 powers n eps >= 1, so delta_n >= lambda_max and no power is decided
+_MAX_ORDER = 2 ** 52
+_EPS = np.finfo(float).eps
 
 
 class ToleranceConflict(RuntimeError):
@@ -58,13 +75,31 @@ class NotCompletelyPositive(ValueError):
 class Unbounded:
     """Marker return value: no entanglement-breaking threshold was found
 
-    within the searched range (power count or propagation length).
+    within the searched range (power count or propagation length).  For a
+    breaking order: every power up to ``searched_up_to`` certainly transmits.
     """
 
     searched_up_to: float
 
     def __str__(self):
         return f"unbounded (searched up to {self.searched_up_to:g})"
+
+
+@dataclass(frozen=True)
+class Undecided:
+    """Marker return value of :func:`eb_order`: the powers from ``first`` on
+    are too close to the separable boundary for double precision to decide.
+    ``last`` is the first power that certainly breaks, None when none does
+    up to ``searched_up_to``; the order lies in ``[first, last]``."""
+
+    first: int
+    last: int | None
+    searched_up_to: float
+
+    def __str__(self):
+        if self.last is None:
+            return f"undecided from {self.first} (searched up to {self.searched_up_to:g})"
+        return f"undecided from {self.first}, breaks by {self.last}"
 
 
 class EbVerdict(NamedTuple):
@@ -212,27 +247,30 @@ def superop_distance(a, b) -> float:
     return opnorm(np.asarray(sa) - np.asarray(sb))
 
 
-def _verdicts(superops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score a stack ``(..., 4, 4)`` of trace-preserving qubit maps.
+def _ppt_verdicts(superops: np.ndarray, exps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The verdict on each map ``S^n`` of a stack ``(..., 4, 4)`` of
+    trace-preserving qubit maps, with ``n`` from ``exps`` (broadcast against
+    the stack's leading axes): 1 where it certainly breaks, -1 where it
+    certainly transmits, 0 where it is undecided; beside it ``lambda_min``
+    of each Choi state's partial transpose and the band ``delta_n``.
 
-    Returns, per map, whether it is entanglement breaking (Choi concurrence
-    ``<= TOL.eb``), whether its concurrence and PPT verdicts disagree beyond
-    ``TOL.conflict_band``, the signed pre-clamp concurrence and the
-    negativity; the caller decides which disagreements count.  Each Choi
-    state is scored once by ``entanglement._derived_scores``, which raises as
-    :func:`validate_density` does on the first below ``-TOL.psd``.
+    For two qubits a state is separable exactly when its partial transpose
+    is positive, and an entangled state's partial transpose has exactly one
+    negative eigenvalue, so ``lambda_min`` is a signed margin, read against
+    ``delta_n = _BAND * n * eps * lambda_max``.  The Choi states are
+    normalized as every derived state is (``entanglement._normalized``), and
+    one ``eigvalsh`` takes them and their partial transposes; the Choi
+    states' smallest eigenvalues are held to ``-TOL.psd`` as
+    ``states._checked_psd`` holds them, naming the first failing map by its
+    flat index.
     """
-    conc, choi = _derived_scores(choi_matrices(superops))
-    neg = _hermitian_negativity(choi)
-    eb = conc.value <= TOL.eb
-    # the verdicts disagree and the value that disagrees lies outside the band
-    conflict = ((eb & (neg > TOL.conflict_band))
-                | ((neg <= TOL.eb) & (conc.value > TOL.conflict_band)))
-    return eb, conflict, conc.pre_clamp, neg
-
-
-def _conflict(pre: float, neg: float) -> ToleranceConflict:
-    return ToleranceConflict(f"concurrence {max(0.0, pre):.3e} vs negativity {neg:.3e}")
+    rho = _normalized(choi_matrices(superops))
+    n = len(rho)
+    w = np.linalg.eigvalsh(np.concatenate((rho, partial_transpose(rho))))
+    _checked_psd(w[:n, ..., 0])
+    low = w[n:, ..., 0]
+    band = _BAND * np.asarray(exps, dtype=float) * _EPS * w[n:, ..., -1]
+    return (low >= band).astype(int) - (low <= -band), low, band
 
 
 def _power_grid(step: np.ndarray, count: int, base: np.ndarray | None) -> np.ndarray:
@@ -287,118 +325,179 @@ def _first_round(superops: np.ndarray, max_n: int
 
 
 @dataclass(eq=False)
-class _OrderSearch:
-    """One channel's breaking-order search: the bracket between ``lo``, its
-    highest power scored that does not break, and ``hi``, its lowest power
-    scored that breaks (0 while none has), after the shared first round."""
+class _Edge:
+    """One end of a channel's undecided powers, bracketed by the powers
+    scored so far: ``lo`` the highest below the edge, ``hi`` the lowest at or
+    past it (0 while none is).  A power lies at or past the edge when its
+    verdict (:func:`_ppt_verdicts`) is at least ``past``: 0 for the first
+    power that does not certainly transmit, 1 for the first that certainly
+    breaks."""
 
-    superop: np.ndarray
-    squares: list[np.ndarray]  # S^(2^j), as many as formed
+    past: int
     lo: int = 0
     hi: int = 0
     base: np.ndarray | None = None  # S^lo, None for lo = 0
-    pending: ToleranceConflict | None = None  # power hi's conflict
+
+    def narrow(self, exps: Sequence[int], powers: np.ndarray, verdicts: list[int]) -> None:
+        """Narrow the bracket by scored powers, in ascending order; those
+        outside it are ignored."""
+        for k, e in enumerate(exps):
+            if e <= self.lo:
+                continue
+            if self.hi and e >= self.hi:
+                return
+            if verdicts[k] >= self.past:
+                self.hi = e
+                return
+            self.lo, self.base = e, powers[k]
+
+
+@dataclass(eq=False)
+class _OrderSearch:
+    """One channel's breaking-order search after the shared first round: the
+    brackets of the first power that does not certainly transmit (``lower``)
+    and of the first that certainly breaks (``upper``)."""
+
+    superop: np.ndarray
+    squares: list[np.ndarray]  # S^(2^j), as many as formed
+    lower: _Edge = field(default_factory=lambda: _Edge(0))
+    upper: _Edge = field(default_factory=lambda: _Edge(1))
     margin: float = 0.0  # power 1's signed pre-clamp concurrence
 
-    def next_powers(self, max_n: int) -> tuple[range, np.ndarray]:
-        """The exponents of the next powers to score and the powers, after
-        the first round (:func:`_first_round`).
+    def next_powers(self, max_n: int) -> list[tuple[range, np.ndarray]]:
+        """The next powers to score after the first round
+        (:func:`_first_round`), one piece of exponents and powers per
+        bracket, in ascending order; none once both edges are found.
 
-        While none breaks, the gallop's next power (:func:`_gallop`); then
-        at most ``_POWER_STACK`` powers inside the bracket, a power-of-two
-        stride apart."""
-        if not self.hi:
-            exp, power = _gallop(self.squares, self.lo, self.base, max_n)
-            return range(exp, exp + 1), power[None]
-        shift = ((self.hi - self.lo - 1) // (_POWER_STACK + 1)).bit_length()
-        stride, count = 1 << shift, (self.hi - self.lo - 1) >> shift
-        exps = range(self.lo + stride, self.lo + stride * count + 1, stride)
-        return exps, _power_grid(self.squares[shift], count, self.base)
+        While no power certainly breaks, the gallop's next power
+        (:func:`_gallop`); inside a bracket, at most ``_POWER_STACK`` powers
+        a power-of-two stride apart.  The lower bracket is narrowed on its
+        own only once an undecided power parts it from the upper."""
+        lower, upper = self.lower, self.upper
+        pieces = []
+        if lower.hi > lower.lo + 1 and (lower.lo, lower.hi) != (upper.lo, upper.hi):
+            pieces.append(self._inside(lower))
+        if upper.hi > upper.lo + 1:
+            pieces.append(self._inside(upper))
+        elif not upper.hi and upper.lo < max_n:
+            exp, power = _gallop(self.squares, upper.lo, upper.base, max_n)
+            pieces.append((range(exp, exp + 1), power[None]))
+        return pieces
+
+    def _inside(self, edge: _Edge) -> tuple[range, np.ndarray]:
+        shift = ((edge.hi - edge.lo - 1) // (_POWER_STACK + 1)).bit_length()
+        stride, count = 1 << shift, (edge.hi - edge.lo - 1) >> shift
+        exps = range(edge.lo + stride, edge.lo + stride * count + 1, stride)
+        return exps, _power_grid(self.squares[shift], count, edge.base)
+
+    def order(self, max_n: int) -> int | Unbounded | Undecided:
+        first, last = self.lower.hi, self.upper.hi
+        if not first:
+            return Unbounded(float(max_n))
+        return first if first == last else Undecided(first, last or None, float(max_n))
 
 
 def is_eb(c: QuantumChannel) -> EbVerdict:
-    """Entanglement-breaking test for a trace-preserving qubit channel.
-
-    The verdict is driven by the Wootters concurrence of the Choi state
-    (``<= TOL.eb`` means breaking) and cross-checked against the partial
-    transpose: for two qubits both criteria are exact, so a disagreement
-    outside a small band around zero is numerical pathology and raises
-    :class:`ToleranceConflict`.  ``margin`` reports the signed pre-clamp
-    concurrence.  It scores the one Choi state of the channel itself.
+    """Entanglement-breaking test for a trace-preserving qubit channel: ``eb``
+    when its Choi state certainly breaks, by the partial-transpose verdict
+    of :func:`eb_order` at power 1.  A channel on the PPT boundary, such as
+    ``ad_channel(0)``, is undecided and so not ``eb``.  ``margin`` reports
+    the signed pre-clamp Wootters concurrence of the Choi state, which
+    cross-checks the verdict as :func:`eb_order` describes.
     """
     (((order, margin),), *_) = _orders_and_margins([c], 1)
     return EbVerdict(order == 1, margin)
 
 
-def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded:
-    """Smallest n such that the n-fold self-composition is entanglement
-    breaking; ``Unbounded(max_n)`` if no power up to ``max_n`` is.
+def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded | Undecided:
+    """Smallest n such that the n-fold self-composition certainly breaks
+    entanglement; ``Unbounded(max_n)`` if every power up to ``max_n``
+    certainly transmits; ``Undecided(first, last, max_n)`` if double
+    precision cannot decide the powers from ``first`` on, ``last`` being
+    the first power that certainly breaks (None if none does up to
+    ``max_n``).  ``max_n`` lies in [1, 2**52], else :class:`OutOfRange`:
+    past it ``n eps >= 1`` and no power could be decided.
 
-    The search relies on absorption: once ``S^n`` is breaking, so is every
-    later power, since the Choi state of ``S^(n+1)`` is ``S (x) id`` applied
-    to that of ``S^n`` and a local channel cannot raise concurrence.  It
-    gallops: one first round of powers 1 to 4 and the squares 8, 16, 32 and
-    64, then one square per round until a power breaks, each square the
-    square of the last and the last capped at ``max_n``.  Then it scores at
-    most 64 evenly spaced powers inside the bracket per round, so no power
-    past max(64, twice the order), or ``max_n``, is formed.  Every scored
-    power gets the verdict of :func:`is_eb` and is validated; those up to
-    the returned order are also cross-checked for a tolerance conflict.
-    Powers the search skips are not scored at all.
+    Each power is judged by :func:`_ppt_verdicts`: it certainly breaks when
+    ``lambda_min`` of its Choi state's partial transpose is at least
+    ``delta_n = n eps lambda_max``, certainly transmits when it is at most
+    ``-delta_n``, and is undecided in between.  The search relies on
+    absorption: the Choi state of ``S^(n+1)`` is ``S (x) id`` applied to that
+    of ``S^n``, and a local channel cannot create entanglement, so the
+    verdicts read "transmits", then "undecided", then "breaks" along the
+    powers.  It gallops: one first round of powers 1 to 4 and the squares
+    8, 16, 32 and 64, then one square per round until a power certainly
+    breaks, each square the square of the last and the last capped at
+    ``max_n``.  Then it scores at most 64 evenly spaced powers inside each
+    bracket per round, the bracket of the first power that does not
+    certainly transmit and that of the first that certainly breaks, so no
+    power past max(64, twice the latter), or ``max_n``, is formed.  Every
+    scored power is validated; power 1 alone is cross-checked against its
+    concurrence (:func:`_orders_and_margins`).  Powers the search skips are
+    not scored at all.
     """
     return _orders_and_margins([c], max_n)[0][0][0]
 
 
 def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
-                        ) -> tuple[list[tuple[int | Unbounded, float]], int, int]:
+                        ) -> tuple[list[tuple[int | Unbounded | Undecided, float]], int, int]:
     """:func:`eb_order` of every channel, and the margin :func:`is_eb`
-    reports for it, taken from the same scoring of its first power; beside
-    them, the number of Choi states scored and of scoring rounds.
+    reports for it, the signed pre-clamp concurrence of its first power by
+    ``entanglement._derived_scores``; beside them, the number of Choi states
+    scored by the partial-transpose verdict and of scoring rounds.
 
     Each round scores one flat stack.  The first holds every channel's
     powers 1 to 4 and squares up to ``min(max_n, 64)``, formed from one
     ``(channels, 4, 4)`` stack (:func:`_first_round`), so at ``max_n = 64``
     a search takes at most two rounds; each later one holds every unresolved
-    channel's next powers (:meth:`_OrderSearch.next_powers`).  A scored
-    power raises :class:`ToleranceConflict` if it conflicts and does not
-    break, or if it is the channel's order; a breaking power that closed a
-    bracket the order lies inside does not count.  Up to power 200 every formed power
-    agrees with running products to 1e-13.
+    channel's next powers (:meth:`_OrderSearch.next_powers`).  Power 1 of
+    each channel raises :class:`ToleranceConflict` if it certainly breaks
+    and its concurrence is above ``TOL.conflict_band``, or if it certainly
+    transmits with ``-lambda_min`` above the band and its concurrence is at
+    or below ``TOL.eb``.  Up to power 200 every formed power agrees with
+    running products to 1e-13.
     """
-    if max_n < 1:
-        raise OutOfRange("max_n must be at least 1")
+    if not 1 <= max_n <= _MAX_ORDER:
+        raise OutOfRange(f"max_n must lie in [1, 2**52], got {max_n}")
     for c in channels:
         if not c.trace_preserving:
             raise ValueError("entanglement-breaking test needs a trace-preserving map")
-    exps, stacks, squares = _first_round(np.stack([c.superop for c in channels]), max_n)
+    superops = np.stack([c.superop for c in channels])
+    exps, stacks, squares = _first_round(superops, max_n)
     searches = [_OrderSearch(c.superop, [sq[k] for sq in squares])
                 for k, c in enumerate(channels)]
-    rounds = [(s, exps, stack) for s, stack in zip(searches, stacks)]
+    rounds = [(s, exps, [stack]) for s, stack in zip(searches, stacks)]
     scored = scoring_rounds = 0
     while rounds:
-        powers = np.concatenate([p for _, _, p in rounds])
-        eb, conflict, pre, neg = _verdicts(powers)
+        powers = np.concatenate([p for _, _, blocks in rounds for p in blocks])
+        verdicts, low, _ = _ppt_verdicts(powers, [e for _, exps, _ in rounds for e in exps])
+        verdicts = verdicts.tolist()
+        if not scoring_rounds:  # power 1 of each channel leads its first round
+            step = len(rounds[0][1])
+            _check_power_one(searches, superops, verdicts[::step], low[::step].tolist())
         scored, scoring_rounds = scored + len(powers), scoring_rounds + 1
-        eb, conflict = eb.tolist(), conflict.tolist()
         start, live = 0, []
-        for s, exps, stack in rounds:
+        for s, exps, _ in rounds:
             end = start + len(exps)
-            first = next((k for k in range(start, end) if eb[k]), end)
-            for k in range(start, first):
-                if conflict[k]:
-                    raise _conflict(pre[k], neg[k])
-            if not s.lo:
-                s.margin = float(pre[start])
-            if first > start:
-                s.lo, s.base = exps[first - start - 1], stack[first - start - 1]
-            if first < end:
-                s.hi = exps[first - start]
-                s.pending = _conflict(pre[first], neg[first]) if conflict[first] else None
-            if s.hi == s.lo + 1 and s.pending:
-                raise s.pending
-            if s.hi > s.lo + 1 or (not s.hi and s.lo < max_n):
-                live.append(s)
+            s.lower.narrow(exps, powers[start:end], verdicts[start:end])
+            s.upper.narrow(exps, powers[start:end], verdicts[start:end])
+            if pieces := s.next_powers(max_n):
+                live.append((s, [e for r, _ in pieces for e in r], [p for _, p in pieces]))
             start = end
-        rounds = [(s, *s.next_powers(max_n)) for s in live]
-    return ([(s.hi or Unbounded(float(max_n)), s.margin) for s in searches],
-            scored, scoring_rounds)
+        rounds = live
+    return [(s.order(max_n), s.margin) for s in searches], scored, scoring_rounds
+
+
+def _check_power_one(searches: list[_OrderSearch], superops: np.ndarray,
+                     verdicts: list[int], lows: list[float]) -> None:
+    """Give each search its margin, the signed pre-clamp concurrence of
+    power 1 (``superops``), and cross-check it against that power's verdict
+    and ``lambda_min(rho^Gamma)``, as :func:`_orders_and_margins` states."""
+    conc = _derived_scores(choi_matrices(superops))[0]
+    for s, verdict, low, value, pre in zip(searches, verdicts, lows, conc.value.tolist(),
+                                           conc.pre_clamp.tolist()):
+        if ((verdict == 1 and value > TOL.conflict_band)
+                or (verdict == -1 and -low > TOL.conflict_band and value <= TOL.eb)):
+            raise ToleranceConflict(f"concurrence {value:.3e} vs partial-transpose "
+                                    f"eigenvalue {low:.3e}")
+        s.margin = pre

@@ -36,6 +36,8 @@ from .channels import (
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
+    Undecided,
+    _MAX_ORDER,
     _orders_and_margins,
     ad_channel,
     compose_signal_chain,
@@ -170,14 +172,23 @@ def _parse_sequence(text: str) -> str:
 # ---------------------------------------------------------------- discrete
 
 
-def _channel_report(label: str, order: int | Unbounded, margin: float) -> dict:
-    # the verdict of is_eb(c) is "order 1", so the first power is scored once
+def _channel_report(label: str, order: int | Unbounded | Undecided, margin: float) -> dict:
+    # the verdict of is_eb(c) is "order 1", so the first power is scored once;
+    # the bracket holds the first power that does not certainly transmit and
+    # the first that certainly breaks, null where none does up to --max-order
+    if isinstance(order, int):
+        bracket = [order, order]
+    elif isinstance(order, Undecided):
+        bracket = [order.first, order.last]
+    else:
+        bracket = [None, None]
     return {
         "label": label,
         "is_eb": order == 1,
         "margin": margin,
         "choi_concurrence": max(0.0, margin),
         "eb_order": order if isinstance(order, int) else str(order),
+        "eb_bracket": bracket,
     }
 
 
@@ -191,8 +202,8 @@ def _validate_discrete(args) -> tuple[np.ndarray, str | None]:
     _in_unit_interval("--eta", args.eta)
     if args.pd is not None:
         _in_unit_interval("--pd", args.pd)
-    if args.max_order < 1:
-        raise OutOfRange(f"--max-order must be at least 1, got {args.max_order}")
+    if not 1 <= args.max_order <= _MAX_ORDER:
+        raise OutOfRange(f"--max-order must lie in [1, 2**52], got {args.max_order}")
     seq = _parse_sequence(args.sequence) if args.sequence is not None else None
     return _unitary_from_string(args.unitary), seq
 

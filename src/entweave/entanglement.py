@@ -93,21 +93,27 @@ def _scores(rho: np.ndarray) -> tuple[ConcurrenceResult, np.ndarray]:
     return ConcurrenceResult(np.maximum(pre, 0.0), pre), w[..., 0]
 
 
-def _derived_scores(out: np.ndarray, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
-    """:func:`concurrence` of derived states, the stacked outputs
-    ``(map (x) id)(probe)`` of the package's own arithmetic, and the states
-    as scored: each divided by its complex trace (far along a driven line
-    the trace drifts and its phase grows), Hermitian part kept.  A trace
-    that is not finite or below ``_VANISHED_TRACE`` in magnitude raises
-    ``ValueError``; an eigenvalue below ``-TOL.psd`` raises as
-    ``_checked_psd`` does.  Either names the state by its length when
-    ``lengths`` are given."""
+def _normalized(out: np.ndarray, lengths=None) -> np.ndarray:
+    """Derived states, the stacked outputs ``(map (x) id)(probe)`` of the
+    package's own arithmetic, as they are scored: each divided by its complex
+    trace (far along a driven line the trace drifts and its phase grows),
+    Hermitian part kept.  A trace that is not finite or below
+    ``_VANISHED_TRACE`` in magnitude raises ``ValueError``, naming the state
+    by its length when ``lengths`` are given."""
     tr = np.trace(out, axis1=-2, axis2=-1)
     if fail := _first_failure(np.isfinite(tr) & (abs(tr) >= _VANISHED_TRACE), lengths):
         raise ValueError(f"state trace {abs(np.ravel(tr)[fail[0]]):.3g} has vanished "
                          f"or is not finite{fail[1]}")
     rho = out / tr[..., None, None]
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
+def _derived_scores(out: np.ndarray, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
+    """:func:`concurrence` of derived states and the states as scored,
+    normalized by :func:`_normalized`.  An eigenvalue below ``-TOL.psd``
+    raises as ``_checked_psd`` does, naming the state by its length when
+    ``lengths`` are given."""
+    rho = _normalized(out, lengths)
     c, low = _scores(rho)
     _checked_psd(low, lengths)
     return c, rho
@@ -122,12 +128,8 @@ def negativity(rho) -> float | np.ndarray:
     :func:`~entweave.states.validate_density`, as :func:`concurrence` checks
     it.
     """
-    return _hermitian_negativity(validate_density(getattr(rho, "matrix", rho)))
-
-
-def _hermitian_negativity(m: np.ndarray) -> float | np.ndarray:
     # the partial transpose only permutes entries, so it is Hermitian too
-    w = np.linalg.eigvalsh(partial_transpose(m))
+    w = np.linalg.eigvalsh(partial_transpose(validate_density(getattr(rho, "matrix", rho))))
     neg = -np.where(w < 0.0, w, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
 

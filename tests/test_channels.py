@@ -12,10 +12,11 @@ from entweave.channels import (
     NotCompletelyPositive,
     _OrderSearch,
     _orders_and_margins,
-    _verdicts,
+    _ppt_verdicts,
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
+    Undecided,
     ad_channel,
     choi_matrix,
     choi_state,
@@ -192,10 +193,12 @@ def test_unitary_channels_never_break(rng):
         assert isinstance(eb_order(u, 8), Unbounded)
 
 
-def _depolarizing():
-    kraus = tuple(m / 2.0 for m in
-                  (np.eye(2, dtype=complex), SIGMA_X,
-                   np.array([[0, -1j], [1j, 0]]), SIGMA_Z))
+def _depolarizing(lam=0.0):
+    """``rho -> lam rho + (1 - lam) I/2``: its n-th power has a Werner Choi
+    state of weight ``lam^n``, which breaks once ``lam^n <= 1/3``."""
+    paulis = (SIGMA_X, np.array([[0, -1j], [1j, 0]]), SIGMA_Z)
+    kraus = (math.sqrt((1.0 + 3.0 * lam) / 4.0) * np.eye(2, dtype=complex),
+             *(math.sqrt((1.0 - lam) / 4.0) * m for m in paulis))
     return QuantumChannel.from_kraus(kraus)
 
 
@@ -203,6 +206,18 @@ def test_fully_depolarizing_is_eb_order_one():
     dep = _depolarizing()
     assert is_eb(dep).eb
     assert eb_order(dep) == 1
+
+
+def test_channels_on_the_ppt_boundary_are_undecided():
+    # ad(0) and pd(0) have lambda_min(rho^Gamma) = 0 exactly: ad(eta) never
+    # breaks for eta > 0 and pd(p) for p > 0, and double precision cannot
+    # tell the boundary from those channels, so power 1 is already undecided
+    for c in (ad_channel(0.0), pd_channel(0.0)):
+        assert np.linalg.eigvalsh(partial_transpose(choi_matrix(c) / 2))[0] == 0.0
+        assert eb_order(c) == Undecided(1, None, 16.0)
+        assert not is_eb(c).eb
+    # the fully depolarizing channel's is I/4, far from the boundary
+    assert eb_order(_depolarizing()) == 1
 
 
 def test_interrupted_pair_breaks_at_two():
@@ -235,21 +250,32 @@ def test_pd_pair_with_diagonal_reflection():
 
 
 def _eb_order_per_power(c, max_n):
-    """Reference: compose the powers one by one and test each."""
-    power = c
+    """Reference: compose the powers one by one and classify each by the
+    band, lambda_min of its normalized Choi state's partial transpose against
+    delta_n = n eps lambda_max (breaks at or above it, transmits at or below
+    -delta_n)."""
+    power, first = c.superop, None
     for n in range(1, max_n + 1):
         if n > 1:
-            power = compose(power, c)
-        if is_eb(power).eb:
-            return n
-    return Unbounded(float(max_n))
+            power = c.superop @ power
+        rho = choi_matrices(power)
+        rho = rho / np.trace(rho)
+        w = np.linalg.eigvalsh(partial_transpose(0.5 * (rho + rho.conj().T)))
+        band = n * np.finfo(float).eps * w[-1]
+        if first is None and w[0] > -band:
+            first = n
+        if w[0] >= band:
+            return n if first == n else Undecided(first, n, float(max_n))
+    return Unbounded(float(max_n)) if first is None else Undecided(first, None, float(max_n))
 
 
 def test_stacked_eb_order_matches_per_power_reference(rng):
     cases = [(ad_channel(0.3), 16), (pd_channel(0.05), 16),
              (pd_channel(0.4), 16),            # never breaks: Unbounded
-             (ad_channel(0.55), 80),           # order 70, past the square 64
-             (pd_channel(0.73), 80),           # order 66
+             (ad_channel(0.55), 80),           # undecided from 54, 0.55^54 < 54 eps
+             (pd_channel(0.73), 80),           # 0.73^80 > 80 eps: Unbounded
+             (_with_order(70, True), 80),      # order 70, past the square 64
+             (_with_order(66, False), 80),     # order 66
              (unitary_channel(haar_unitary(2, rng)), 5)]
     for k in range(24):
         value = float(rng.uniform(0.05, 0.95))
@@ -264,35 +290,37 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
         assert got == _eb_order_per_power(c, max_n)
         # the discrete report's one scoring gives is_eb's margin exactly
         assert _orders_and_margins([c], max_n)[0] == [(got, is_eb(c).margin)]
-    assert orders[1] == 7 and orders[3] == 70 and orders[4] == 66
+    assert orders[1:7] == [Undecided(12, None, 16.0), Unbounded(16.0),
+                           Undecided(54, None, 80.0), Unbounded(80.0), 70, 66]
     assert sum(isinstance(o, Unbounded) for o in orders) >= 3
     assert len({o for o in orders if isinstance(o, int)}) >= 4
     # many channels searched together: rows resolve in different rounds,
     # some past the square 64, and each matches its own reference
     phi, _ = _restored_pair()
-    mixed = [_depolarizing(), phi, pd_channel(0.05), pd_channel(0.73),
-             ad_channel(0.55), pd_channel(0.97)]  # orders 1, 2, 7, 66, 70, 681
+    mixed = [_depolarizing(), phi, pd_channel(0.05), _with_order(66, False),
+             _with_order(70, True), pd_channel(0.97), ad_channel(0.55)]
     for max_n in (1, 3, 5, 17, 64, 80):
         scored = _orders_and_margins(mixed, max_n)[0]
         assert len(scored) == len(mixed)
         for c, (order, margin) in zip(mixed, scored):
             assert order == _eb_order_per_power(c, max_n)
             assert margin == is_eb(c).margin
-    assert [o for o, _ in scored] == [1, 2, 7, 66, 70, Unbounded(80.0)]
+    assert [o for o, _ in scored] == [1, 2, Undecided(12, None, 80.0), 66, 70,
+                                      Unbounded(80.0), Undecided(54, None, 80.0)]
 
 
 def _counting_scores(monkeypatch):
-    """The stack shapes every call of ``_derived_scores`` is given."""
+    """The stack shapes every call of ``_ppt_verdicts`` is given."""
     import entweave.channels as channels
 
     shapes = []
-    true_scores = channels._derived_scores
+    true_verdicts = channels._ppt_verdicts
 
-    def counting(out):
-        shapes.append(np.shape(out)[:-2])
-        return true_scores(out)
+    def counting(superops, exps):
+        shapes.append(np.shape(superops)[:-2])
+        return true_verdicts(superops, exps)
 
-    monkeypatch.setattr(channels, "_derived_scores", counting)
+    monkeypatch.setattr(channels, "_ppt_verdicts", counting)
     return shapes
 
 
@@ -316,11 +344,18 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
     assert _orders_and_margins([pd_channel(0.97)], 200)[1:] == (10, 3)
     assert shapes == [(8,), (1,), (1,)]  # 1-4 and 8-64, 128, then 200
     shapes.clear()
-    # ad(0.55) breaks at 70: powers 1-4 and 8, ..., 64, then 80 (capped at
-    # max_n) closes the bracket and its 15 interior powers find the order
-    scored, states, rounds = _orders_and_margins([ad_channel(0.55)], 80)
+    # a channel that breaks at 70: powers 1-4 and 8, ..., 64, then 80 (capped
+    # at max_n) closes the bracket and its 15 interior powers find the order
+    scored, states, rounds = _orders_and_margins([_with_order(70, True)], 80)
     assert scored[0][0] == 70 and (states, rounds) == (24, 3)
     assert shapes == [(8,), (1,), (15,)]
+    shapes.clear()
+    # the bare ad(0.55) never breaks: undecided from 64 in the first round,
+    # so the second holds the 31 powers inside (32, 64), which find the first
+    # undecided power, and the gallop's 80
+    scored, states, rounds = _orders_and_margins([ad_channel(0.55)], 80)
+    assert scored[0][0] == Undecided(54, None, 80.0) and (states, rounds) == (40, 2)
+    assert shapes == [(8,), (32,)]
 
 
 def test_an_unbounded_row_costs_one_round_at_max_64(monkeypatch):
@@ -334,7 +369,8 @@ def test_an_unbounded_row_costs_one_round_at_max_64(monkeypatch):
 
 def _recording_searches(monkeypatch):
     """Every exponent the search forms, per round: the first round's list
-    (:func:`_first_round`) and each later :meth:`_OrderSearch.next_powers`."""
+    (:func:`_first_round`) and each later :meth:`_OrderSearch.next_powers`
+    that forms any, its pieces joined."""
     import entweave.channels as channels
 
     formed = []
@@ -346,9 +382,10 @@ def _recording_searches(monkeypatch):
         return exps, powers, squares
 
     def next_powers(search, max_n):
-        exps, powers = true_next_powers(search, max_n)
-        formed.append((search, list(exps)))
-        return exps, powers
+        pieces = true_next_powers(search, max_n)
+        if pieces:
+            formed.append((search, [e for exps, _ in pieces for e in exps]))
+        return pieces
 
     monkeypatch.setattr(channels, "_first_round", first_round)
     monkeypatch.setattr(_OrderSearch, "next_powers", next_powers)
@@ -367,74 +404,73 @@ def test_gallop_resumes_past_64_one_square_per_round(monkeypatch):
 
 
 def test_no_formed_power_exceeds_64_or_twice_the_order(monkeypatch):
-    # orders 2, 7, 66, 70, 152, 681, 20713 and unbounded, each searched to
-    # several max_n: the first round stops at 64 (or max_n) and the gallop
-    # past it at the first power of two not below the order
+    # orders 2, 70 and 152, the bare channels, which never break, and the
+    # identity, each searched to several max_n: the first round stops at 64
+    # (or max_n) and the gallop past it at the first power of two not below
+    # the first power that certainly breaks, or at max_n if none does
     formed = _recording_searches(monkeypatch)
     phi, _ = _restored_pair()
     chans = [phi, pd_channel(0.05), pd_channel(0.73), ad_channel(0.55),
-             ad_channel(0.76), pd_channel(0.97), pd_channel(0.999), pd_channel(1.0)]
+             ad_channel(0.76), pd_channel(0.97), pd_channel(0.999), pd_channel(1.0),
+             _with_order(70, True), _with_order(152, False)]
     for max_n in (3, 50, 64, 80, 200, 10 ** 6):
         formed.clear()
         orders = [o for o, _ in _orders_and_margins(chans, max_n)[0]]
-        bound = {id(c.superop): max_n if isinstance(o, Unbounded)
-                 else min(max_n, max(64, 2 * o)) for c, o in zip(chans, orders)}
+        breaks = [o if isinstance(o, int) else getattr(o, "last", None) for o in orders]
+        bound = {id(c.superop): max_n if b is None else min(max_n, max(64, 2 * b))
+                 for c, b in zip(chans, breaks)}
         (first, first_exps), *later = formed
         assert first is None and max(first_exps) == min(max_n, 64)
         for search, exps in later:
             assert max(exps) <= bound[id(search.superop)], (max_n, exps)
-    assert orders == [2, 7, 66, 70, 152, 681, 20713, Unbounded(1e6)]
+    assert orders == [2, *(Undecided(n, None, 1e6) for n in (12, 100, 54, 115, 958, 25870)),
+                      Unbounded(1e6), 70, 152]
 
 
 def test_conflict_past_the_order_never_raises(monkeypatch):
-    # fake a concurrence/PPT conflict on one chosen power and see where it
-    # counts: at every scored power up to the order, never past it
+    # fake a partial-transpose verdict on one chosen power and see where it
+    # counts as a conflict: at power 1 only, the one power whose concurrence
+    # is taken.  Past it the verdict decides alone.
     import entweave.channels as channels
 
-    phi, _ = _restored_pair()  # order 2
-    slow = ad_channel(0.55)    # order 70
-    true_verdicts = channels._verdicts
+    phi, _ = _restored_pair()  # order 2, power 1 entangled
+    dep = _depolarizing(0.3)   # order 1, concurrence 0
+    slow = _with_order(70, True)
+    true_verdicts = channels._ppt_verdicts
 
-    def conflicting_at(c, power):
-        target = compose_signal_chain([c] * power).superop
+    def faked_at(c, power, verdict):
+        target = np.linalg.matrix_power(c.superop, power)
 
-        def fake(superops):
-            eb, conflict, pre, neg = true_verdicts(superops)
+        def fake(superops, exps):
+            v, low, band = true_verdicts(superops, exps)
             hit = np.abs(superops - target).max(axis=(-2, -1)) < 1e-12
-            return eb, conflict | hit, pre, neg
+            return np.where(hit, verdict, v), np.where(hit, 0.25 * verdict, low), band
         return fake
 
-    for c, power, raises in ((phi, 2, True), (phi, 3, False)):
-        monkeypatch.setattr(channels, "_verdicts", conflicting_at(c, power))
-        if raises:
+    for c, power, verdict, order in ((phi, 1, 1, None), (dep, 1, -1, None),
+                                     (phi, 1, -1, 2), (phi, 3, 1, 2), (dep, 2, -1, 1)):
+        monkeypatch.setattr(channels, "_ppt_verdicts", faked_at(c, power, verdict))
+        if order is None:
             with pytest.raises(ToleranceConflict):
-                eb_order(phi, 16)
+                eb_order(c, 16)
         else:
-            assert eb_order(phi, 16) == 2
-
-    # both rows in the first round, then ad(0.55) alone: it scores 1-4 and
-    # the squares 8, 16, 32 and 64 in it, then 80 (max_n), which breaks, and
-    # the bracket's interior 65-79.  Powers 1 and 3, the square 32, the bracket
-    # power 66 and the order 70 raise; 71 (scored beside 70) and 80 (which
-    # closed the bracket) lie past the order and do not.  Power 10 is
-    # entangled but no longer raises: the gallop steps from 8 to 16, so it
-    # is never formed, let alone cross-checked.
-    for power, raises in ((1, True), (3, True), (32, True), (66, True),
-                          (70, True), (71, False), (80, False), (10, False)):
-        monkeypatch.setattr(channels, "_verdicts", conflicting_at(slow, power))
-        if raises:
-            with pytest.raises(ToleranceConflict):
-                _orders_and_margins([phi, slow], 80)
-        else:
-            assert [o for o, _ in _orders_and_margins([phi, slow], 80)[0]] == [2, 70]
+            assert eb_order(c, 16) == order
+    # both rows in the first round, then the slow one alone: a power faked to
+    # break moves its order there and raises nothing
+    for power in (3, 32, 66):
+        monkeypatch.setattr(channels, "_ppt_verdicts", faked_at(slow, power, 1))
+        assert [o for o, _ in _orders_and_margins([phi, slow], 80)[0]] == [2, power]
 
 
 def test_eb_classification_floor():
-    # the Choi concurrence of pd(p)^n is p^n exactly; once that dips under
-    # the 1e-9 verdict tolerance the order search reports a finite order
-    # even though the true value never reaches zero.  0.05^7 = 7.8e-10.
-    assert eb_order(pd_channel(0.05)) == 7
-    assert is_eb(compose(pd_channel(0.05 ** 6), pd_channel(0.05))).eb
+    # the Choi state of pd(p)^n has lambda_min(rho^Gamma) = -p^n / 2 and
+    # lambda_max 1/2, so its powers are undecided from the first n with
+    # p^n < n eps: 12 for p = 0.05.  The concurrence floor of 1e-9 used to
+    # call 0.05^7 = 7.8e-10 a break.
+    eps = np.finfo(float).eps
+    assert eb_order(pd_channel(0.05)) == Undecided(12, None, 16.0)
+    assert min(n for n in range(1, 17) if 0.05 ** n < n * eps) == 12
+    assert not is_eb(compose(pd_channel(0.05 ** 6), pd_channel(0.05))).eb
 
 
 def test_eb_monotone_under_post_processing(rng):
@@ -498,17 +534,21 @@ def test_doubled_powers_match_running_products(rng, monkeypatch):
         return exps, powers, squares
 
     def recording(search, max_n):
-        exps, powers = true_next_powers(search, max_n)
-        formed.append((search.superop, exps, powers.copy()))
-        return exps, powers
+        pieces = true_next_powers(search, max_n)
+        formed.extend((search.superop, exps, powers.copy()) for exps, powers in pieces)
+        return pieces
 
     monkeypatch.setattr(channels, "_first_round", first_round)
     monkeypatch.setattr(_OrderSearch, "next_powers", recording)
     bases = [ad_channel(v) for v in (0.3, 0.55, 0.76, 0.9, 0.999)]
     bases += [pd_channel(v) for v in (0.05, 0.5, 0.97, 1.0)]
+    bases += [_with_order(70, True), _with_order(152, False)]
     chans = bases + [_sandwiched(b, rng) for b in bases]
     orders = [o for o, _ in _orders_and_margins(chans, 200)[0]]
-    assert orders[1:4] == [70, 152, Unbounded(200.0)]  # ad(0.55, 0.76, 0.9)
+    # ad(0.55, 0.76, 0.9) and the two that break
+    assert orders[1:4] + orders[9:11] == [Undecided(54, None, 200.0),
+                                          Undecided(115, None, 200.0),
+                                          Unbounded(200.0), 70, 152]
     running = {}
     for superop, exps, powers in formed:
         key = superop.tobytes()
@@ -526,20 +566,27 @@ def test_doubled_powers_match_running_products(rng, monkeypatch):
 
 def test_breaking_orders_match_running_products_on_a_grid(rng):
     grid = [ad_channel(v) for v in (0.05, 0.2, 0.55, 0.7)]
-    grid += [pd_channel(v) for v in (0.05, 0.3, 0.6, 0.75)]
+    grid += [*(pd_channel(v) for v in (0.05, 0.3, 0.6, 0.75)), _with_order(70, True)]
     grid += [_sandwiched(c, rng) for c in grid]
     orders = [eb_order(c, 80) for c in grid]
     assert orders == [_eb_order_per_power(c, 80) for c in grid]
-    assert orders[2] == 70 and orders[4] == 7  # ad(0.55), pd(0.05)
+    # ad(0.55), pd(0.05) and the one that breaks
+    assert orders[2] == Undecided(54, None, 80.0) and orders[4] == Undecided(12, None, 80.0)
+    assert orders[8] == 70
 
 
 def _with_order(n, damping):
-    """A bare damping (dephasing) channel whose breaking order is ``n``: the
-    Choi concurrence of its k-th power, eta^(k/2) (p^k), crosses TOL.eb =
-    1e-9 half a power before ``n``."""
+    """A channel whose breaking order is ``n``, half a power past the
+    crossing and so far outside the rounding band: with ``damping``,
+    damping toward the maximally mixed state, ``(ad(eta) + X ad(eta) X) / 2``,
+    whose n-th power breaks once ``eta^(n/2) <= sqrt(2) - 1``; else the
+    depolarizing channel, which breaks once ``lam^n <= 1/3``."""
     if damping:
-        return ad_channel(1e-9 ** (2.0 / (n - 0.5)))
-    return pd_channel(1e-9 ** (1.0 / (n - 0.5)))
+        eta = (math.sqrt(2.0) - 1.0) ** (2.0 / (n - 0.5))
+        x = unitary_channel(SIGMA_X).superop
+        damped = ad_channel(eta).superop
+        return QuantumChannel(0.5 * (damped + x @ damped @ x))
+    return _depolarizing(3.0 ** (-1.0 / (n - 0.5)))
 
 
 @pytest.mark.parametrize("damping", [True, False])
@@ -592,20 +639,27 @@ def test_no_round_holds_more_than_a_stack_of_one_channel(monkeypatch):
     true_next_powers = _OrderSearch.next_powers
 
     def recording(search, max_n):
-        exps, powers = true_next_powers(search, max_n)
-        counts.append(len(powers))
-        return exps, powers
+        pieces = true_next_powers(search, max_n)
+        counts.extend(len(powers) for _, powers in pieces)
+        return pieces
 
     monkeypatch.setattr(_OrderSearch, "next_powers", recording)
     # orders 152, 20713 and 414445: at 10**6 the gallop leaves brackets of
     # 127, 16383 and 262143 interior powers, and a power-of-two stride picks
-    # 63 of them per round; at 200 the first closes the bracket (128, 200)
-    chans = [ad_channel(0.76), pd_channel(0.999), ad_channel(0.9999)]
-    for max_n, orders, widest in ((200, [152, Unbounded(200.0), Unbounded(200.0)], 35),
-                                  (10 ** 6, [152, 20713, 414445], 63)):
+    # 63 of them per round; at 200 the first closes the bracket (128, 200).
+    # The bare channels never break; the bracket of their first undecided
+    # power is narrowed the same way
+    chans = [_with_order(152, True), _with_order(20713, False), _with_order(414445, True),
+             ad_channel(0.76), pd_channel(0.999), ad_channel(0.9999)]
+    for max_n, orders in ((200, [152, Unbounded(200.0), Unbounded(200.0),
+                                 Undecided(115, None, 200.0), Unbounded(200.0),
+                                 Unbounded(200.0)]),
+                          (10 ** 6, [152, 20713, 414445, Undecided(115, None, 1e6),
+                                     Undecided(25870, None, 1e6),
+                                     Undecided(236681, None, 1e6)])):
         counts.clear()
         assert [o for o, _ in _orders_and_margins(chans, max_n)[0]] == orders
-        assert max(counts) == widest <= channels._POWER_STACK
+        assert max(counts) == 63 <= channels._POWER_STACK
 
 
 # derived states get no structural checks: each Choi state is divided by its
@@ -625,7 +679,7 @@ def test_breaking_scorer_raises_as_validate_density(kind, error, words):
         with pytest.raises(error) as reference:
             validate_density(choi_matrices(stack) / 2.0)
         with pytest.raises(error) as scored:
-            _verdicts(stack)
+            _ppt_verdicts(stack, 1)
         assert str(scored.value) == str(reference.value)
         assert words in str(scored.value)
         assert str(scored.value).endswith(f"at stack index {flat}")
@@ -638,7 +692,7 @@ def test_one_validation_policy_for_every_scorer():
     assert math.isclose(np.linalg.eigvalsh(slightly)[0], -5e-9, rel_tol=1e-6)
     stack = superop_of_choi(2.0 * slightly)[None, None]
     with pytest.raises(OutOfRange) as scored:
-        _verdicts(stack)
+        _ppt_verdicts(stack, 1)
     with pytest.raises(OutOfRange) as direct:
         concurrence(choi_matrices(stack) / 2.0)
     assert str(scored.value) == str(direct.value) == (

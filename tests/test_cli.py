@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
 import argparse
+import itertools
 import json
 import math
 import subprocess
@@ -8,11 +9,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entweave
 from entweave import cli
+from entweave.channels import Unbounded, eb_order, unitary_channel
 from entweave.cli import main
+from entweave.qmath import SIGMA_Z, OutOfRange
 from entweave.optics import BeamSplitterParams, DifElements, IDEAL, identity_setup
 from dataclasses import replace
 
@@ -38,10 +42,16 @@ def test_discrete_report_and_manifest(tmp_path):
     assert manifest["command"] == "discrete"
     assert manifest["outputs"] == ["discrete_report.json"]
     assert manifest["parameters"]["sequence"] == "QPQP"
+    # the word is ad(0.3^4): its Choi state's partial transpose has
+    # lambda_min -0.0081^n / 2, inside the rounding band from n = 8 on
+    assert "sequence QPQP: is_eb=False concurrence=0.09 " \
+        "order=undecided from 8 (searched up to 16)" in r.stdout
+    assert [report[k]["eb_bracket"] for k in ("P", "Q", "sequence")] == [
+        [2, 2], [2, 2], [8, None]]
     # one round of powers 1-4, 8 and 16 (the default --max-order) of P, Q
-    # and the word; the word (order 9) then scores the 7 powers between 8
-    # and 16 in a second round
-    assert manifest["counts"] == {"choi_states_scored": 25, "scoring_rounds": 2}
+    # and the word; the word then scores the 3 powers between 4 and 8 in a
+    # second round
+    assert manifest["counts"] == {"choi_states_scored": 21, "scoring_rounds": 2}
 
 
 def test_manifest_records_every_parsed_argument(tmp_path):
@@ -87,17 +97,37 @@ def test_discrete_blocked_sequence_breaks(tmp_path):
 
 
 def test_discrete_deep_orders(tmp_path, capsys):
-    # orders past 20000 are bracketed by powers of two and narrowed: one
-    # round of powers 1-4 and the squares up to 64, then one square per round
-    # until 32768 (P, Q) and 8192 (the word) break, then at most 64 powers
-    # inside each bracket per round.  No power past max(64, twice an order)
-    # is formed, so no square deeper than 32768 is ever scored.
+    # P and Q are pd(0.999) up to a unitary, and the word pd(0.999^3): none
+    # ever breaks, and the partial transpose's lambda_min, -q^n / 2, enters
+    # the rounding band n eps / 2 at the first n with q^n < n eps.  One round
+    # of powers 1-4 and the squares up to 64, then one square per round up to
+    # --max-order (no power certainly breaks), beside at most 64 powers per
+    # round inside the bracket of the first undecided power
     assert main(["--out", str(tmp_path), "discrete", "--pd", "0.999",
                  "--max-order", "1000000", "--sequence", "PQQ"]) == 0
     orders = [line.rsplit("order=", 1)[1] for line in capsys.readouterr().out.splitlines()]
-    assert orders == ["20713", "20713", "6905"]
+    eps = np.finfo(float).eps
+    firsts = [next(n for n in itertools.count(1) if q ** n < n * eps)
+              for q in (0.999, 0.999 ** 3)]
+    assert firsts == [25870, 8976]
+    assert orders == [f"undecided from {n} (searched up to 1e+06)"
+                      for n in (25870, 25870, 8976)]
     manifest = json.loads((tmp_path / "discrete_manifest.json").read_text())
-    assert manifest["counts"] == {"choi_states_scored": 433, "scoring_rounds": 13}
+    assert manifest["counts"] == {"choi_states_scored": 451, "scoring_rounds": 15}
+
+
+def test_max_order_past_2_52_is_refused(tmp_path, capsys):
+    # past 2**52 powers n eps >= 1, so the band n eps lambda_max reaches
+    # lambda_max and no power could be decided: refused before any work
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "discrete", "--eta", "1", "--unitary", "z",
+                 "--max-order", "100000000000000000000"]) == 2
+    assert "--max-order" in capsys.readouterr().err
+    assert not out.exists()
+    z = unitary_channel(SIGMA_Z)
+    with pytest.raises(OutOfRange):
+        eb_order(z, 2 ** 52 + 1)
+    assert eb_order(z, 2 ** 52) == Unbounded(2.0 ** 52)
 
 
 def test_unitary_json_matrix(tmp_path):

@@ -9,15 +9,21 @@ are ad(3/10) and pd(1/5); the powers of their superoperators stay in
 Q(sqrt(30)), where the sign of a + b sqrt(30) is decided by comparing a^2
 with 30 b^2.  ``sympy.nsimplify`` must not be used: it rounds tiny
 determinants to 0, which would read as a break.
+
+The same exact powers, evaluated at 50 digits, hold the float verdict's
+lambda_min(rho^Gamma) to its rounding band delta_n = n eps lambda_max.
 """
 
+import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from entweave.channels import QuantumChannel, Unbounded, ad_channel, eb_order, pd_channel
+from entweave.channels import (QuantumChannel, Unbounded, Undecided, _power_grid,
+                               _ppt_verdicts, ad_channel, eb_order, pd_channel)
 from entweave.qmath import SIGMA_X, SIGMA_Z, sandwich_superop
 
 _ROOT = sp.sqrt(30)
@@ -60,47 +66,55 @@ def _sign(x) -> int:
     return sa * int(sp.sign(a * a - 30 * b * b))
 
 
-def _pt_choi_det(s: sp.Matrix):
+def _pt_choi(s: sp.Matrix) -> sp.Matrix:
     # Choi entry [(i, a), (j, b)] is s[i + 2j, a + 2b] (qmath.choi_matrices);
     # transposing the second qubit swaps a and b
-    pt = sp.Matrix(4, 4, lambda r, c: s[r // 2 + 2 * (c // 2), c % 2 + 2 * (r % 2)])
-    return pt.det(method="berkowitz")
+    return sp.Matrix(4, 4, lambda r, c: s[r // 2 + 2 * (c // 2), c % 2 + 2 * (r % 2)])
 
 
-def _exact_order(s: sp.Matrix, max_n: int) -> int | None:
-    """First power of ``s`` up to ``max_n`` whose Choi state is separable,
-    or None if none is."""
-    power = s
-    for n in range(1, max_n + 1):
-        if _sign(_pt_choi_det(power)) >= 0:
-            return n
-        power = (power * s).applyfunc(sp.expand)
-    return None
+# the deepest power any case asks for
+_POWERS = 64
 
 
 @lru_cache(maxsize=None)
-def _oracle_orders(family: str, param: str, unitary: str, max_n: int) -> tuple:
-    """Exact orders of P = base o U and Q = U^dag o base."""
+def _exact_powers(family: str, param: str, unitary: str) -> tuple:
+    """Powers 1 to ``_POWERS`` of P = base o U and of Q = U^dag o base."""
     base = _exact_base(family, sp.Rational(param))
     u = _superop([_UNITARIES[unitary][1]])
-    return (_exact_order((base * u).applyfunc(sp.expand), max_n),
-            _exact_order((u.H * base).applyfunc(sp.expand), max_n))
+    pair = []
+    for s in ((base * u).applyfunc(sp.expand), (u.H * base).applyfunc(sp.expand)):
+        powers = [s]
+        while len(powers) < _POWERS:
+            powers.append((powers[-1] * s).applyfunc(sp.expand))
+        pair.append(powers)
+    return tuple(pair)
 
 
-def _float_orders(family: str, param: str, unitary: str, max_n: int) -> tuple:
-    """``eb_order`` of P and Q, formed as the command line forms them."""
+def _exact_order(powers: list, max_n: int) -> int | None:
+    """First of ``powers[:max_n]`` whose Choi state is separable (counted
+    from 1), or None if none is."""
+    return next((n for n, power in enumerate(powers[:max_n], 1)
+                 if _sign(_pt_choi(power).det(method="berkowitz")) >= 0), None)
+
+
+def _oracle_orders(family: str, param: str, unitary: str, max_n: int) -> tuple:
+    """Exact orders of P and Q."""
+    return tuple(_exact_order(powers, max_n)
+                 for powers in _exact_powers(family, param, unitary))
+
+
+def _float_channels(family: str, param: str, unitary: str) -> tuple:
+    """P and Q formed as the command line forms them."""
     base = (ad_channel if family == "ad" else pd_channel)(float(sp.Rational(param)))
     u_mat = _UNITARIES[unitary][0]
     u = sandwich_superop(u_mat, u_mat)
-    return (eb_order(QuantumChannel(base.superop @ u), max_n),
-            eb_order(QuantumChannel(u.conj().T @ base.superop), max_n))
+    return (QuantumChannel(base.superop @ u), QuantumChannel(u.conj().T @ base.superop))
 
 
-_FLOOR = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the float verdict, concurrence <= 1e-9, breaks "
-           "channels that never break once their Choi concurrence decays "
-           "below the floor")
+def _float_orders(family: str, param: str, unitary: str, max_n: int) -> tuple:
+    """``eb_order`` of P and Q."""
+    return tuple(eb_order(c, max_n) for c in _float_channels(family, param, unitary))
+
 
 # (family, parameter, unitary, max_n): the exact order of P and of Q
 ORACLE = {
@@ -112,11 +126,22 @@ ORACLE = {
     ("ad", "3/10", "z", 64): None,
     ("pd", "1/5", "x", 16): None,
     ("pd", "1/5", "x", 64): None,
+    ("pd", "1/5", "z", 16): None,
+    ("pd", "1/5", "z", 64): None,
+    ("pd", "1/5", "zx-diag", 16): 2,
+    ("pd", "1/5", "zx-diag", 64): 2,
 }
-# the float order of these is the power where the Choi concurrence first
-# drops below 1e-9: 0.3^(n/2) at n = 35, and 0.2^n at n = 13
-FLOOR_DEFECTS = {("ad", "3/10", "z", 64), ("pd", "1/5", "x", 16),
-                 ("pd", "1/5", "x", 64)}
+# Under x and z the n-th power is the bare channel's up to a unitary, and
+# lambda_min(rho^Gamma) is -0.3^n / 2 (ad) or -0.2^n / 2 (pd) against
+# lambda_max 1/2: inside the band from the first n with 0.3^n < n eps (28)
+# or 0.2^n < n eps (21).  Every other case is decided exactly.
+UNDECIDED = {
+    ("ad", "3/10", "z", 64): Undecided(28, None, 64.0),
+    ("pd", "1/5", "x", 64): Undecided(21, None, 64.0),
+    ("pd", "1/5", "z", 64): Undecided(21, None, 64.0),
+}
+# the families and unitaries of ORACLE, each to power _POWERS
+CHANNELS = sorted({case[:3] for case in ORACLE})
 
 
 def _case_id(case) -> str:
@@ -128,11 +153,32 @@ def test_exact_oracle_orders(case):
     assert _oracle_orders(*case) == (ORACLE[case],) * 2
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=[_FLOOR] if case in FLOOR_DEFECTS else [])
-    for case in ORACLE], ids=_case_id)
+@pytest.mark.parametrize("case", list(ORACLE), ids=_case_id)
 def test_eb_order_matches_exact_oracle(case):
-    max_n = case[-1]
-    expected = tuple(Unbounded(max_n) if order is None else order
-                     for order in _oracle_orders(*case))
-    assert _float_orders(*case) == expected
+    max_n, exact = case[-1], ORACLE[case]
+    expected = UNDECIDED.get(case, Unbounded(float(max_n)) if exact is None else exact)
+    got = _float_orders(*case)
+    assert got == (expected,) * 2
+    # an undecided answer brackets the oracle's order, and one that never
+    # breaks by max_n has no end
+    for order in got:
+        if isinstance(order, Undecided):
+            last = math.inf if order.last is None else order.last
+            assert order.first <= (math.inf if exact is None else exact) <= last
+
+
+@pytest.mark.parametrize("channel", CHANNELS, ids=_case_id)
+def test_rounding_band_covers_the_float_margin(channel):
+    # lambda_min(rho^Gamma) of every power 1 to 64 of P and Q, float (formed
+    # by doubling, as the search forms a bracket's powers) against the exact
+    # power at 50 digits: within delta_n, so no power on the wrong side of
+    # zero is ever called decided
+    with mpmath.workdps(50):
+        for c, powers in zip(_float_channels(*channel), _exact_powers(*channel)):
+            _, low, band = _ppt_verdicts(_power_grid(c.superop, _POWERS, None),
+                                         np.arange(1, _POWERS + 1))
+            for n, power in enumerate(powers, 1):
+                # the Choi matrix of a trace-preserving map has trace 2
+                pt = mpmath.matrix(_pt_choi(power).evalf(50).tolist()) / 2
+                exact = min(mpmath.eigsy(pt, eigvals_only=True))
+                assert abs(low[n - 1] - float(exact)) < band[n - 1], n
