@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import _derived_scores, _normalized
+from .entanglement import _normalized, _scores
 from .qmath import (
     IDENTITY_2,
     SIGMA_Z,
@@ -33,7 +33,7 @@ from .qmath import (
     unvec,
     vec,
 )
-from .states import DensityMatrix, _checked_psd
+from .states import DensityMatrix
 
 # Breaking orders are searched by galloping, then narrowing brackets.  The
 # first round holds the first _FIRST_STACK powers of each channel and the
@@ -68,7 +68,7 @@ class ToleranceConflict(RuntimeError):
 
 class NotCompletelyPositive(ValueError):
     """A superoperator whose Choi matrix is not Hermitian or has a
-    significantly negative eigenvalue."""
+    significantly negative eigenvalue, or a generator not of Lindblad form."""
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,6 @@ class EbVerdict(NamedTuple):
     margin: float  # signed pre-clamp concurrence of the Choi state
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m = np.array(m, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
 def _gram(superop: np.ndarray) -> np.ndarray:
     """``sum_k K^dag K`` of a map: ``Tr Phi(rho) = Tr(gram @ rho)``, and
     ``vec(I)^T superop`` is ``vec(gram^T)``."""
@@ -137,7 +131,8 @@ class QuantumChannel:
     trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
-        s = _frozen(_qubit_shaped(as_matrix(self.superop), (4, 4)))
+        s = np.array(_qubit_shaped(as_matrix(self.superop), (4, 4)))
+        s.setflags(write=False)
         choi = choi_matrices(s)
         if not is_hermitian(choi, tol=1e-8):
             raise NotCompletelyPositive("Choi matrix is not Hermitian")
@@ -247,29 +242,24 @@ def superop_distance(a, b) -> float:
     return opnorm(np.asarray(sa) - np.asarray(sb))
 
 
-def _ppt_verdicts(superops: np.ndarray, exps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The verdict on each map ``S^n`` of a stack ``(..., 4, 4)`` of
-    trace-preserving qubit maps, with ``n`` from ``exps`` (broadcast against
-    the stack's leading axes): 1 where it certainly breaks, -1 where it
-    certainly transmits, 0 where it is undecided; beside it ``lambda_min``
-    of each Choi state's partial transpose and the band ``delta_n``.
+def _ppt_verdicts(rho: np.ndarray, exps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The verdict on each map ``S^n`` from its Choi state in ``rho``, a stack
+    ``(..., 4, 4)`` normalized by ``entanglement._normalized``, with ``n``
+    from ``exps`` (broadcast against the stack's leading axes): 1 where it
+    certainly breaks, -1 where it certainly transmits, 0 where it is
+    undecided; beside it ``lambda_min`` of each state's partial transpose
+    and the band ``delta_n``.
 
     For two qubits a state is separable exactly when its partial transpose
     is positive, and an entangled state's partial transpose has exactly one
     negative eigenvalue, so ``lambda_min`` is a signed margin, read against
-    ``delta_n = _BAND * n * eps * lambda_max``.  The Choi states are
-    normalized as every derived state is (``entanglement._normalized``), and
-    one ``eigvalsh`` takes them and their partial transposes; the Choi
-    states' smallest eigenvalues are held to ``-TOL.psd`` as
-    ``states._checked_psd`` holds them, naming the first failing map by its
-    flat index.
+    ``delta_n = _BAND * n * eps * lambda_max``, from one ``eigvalsh`` over
+    the partial transposes alone: a power of a channel held to complete
+    positivity when built is scored as formed.
     """
-    rho = _normalized(choi_matrices(superops))
-    n = len(rho)
-    w = np.linalg.eigvalsh(np.concatenate((rho, partial_transpose(rho))))
-    _checked_psd(w[:n, ..., 0])
-    low = w[n:, ..., 0]
-    band = _BAND * np.asarray(exps, dtype=float) * _EPS * w[n:, ..., -1]
+    w = np.linalg.eigvalsh(partial_transpose(rho))
+    low = w[..., 0]
+    band = _BAND * np.asarray(exps, dtype=float) * _EPS * w[..., -1]
     return (low >= band).astype(int) - (low <= -band), low, band
 
 
@@ -431,8 +421,9 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded | Undecided:
     ``max_n``.  Then it scores at most 64 evenly spaced powers inside each
     bracket per round, the bracket of the first power that does not
     certainly transmit and that of the first that certainly breaks, so no
-    power past max(64, twice the latter), or ``max_n``, is formed.  Every
-    scored power is validated; power 1 alone is cross-checked against its
+    power past max(64, twice the latter), or ``max_n``, is formed.  A
+    channel is held to complete positivity when it is built, and its powers
+    are scored as formed; power 1 alone is cross-checked against its
     concurrence (:func:`_orders_and_margins`).  Powers the search skips are
     not scored at all.
     """
@@ -443,19 +434,21 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
                         ) -> tuple[list[tuple[int | Unbounded | Undecided, float]], int, int]:
     """:func:`eb_order` of every channel, and the margin :func:`is_eb`
     reports for it, the signed pre-clamp concurrence of its first power by
-    ``entanglement._derived_scores``; beside them, the number of Choi states
-    scored by the partial-transpose verdict and of scoring rounds.
+    ``entanglement._scores``; beside them, the number of Choi states scored
+    by the partial-transpose verdict and of scoring rounds.
 
-    Each round scores one flat stack.  The first holds every channel's
-    powers 1 to 4 and squares up to ``min(max_n, 64)``, formed from one
-    ``(channels, 4, 4)`` stack (:func:`_first_round`), so at ``max_n = 64``
-    a search takes at most two rounds; each later one holds every unresolved
-    channel's next powers (:meth:`_OrderSearch.next_powers`).  Power 1 of
-    each channel raises :class:`ToleranceConflict` if it certainly breaks
-    and its concurrence is above ``TOL.conflict_band``, or if it certainly
-    transmits with ``-lambda_min`` above the band and its concurrence is at
-    or below ``TOL.eb``.  Up to power 200 every formed power agrees with
-    running products to 1e-13.
+    Each round forms and normalizes the Choi states of one flat stack once.
+    The first holds every channel's powers 1 to 4 and squares up to
+    ``min(max_n, 64)``, formed from one ``(channels, 4, 4)`` stack
+    (:func:`_first_round`), so at ``max_n = 64`` a search takes at most two
+    rounds; each later one holds every unresolved channel's next powers
+    (:meth:`_OrderSearch.next_powers`).  Power 1's concurrence is read off
+    the first round's rows, and power 1 of each channel raises
+    :class:`ToleranceConflict` if it certainly breaks and its concurrence is
+    above ``TOL.conflict_band``, or if it certainly transmits with
+    ``-lambda_min`` above the band and its concurrence is at or below
+    ``TOL.eb``.  Up to power 200 every formed power agrees with running
+    products to 1e-13.
     """
     if not 1 <= max_n <= _MAX_ORDER:
         raise OutOfRange(f"max_n must lie in [1, 2**52], got {max_n}")
@@ -470,11 +463,12 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
     scored = scoring_rounds = 0
     while rounds:
         powers = np.concatenate([p for _, _, blocks in rounds for p in blocks])
-        verdicts, low, _ = _ppt_verdicts(powers, [e for _, exps, _ in rounds for e in exps])
+        rho = _normalized(choi_matrices(powers))
+        verdicts, low, _ = _ppt_verdicts(rho, [e for _, exps, _ in rounds for e in exps])
         verdicts = verdicts.tolist()
         if not scoring_rounds:  # power 1 of each channel leads its first round
             step = len(rounds[0][1])
-            _check_power_one(searches, superops, verdicts[::step], low[::step].tolist())
+            _check_power_one(searches, rho[::step], verdicts[::step], low[::step].tolist())
         scored, scoring_rounds = scored + len(powers), scoring_rounds + 1
         start, live = 0, []
         for s, exps, _ in rounds:
@@ -488,12 +482,12 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
     return [(s.order(max_n), s.margin) for s in searches], scored, scoring_rounds
 
 
-def _check_power_one(searches: list[_OrderSearch], superops: np.ndarray,
+def _check_power_one(searches: list[_OrderSearch], rho: np.ndarray,
                      verdicts: list[int], lows: list[float]) -> None:
-    """Give each search its margin, the signed pre-clamp concurrence of
-    power 1 (``superops``), and cross-check it against that power's verdict
-    and ``lambda_min(rho^Gamma)``, as :func:`_orders_and_margins` states."""
-    conc = _derived_scores(choi_matrices(superops))[0]
+    """Give each search its margin, the signed pre-clamp concurrence of its
+    power 1 (normalized Choi states ``rho``), and cross-check it against that
+    power's verdict and ``lambda_min(rho^Gamma)``, as :func:`_orders_and_margins` states."""
+    conc = _scores(rho)[0]
     for s, verdict, low, value, pre in zip(searches, verdicts, lows, conc.value.tolist(),
                                            conc.pre_clamp.tolist()):
         if ((verdict == 1 and value > TOL.conflict_band)

@@ -300,7 +300,7 @@ def cmd_continuous(args) -> Run:
     lines = {"single": _line(g1, args)}
     single = lines["single"][1]
     if isinstance(single, float):
-        for n in args.n:
+        for n in dict.fromkeys(args.n):  # each distinct count once, in order
             line = SwitchedLine(g1, g2, single / n)
             lines[f"n{n}"] = _line(line, args)
     lines["limit"] = _line(mean, args)

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Unbounded
-from .entanglement import _derived_scores
+from .channels import NotCompletelyPositive, Unbounded
+from .entanglement import _normalized, _scores
 from .qmath import (
     LOWERING,
     SIGMA_X,
@@ -32,7 +32,9 @@ from .qmath import (
     choi_matrices,
     dagger,
     is_hermitian,
+    maximally_entangled,
     opnorm,
+    projector,
     vec,
 )
 
@@ -54,6 +56,9 @@ _WINDOW_POINTS = 16
 
 _EPS = float(np.finfo(float).eps)
 
+# the projector off the maximally entangled state (|00> + |11>)/sqrt(2)
+_OFF_OMEGA = np.eye(4) - projector(maximally_entangled())
+
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
@@ -62,7 +67,13 @@ class Liouvillian:
 
     A generator with non-finite entries, or that does not preserve
     Hermiticity (its Choi reshuffle Hermitian to 1e-8, as for a
-    ``QuantumChannel``) or trace, is refused before it is factored.
+    ``QuantumChannel``) or trace, is refused before it is factored, and so
+    is one not of Lindblad form (:class:`~entweave.channels.NotCompletelyPositive`):
+    its Choi matrix, scaled to unit largest real or imaginary part, has an
+    eigenvalue below ``-TOL.psd`` off the maximally entangled state
+    (conditional complete positivity: Lindblad, CMP 48, 119, 1976; Wolf,
+    Eisert, Cubitt & Cirac, PRL 101, 150402, 2008).  Its propagators are then
+    channels, and the states a line derives from them are scored as formed.
     ``spectral`` is its :class:`~entweave.qmath.Spectral`, factored once at
     construction, so propagating it never refactors.
     """
@@ -74,12 +85,22 @@ class Liouvillian:
         g = _qubit_shaped(as_matrix(self.generator), (4, 4))
         if not np.isfinite(g).all():
             raise ValueError("generator has non-finite entries")
-        if not is_hermitian(choi_matrices(g), tol=1e-8):
+        choi = choi_matrices(g)
+        if not is_hermitian(choi, tol=1e-8):
             raise NonHermitian("generator does not preserve Hermiticity")
         # trace preservation: <<I| L = 0
         tr_row = vec(np.eye(2)).conj() @ g
         if np.max(np.abs(tr_row)) > 1e-8:
             raise ValueError("generator does not preserve trace")
+        # scaled part by part, so neither huge nor subnormal entries overflow;
+        # subnormal ones carry an absolute rounding, which the floor allows for
+        scale = max(abs(choi.real).max(), abs(choi.imag).max()) or 1.0
+        scaled = choi.real / scale + 1j * (choi.imag / scale)
+        low = np.linalg.eigvalsh(_OFF_OMEGA @ scaled @ _OFF_OMEGA)[0]
+        if low < -max(TOL.psd, 16.0 * np.finfo(float).smallest_subnormal / scale):
+            raise NotCompletelyPositive(f"generator is not of Lindblad form: its scaled Choi "
+                                        f"matrix has eigenvalue {low:.3e} off the maximally "
+                                        f"entangled state")
         spectral = Spectral(g)
         object.__setattr__(self, "generator", spectral.matrix)
         object.__setattr__(self, "spectral", spectral)
@@ -235,7 +256,7 @@ class ProfilePoint(NamedTuple):
 def _scored(source, xs: np.ndarray) -> tuple[list, list]:
     """Concurrence and pre-clamp concurrence at the lengths ``xs``, scored as
     one stack; a refusal names the length."""
-    c, _ = _derived_scores(choi_matrices(propagation_superop(source, xs)), xs)
+    c, _ = _scores(_normalized(choi_matrices(propagation_superop(source, xs)), xs))
     return c.value.tolist(), c.pre_clamp.tolist()
 
 
@@ -264,10 +285,9 @@ def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
     breaking (Horodecki, Shor & Ruskai, 2003), in stacks of at most
     ``_STACK_POINTS`` lengths.
 
-    Each Choi state is divided by its trace and made Hermitian.  The first
-    with an eigenvalue below ``-TOL.psd`` (only a generator not of Lindblad
-    form leaves the state cone) or a trace that has vanished raises, naming
-    its length.
+    Each Choi state is divided by its trace and made Hermitian, and scored
+    as formed: the generators were held to Lindblad form when they were
+    built.  The first whose trace has vanished raises, naming its length.
     """
     return _profile(source, x_max, steps)
 
@@ -290,7 +310,7 @@ def _inverse_interpolation(xs: list, fs: list) -> float:
 def _search(source, xs: list, fs: list, xtol: float) -> float | Unbounded:
     """First root of the pre-clamp concurrence along ``source``, from the
     ascending lengths ``xs``, ``0`` first and ``x_hi`` last, and their scored
-    values ``fs``, each state of which passed the positivity floor.
+    values ``fs``.
 
     ``Unbounded(x_hi)`` when ``f(x_hi)`` is not below ``-TOL.eb``.  Otherwise
     the first sample at or below zero closes a bracket, and each round scores
@@ -307,8 +327,8 @@ def _search(source, xs: list, fs: list, xtol: float) -> float | Unbounded:
     is followed by a grid, so every round narrows the bracket.  The search
     stops once the bracket ``[a, b]`` is at most ``max(xtol, 16 eps b)`` wide
     and returns its midpoint: within ``xtol / 2`` of the root, or within a
-    few ulps when ``xtol / 2`` is finer than that.  A scored state below the
-    floor raises :class:`OutOfRange` naming its length.
+    few ulps when ``xtol / 2`` is finer than that.  A scored state whose
+    trace has vanished raises ``ValueError`` naming its length.
     """
     x_hi = xs[-1]
     if fs[-1] >= -TOL.eb:
@@ -365,11 +385,8 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     exponentially decaying curves are not mistaken for crossings at the
     noise floor; such a line costs the one stacked evaluation.  The
     pre-clamp combination is used because the clamped concurrence is
-    identically zero past the threshold.
-
-    A generator not of Lindblad form can leave the state cone; a scored
-    length past that point, ``x_hi`` first, raises :class:`OutOfRange`
-    naming the length.
+    identically zero past the threshold.  A generator not of Lindblad form
+    never gets here: :class:`Liouvillian` refuses it when it is built.
     """
     if not 0.0 < x_hi < inf:
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")

@@ -33,10 +33,6 @@ class ConcurrenceResult(NamedTuple):
     pre_clamp: float | np.ndarray
 
 
-def _as_two_qubit(rho) -> np.ndarray:
-    return _qubit_shaped(getattr(rho, "matrix", rho), (4, 4))
-
-
 def concurrence(rho) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit state, or of a stack of them.
 
@@ -76,8 +72,9 @@ def concurrence(rho) -> ConcurrenceResult:
 def _scores(rho: np.ndarray) -> tuple[ConcurrenceResult, np.ndarray]:
     """The one scoring path of two-qubit states: :func:`concurrence` of a
     Hermitian state or stack ``(..., 4, 4)`` and each state's smallest
-    eigenvalue, from one ``eigh``.  It checks nothing; each caller holds the
-    eigenvalues to ``-TOL.psd`` with ``states._checked_psd``.
+    eigenvalue, from one ``eigh``.  It checks nothing: :func:`concurrence`
+    holds the eigenvalues to ``-TOL.psd``, and a derived state, normalized by
+    :func:`_normalized`, is scored as formed.
     """
     w, v = np.linalg.eigh(rho)
     # eigh sorts ascending, so the last eigenvalue is the largest
@@ -97,26 +94,17 @@ def _normalized(out: np.ndarray, lengths=None) -> np.ndarray:
     """Derived states, the stacked outputs ``(map (x) id)(probe)`` of the
     package's own arithmetic, as they are scored: each divided by its complex
     trace (far along a driven line the trace drifts and its phase grows),
-    Hermitian part kept.  A trace that is not finite or below
-    ``_VANISHED_TRACE`` in magnitude raises ``ValueError``, naming the state
-    by its length when ``lengths`` are given."""
+    Hermitian part kept.  Each is a completely positive image of an input
+    checked where it entered, so its positivity is not checked again: a
+    negative eigenvalue is the arithmetic's rounding.  A trace that is not
+    finite or below ``_VANISHED_TRACE`` in magnitude raises ``ValueError``,
+    naming the state by its length when ``lengths`` are given."""
     tr = np.trace(out, axis1=-2, axis2=-1)
     if fail := _first_failure(np.isfinite(tr) & (abs(tr) >= _VANISHED_TRACE), lengths):
         raise ValueError(f"state trace {abs(np.ravel(tr)[fail[0]]):.3g} has vanished "
                          f"or is not finite{fail[1]}")
     rho = out / tr[..., None, None]
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-
-
-def _derived_scores(out: np.ndarray, lengths=None) -> tuple[ConcurrenceResult, np.ndarray]:
-    """:func:`concurrence` of derived states and the states as scored,
-    normalized by :func:`_normalized`.  An eigenvalue below ``-TOL.psd``
-    raises as ``_checked_psd`` does, naming the state by its length when
-    ``lengths`` are given."""
-    rho = _normalized(out, lengths)
-    c, low = _scores(rho)
-    _checked_psd(low, lengths)
-    return c, rho
 
 
 def negativity(rho) -> float | np.ndarray:
@@ -146,7 +134,7 @@ def werner_state(w: float, omega: DensityMatrix | None = None) -> DensityMatrix:
     if omega is None:
         pure = projector(maximally_entangled())
     else:
-        pure = _as_two_qubit(omega)
+        pure = _qubit_shaped(getattr(omega, "matrix", omega), (4, 4))
         purity = float(np.trace(pure @ pure).real)
         half = np.eye(2) / 2.0
         marg_a = partial_trace(pure, 0)

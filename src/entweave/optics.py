@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel
-from .entanglement import _derived_scores, werner_state
+from .entanglement import _VANISHED_TRACE, _normalized, _scores, werner_state
 from .qmath import OutOfRange, choi_matrices, projector, sandwich_superop, superop_of_choi
 from .states import DensityMatrix, matrix_of
 
@@ -286,16 +286,16 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     stack on the configured Werner input.
 
     Applies (map (x) id) to the input by the Choi reshuffle;
-    ``_derived_scores`` renormalizes each output by its postselection trace.
+    ``_normalized`` renormalizes each output by its postselection trace.
     """
     werner = superop_of_choi(matrix_of(source_state(s)))
     out = choi_matrices(superops @ werner)
     succ = np.trace(out, axis1=-2, axis2=-1).real
-    dark = succ < 1e-12
+    dark = succ < _VANISHED_TRACE
     if dark.any():
         raise ZeroSuccessProbability(
             f"postselection trace {succ[dark][0]:.3e} at {s.label}")
-    return _derived_scores(out)[0].value, succ
+    return _scores(_normalized(out))[0].value, succ
 
 
 def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:

@@ -51,11 +51,11 @@ def _checked_structure(m) -> np.ndarray:
     return m
 
 
-def _checked_psd(low, lengths=None) -> None:
-    """Hold each state's smallest eigenvalue ``low`` to ``-TOL.psd``, the one
-    positivity floor: the first state below it raises :class:`OutOfRange`,
-    as :func:`validate_density` does, located as by ``_first_failure``."""
-    if fail := _first_failure(np.asarray(low) >= -TOL.psd, lengths):
+def _checked_psd(low) -> None:
+    """Hold each entering state's smallest eigenvalue ``low`` to ``-TOL.psd``
+    (:func:`validate_density`, ``concurrence``): the first state below it
+    raises :class:`OutOfRange`, located as by ``_first_failure``."""
+    if fail := _first_failure(np.asarray(low) >= -TOL.psd):
         raise OutOfRange(f"density matrix has negative eigenvalue "
                          f"{np.ravel(low)[fail[0]]:.3e}{fail[1]}")
 

@@ -1,6 +1,10 @@
 """Channel algebra: superoperator/Kraus/Choi consistency and EB verdicts."""
 
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entweave
 from entweave.channels import (
     NotCompletelyPositive,
     _OrderSearch,
@@ -316,9 +321,9 @@ def _counting_scores(monkeypatch):
     shapes = []
     true_verdicts = channels._ppt_verdicts
 
-    def counting(superops, exps):
-        shapes.append(np.shape(superops)[:-2])
-        return true_verdicts(superops, exps)
+    def counting(rho, exps):
+        shapes.append(np.shape(rho)[:-2])
+        return true_verdicts(rho, exps)
 
     monkeypatch.setattr(channels, "_ppt_verdicts", counting)
     return shapes
@@ -356,6 +361,47 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
     scored, states, rounds = _orders_and_margins([ad_channel(0.55)], 80)
     assert scored[0][0] == Undecided(54, None, 80.0) and (states, rounds) == (40, 2)
     assert shapes == [(8,), (32,)]
+
+
+def test_each_round_forms_and_scores_its_states_once(monkeypatch):
+    # per scoring round: one normalization of its Choi states and one
+    # eigvalsh over exactly its N partial transposes, not the states as well
+    # (2N).  Power 1's concurrence is read off the first round's rows: one
+    # eigh over one state per channel per run
+    import entweave.channels as channels
+
+    phi, psi = _restored_pair()
+    chans = [phi, psi, pd_channel(0.97), _with_order(70, True)]
+    shapes = _counting_scores(monkeypatch)
+    calls = {"eigvalsh": [], "eigh": [], "_normalized": []}
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                         (channels, "_normalized")):
+        def recording(a, *rest, _inner=getattr(module, name), _name=name):
+            calls[_name].append(np.shape(a))
+            return _inner(a, *rest)
+        monkeypatch.setattr(module, name, recording)
+    scored, states, rounds = _orders_and_margins(chans, 200)
+    assert [o for o, _ in scored] == [2, 2, Unbounded(200.0), 70]
+    assert calls["_normalized"] == calls["eigvalsh"] == [(*s, 4, 4) for s in shapes]
+    assert len(shapes) == rounds and sum(math.prod(s) for s in shapes) == states
+    assert calls["eigh"] == [(len(chans), 4, 4)]
+
+
+def test_the_positivity_floor_is_held_only_where_states_enter():
+    # states._checked_psd is called by concurrence and validate_density
+    # alone: derived states, powers, line points and bench outputs are
+    # scored as formed
+    callers = []
+    for info in pkgutil.iter_modules(entweave.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"entweave.{info.name}")))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id",
+                                                        getattr(n.func, "attr", None))
+                    == "_checked_psd" for n in ast.walk(fn)):
+                callers.append((info.name, fn.name))
+    assert sorted(callers) == [("entanglement", "concurrence"),
+                               ("states", "validate_density")]
 
 
 def test_an_unbounded_row_costs_one_round_at_max_64(monkeypatch):
@@ -439,11 +485,11 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
     true_verdicts = channels._ppt_verdicts
 
     def faked_at(c, power, verdict):
-        target = np.linalg.matrix_power(c.superop, power)
+        target = choi_matrices(np.linalg.matrix_power(c.superop, power)) / 2.0
 
-        def fake(superops, exps):
-            v, low, band = true_verdicts(superops, exps)
-            hit = np.abs(superops - target).max(axis=(-2, -1)) < 1e-12
+        def fake(rho, exps):
+            v, low, band = true_verdicts(rho, exps)
+            hit = np.abs(rho - target).max(axis=(-2, -1)) < 1e-12
             return np.where(hit, verdict, v), np.where(hit, 0.25 * verdict, low), band
         return fake
 
@@ -662,8 +708,9 @@ def test_no_round_holds_more_than_a_stack_of_one_channel(monkeypatch):
         assert max(counts) == 63 <= channels._POWER_STACK
 
 
-# derived states get no structural checks: each Choi state is divided by its
-# trace and made Hermitian, so only the positivity floor can refuse one
+# states that enter the package are held to the positivity floor and named
+# by flat index; the breaking-order verdict takes derived states, powers of
+# channels held to complete positivity when built, and scores them as formed
 @pytest.mark.parametrize("kind, error, words", [
     ("negative", ValueError, "negative eigenvalue -2.500e-02"),
 ])
@@ -678,24 +725,21 @@ def test_breaking_scorer_raises_as_validate_density(kind, error, words):
         stack = stack.reshape(m, k, 4, 4)
         with pytest.raises(error) as reference:
             validate_density(choi_matrices(stack) / 2.0)
-        with pytest.raises(error) as scored:
-            _ppt_verdicts(stack, 1)
-        assert str(scored.value) == str(reference.value)
-        assert words in str(scored.value)
-        assert str(scored.value).endswith(f"at stack index {flat}")
+        assert words in str(reference.value)
+        assert str(reference.value).endswith(f"at stack index {flat}")
+        verdicts, _, _ = _ppt_verdicts(choi_matrices(stack) / 2.0, 1)
+        assert verdicts.shape == (m, k)
 
 
 def test_one_validation_policy_for_every_scorer():
-    # -5e-9 lies below -TOL.psd = -1e-9, the one floor of every scorer
+    # -5e-9 lies below -TOL.psd = -1e-9, the floor of every state that enters
     bell = projector(maximally_entangled())
     slightly = (1.0 + 2e-8) * bell - 2e-8 * np.eye(4) / 4.0
     assert math.isclose(np.linalg.eigvalsh(slightly)[0], -5e-9, rel_tol=1e-6)
     stack = superop_of_choi(2.0 * slightly)[None, None]
-    with pytest.raises(OutOfRange) as scored:
-        _ppt_verdicts(stack, 1)
     with pytest.raises(OutOfRange) as direct:
         concurrence(choi_matrices(stack) / 2.0)
-    assert str(scored.value) == str(direct.value) == (
+    assert str(direct.value) == (
         "density matrix has negative eigenvalue -5.000e-09 at stack index 0")
     with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue -5.000e-09$"):
         concurrence(slightly)

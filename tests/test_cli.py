@@ -180,6 +180,31 @@ def test_continuous_outputs(tmp_path):
     assert len(manifest["outputs"]) == 3
 
 
+def test_repeated_slice_counts_are_scored_once(tmp_path, capsys, monkeypatch):
+    # --n 2 2 4 builds and scores the n2 line once, then n4; the manifest
+    # keeps --n as given
+    from entweave.continuous import SwitchedLine
+    lines = []
+
+    def recording(*args):
+        lines.append(SwitchedLine(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(cli, "SwitchedLine", recording)
+    rc = main(["--out", str(tmp_path), "continuous", "--family", "ad",
+               "--n", "2", "2", "4", "--x-max", "1.0", "--steps", "5"])
+    assert rc == 0, capsys.readouterr().err
+    assert len(lines) == 2
+    assert [line.slice_len * n for line, n in zip(lines, (2, 4))] == [
+        lines[0].slice_len * 2] * 2
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split(":")[0] for row in out] == ["single", "n2", "n4", "limit"]
+    manifest = json.loads((tmp_path / "continuous_manifest.json").read_text())
+    assert manifest["parameters"]["n"] == [2, 2, 4]
+    assert manifest["outputs"] == [f"continuous_ad_{label}.csv"
+                                   for label in ("single", "n2", "n4", "limit")]
+
+
 @pytest.mark.parametrize("bad", [
     ("--n", "0"), ("--n", "2", "-1"), ("--omega", "inf"), ("--omega", "nan"),
     ("--eps", "nan"), ("--eps", "-0.5"), ("--eps", "inf"), ("--x-max", "0"),
@@ -341,6 +366,20 @@ def test_deep_unitary_powers_are_scored(tmp_path):
     for key in ("P", "Q"):
         assert (f"{key}: is_eb=False concurrence=1 "
                 f"order=unbounded (searched up to 1e+06)") in r.stdout
+    # with a Haar unitary the word's Choi state at power 2**23 has an
+    # eigenvalue of -1.038e-9, its own rounding (about n eps); a power of a
+    # channel is scored as formed, not refused at the -TOL.psd floor
+    haar = ("[[[-0.0879725591047269, -0.9617692147428922], "
+            "[0.14882553570345786, 0.21239530677485413]], "
+            "[[-0.22590764854072487, -0.12738343985073536], "
+            "[-0.96576353421945, 0.00632372948122201]]]")
+    r = run_cli(tmp_path, "discrete", "--eta", "1", "--unitary", haar,
+                "--sequence", "PPP", "--max-order", "10000000")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    for key in ("P", "Q", "sequence PPP"):
+        assert (f"{key}: is_eb=False concurrence=1 "
+                f"order=unbounded (searched up to 1e+07)") in r.stdout.splitlines()
 
 
 def test_vanished_trace_is_refused(tmp_path, capsys):

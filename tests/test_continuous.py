@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from entweave import cli, continuous, qmath
 from entweave.channels import (
+    NotCompletelyPositive,
     QuantumChannel,
     Unbounded,
     ad_channel,
@@ -47,11 +48,12 @@ AD2 = rotating_ad_liouvillian(2, 1.5, 1.0)
 PD1 = rotating_pd_liouvillian(1, 1.5, 1.0)
 PD2 = rotating_pd_liouvillian(2, 1.5, 1.0)
 
-# PD1's drive with the dephasing part's sign flipped: trace preserving but
-# not of Lindblad form, so its evolved probe leaves the state cone at once,
-# its lowest eigenvalue -x
-NON_CP = continuous.Liouvillian(rotating_pd_liouvillian(1, 1.5, 0.0).generator
-                                - (np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4)))
+# PD1's drive with the dephasing part's sign flipped, as a raw generator
+# matrix: trace and Hermiticity preserving but not of Lindblad form, so
+# ``Liouvillian`` refuses it; its evolved probe would leave the state cone at
+# once, its lowest eigenvalue -x
+NON_CP = (rotating_pd_liouvillian(1, 1.5, 0.0).generator
+          - (np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4)))
 
 
 def test_generators_preserve_trace():
@@ -104,29 +106,93 @@ def _on_first_qubit(superop, rho):
     return out
 
 
-def test_profile_refuses_the_first_length_below_the_floor():
-    # per-point reference: the first grid point whose evolved state has an
-    # eigenvalue below -TOL.psd, the floor concurrence refuses.  The lowest
-    # eigenvalue is -x, so the floor falls at x = 1e-9, which the second grid
-    # places between two points.
+def _lowest_scaled_eigenvalue(generator) -> tuple[float, float]:
+    """Reference for the Lindblad-form test: the lowest eigenvalue of the
+    generator's Choi matrix, scaled to unit largest real or imaginary part
+    (the largest entry, for every generator here), on the complement
+    of (|00> + |11>)/sqrt(2), from the projector onto it (the projected
+    matrix has one more eigenvalue, 0, on the state itself, which is dropped
+    by its eigenvector); and the scale."""
+    choi = qmath.choi_matrices(np.asarray(generator))
+    parts = np.stack((choi.real, choi.imag))
+    scale = np.abs(parts).max() or 1.0
+    parts /= scale
+    omega = qmath.maximally_entangled()
+    off = np.eye(4) - np.outer(omega, omega.conj())
+    w, v = np.linalg.eigh(off @ (parts[0] + 1j * parts[1]) @ off)
+    return float(w[np.abs(v.conj().T @ omega) < 0.5].min()), float(scale)
+
+
+def test_non_lindblad_generator_is_refused_before_it_is_factored(monkeypatch):
+    # NON_CP's evolved probe leaves the state cone at once: its lowest
+    # eigenvalue is about -x, below -TOL.psd from x = 1e-9 on.  The generator
+    # is refused where it enters, before it is factored, so no profile or
+    # search ever scores such a state
     singlet = matrix_of(singlet_state())
-    for x_max in (2.0, 2.1e-9):
-        xs = np.linspace(0.0, x_max, 41)
-        lowest = []
-        for x in xs:
-            out = _on_first_qubit(scipy.linalg.expm(NON_CP.generator * x), singlet)
-            lowest.append(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])
-        first_bad = next(i for i, w in enumerate(lowest) if w < -TOL.psd)
-        with pytest.raises(OutOfRange, match=f" at x = {xs[first_bad]:.3g}$"):
-            concurrence_profile(NON_CP, x_max, 41)
+    for x in (2e-9, 1e-6):
+        out = _on_first_qubit(scipy.linalg.expm(NON_CP * x), singlet)
+        assert math.isclose(np.linalg.eigvalsh(out)[0], -x, rel_tol=1e-5)
+    assert _lowest_scaled_eigenvalue(NON_CP) == pytest.approx((-1.0, 2.0), abs=1e-15)
+    factored = _count_calls(monkeypatch, continuous, "Spectral")
+    with pytest.raises(NotCompletelyPositive,
+                       match="^generator is not of Lindblad form: its scaled Choi "
+                             "matrix has eigenvalue -1.000e\\+00 off the maximally "
+                             "entangled state$"):
+        continuous.Liouvillian(NON_CP)
+    assert factored == []
 
 
-def test_search_refuses_a_state_below_the_floor():
-    # at x_hi = 1.5e-9 the second state of the search's first stack is below
-    # -TOL.psd, while the first, at x = 0, is read and passes
-    with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue "
-                                         "-1.500e-09 at x = 1.5e-09$"):
-        eb_length(NON_CP, 1.5e-9)
+@pytest.mark.parametrize("family", ["ad", "pd"])
+@pytest.mark.parametrize("scale", [1e-318, 1e-300, 1e-9, 1.0, 1e9, 1e300])
+def test_negative_rates_are_refused_at_any_scale(monkeypatch, family, scale):
+    # a negative damping or dephasing rate beside the drive, the whole
+    # generator scaled from a subnormal 1e-318 to 1e300: the scaled Choi
+    # matrix, and so the verdict, does not depend on the scale.  Refused
+    # before it is factored, without a floating-point warning
+    dissipator = (continuous._dissipator_superop(qmath.LOWERING) if family == "ad"
+                  else np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4))
+    drive = continuous._hamiltonian_superop(1.5 * qmath.SIGMA_X)
+    factored = _count_calls(monkeypatch, continuous, "Spectral")
+    for rate in (-1.0, -1e-3):
+        gen = scale * (drive + rate * dissipator)
+        assert _lowest_scaled_eigenvalue(gen)[0] < -1e-4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotCompletelyPositive, match="not of Lindblad form"):
+                continuous.Liouvillian(gen)
+    assert factored == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((rotating_ad_liouvillian, rotating_pd_liouvillian)),
+       st.floats(-1e300, 1e300), st.floats(0.0, 1e308))
+@example(rotating_ad_liouvillian, 1e300, 1e308)
+@example(rotating_pd_liouvillian, -1e300, 0.0)
+@example(rotating_pd_liouvillian, 1.5, 1e-300)
+# subnormal rates: rounding eps / 2 and the mean's halving moves the scaled
+# eigenvalue by -1.5e-7 and -3.5e-6, about half a subnormal over the scale
+@example(rotating_ad_liouvillian, 2.2312404543645706e-242, 1.608299e-317)
+@example(rotating_ad_liouvillian, -1.7811210306330523e-158, 7.10175e-319)
+def test_every_generator_the_cli_builds_is_of_lindblad_form(family, omega, eps):
+    # both members of a pair and their mean, at any finite drive up to 1e300
+    # and any rate up to 1e308: each is built, or refused only for an entry
+    # that overflows, never as not of Lindblad form, and without a warning.
+    # The scaled eigenvalue is at rounding level: eps relative, or the
+    # smallest subnormal absolute once the entries are subnormal (over 10,000
+    # random pairs, at least -3.3e-16, or one smallest subnormal)
+    built = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (lambda: family(1, omega, eps), lambda: family(2, omega, eps),
+                     lambda: average_liouvillian(*built)):
+            try:
+                built.append(make())
+            except ValueError as exc:
+                assert str(exc) == "generator has non-finite entries"
+                break
+    for gen in built:
+        low, scale = _lowest_scaled_eigenvalue(gen.generator)
+        assert low >= -max(1e-15, 2.0 * np.finfo(float).smallest_subnormal / scale)
 
 
 def test_single_channel_thresholds_frozen():
@@ -591,14 +657,15 @@ def test_searches_and_profiles_refactor_nothing(monkeypatch):
 
 
 def test_profiles_eigendecompose_each_stack_once(monkeypatch):
-    # the floor check and the concurrence share one eigh per stack: the
-    # first state below -TOL.psd, grid point 1500 (index 476 of the second
-    # stack), is refused by name of its length after two
+    # one eigh per stack of at most 1024 points, for the concurrence alone:
+    # the line's states are scored as formed, with no positivity check of
+    # their own
+    line = SwitchedLine(AD1, AD2, 0.3)
     eighs = _count_calls(monkeypatch, qmath.np.linalg, "eigh")
-    with pytest.raises(OutOfRange, match="^density matrix has negative eigenvalue "
-                                         "-1.000e-09 at x = 1e-09$"):
-        concurrence_profile(NON_CP, 2e-9, 3000)
-    assert len(eighs) == 2
+    eigvalshs = _count_calls(monkeypatch, qmath.np.linalg, "eigvalsh")
+    assert len(concurrence_profile(line, 2.0, 3000)) == 3000
+    assert [np.shape(a[0])[0] for a in eighs] == [1024, 1024, 952]
+    assert eigvalshs == []
 
 
 def test_liouvillian_rejects_non_finite_generator():
@@ -673,18 +740,10 @@ def test_profile_stacks_match_one_stack(monkeypatch):
 
     monkeypatch.setattr(continuous, "propagation_superop", recording)
     line = SwitchedLine(AD1, AD2, 0.3)
-    # the non-CP line leaves the cone at x = 1e-9, which on its grid lies
-    # past the first stack: scored in stacks or whole, the same state is
-    # refused
-    refusal = "^density matrix has negative eigenvalue -1.000e-09 at x = 1e-09$"
     stacked = concurrence_profile(line, 2.0, 3000)
-    with pytest.raises(OutOfRange, match=refusal):
-        concurrence_profile(NON_CP, 2e-9, 3000)
     assert max(sizes) == 1024
     monkeypatch.setattr(continuous, "_STACK_POINTS", 4096)
     whole = concurrence_profile(line, 2.0, 3000)
-    with pytest.raises(OutOfRange, match=refusal):
-        concurrence_profile(NON_CP, 2e-9, 3000)
     assert max(sizes) == 3000
     assert len(stacked) == len(whole) == 3000
     np.testing.assert_allclose(np.array(stacked), np.array(whole), rtol=0.0,

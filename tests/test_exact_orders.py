@@ -24,7 +24,8 @@ import sympy as sp
 
 from entweave.channels import (QuantumChannel, Unbounded, Undecided, _power_grid,
                                _ppt_verdicts, ad_channel, eb_order, pd_channel)
-from entweave.qmath import SIGMA_X, SIGMA_Z, sandwich_superop
+from entweave.entanglement import _normalized
+from entweave.qmath import SIGMA_X, SIGMA_Z, choi_matrices, sandwich_superop
 
 _ROOT = sp.sqrt(30)
 
@@ -175,8 +176,8 @@ def test_rounding_band_covers_the_float_margin(channel):
     # zero is ever called decided
     with mpmath.workdps(50):
         for c, powers in zip(_float_channels(*channel), _exact_powers(*channel)):
-            _, low, band = _ppt_verdicts(_power_grid(c.superop, _POWERS, None),
-                                         np.arange(1, _POWERS + 1))
+            rho = _normalized(choi_matrices(_power_grid(c.superop, _POWERS, None)))
+            _, low, band = _ppt_verdicts(rho, np.arange(1, _POWERS + 1))
             for n, power in enumerate(powers, 1):
                 # the Choi matrix of a trace-preserving map has trace 2
                 pt = mpmath.matrix(_pt_choi(power).evalf(50).tolist()) / 2

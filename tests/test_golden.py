@@ -6,8 +6,9 @@ probability to 1e-10, the concurrence to 1e-8 and the text columns exactly
 (the tolerances perfbench/README.md documents for its golden check).  Bytes
 need not match, since stacked linear algebra may move the 12th digit.
 
-Runs the three invocations of scripts/run_continuous_curves.py and holds
-all sixteen CSVs under results/continuous/ the same way: ``x`` to 1e-10,
+Runs the three invocations of scripts/run_continuous_curves.py, holds the
+breaking lengths they print line for line, and holds all sixteen CSVs under
+results/continuous/ the same way as the sweeps: ``x`` to 1e-10,
 ``concurrence`` and ``pre_clamp`` to 1e-8, ``label`` exactly.  The n*
 switched curves get the same 1e-8, tighter than the 1.2e-4 perfbench
 allows them: their slices are cut from the single-line breaking length,
@@ -60,6 +61,28 @@ _DRIVEN = ["--omega", "1.5", "--eps", "1.0", "--n", "1", "2", "4", "8", "16",
            "--x-max", "6.0", "--steps", "241"]
 
 
+# the breaking lengths the three runs print, line for line: the paper's
+# numbers, not only its curves
+_LENGTHS = {
+    "ad": ["single: eb_length 1.7739 (xtol 0.0001)",
+           "n1: eb_length 1.7739 (xtol 0.0001)",
+           "n2: eb_length 2.8991 (xtol 0.0001)",
+           "n4: eb_length 5.7358 (xtol 0.0001)",
+           "n8: eb_length 8.6437 (xtol 0.0001)",
+           "n16: eb_length 11.5238 (xtol 0.0001)",
+           "limit: unbounded (searched up to 20)"],
+    "pd": ["single: eb_length 0.8956 (xtol 0.0001)",
+           "n1: eb_length 0.8956 (xtol 0.0001)",
+           "n2: eb_length 1.1316 (xtol 0.0001)",
+           "n4: eb_length 1.5210 (xtol 0.0001)",
+           "n8: eb_length 2.0104 (xtol 0.0001)",
+           "n16: eb_length 2.5652 (xtol 0.0001)",
+           "limit: unbounded (searched up to 20)"],
+    "undriven": ["single: unbounded (searched up to 20)",
+                 "limit: unbounded (searched up to 20)"],
+}
+
+
 @pytest.mark.parametrize("subdir, args", [
     ("ad", ["--family", "ad", *_DRIVEN]),
     ("pd", ["--family", "pd", *_DRIVEN]),
@@ -68,6 +91,7 @@ _DRIVEN = ["--omega", "1.5", "--eps", "1.0", "--n", "1", "2", "4", "8", "16",
 ])
 def test_continuous_curves_match_committed_csv(tmp_path, capsys, subdir, args):
     assert main(["--out", str(tmp_path), "continuous", *args]) == 0
+    assert capsys.readouterr().out.splitlines() == _LENGTHS[subdir]
     want_files = sorted(p.name for p in (CONTINUOUS / subdir).glob("*.csv"))
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == want_files
     assert len(want_files) == (2 if subdir == "undriven" else 7)
