@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import _normalized, _scores
+from .entanglement import _normalized, _ppt_verdicts, _scores
 from .qmath import (
     IDENTITY_2,
     SIGMA_Z,
@@ -28,7 +28,6 @@ from .qmath import (
     is_hermitian,
     is_unitary,
     opnorm,
-    partial_transpose,
     sandwich_superop,
     unvec,
     vec,
@@ -46,10 +45,11 @@ from .states import DensityMatrix
 _FIRST_STACK = 4
 _POWER_STACK = 64
 
-# The verdict on power n of a channel reads lambda_min of the partial
-# transpose of its Choi state against the band delta_n = _BAND * n * eps *
-# lambda_max: at or above delta_n the power certainly breaks, at or below
-# -delta_n it certainly transmits, in between double precision cannot tell.
+# The verdict on power n of a channel (entanglement._ppt_verdicts) reads
+# lambda_min of the partial transpose of its Choi state against the band
+# delta_n = _BAND * n * eps * lambda_max: at or above delta_n the power
+# certainly breaks, at or below -delta_n it certainly transmits, in between
+# double precision cannot tell.
 # delta_n covers forming the power (about eps (1 + log2 n) lambda_max) and the
 # input's rounding, which the n-th power carries n times.  Against the exact
 # powers of tests/test_exact_orders.py (50 digits) the float lambda_min is
@@ -59,7 +59,6 @@ _POWER_STACK = 64
 _BAND = 1.0
 # past 2**52 powers n eps >= 1, so delta_n >= lambda_max and no power is decided
 _MAX_ORDER = 2 ** 52
-_EPS = np.finfo(float).eps
 
 
 class ToleranceConflict(RuntimeError):
@@ -73,11 +72,9 @@ class NotCompletelyPositive(ValueError):
 
 @dataclass(frozen=True)
 class Unbounded:
-    """Marker return value: no entanglement-breaking threshold was found
-
-    within the searched range (power count or propagation length).  For a
-    breaking order: every power up to ``searched_up_to`` certainly transmits.
-    """
+    """Marker return value: every power (:func:`eb_order`) or length
+    (``continuous.eb_length``) up to ``searched_up_to`` certainly transmits,
+    so no entanglement-breaking threshold was found there."""
 
     searched_up_to: float
 
@@ -87,19 +84,23 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class Undecided:
-    """Marker return value of :func:`eb_order`: the powers from ``first`` on
-    are too close to the separable boundary for double precision to decide.
-    ``last`` is the first power that certainly breaks, None when none does
-    up to ``searched_up_to``; the order lies in ``[first, last]``."""
+    """Marker return value of :func:`eb_order` and ``continuous.eb_length``:
+    the powers or lengths from ``first`` on are too close to the separable
+    boundary for double precision to decide.  ``last`` is the first that
+    certainly breaks, None when none does up to ``searched_up_to``; the
+    threshold lies in ``[first, last]``.  A format spec formats both."""
 
-    first: int
-    last: int | None
+    first: int | float
+    last: int | float | None
     searched_up_to: float
 
-    def __str__(self):
+    def __format__(self, spec=""):
         if self.last is None:
-            return f"undecided from {self.first} (searched up to {self.searched_up_to:g})"
-        return f"undecided from {self.first}, breaks by {self.last}"
+            return (f"undecided from {self.first:{spec}} "
+                    f"(searched up to {self.searched_up_to:g})")
+        return f"undecided from {self.first:{spec}}, breaks by {self.last:{spec}}"
+
+    __str__ = __format__
 
 
 class EbVerdict(NamedTuple):
@@ -240,27 +241,6 @@ def superop_distance(a, b) -> float:
     sa = getattr(a, "superop", a)
     sb = getattr(b, "superop", b)
     return opnorm(np.asarray(sa) - np.asarray(sb))
-
-
-def _ppt_verdicts(rho: np.ndarray, exps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The verdict on each map ``S^n`` from its Choi state in ``rho``, a stack
-    ``(..., 4, 4)`` normalized by ``entanglement._normalized``, with ``n``
-    from ``exps`` (broadcast against the stack's leading axes): 1 where it
-    certainly breaks, -1 where it certainly transmits, 0 where it is
-    undecided; beside it ``lambda_min`` of each state's partial transpose
-    and the band ``delta_n``.
-
-    For two qubits a state is separable exactly when its partial transpose
-    is positive, and an entangled state's partial transpose has exactly one
-    negative eigenvalue, so ``lambda_min`` is a signed margin, read against
-    ``delta_n = _BAND * n * eps * lambda_max``, from one ``eigvalsh`` over
-    the partial transposes alone: a power of a channel held to complete
-    positivity when built is scored as formed.
-    """
-    w = np.linalg.eigvalsh(partial_transpose(rho))
-    low = w[..., 0]
-    band = _BAND * np.asarray(exps, dtype=float) * _EPS * w[..., -1]
-    return (low >= band).astype(int) - (low <= -band), low, band
 
 
 def _power_grid(step: np.ndarray, count: int, base: np.ndarray | None) -> np.ndarray:
@@ -446,9 +426,10 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
     the first round's rows, and power 1 of each channel raises
     :class:`ToleranceConflict` if it certainly breaks and its concurrence is
     above ``TOL.conflict_band``, or if it certainly transmits with
-    ``-lambda_min`` above the band and its concurrence is at or below
-    ``TOL.eb``.  Up to power 200 every formed power agrees with running
-    products to 1e-13.
+    ``-lambda_min`` above that band and its concurrence is at or below it
+    (the negativity never exceeds the concurrence: Verstraete et al., J.
+    Phys. A 34, 10327, 2001).  Up to power 200 every formed power agrees
+    with running products to 1e-13.
     """
     if not 1 <= max_n <= _MAX_ORDER:
         raise OutOfRange(f"max_n must lie in [1, 2**52], got {max_n}")
@@ -464,7 +445,8 @@ def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
     while rounds:
         powers = np.concatenate([p for _, _, blocks in rounds for p in blocks])
         rho = _normalized(choi_matrices(powers))
-        verdicts, low, _ = _ppt_verdicts(rho, [e for _, exps, _ in rounds for e in exps])
+        scale = _BAND * np.array([e for _, exps, _ in rounds for e in exps], dtype=float)
+        verdicts, low, _ = _ppt_verdicts(rho, scale)
         verdicts = verdicts.tolist()
         if not scoring_rounds:  # power 1 of each channel leads its first round
             step = len(rounds[0][1])
@@ -491,7 +473,7 @@ def _check_power_one(searches: list[_OrderSearch], rho: np.ndarray,
     for s, verdict, low, value, pre in zip(searches, verdicts, lows, conc.value.tolist(),
                                            conc.pre_clamp.tolist()):
         if ((verdict == 1 and value > TOL.conflict_band)
-                or (verdict == -1 and -low > TOL.conflict_band and value <= TOL.eb)):
+                or (verdict == -1 and -low > TOL.conflict_band and value <= TOL.conflict_band)):
             raise ToleranceConflict(f"concurrence {value:.3e} vs partial-transpose "
                                     f"eigenvalue {low:.3e}")
         s.margin = pre

@@ -45,9 +45,9 @@ from .channels import (
 )
 from .continuous import (
     SwitchedLine,
-    _profile,
-    _search,
     average_liouvillian,
+    concurrence_profile,
+    eb_length,
     rotating_ad_liouvillian,
     rotating_pd_liouvillian,
 )
@@ -248,10 +248,10 @@ def cmd_discrete(args) -> Run:
 # -------------------------------------------------------------- continuous
 
 
-# Tolerance of every breaking-length search.  The result is within EB_XTOL / 2
-# of the threshold, so rounding it to the decimals of EB_XTOL keeps the printed
-# length within EB_XTOL.  The search is seeded with the line's profile, scored
-# in one stack with x_hi, so a line that never breaks costs that stack alone.
+# Tolerance of every breaking-length search: a length is the root correctly
+# rounded to a multiple of EB_XTOL, so printed to the decimals of EB_XTOL it
+# shows the root's correct digits, and the switched lines are cut from the
+# single length as printed.
 EB_XTOL = 1e-4
 _EB_DECIMALS = math.ceil(-math.log10(EB_XTOL))
 
@@ -270,19 +270,16 @@ def _validate_continuous(args) -> None:
         raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
 
 
-def _line(source, args) -> tuple[list, float | Unbounded, str]:
-    """Profile and breaking length of one line, with the length as printed.
-
-    The profile grid and the search bound ``x_hi`` are scored together, and
-    the breaking-length search starts from those values."""
-    scored = _profile(source, args.x_max, args.steps,
-                      x_hi=max(args.x_max, 20.0))
-    points = scored[:args.steps]
-    threshold = _search(source, [p.x for p in scored],
-                        [p.pre_clamp for p in scored], EB_XTOL)
+def _line(source, args) -> tuple[list, float | Unbounded | Undecided, str]:
+    """Profile and breaking length of one line, with the length as printed;
+    the search runs to ``max(--x-max, 20)``."""
+    points = concurrence_profile(source, args.x_max, args.steps)
+    threshold = eb_length(source, max(args.x_max, 20.0), EB_XTOL)
     if isinstance(threshold, float):
         return points, threshold, (f"eb_length {threshold:.{_EB_DECIMALS}f} "
                                    f"(xtol {EB_XTOL:g})")
+    if isinstance(threshold, Undecided):
+        return points, threshold, f"{threshold:.{_EB_DECIMALS}f}"
     return points, threshold, str(threshold)
 
 

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NotCompletelyPositive, Unbounded
-from .entanglement import _normalized, _scores
+from .channels import NotCompletelyPositive, Unbounded, Undecided
+from .entanglement import _EPS, _normalized, _ppt_verdicts, _scores
 from .qmath import (
     LOWERING,
     SIGMA_X,
@@ -47,14 +47,18 @@ _STACK_POINTS = 1024
 # the bracket 18-fold, or a window (below)
 _BRACKET_POINTS = 17
 
-# a window is this many lengths about xtol apart, centred on the root
-# interpolated from the samples around the sign change; it usually holds two
-# neighbours that straddle the root.  It is tried once the bracket is at most
-# x_hi / 18**2 wide: after two grids from [0, x_hi], at once from the
-# regenerator's 241-point profile
+# a window is this many lengths on the edges (k + 1/2) xtol of the rounding
+# cells about the interpolated root, so two neighbours that straddle it close
+# a bracket inside one cell; tried once the bracket is at most x_hi / 18**2
 _WINDOW_POINTS = 16
 
-_EPS = float(np.finfo(float).eps)
+# A line's verdict at a length in slice k (k = 0 for a Liouvillian) reads
+# lambda_min(rho^Gamma) against delta = _LINE_BAND c (k + 1) eps lambda_max:
+# k + 1 propagators are multiplied, and c, the line's largest Spectral.cond,
+# scales their error.  Against 40-digit mpmath lines the float lambda_min is
+# off by at most 3.75 c (k + 1) eps lambda_max (Pade path at the AD exceptional
+# point; beside it, at cond(V) 994, 0.42 c): 16 keeps each within delta / 4
+_LINE_BAND = 16.0
 
 # the projector off the maximally entangled state (|00> + |11>)/sqrt(2)
 _OFF_OMEGA = np.eye(4) - projector(maximally_entangled())
@@ -253,43 +257,45 @@ class ProfilePoint(NamedTuple):
     pre_clamp: float
 
 
-def _scored(source, xs: np.ndarray) -> tuple[list, list]:
-    """Concurrence and pre-clamp concurrence at the lengths ``xs``, scored as
-    one stack; a refusal names the length."""
-    c, _ = _scores(_normalized(choi_matrices(propagation_superop(source, xs)), xs))
-    return c.value.tolist(), c.pre_clamp.tolist()
-
-
-def _profile(source, x_max: float, steps: int,
-             x_hi: float | None = None) -> list[ProfilePoint]:
-    """The points of ``concurrence_profile(source, x_max, steps)``, and then
-    the point at ``x_hi`` when that lies beyond ``x_max``: it joins the last
-    stack, so the whole line costs the profile's stacks."""
+def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
+                        steps: int) -> list[ProfilePoint]:
+    """Concurrence and pre-clamp concurrence of the line's Choi state at
+    ``steps`` evenly spaced lengths from 0 to ``x_max``, in stacks of at
+    most ``_STACK_POINTS``; :func:`eb_length` judges breaking on its own.
+    Each Choi state is divided by its trace, made Hermitian and scored as
+    formed (the generators were held to Lindblad form when built); the first
+    whose trace has vanished raises, naming its length.
+    """
     if steps < 2:
         raise OutOfRange("need at least two profile points")
     xs = np.linspace(0.0, x_max, steps)
-    if x_hi is not None and x_hi > x_max:
-        xs = np.append(xs, x_hi)
     points = []
     for start in range(0, steps, _STACK_POINTS):
-        end = start + _STACK_POINTS
-        chunk = xs[start:end if end < steps else None]
-        values, pre = _scored(source, chunk)
-        points += map(ProfilePoint, chunk.tolist(), values, pre)
+        chunk = xs[start:start + _STACK_POINTS]
+        c, _ = _scores(_normalized(choi_matrices(propagation_superop(source, chunk)), chunk))
+        points += map(ProfilePoint, chunk.tolist(), c.value.tolist(), c.pre_clamp.tolist())
     return points
 
 
-def concurrence_profile(source: Liouvillian | SwitchedLine, x_max: float,
-                        steps: int):
-    """Concurrence of the line's Choi state, which decides entanglement
-    breaking (Horodecki, Shor & Ruskai, 2003), in stacks of at most
-    ``_STACK_POINTS`` lengths.
+class _Sample(NamedTuple):
+    x: float
+    verdict: int  # 1 certainly breaks, -1 certainly transmits, 0 undecided
+    low: float    # lambda_min of the partial transpose
+    band: float
 
-    Each Choi state is divided by its trace and made Hermitian, and scored
-    as formed: the generators were held to Lindblad form when they were
-    built.  The first whose trace has vanished raises, naming its length.
-    """
-    return _profile(source, x_max, steps)
+
+def _verdicts(source, xs: np.ndarray) -> list[_Sample]:
+    """The breaking verdicts on the line's Choi states at the lengths
+    ``xs``, scored as one stack, with the band of ``_LINE_BAND``; a state
+    whose trace has vanished raises ``ValueError`` naming its length."""
+    rho = _normalized(choi_matrices(propagation_superop(source, xs)), xs)
+    if isinstance(source, SwitchedLine):
+        k = np.floor(xs / source.slice_len)
+        c = max(source.pair.cond, source.gen_even.spectral.cond, source.gen_odd.spectral.cond)
+    else:
+        k, c = 0.0, source.spectral.cond
+    verdicts, low, band = _ppt_verdicts(rho, _LINE_BAND * c * (k + 1.0))
+    return list(map(_Sample, xs.tolist(), verdicts.tolist(), low.tolist(), band.tolist()))
 
 
 def _inverse_interpolation(xs: list, fs: list) -> float:
@@ -307,93 +313,90 @@ def _inverse_interpolation(xs: list, fs: list) -> float:
     return root
 
 
-def _search(source, xs: list, fs: list, xtol: float) -> float | Unbounded:
-    """First root of the pre-clamp concurrence along ``source``, from the
-    ascending lengths ``xs``, ``0`` first and ``x_hi`` last, and their scored
-    values ``fs``.
+def _rounded(a: float, b: float, xtol: float) -> float | None:
+    """The edge a bracket ``[a, b]`` places: ``k xtol``, ``k >= 1``, once it
+    lies in the cell ``[(k - 1/2) xtol, (k + 1/2) xtol]`` or is ``16 eps b``
+    wide (the ulp stop); its midpoint in cell 0 (``0`` breaks nothing) or at
+    the ulp stop when ``xtol`` is finer; None while the search goes on."""
+    ulps = 16.0 * _EPS * b
+    if xtol <= ulps:
+        return 0.5 * (a + b) if b - a <= ulps else None
+    if b <= 0.5 * xtol:
+        return 0.5 * (a + b)
+    k = max(np.floor(0.5 * (a + b) / xtol + 0.5), 1.0)
+    if b - a <= ulps or (k - 0.5) * xtol <= a and b <= (k + 0.5) * xtol:
+        return float(k * xtol)
+    return None
 
-    ``Unbounded(x_hi)`` when ``f(x_hi)`` is not below ``-TOL.eb``.  Otherwise
-    the first sample at or below zero closes a bracket, and each round scores
-    one stack inside it and keeps the first sign change:
 
-    - a window of ``_WINDOW_POINTS`` lengths at most ``xtol`` apart, centred
-      on the root interpolated (inverse Lagrange) through the four samples
-      nearest the sign change, when the bracket is at most ``x_hi / 18**2``
-      wide, the estimate lies inside it, ``xtol`` is coarser than a few ulps
-      of the lengths and the round before was not a window;
-    - otherwise a grid of ``_BRACKET_POINTS`` evenly spaced interior lengths.
-
-    A window that misses (a slice boundary is a kink that bends the samples)
-    is followed by a grid, so every round narrows the bracket.  The search
-    stops once the bracket ``[a, b]`` is at most ``max(xtol, 16 eps b)`` wide
-    and returns its midpoint: within ``xtol / 2`` of the root, or within a
-    few ulps when ``xtol / 2`` is finer than that.  A scored state whose
-    trace has vanished raises ``ValueError`` naming its length.
-    """
-    x_hi = xs[-1]
-    if fs[-1] >= -TOL.eb:
-        return Unbounded(x_hi)
+def _search(source, x_hi: float, xtol: float) -> float | Unbounded | Undecided:
+    """:func:`eb_length`'s answer from the verdicts (:func:`_verdicts`) alone.
+    The first stack is the grid across ``[0, x_hi]`` with both ends; then the
+    first length that does not certainly transmit and the first that
+    certainly breaks (usually in the same bracket, at no cost) are narrowed
+    in turn, a stack a round: a window of cell edges about the edge
+    interpolated (inverse Lagrange) through the four nearest samples, where
+    ``lambda_min`` crosses ``-delta`` (or ``delta``), once the bracket is at
+    most ``x_hi / 18**2`` wide, holds the estimate and ``xtol > 16 eps b``;
+    else, or after a window (a slice boundary's kink may make it miss), a
+    grid.  :func:`_rounded` places each edge."""
+    samples = _verdicts(source, np.linspace(0.0, x_hi, _BRACKET_POINTS + 2))
     # the slack absorbs the rounding of the grid lengths, which may leave the
-    # second bracket from [0, x_hi] a few ulps wider than x_hi / 18**2
+    # second bracket a few ulps wider than x_hi / 18**2
     narrow = x_hi / (_BRACKET_POINTS + 1) ** 2 * (1.0 + 1e-9)
     fractions = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
     offsets = np.arange(_WINDOW_POINTS) - 0.5 * (_WINDOW_POINTS - 1)
-    windowed = False
-    while True:
-        j = next(i for i, f in enumerate(fs) if f <= 0.0)
-        a, b = xs[j - 1], xs[j]
-        if b - a <= max(xtol, 16.0 * _EPS * b):
-            return 0.5 * (a + b)
-        # neighbours of a window are at most xtol apart after rounding
-        step = xtol - 4.0 * _EPS * (b + 2.0 * xtol)
-        near = slice(max(j - 2, 0), j + 2)
-        root = _inverse_interpolation(xs[near], fs[near])
-        windowed = (not windowed and b - a <= narrow and step > 0.5 * xtol
-                    and a < root < b)
-        if windowed:
-            half = offsets[-1] * step
-            lengths = min(max(root, a + half), b - half) + offsets * step
-            lengths = lengths[(lengths > a) & (lengths < b)]
-        else:
-            lengths = a + (b - a) * fractions
-        values = _scored(source, lengths)[1]
-        xs, fs = [a, *lengths.tolist(), b], [fs[j - 1], *values, fs[j]]
+    edges = []
+    for past in (0, 1):
+        edge, windowed = None, False
+        while samples[-1].verdict >= past:
+            j = next(i for i, p in enumerate(samples) if p.verdict >= past)
+            a, b = samples[j - 1].x, samples[j].x
+            if (edge := _rounded(a, b, xtol)) is not None:
+                break
+            near = samples[max(j - 2, 0):j + 2]
+            root = _inverse_interpolation([p.x for p in near],
+                                          [p.low + (1 - 2 * past) * p.band for p in near])
+            windowed = (not windowed and b - a <= narrow and xtol > 16.0 * _EPS * b
+                        and a < root < b)
+            if windowed:
+                lengths = (np.floor(root / xtol + 0.5) + offsets) * xtol
+                lengths = lengths[(lengths > a) & (lengths < b)]
+            else:
+                lengths = a + (b - a) * fractions
+            samples[j:j] = _verdicts(source, lengths)
+        edges.append(edge)
+    first, last = edges
+    if first is None:
+        return Unbounded(x_hi)
+    return first if first == last else Undecided(first, last, x_hi)
 
 
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
-              xtol: float = 1e-4) -> float | Unbounded:
+              xtol: float = 1e-4) -> float | Unbounded | Undecided:
     """First propagation length at which the evolved map becomes
-    entanglement breaking.
-
-    Scores the signed pre-clamp concurrence of the line's Choi state (1 at
-    length 0, as in :func:`concurrence_profile`) at 0 and ``x_hi`` in one
-    stack, and starts the search from those two values: each round scores
-    one stack, a grid of ``_BRACKET_POINTS`` interior lengths across the
-    bracket or a window of ``_WINDOW_POINTS`` lengths ``xtol`` apart around
-    the interpolated root; a window usually ends the search after two
-    grids.  The answer is within ``xtol / 2`` of the threshold (within a few
-    ulps when ``xtol`` is finer than that).  The command line starts the
-    same search from a line's profile instead.
-
-    The search relies on the line being CP-divisible (``Phi_{x+d} =
-    Lambda_d o Phi_x`` with ``Lambda_d`` a channel, true of every physical
-    generator and every switched line of them): the Choi state, once
-    separable, stays separable, so the pre-clamp sign changes at most once,
-    the first sign change on a grid brackets the only root, and the value
-    at ``x_hi`` decides whether there is a threshold.  Returns
-    ``Unbounded(x_hi)`` when that value is not below ``-TOL.eb``, so that
-    exponentially decaying curves are not mistaken for crossings at the
-    noise floor; such a line costs the one stacked evaluation.  The
-    pre-clamp combination is used because the clamped concurrence is
-    identically zero past the threshold.  A generator not of Lindblad form
-    never gets here: :class:`Liouvillian` refuses it when it is built.
+    entanglement breaking, judged by the package's one breaking rule
+    (:func:`~entweave.entanglement._ppt_verdicts`, band ``_LINE_BAND``) as
+    :func:`~entweave.channels.eb_order` judges powers, with its three
+    answers: the root correctly rounded to ``k xtol`` when the first length
+    that does not certainly transmit and the first that certainly breaks
+    lie in one rounding cell ``[(k - 1/2) xtol, (k + 1/2) xtol]``;
+    ``Unbounded(x_hi)`` when ``x_hi`` certainly transmits; else
+    ``Undecided(first, last, x_hi)``, the edges rounded, ``last`` None when
+    ``x_hi`` does not certainly break.  Below ``xtol = 16 eps`` of a length,
+    and in cell 0 ``[0, xtol/2]``, the edges are bracket midpoints.
+    :func:`_search` takes three stacks on a typical line, five when its
+    window misses, one on a line that never breaks.  It relies on the line
+    being CP-divisible (true of every physical generator and switched line
+    of them): a separable Choi state stays separable, so the verdicts read
+    "transmits", "undecided", "breaks" along the line, and the first sample
+    past an edge brackets it.
     """
     if not 0.0 < x_hi < inf:
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
     if not 0.0 < xtol < inf:
         raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
-    xs = [0.0, float(x_hi)]
-    return _search(source, xs, _scored(source, np.array(xs))[1], xtol)
+    return _search(source, float(x_hi), xtol)
 
 
 def trotter_gap(line: SwitchedLine, x: float) -> float:

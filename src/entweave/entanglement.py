@@ -21,9 +21,11 @@ from .states import (DensityMatrix, _checked_psd, _checked_structure, _first_fai
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
+_EPS = float(np.finfo(float).eps)
+
 # numpy.linalg.matrix_rank's cutoff: eigenvalues at or below this times the
 # largest are eigensolver noise
-_RANK_CUTOFF = 4.0 * np.finfo(float).eps
+_RANK_CUTOFF = 4.0 * _EPS
 
 _VANISHED_TRACE = 1e-12  # below this, a derived state has nothing to normalize
 
@@ -56,9 +58,8 @@ def concurrence(rho) -> ConcurrenceResult:
     noise eigenvalue would otherwise enter ``psi`` at the 1e-8 level and
     move the ``l``s of rank-deficient states, such as the Choi states of
     damping channels, by as much.  ``pre_clamp`` is the signed combination
-    before the final clamp; it is what the entanglement-breaking length
-    search finds the root of, since ``value`` is identically zero past the
-    separability threshold.
+    before the final clamp, a margin that profiles and ``is_eb`` report past
+    the threshold, where ``value`` is zero; verdicts use :func:`_ppt_verdicts`.
 
     A state passed here is checked as :func:`~entweave.states.validate_density`
     checks it, with its messages; the first failing state of a stack is
@@ -105,6 +106,21 @@ def _normalized(out: np.ndarray, lengths=None) -> np.ndarray:
                          f"or is not finite{fail[1]}")
     rho = out / tr[..., None, None]
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
+def _ppt_verdicts(rho: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one breaking rule, for channel powers and line lengths:
+    the verdict on each map from its Choi state in the stack ``rho`` (as
+    :func:`_normalized` gives it, scored as formed), 1 certainly breaks, -1
+    certainly transmits, 0 undecided; beside it ``lambda_min`` of each partial
+    transpose and the band ``delta = scale * eps * lambda_max``.  Two qubits
+    are separable exactly when the partial transpose is positive (Horodecki,
+    Horodecki & Horodecki, PLA 223, 1, 1996); an entangled pair's has one
+    negative eigenvalue, so ``lambda_min`` is a signed margin."""
+    w = np.linalg.eigvalsh(partial_transpose(rho))
+    low = w[..., 0]
+    band = np.asarray(scale, dtype=float) * _EPS * w[..., -1]
+    return (low >= band).astype(int) - (low <= -band), low, band
 
 
 def negativity(rho) -> float | np.ndarray:

@@ -42,7 +42,6 @@ class Tolerances:
     structural: float = 1e-10   # hermiticity / unitarity / trace checks
     compare: float = 1e-9       # numerical equality in comparisons
     psd: float = 1e-9           # most negative eigenvalue tolerated in states
-    eb: float = 1e-9            # concurrence at or below this counts as separable
     conflict_band: float = 1e-4  # above this the concurrence and PPT verdicts must agree
 
 
@@ -157,6 +156,8 @@ class Spectral:
 
     matrix: np.ndarray
     factors: tuple | None = field(init=False, repr=False, compare=False)
+    # the scale of an exponential's error: cond(V), or 1 on the Pade path
+    cond: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(as_matrix(self.matrix))
@@ -165,12 +166,13 @@ class Spectral:
         if not np.all(np.isfinite(m)):
             raise ValueError("generator has non-finite entries")
         w, v = np.linalg.eig(m)
-        factors = None
-        if np.linalg.cond(v) <= EIG_COND_BOUND:
+        cond, factors = float(np.linalg.cond(v)), None
+        if cond <= EIG_COND_BOUND:
             factors = (w, v, np.linalg.inv(v))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "cond", cond if factors else 1.0)
 
     def exp(self, lengths) -> np.ndarray:
         xs = np.asarray(lengths, dtype=float)

@@ -6,6 +6,9 @@ from hypothesis import settings
 
 from entweave.channels import QuantumChannel
 
+# the pytester fixture, for tests of the suite's own configuration
+pytest_plugins = ["pytester"]
+
 # properties draw the same examples on every run, so a failure reproduces from
 # the commit alone and not from a local example database
 settings.register_profile("derandomized", derandomize=True)

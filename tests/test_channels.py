@@ -481,6 +481,7 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
 
     phi, _ = _restored_pair()  # order 2, power 1 entangled
     dep = _depolarizing(0.3)   # order 1, concurrence 0
+    weak = pd_channel(1e-5)    # concurrence 1e-5: below the band, above 1e-9
     slow = _with_order(70, True)
     true_verdicts = channels._ppt_verdicts
 
@@ -493,8 +494,12 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
             return np.where(hit, verdict, v), np.where(hit, 0.25 * verdict, low), band
         return fake
 
+    # a faked -lambda_min of 0.25 against a concurrence of 1e-5 conflicts:
+    # the negativity never exceeds the concurrence (Verstraete et al., J.
+    # Phys. A 34, 10327, 2001)
     for c, power, verdict, order in ((phi, 1, 1, None), (dep, 1, -1, None),
-                                     (phi, 1, -1, 2), (phi, 3, 1, 2), (dep, 2, -1, 1)):
+                                     (weak, 1, -1, None), (phi, 1, -1, 2),
+                                     (phi, 3, 1, 2), (dep, 2, -1, 1)):
         monkeypatch.setattr(channels, "_ppt_verdicts", faked_at(c, power, verdict))
         if order is None:
             with pytest.raises(ToleranceConflict):

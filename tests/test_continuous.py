@@ -15,6 +15,7 @@ from entweave.channels import (
     NotCompletelyPositive,
     QuantumChannel,
     Unbounded,
+    Undecided,
     ad_channel,
     pd_channel,
     superop_distance,
@@ -34,7 +35,6 @@ from entweave.entanglement import concurrence
 from entweave.qmath import (
     EIG_COND_BOUND,
     SIGMA_Z,
-    TOL,
     OutOfRange,
     Spectral,
     unvec,
@@ -202,12 +202,91 @@ def test_single_channel_thresholds_frozen():
     assert math.isclose(eb_length(PD1, 6.0), 0.8955859375, abs_tol=2e-4)
 
 
+def _cell(x: float, xtol: float = 1e-4) -> float:
+    """``x`` rounded to a multiple of ``xtol``, in eb_length's arithmetic."""
+    return float(math.floor(x / xtol + 0.5) * xtol)
+
+
+def _undriven_edge(line, rate: float) -> float:
+    """Where lambda_min(rho^Gamma) = -e^(-rate x)/2 of an undriven line meets
+    the band 16 c eps lambda_max of a Liouvillian (lambda_max = 1/2, c its
+    exponential's cond(V)): e^(-rate x) = 16 c 2**-52."""
+    return (52.0 * math.log(2.0) - math.log(continuous._LINE_BAND * line.spectral.cond)) / rate
+
+
 def test_pure_lines_never_break():
-    res = eb_length(rotating_ad_liouvillian(1, 0.0, 1.0), 50.0)
-    assert isinstance(res, Unbounded)
-    assert res.searched_up_to == 50.0
-    assert isinstance(eb_length(rotating_pd_liouvillian(1, 0.0, 1.0), 20.0),
-                      Unbounded)
+    # the undriven lines never break, but their Choi states approach the
+    # separable boundary: lambda_min(rho^Gamma) is -e^(-x)/2 on the AD line
+    # and -e^(-2x)/2 on the PD line, and the float value matches it to the
+    # last digit out to x = 50.  Both are undecided from where it meets the
+    # band, and unbounded before that.  The PD generator is normal, c = 1;
+    # the AD one has cond(V) = 1 + sqrt(2)
+    assert continuous._LINE_BAND == 16.0
+    xs = np.linspace(0.0, 50.0, 101)
+    for make, rate, cond, edge in ((rotating_ad_liouvillian, 1.0, 1.0 + math.sqrt(2.0), 32.3897),
+                                   (rotating_pd_liouvillian, 2.0, 1.0, 16.6355)):
+        line = make(1, 0.0, 1.0)
+        assert line.spectral.cond == pytest.approx(cond, rel=1e-14)
+        low = [p.low for p in continuous._verdicts(line, xs)]
+        np.testing.assert_allclose(low, -np.exp(-rate * xs) / 2.0, rtol=4e-16, atol=0.0)
+        assert _cell(_undriven_edge(line, rate)) == pytest.approx(edge, abs=1e-12)
+        assert eb_length(line, 50.0) == Undecided(_cell(_undriven_edge(line, rate)), None, 50.0)
+        assert eb_length(line, edge - 1e-3) == Unbounded(edge - 1e-3)
+
+
+def test_a_root_just_below_the_bound_is_found():
+    # the concurrence floor of 1e-9 called this line unbounded: its
+    # pre-clamp value at r + 1e-9 is -3.6e-10, while lambda_min(rho^Gamma)
+    # there is 1.7e-10, some 1900 bands above zero
+    r = 1.7739296349313415
+    assert eb_length(AD1, r + 1e-9) == 1.7739
+    assert eb_length(AD1, r + 1e-10) == 1.7739
+
+
+def test_no_length_is_placed_in_the_first_cell():
+    # cell 0 = [0, xtol/2] rounds to 0, the identity map's length: a bracket
+    # inside it places its midpoint; one that reaches past xtol/2 is never
+    # rounded down to 0, not even at the ulp stop
+    assert continuous._rounded(0.0, 4e-5, 1e-4) == 2e-5
+    assert continuous._rounded(1e-5, 2e-5, 1e-4) == 0.5 * (1e-5 + 2e-5)
+    assert continuous._rounded(4e-5, 6e-5, 1e-4) is None
+    assert continuous._rounded(5e-5 - 1e-20, 5e-5 + 1e-20, 1e-4) == 1e-4
+    assert continuous._rounded(0.7e-4, 1.4e-4, 1e-4) == 1e-4
+
+
+def test_a_root_inside_the_first_cell_is_a_positive_length(tmp_path, capsys):
+    # rates 1e5 times AD1's move its root to r / 1e5, below xtol/2: the
+    # search answers a length within xtol / 4 of it, never 0, and the
+    # command line slices its n-lines from that length
+    r = 1.7739296349313415
+    got = eb_length(rotating_ad_liouvillian(1, 1.5e5, 1e5), 20.0)
+    assert isinstance(got, float) and 0.0 < got
+    assert abs(got - r / 1e5) <= 1e-4 / 4
+    assert cli.main(["--out", str(tmp_path), "continuous", "--family", "ad",
+                     "--omega", "1.5e5", "--eps", "1e5", "--n", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["single: eb_length 0.0000 (xtol 0.0001)",
+                       "n2: eb_length 0.0000 (xtol 0.0001)"]
+
+
+def test_underflowing_limit_line_never_prints_a_length(tmp_path, capsys):
+    # at eps = 40 the PD limit line's lambda_min, -e^(-80 x)/2, underflows to
+    # 0 near x = 9.3, where a search on its sign alone placed a root (9.3004);
+    # against the band it is undecided from (52 ln2 - ln 16) / 80
+    assert cli.main(["--out", str(tmp_path), "continuous", "--family", "pd",
+                     "--eps", "40", "--n", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    edge = _undriven_edge(rotating_pd_liouvillian(1, 0.0, 40.0), 80.0)
+    assert out[-1] == f"limit: undecided from {edge:.4f} (searched up to 20)"
+    assert out[-1] == "limit: undecided from 0.4159 (searched up to 20)"
+
+
+def test_eb_length_takes_no_concurrence(monkeypatch):
+    # lengths are judged by the partial-transpose verdict alone
+    scores = _count_calls(monkeypatch, continuous, "_scores")
+    for source in (AD1, SwitchedLine(AD1, AD2, 0.4), average_liouvillian(PD1, PD2)):
+        eb_length(source, 20.0)
+    assert scores == []
 
 
 def test_switched_thresholds_frozen():
@@ -226,8 +305,9 @@ def test_switched_thresholds_frozen():
 def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
                     spacing: float = 0.02):
     """Reference search: scan a grid of the given spacing for the first
-    pre-clamp concurrence below -TOL.eb, then bisect the bracket from the
+    pre-clamp concurrence below -1e-9, then bisect the bracket from the
     last positive value before it down to xtol."""
+    floor = 1e-9  # below which a pre-clamp value counts as past the root
     singlet = matrix_of(singlet_state())
 
     def f(x):
@@ -238,9 +318,9 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
     lo = 0.0
     for hi in xs[1:]:
         value = f(hi)
-        if value < -TOL.eb:
+        if value < -floor:
             break
-        # a slowly falling curve can sit in [-TOL.eb, 0] for a grid step or
+        # a slowly falling curve can sit in [-floor, 0] for a grid step or
         # more past its root, which then lies before this point
         if value > 0.0:
             lo = hi
@@ -252,12 +332,36 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
     return 0.5 * (lo + hi)
 
 
+def _verdict_edges(line, x_hi: float, spacing: float = 0.25,
+                   xtol: float = 1e-10) -> list:
+    """Reference edges of an undecided line: for each of "does not certainly
+    transmit" and "certainly breaks", scan ``_verdicts`` one length at a time
+    on a grid of the given spacing for the first length that reads it, then
+    bisect down to xtol; None when x_hi does not read it."""
+    def reads(x, past):
+        return continuous._verdicts(line, np.array([x]))[0].verdict >= past
+
+    xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / spacing)) + 1)
+    edges = []
+    for past in (0, 1):
+        hi = next((x for x in xs if reads(x, past)), None)
+        if hi is None:
+            edges.append(None)
+            continue
+        lo = xs[np.searchsorted(xs, hi) - 1]
+        while hi - lo > xtol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if reads(mid, past) else (mid, hi)
+        edges.append(0.5 * (lo + hi))
+    return edges
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(("ad", "pd")), st.floats(0.0, 3.0), st.floats(0.2, 2.0),
        st.sampled_from((1, 2, 4, 8, 16)))
 def test_physical_lines_break_once(family, omega, eps, n):
-    # eb_length decides from f(x_hi) alone and brackets on its first grid
-    # sign change; that rests on CP-divisibility, under which the
+    # eb_length decides from the verdict at x_hi alone and brackets on its
+    # first grid sign change; that rests on CP-divisibility, under which the
     # concurrence never rises along a physical line
     gen = rotating_ad_liouvillian if family == "ad" else rotating_pd_liouvillian
     line = switched_line(gen(1, omega, eps), gen(2, omega, eps), 1.0, n)
@@ -267,8 +371,9 @@ def test_physical_lines_break_once(family, omega, eps, n):
                for a, b in zip(pts, pts[1:])) <= 2e-8
     # the xtol contract against a reference search a million times finer,
     # and the cost: one stacked evaluation for a line that never breaks, at
-    # most seven for one that does: [0, 3], two grids, then at worst a
-    # missed window and a grid, twice (bisection to 1e-4 took 17)
+    # most seven for one that does: the grid across [0, 3], a second grid,
+    # then at worst a missed window and a grid, twice (bisection to 1e-4
+    # took 17)
     ref = _scan_eb_length(line, x_hi, xtol=1e-10)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_calls(mp, continuous, "propagation_superop")
@@ -283,31 +388,37 @@ def test_physical_lines_break_once(family, omega, eps, n):
 
 def test_searches_take_at_most_six_evaluations(monkeypatch):
     # the regenerator's lines at x_hi = 20, where bisection to 1e-4 took 20
-    # evaluations a search: two grids, then windows and grids, 4 to 6 stacks;
-    # a line that never breaks costs the one stacked evaluation of [0, x_hi]
+    # evaluations a search: a grid across [0, x_hi] with both ends, a second
+    # grid and a window, and a grid and a window more when the first window
+    # misses.  The AD limit line, which never breaks, costs the first stack;
+    # the PD one is undecided from (52 ln2 - ln 16) / 2, found in three
     calls = _count_calls(monkeypatch, continuous, "propagation_superop")
-    for g1, g2 in ((AD1, AD2), (PD1, PD2)):
+    for g1, g2, costs, limit in (
+            (AD1, AD2, [3, 3, 3, 5, 5, 4, 1], Unbounded(20.0)),
+            (PD1, PD2, [3, 3, 3, 5, 5, 5, 3], Undecided(16.6355, None, 20.0))):
         calls.clear()
         single = eb_length(g1, 20.0)
         counts = [len(calls)]
         for n in (1, 2, 4, 8, 16):
             calls.clear()
-            assert isinstance(eb_length(SwitchedLine(g1, g2, single / n), 20.0),
-                              float)
+            assert isinstance(eb_length(SwitchedLine(g1, g2, single / n), 20.0), float)
             counts.append(len(calls))
-        assert max(counts) <= 6, counts
         calls.clear()
-        assert isinstance(eb_length(average_liouvillian(g1, g2), 20.0), Unbounded)
-        assert len(calls) == 1
+        assert eb_length(average_liouvillian(g1, g2), 20.0) == limit
+        assert counts + [len(calls)] == costs
+        assert max(costs) <= 6
 
 
 def test_tiny_xtol_search_stops_at_float_resolution(monkeypatch):
     # bisection to xtol 1e-300 never ended: its bracket stalled at two
-    # adjacent floats; the search now stops a few ulps from the root
-    ref = _scan_eb_length(AD1, 6.0, xtol=1e-12)
+    # adjacent floats; the search now stops a few ulps from each edge.  No
+    # cell is that fine, and the lengths within the band's reach of the
+    # 40-digit root, about 1e-14 either side, are undecided
+    root = 1.7739296349313415
     calls = _count_calls(monkeypatch, continuous, "propagation_superop", cap=64)
     got = eb_length(AD1, 6.0, xtol=1e-300)
-    assert isinstance(got, float) and abs(got - ref) <= 1e-12
+    assert isinstance(got, Undecided) and got.searched_up_to == 6.0
+    assert got.first < root < got.last and got.last - got.first < 4e-14
     assert len(calls) <= 64
 
 
@@ -329,16 +440,21 @@ def _line_costs(monkeypatch, out, *args: str) -> list:
     return costs
 
 
-@pytest.mark.parametrize("family", ["ad", "pd"])
-def test_cli_lines_search_from_their_profiles(tmp_path, monkeypatch, family):
-    # the README's runs: the search starts from the profile's 241 lengths,
-    # scored in one stack with x_hi = 20, so a line costs that stack and at
-    # most four more, and the limit line, which never breaks, that stack alone
+@pytest.mark.parametrize("family, stacks, limit", [
+    ("ad", [4, 4, 4, 6, 6, 5, 2], Unbounded(20.0)),
+    ("pd", [4, 4, 4, 6, 6, 6, 4], Undecided(16.6355, None, 20.0))],
+    ids=["ad", "pd"])
+def test_cli_lines_search_from_their_profiles(tmp_path, monkeypatch, family, stacks,
+                                              limit):
+    # the README's runs: each line costs its profile's one stack of 241
+    # lengths and the search's own stacks, to x_hi = 20: three for a root
+    # the first window finds, five when it misses, and one for a line that
+    # x_hi shows never breaks.  The switched lines are cut from the single
+    # length as printed
     costs = _line_costs(monkeypatch, tmp_path, "--family", family)
-    assert len(costs) == 7
-    assert all(1 <= stacks <= 5 for stacks, _ in costs), costs
+    assert [n for n, _ in costs] == stacks
     assert all(isinstance(length, float) for _, length in costs[:-1])
-    assert costs[-1] == (1, Unbounded(20.0))
+    assert costs[-1][1] == limit
 
 
 def test_kinked_line_costs_at_most_six_stacks(tmp_path, monkeypatch):
@@ -360,8 +476,10 @@ def test_kinked_line_costs_at_most_six_stacks(tmp_path, monkeypatch):
 
 
 def test_cli_undriven_run_scores_two_stacks(tmp_path, monkeypatch):
+    # two stacks a line: the profile's, and the search's first, whose x_hi
+    # certainly transmits (lambda_min -e^(-20)/2)
     costs = _line_costs(monkeypatch, tmp_path, "--family", "ad", "--omega", "0")
-    assert costs == [(1, Unbounded(20.0)), (1, Unbounded(20.0))]
+    assert costs == [(2, Unbounded(20.0)), (2, Unbounded(20.0))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -372,15 +490,25 @@ def test_cli_undriven_run_scores_two_stacks(tmp_path, monkeypatch):
 @example("pd", 0.0, 1.0, 1, 21.0, 1500)
 @example("pd", 0.0, 1.0, 1, 6.0, 1500)
 # the root, 7.9826, lies a grid step before the reference scan's first
-# point below -TOL.eb, 8.25: the pre-clamp value at 8.0 is -3.4e-10
+# point below -1e-9, 8.25: the pre-clamp value at 8.0 is -3.4e-10
 @example("pd", 6.103515625e-05, 1.171875, 1, 1.0, 3)
+# weakly driven: undecided from 13.2374, breaks by 13.4577
+@example("ad", 0.015625, 2.0, 4, 1.0, 3)
 def test_cli_search_from_the_profile_keeps_xtol(family, omega, eps, n, x_max,
                                                 steps):
-    # the length the command line finds from a line's profile, with x_hi
-    # = max(--x-max, 20) scored in the profile's last stack, against a
-    # reference search a million times finer, on a coarse scan, as every
-    # physical line changes sign once; a line that never breaks costs its
-    # profile's stacks alone
+    # the length the command line prints for a line, searched to x_hi =
+    # max(--x-max, 20) apart from its profile, against a reference search a
+    # million times finer, on a coarse scan, as every physical line changes
+    # sign once.  A line that never breaks is unbounded, at one stack beyond
+    # its profile, when x_hi certainly transmits.  Undecided lengths are
+    # those where lambda_min(rho^Gamma) lies inside the band, as on an
+    # undriven line past (52 ln2 - ln 16c) / rate, or a weakly driven one
+    # whose lambda_min stays within the band for up to 0.22 past its root
+    # (the n = 4 example): they must hold the reference root, and each edge
+    # lies within a cell of where a verdict scan, one length at a time,
+    # first reads it.  Not within half a cell: there lambda_min - band rises
+    # 4e-12 a unit, and the stacked and lone verdicts differ by 4e-17, so
+    # the crossing, 13.45764 alone, falls on the cell edge 13.45765 stacked
     gen = rotating_ad_liouvillian if family == "ad" else rotating_pd_liouvillian
     line = switched_line(gen(1, omega, eps), gen(2, omega, eps), 1.0, n)
     args = cli._PARSER.parse_args(["continuous", "--family", family,
@@ -391,53 +519,108 @@ def test_cli_search_from_the_profile_keeps_xtol(family, omega, eps, n, x_max,
         points, got, _ = cli._line(line, args)
     assert len(points) == steps
     ref = _scan_eb_length(line, x_hi, xtol=1e-10, spacing=0.25)
-    if isinstance(ref, Unbounded):
+    half = cli.EB_XTOL / 2
+    if isinstance(got, Undecided):
+        assert got.searched_up_to == x_hi and got.first < (got.last or x_hi)
+        if not isinstance(ref, Unbounded):
+            assert got.first - half <= ref <= (got.last or x_hi) + half
+        first, last = _verdict_edges(line, x_hi)
+        assert abs(got.first - first) <= 3 * half
+        assert (got.last is None) == (last is None)
+        assert got.last is None or abs(got.last - last) <= 3 * half
+    elif isinstance(ref, Unbounded):
         assert got == ref
-        assert len(calls) == math.ceil(steps / continuous._STACK_POINTS)
+        assert len(calls) == math.ceil(steps / continuous._STACK_POINTS) + 1
     else:
         assert isinstance(got, float)
-        assert abs(got - ref) <= cli.EB_XTOL / 2
+        assert abs(got - ref) <= half
+
+
+def _oracle_superop(source, x) -> mpmath.matrix:
+    """The line's propagator from 0 to ``x`` in mpmath alone, at the
+    caller's precision: the exponential of each generator, and for a
+    switched line the whole-slice pair's power by squaring."""
+    def exp(gen, length):
+        g = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in gen.generator])
+        return mpmath.expm(g * length)
+
+    if not isinstance(source, SwitchedLine):
+        return exp(source, x)
+    s = mpmath.mpf(source.slice_len)
+    k = int(mpmath.floor(x / s))
+    even = exp(source.gen_even, s)
+    total, square, e = mpmath.eye(4), exp(source.gen_odd, s) * even, k // 2
+    while e:
+        if e & 1:
+            total = square * total
+        square, e = square * square, e >> 1
+    if k % 2:
+        total = even * total
+    return exp(source.gen_odd if k % 2 else source.gen_even, x - k * s) * total
+
+
+def _oracle_partial_transpose(s) -> mpmath.matrix:
+    """The partial transpose of the singlet's image under the column-stacking
+    superoperator ``s`` (vec(X)[i + 2 j] = X[i, j]) on the first qubit."""
+    c = [[0, 1 / mpmath.sqrt(2)], [-1 / mpmath.sqrt(2), 0]]  # amplitudes c[a][b]
+    pt = mpmath.matrix(4, 4)
+    for i, i2, b, b2 in np.ndindex(2, 2, 2, 2):
+        # (map (x) id)(|psi><psi|) at (i b, i2 b2), transposed on b
+        pt[2 * i + b2, 2 * i2 + b] = sum(s[i + 2 * i2, a + 2 * a2] * c[a][b] * c[a2][b2]
+                                         for a in range(2) for a2 in range(2))
+    return pt
 
 
 def _oracle_eb_length(gen, guess: float) -> mpmath.mpf:
     """The single line's breaking length to 40 digits, in mpmath alone: the
-    exponential of the generator, the singlet's image under the map on the
-    first qubit, and the root of the determinant of its partial transpose,
-    which is negative exactly when two qubits are entangled (Augusiak,
-    Demianowicz & Horodecki, PRA 77, 030301(R), 2008)."""
+    root of the determinant of the partial transpose, which is negative
+    exactly when two qubits are entangled (Augusiak, Demianowicz &
+    Horodecki, PRA 77, 030301(R), 2008)."""
     with mpmath.workdps(40):
-        g = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
-                           for row in gen.generator])
-        # the singlet's amplitudes c[a][b], a on the first qubit
-        c = [[0, 1 / mpmath.sqrt(2)], [-1 / mpmath.sqrt(2), 0]]
-
-        def det_pt(x):
-            s = mpmath.expm(g * x)   # column-stacking: vec(X)[i + 2 j] = X[i, j]
-            pt = mpmath.matrix(4, 4)
-            for i, i2, b, b2 in np.ndindex(2, 2, 2, 2):
-                # (map (x) id)(|psi><psi|) at (i b, i2 b2), transposed on b
-                pt[2 * i + b2, 2 * i2 + b] = sum(
-                    s[i + 2 * i2, a + 2 * a2] * c[a][b] * c[a2][b2]
-                    for a in range(2) for a2 in range(2))
-            return mpmath.re(mpmath.det(pt))
-
-        return mpmath.findroot(det_pt, mpmath.mpf(guess))
+        return mpmath.findroot(
+            lambda x: mpmath.re(mpmath.det(_oracle_partial_transpose(_oracle_superop(gen, x)))),
+            mpmath.mpf(guess))
 
 
 @pytest.mark.parametrize("gen, oracle", [
     (AD1, "1.7739296349313415183"), (PD1, "0.89559681755138097008")],
     ids=["ad", "pd"])
 def test_single_lengths_match_a_40_digit_oracle(gen, oracle):
-    # the oracle shares nothing with numpy's eig, the concurrence or the
-    # search; its roots to 20 digits are pinned beside it
+    # the oracle shares nothing with numpy's eig, the verdict or the search;
+    # its roots to 20 digits are pinned beside it.  The search returns the
+    # root correctly rounded, at the command line's 1e-4 and at 1e-12, and
+    # the printed digits are the root's
     root = _oracle_eb_length(gen, eb_length(gen, 6.0))
     assert mpmath.nstr(root, 20) == oracle
-    assert abs(eb_length(gen, 6.0, xtol=1e-13) - root) <= 1e-12
+    assert eb_length(gen, 6.0, xtol=1e-12) == _cell(float(root), 1e-12)
     family = "ad" if gen is AD1 else "pd"
     args = cli._PARSER.parse_args(["continuous", "--family", family])
     _, length, text = cli._line(gen, args)
-    assert abs(length - root) <= cli.EB_XTOL / 2
-    assert abs(float(text.split()[1]) - root) <= cli.EB_XTOL
+    assert length == _cell(float(root))
+    assert text.split()[1] == mpmath.nstr(root, 5)
+
+
+def test_line_verdicts_hold_a_40_digit_oracle():
+    # lambda_min(rho^Gamma) of the float Choi states within half the band of
+    # its 40-digit value: on the README's lines at their roots and past them,
+    # and next to the AD exceptional point omega = 1/8, at cond(V) 994 (off
+    # by 417 eps lambda_max, 0.42 c), and on the Pade path at the point
+    # itself (3.75 eps lambda_max, c = 1), the largest errors measured
+    near = rotating_ad_liouvillian(1, 0.125 - 5e-7, 1.0)
+    at = rotating_ad_liouvillian(1, 0.125, 1.0)
+    assert 990.0 < near.spectral.cond < EIG_COND_BOUND and at.spectral.factors is None
+    cases = [(SwitchedLine(AD1, AD2, 1.7739 / 2), [0.3, 2.8994]),
+             (SwitchedLine(PD1, PD2, 0.8956 / 4), [1.521, 6.0]),
+             (SwitchedLine(PD1, PD2, 0.8956 / 16), [2.5651, 19.9]),
+             (SwitchedLine(AD1, AD2, 1.7739 / 16), [11.5237, 19.9]),
+             (near, [0.25]), (at, [0.79])]
+    for source, xs in cases:
+        for x, sample in zip(xs, continuous._verdicts(source, np.array(xs))):
+            with mpmath.workdps(40):
+                pt = _oracle_partial_transpose(_oracle_superop(source, mpmath.mpf(x)))
+                pt = pt / sum(pt[i, i] for i in range(4))
+                low = min(mpmath.re(w) for w in mpmath.eighe((pt + pt.H) / 2, eigvals_only=True))
+            assert abs(sample.low - float(low)) <= 0.5 * sample.band, (source, x)
 
 
 def _reference_superop(source, x: float) -> np.ndarray:

@@ -14,7 +14,7 @@ switched curves get the same 1e-8, tighter than the 1.2e-4 perfbench
 allows them: their slices are cut from the single-line breaking length,
 and that wider tolerance exists for a change to the length search, which
 moves them on purpose.  Such a change regenerates results/continuous/
-(ROADMAP item 2).
+(ROADMAP item 1).
 """
 
 import csv
@@ -62,22 +62,23 @@ _DRIVEN = ["--omega", "1.5", "--eps", "1.0", "--n", "1", "2", "4", "8", "16",
 
 
 # the breaking lengths the three runs print, line for line: the paper's
-# numbers, not only its curves
+# numbers, not only its curves.  Each is the root correctly rounded, and the
+# switched lines are cut from the single length as printed
 _LENGTHS = {
     "ad": ["single: eb_length 1.7739 (xtol 0.0001)",
            "n1: eb_length 1.7739 (xtol 0.0001)",
-           "n2: eb_length 2.8991 (xtol 0.0001)",
-           "n4: eb_length 5.7358 (xtol 0.0001)",
-           "n8: eb_length 8.6437 (xtol 0.0001)",
-           "n16: eb_length 11.5238 (xtol 0.0001)",
+           "n2: eb_length 2.8994 (xtol 0.0001)",
+           "n4: eb_length 5.7357 (xtol 0.0001)",
+           "n8: eb_length 8.6436 (xtol 0.0001)",
+           "n16: eb_length 11.5237 (xtol 0.0001)",
            "limit: unbounded (searched up to 20)"],
     "pd": ["single: eb_length 0.8956 (xtol 0.0001)",
            "n1: eb_length 0.8956 (xtol 0.0001)",
            "n2: eb_length 1.1316 (xtol 0.0001)",
            "n4: eb_length 1.5210 (xtol 0.0001)",
            "n8: eb_length 2.0104 (xtol 0.0001)",
-           "n16: eb_length 2.5652 (xtol 0.0001)",
-           "limit: unbounded (searched up to 20)"],
+           "n16: eb_length 2.5651 (xtol 0.0001)",
+           "limit: undecided from 16.6355 (searched up to 20)"],
     "undriven": ["single: unbounded (searched up to 20)",
                  "limit: unbounded (searched up to 20)"],
 }

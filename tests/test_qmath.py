@@ -192,5 +192,7 @@ def test_entangled_vectors():
 def test_tolerance_defaults_are_stable():
     assert TOL.structural == 1e-10
     assert TOL.compare == 1e-9
-    assert TOL.eb == 1e-9
+    # no concurrence floor: breaking is read off the partial transpose
+    # against a band (entanglement._ppt_verdicts)
+    assert not hasattr(TOL, "eb")
     assert TOL.conflict_band == 1e-4
