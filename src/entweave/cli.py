@@ -272,9 +272,10 @@ def _validate_continuous(args) -> None:
 
 def _line(source, args) -> tuple[list, float | Unbounded | Undecided, str]:
     """Profile and breaking length of one line, with the length as printed;
-    the search runs to ``max(--x-max, 20)``."""
+    the search runs to ``max(--x-max, 20)`` and places its first stack from
+    the profile."""
     points = concurrence_profile(source, args.x_max, args.steps)
-    threshold = eb_length(source, max(args.x_max, 20.0), EB_XTOL)
+    threshold = eb_length(source, max(args.x_max, 20.0), EB_XTOL, points)
     if isinstance(threshold, float):
         return points, threshold, (f"eb_length {threshold:.{_EB_DECIMALS}f} "
                                    f"(xtol {EB_XTOL:g})")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .qmath import (
     maximally_entangled,
     opnorm,
     projector,
+    sandwich_superop,
     vec,
 )
 
@@ -139,16 +140,18 @@ class SwitchedLine:
 
 
 def _hamiltonian_superop(h) -> np.ndarray:
+    # rho -> h rho - rho h, each side a sandwich: kron(I, h) and kron(h.T, I)
     h = as_matrix(h)
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1.0j * (sandwich_superop(h, eye) - sandwich_superop(eye, dagger(h)))
 
 
 def _dissipator_superop(jump) -> np.ndarray:
     jump = as_matrix(jump)
     eye = np.eye(jump.shape[0], dtype=complex)
     jj = dagger(jump) @ jump
-    return np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+    return sandwich_superop(jump, jump) - 0.5 * (sandwich_superop(jj, eye)
+                                                 + sandwich_superop(eye, dagger(jj)))
 
 
 def _check_rates(omega: float, eps: float) -> None:
@@ -186,7 +189,7 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     phase-damping channel with parameter ``exp(-2 eps x)``.
     """
     _check_rates(omega, eps)
-    sz_part = np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
+    sz_part = sandwich_superop(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
     # a rate past half the largest float overflows here; the Liouvillian's
     # check on non-finite entries refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,23 +332,57 @@ def _rounded(a: float, b: float, xtol: float) -> float | None:
     return None
 
 
-def _search(source, x_hi: float, xtol: float) -> float | Unbounded | Undecided:
+def _hinted(source, x_hi: float, xtol: float, profile) -> list[_Sample] | None:
+    """The first stack placed from a concurrence profile of the line, or None.
+    For two qubits the concurrence and lambda_min(rho^Gamma) vanish together
+    (Wootters, PRL 80, 2245, 1998), so the first point whose pre-clamp value
+    is not positive and the one before it, ``b`` and ``a``, bracket both
+    edges.  The stack is ``a``, the window about the root interpolated through
+    the four points nearest it (a grid when that falls outside ``(a, b)``),
+    ``b`` and ``x_hi`` (whose verdict the search reads as on the grid across
+    ``[0, x_hi]``); it is kept if ``a`` certainly transmits and ``b``
+    certainly breaks.  None is placed where placement moves an answer: at the
+    ulp stop or from cell 0, whose edges are bracket midpoints."""
+    j = next((i for i, p in enumerate(profile) if p.pre_clamp <= 0.0), 0)
+    a, b = (profile[j - 1].x, profile[j].x) if j else (0.0, 0.0)
+    if not 0.5 * xtol <= a < b <= x_hi or xtol <= 16.0 * _EPS * x_hi:
+        return None
+    near = profile[max(j - 2, 0):j + 2]
+    root = _inverse_interpolation([p.x for p in near], [p.pre_clamp for p in near])
+    ends = [b, x_hi] if b < x_hi else [b]
+    inner = _placed(a, b, root, xtol, a < root < b)
+    samples = _verdicts(source, np.concatenate(([a], inner, ends)))
+    return samples if samples[0].verdict == -1 and samples[-len(ends)].verdict == 1 else None
+
+
+def _placed(a: float, b: float, root: float, xtol: float, window: bool) -> np.ndarray:
+    """The window of cell edges about ``root`` inside ``(a, b)``, or the grid."""
+    if not window:
+        return a + (b - a) * (np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1))
+    offsets = np.arange(_WINDOW_POINTS) - 0.5 * (_WINDOW_POINTS - 1)
+    lengths = (np.floor(root / xtol + 0.5) + offsets) * xtol
+    return lengths[(lengths > a) & (lengths < b)]
+
+
+def _search(source, x_hi: float, xtol: float, profile) -> float | Unbounded | Undecided:
     """:func:`eb_length`'s answer from the verdicts (:func:`_verdicts`) alone.
-    The first stack is the grid across ``[0, x_hi]`` with both ends; then the
-    first length that does not certainly transmit and the first that
-    certainly breaks (usually in the same bracket, at no cost) are narrowed
-    in turn, a stack a round: a window of cell edges about the edge
-    interpolated (inverse Lagrange) through the four nearest samples, where
-    ``lambda_min`` crosses ``-delta`` (or ``delta``), once the bracket is at
-    most ``x_hi / 18**2`` wide, holds the estimate and ``xtol > 16 eps b``;
-    else, or after a window (a slice boundary's kink may make it miss), a
-    grid.  :func:`_rounded` places each edge."""
-    samples = _verdicts(source, np.linspace(0.0, x_hi, _BRACKET_POINTS + 2))
+    The first stack is placed from the profile (:func:`_hinted`), which only
+    places lengths, or, without one that verifies, is the grid across
+    ``[0, x_hi]`` with both ends; then the first length that does not
+    certainly transmit and the first that certainly breaks (usually in the
+    same bracket, at no cost) are narrowed in turn, a stack a round: a
+    window of cell edges about the edge interpolated (inverse Lagrange)
+    through the four nearest samples, where ``lambda_min`` crosses
+    ``-delta`` (or ``delta``), once the bracket is at most ``x_hi / 18**2``
+    wide, holds the estimate and ``xtol > 16 eps b``; else, or after a
+    window (a slice boundary's kink may make it miss), a grid.
+    :func:`_rounded` places each edge."""
+    samples = _hinted(source, x_hi, xtol, profile)
+    if samples is None:
+        samples = _verdicts(source, np.linspace(0.0, x_hi, _BRACKET_POINTS + 2))
     # the slack absorbs the rounding of the grid lengths, which may leave the
     # second bracket a few ulps wider than x_hi / 18**2
     narrow = x_hi / (_BRACKET_POINTS + 1) ** 2 * (1.0 + 1e-9)
-    fractions = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
-    offsets = np.arange(_WINDOW_POINTS) - 0.5 * (_WINDOW_POINTS - 1)
     edges = []
     for past in (0, 1):
         edge, windowed = None, False
@@ -359,12 +396,7 @@ def _search(source, x_hi: float, xtol: float) -> float | Unbounded | Undecided:
                                           [p.low + (1 - 2 * past) * p.band for p in near])
             windowed = (not windowed and b - a <= narrow and xtol > 16.0 * _EPS * b
                         and a < root < b)
-            if windowed:
-                lengths = (np.floor(root / xtol + 0.5) + offsets) * xtol
-                lengths = lengths[(lengths > a) & (lengths < b)]
-            else:
-                lengths = a + (b - a) * fractions
-            samples[j:j] = _verdicts(source, lengths)
+            samples[j:j] = _verdicts(source, _placed(a, b, root, xtol, windowed))
         edges.append(edge)
     first, last = edges
     if first is None:
@@ -372,8 +404,8 @@ def _search(source, x_hi: float, xtol: float) -> float | Unbounded | Undecided:
     return first if first == last else Undecided(first, last, x_hi)
 
 
-def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
-              xtol: float = 1e-4) -> float | Unbounded | Undecided:
+def eb_length(source: Liouvillian | SwitchedLine, x_hi: float, xtol: float = 1e-4,
+              profile: Sequence[ProfilePoint] = ()) -> float | Unbounded | Undecided:
     """First propagation length at which the evolved map becomes
     entanglement breaking, judged by the package's one breaking rule
     (:func:`~entweave.entanglement._ppt_verdicts`, band ``_LINE_BAND``) as
@@ -386,7 +418,10 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
     ``x_hi`` does not certainly break.  Below ``xtol = 16 eps`` of a length,
     and in cell 0 ``[0, xtol/2]``, the edges are bracket midpoints.
     :func:`_search` takes three stacks on a typical line, five when its
-    window misses, one on a line that never breaks.  It relies on the line
+    window misses, one on a line that never breaks.  ``profile``, the line's
+    :func:`concurrence_profile`, only places lengths (:func:`_hinted`): a
+    line that breaks inside it usually takes one stack, and a wrong, foreign
+    or malformed one costs stacks but changes no answer.  It relies on the line
     being CP-divisible (true of every physical generator and switched line
     of them): a separable Choi state stays separable, so the verdicts read
     "transmits", "undecided", "breaks" along the line, and the first sample
@@ -396,7 +431,7 @@ def eb_length(source: Liouvillian | SwitchedLine, x_hi: float,
         raise OutOfRange(f"search bound x_hi must be positive and finite, got {x_hi}")
     if not 0.0 < xtol < inf:
         raise OutOfRange(f"xtol must be positive and finite, got {xtol}")
-    return _search(source, float(x_hi), xtol)
+    return _search(source, float(x_hi), xtol, profile)
 
 
 def trotter_gap(line: SwitchedLine, x: float) -> float:

@@ -1,7 +1,10 @@
 """Switched-generator propagation: closed forms, frozen thresholds, Trotter."""
 
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -61,6 +64,34 @@ def test_generators_preserve_trace():
         # column-stacking TP condition: vec(I)^dag L = 0
         tp = np.eye(2).flatten(order="F") @ g.generator
         assert np.max(np.abs(tp)) < 1e-12
+
+
+def test_generators_match_their_kron_forms():
+    # the generators are formed through sandwich_superop, the package's one
+    # way to form a superoperator, and equal the kron forms they replaced
+    # entry for entry (kron(h.T, I) is sandwich_superop(I, h^dag)), for
+    # random drives and jump operators scaled from 1e-300 to 1e300
+    rng = np.random.default_rng(37)
+    eye = np.eye(2, dtype=complex)
+
+    def kron_hamiltonian(h):
+        return -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+    def kron_dissipator(jump):
+        jj = jump.conj().T @ jump
+        return np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+
+    for _ in range(500):
+        h, jump = rng.normal(size=(2, 2, 2, 2)) @ [1.0, 1.0j]
+        h, jump = h * 10.0 ** rng.uniform(-300, 300), jump * 10.0 ** rng.uniform(-150, 150)
+        assert np.array_equal(continuous._hamiltonian_superop(h), kron_hamiltonian(h))
+        assert np.array_equal(continuous._dissipator_superop(jump), kron_dissipator(jump))
+    for omega, eps in ((1.5, 1.0), (0.0, 0.37), (-2.0, 1e-3)):
+        drive = kron_hamiltonian(omega * qmath.SIGMA_X)
+        ad = drive + eps * kron_dissipator(qmath.LOWERING)
+        pd = drive + eps * (np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4))
+        assert np.array_equal(rotating_ad_liouvillian(1, omega, eps).generator, ad)
+        assert np.array_equal(rotating_pd_liouvillian(1, omega, eps).generator, pd)
 
 
 def test_drive_sign_flips_between_slots():
@@ -386,6 +417,38 @@ def test_physical_lines_break_once(family, omega, eps, n):
         assert len(calls) <= 7
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("ad", "pd")), st.floats(0.0, 3.0), st.floats(0.2, 2.0),
+       st.sampled_from((1, 2, 4, 8, 16)), st.sampled_from((1e-4, 1e-7, 1e-10, 1e-15)),
+       st.sampled_from(("ad", "pd")), st.floats(0.0, 3.0), st.floats(0.2, 2.0))
+@example("ad", 1.5, 1.0, 4, 1e-4, "pd", 1.5, 1.0)
+def test_a_profile_never_changes_the_answer(family, omega, eps, n, xtol, other,
+                                            other_omega, other_eps):
+    # the profile only places lengths: with the line's own profile, another
+    # line's, or a malformed one, eb_length answers exactly as without one,
+    # Unbounded and Undecided included
+    def line(family, omega, eps):
+        gen = rotating_ad_liouvillian if family == "ad" else rotating_pd_liouvillian
+        return switched_line(gen(1, omega, eps), gen(2, omega, eps), 1.0, n)
+
+    source, x_hi = line(family, omega, eps), 3.0
+    own = concurrence_profile(source, 2.5, 61)
+    j = next((i for i, p in enumerate(own) if p.pre_clamp <= 0.0), len(own) - 1)
+    profiles = [
+        own,
+        concurrence_profile(line(other, other_omega, other_eps), 2.5, 61),
+        own[::-1],
+        [p._replace(pre_clamp=math.nan) if i == j - 1 else p for i, p in enumerate(own)],
+        concurrence_profile(source, 2.0 * x_hi, 61),
+        [p._replace(x=p.x + 0.3) for p in own],
+        own[j:j + 1],
+        [],
+    ]
+    want = eb_length(source, x_hi, xtol)
+    for profile in profiles:
+        assert eb_length(source, x_hi, xtol, profile) == want
+
+
 def test_searches_take_at_most_six_evaluations(monkeypatch):
     # the regenerator's lines at x_hi = 20, where bisection to 1e-4 took 20
     # evaluations a search: a grid across [0, x_hi] with both ends, a second
@@ -441,20 +504,51 @@ def _line_costs(monkeypatch, out, *args: str) -> list:
 
 
 @pytest.mark.parametrize("family, stacks, limit", [
-    ("ad", [4, 4, 4, 6, 6, 5, 2], Unbounded(20.0)),
-    ("pd", [4, 4, 4, 6, 6, 6, 4], Undecided(16.6355, None, 20.0))],
+    ("ad", [2, 2, 2, 2, 6, 5, 2], Unbounded(20.0)),
+    ("pd", [2, 2, 2, 2, 2, 3, 4], Undecided(16.6355, None, 20.0))],
     ids=["ad", "pd"])
 def test_cli_lines_search_from_their_profiles(tmp_path, monkeypatch, family, stacks,
                                               limit):
     # the README's runs: each line costs its profile's one stack of 241
-    # lengths and the search's own stacks, to x_hi = 20: three for a root
-    # the first window finds, five when it misses, and one for a line that
-    # x_hi shows never breaks.  The switched lines are cut from the single
-    # length as printed
+    # lengths and the search's own stacks, to x_hi = 20.  A line that breaks
+    # inside --x-max 6 takes one search stack placed from its profile, more
+    # when a slice boundary beside the root sends that stack's window past it
+    # (PD n16, boundary 2.5748, root 2.5651: two).  A line whose root lies
+    # past --x-max (AD n8 and n16: five and four) and the limit lines search
+    # as without a profile; one that x_hi shows never breaks takes one.  The
+    # switched lines are cut from the single length as printed
     costs = _line_costs(monkeypatch, tmp_path, "--family", family)
     assert [n for n, _ in costs] == stacks
     assert all(isinstance(length, float) for _, length in costs[:-1])
     assert costs[-1][1] == limit
+
+
+def test_no_benchmark_line_costs_more_with_its_profile(tmp_path, monkeypatch):
+    # every line of the benchmark's lines pass at seed 8, searched as the
+    # command line searches it, from its profile, and again without one:
+    # the same answer, at no more stacks
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    calls = _count_calls(monkeypatch, continuous, "propagation_superop")
+    searches, search = [], cli.eb_length
+
+    def counted(*args):
+        before = len(calls)
+        answer = search(*args)
+        searches.append((args, answer, len(calls) - before))
+        return answer
+
+    monkeypatch.setattr(cli, "eb_length", counted)
+    for i, inv in enumerate(workloads.generate("lines", 8)):
+        assert cli.main(["--out", str(tmp_path / str(i)), *inv.argv]) == 0
+    assert len(searches) == 32
+    for (source, x_hi, xtol, profile), answer, stacks in searches:
+        calls.clear()
+        assert eb_length(source, x_hi, xtol) == answer
+        assert stacks <= len(calls)
 
 
 def test_kinked_line_costs_at_most_six_stacks(tmp_path, monkeypatch):
