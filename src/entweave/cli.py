@@ -52,6 +52,7 @@ from .continuous import (
     rotating_pd_liouvillian,
 )
 from .optics import (
+    MAX_PLATE_ANGLE,
     ZeroSuccessProbability,
     identity_setup,
     m1_setup,
@@ -351,11 +352,16 @@ def _validate_experiment(args) -> None:
     for flag, value in (("--W", args.W), ("--eta1", args.eta1),
                         ("--eta2", args.eta2)):
         _in_unit_interval(flag, value)
-    for flag, value in (("--theta", args.theta), ("--phi", args.phi),
-                        ("--source-phase", args.source_phase),
-                        ("--range", args.range[0]), ("--range", args.range[1])):
+    plate_angles = (("--theta", args.theta), ("--phi", args.phi),
+                    ("--range", args.range[0]), ("--range", args.range[1]))
+    for flag, value in (*plate_angles, ("--source-phase", args.source_phase)):
         if not math.isfinite(value):
             raise OutOfRange(f"{flag} must be finite, got {value}")
+    for flag, value in plate_angles:
+        if abs(value) > MAX_PLATE_ANGLE:
+            raise OutOfRange(f"{flag} must be at most {MAX_PLATE_ANGLE:.6g} "
+                             f"in magnitude, so that twice it is finite, "
+                             f"got {value:g}")
 
 
 def cmd_experiment(args) -> Run:

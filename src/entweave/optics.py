@@ -106,8 +106,11 @@ def hwp(xi) -> np.ndarray:
     Real, symmetric, involutive.  hwp(0) = sigma_z, hwp(pi/4) = sigma_x.  An
     array of angles gives the stack of plates, shape ``xi.shape + (2, 2)``.
     """
-    c, s = np.cos(2.0 * np.asarray(xi)), np.sin(2.0 * np.asarray(xi))
-    return np.moveaxis(np.array([[c, s], [s, -c]], dtype=complex), (0, 1), (-2, -1))
+    two_xi = 2.0 * np.asarray(xi, dtype=float)
+    c, s = np.cos(two_xi), np.sin(two_xi)
+    out = np.empty(two_xi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, s, s, -c
+    return out
 
 
 def alpha_for_eta(eta: float) -> float:
@@ -120,8 +123,9 @@ def alpha_for_eta(eta: float) -> float:
     return math.acos(-math.sqrt(eta)) / 2.0
 
 
-def _dif_branches(alpha: float, elements: DifElements) -> tuple[np.ndarray, np.ndarray]:
-    """Polarization-space operators of the two output branches.
+def _dif_branches(alpha, elements: DifElements) -> tuple[np.ndarray, np.ndarray]:
+    """Polarization-space operators of the two output branches, or their
+    stacks ``alpha.shape + (2, 2)`` for an array of loop plate angles.
 
     Returns (main, arm): the postselected port emits main + e^{i omega} arm
     applied to the input polarization state.  Entering on path a, per
@@ -142,9 +146,10 @@ def _dif_branches(alpha: float, elements: DifElements) -> tuple[np.ndarray, np.n
     return main, arm
 
 
-def _dif_superop(alpha: float, elements: DifElements) -> np.ndarray:
+def _dif_superop(alpha, elements: DifElements) -> np.ndarray:
     """Superoperator of one DIF averaged over its random output phase: with
-    branches (main, arm), ``S_main + S_arm``, since the cross terms vanish."""
+    branches (main, arm), ``S_main + S_arm``, since the cross terms vanish.
+    An array of loop plate angles gives the stack ``alpha.shape + (4, 4)``."""
     main, arm = _dif_branches(alpha, elements)
     return sandwich_superop(main, main) + sandwich_superop(arm, arm)
 
@@ -158,6 +163,21 @@ def dif_map(alpha: float, elements: DifElements = IDEAL) -> QuantumChannel:
     probability 1/2.
     """
     return QuantumChannel(_dif_superop(alpha, elements))
+
+
+# Largest plate angle in magnitude: hwp takes the cosine and sine of twice
+# the angle, and past this the doubled angle overflows to inf.
+MAX_PLATE_ANGLE = float(np.finfo(float).max) / 2.0
+
+
+def _check_plate_angle(name: str, angle: float) -> None:
+    """Refuse a plate angle that hwp cannot evaluate: a non-finite one, or
+    one whose doubled angle overflows."""
+    if not math.isfinite(angle):
+        raise OutOfRange(f"{name} is not finite")
+    if abs(angle) > MAX_PLATE_ANGLE:
+        raise OutOfRange(f"{name} = {angle:g} exceeds {MAX_PLATE_ANGLE:.6g} "
+                         "in magnitude, so its doubled angle overflows")
 
 
 @dataclass(frozen=True)
@@ -186,9 +206,10 @@ class OpticalSetup:
     label: str = "custom"
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha21", "alpha2", "theta", "phi", "source_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise OutOfRange(f"{name} is not finite")
+        for name in ("alpha1", "alpha21", "alpha2", "theta", "phi"):
+            _check_plate_angle(name, getattr(self, name))
+        if not math.isfinite(self.source_phase):
+            raise OutOfRange("source_phase is not finite")
         if not 0.0 <= self.W <= 1.0:
             raise OutOfRange(f"Werner parameter {self.W} outside [0, 1]")
         if not isinstance(self.elements, DifElements):
@@ -263,22 +284,31 @@ _STACK_POINTS = 1024
 
 def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
     """Superoperators of the bench at plate angles theta[k], phi[k], shape
-    (N, 4, 4); a scalar angle holds for every k, and N is the length of the
-    angle arrays (1 when both are scalars).
+    (N, 4, 4).  N is the size of the angles of the plates the bench has: a
+    scalar angle holds for every k, and an absent plate's angle is not read,
+    so a bench whose plates all sit at scalar angles, or that has none, is
+    one map (N = 1).
 
     Signal order: DIF1, [phi plate], [theta plate], DIF2, [phi plate],
     [theta plate], DIF3, each DIF averaged over its random phase
-    (``_dif_superop``).
+    (``_dif_superop``).  The three DIFs are built as one (3, 4, 4) stack, a
+    plate at a scalar angle is one 4x4, and only a plate at an array of
+    angles is a stack.
     """
-    n = np.broadcast(theta, phi).size
-    plates = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
+    d1, d2, d3 = _dif_superop(np.array([s.alpha1, s.alpha21, s.alpha2]),
+                              s.elements)
+    plates = None
     for present, xi in ((s.phi_present, phi), (s.theta_present, theta)):
         if present:
-            u = hwp(np.broadcast_to(xi, (n,)))
-            plates = sandwich_superop(u, u) @ plates
-    d1, d2, d3 = (_dif_superop(alpha, s.elements)
-                  for alpha in (s.alpha1, s.alpha21, s.alpha2))
-    return d3 @ (plates @ (d2 @ (plates @ d1)))
+            u = hwp(xi)
+            plate = sandwich_superop(u, u)
+            plates = plate if plates is None else plate @ plates
+    chain = d1
+    for dif in (d2, d3):
+        if plates is not None:
+            chain = plates @ chain
+        chain = dif @ chain
+    return chain.reshape(-1, 4, 4)
 
 
 def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,20 +356,28 @@ class SweepPoint(NamedTuple):
 def sweep(s: OpticalSetup, vary: str, lo: float, hi: float,
           steps: int) -> list[SweepPoint]:
     """run_point over a uniform grid of the theta or phi plate angle,
-    evaluated a stack of angles at a time (see _STACK_POINTS)."""
+    evaluated a stack of angles at a time (see _STACK_POINTS).
+
+    Only the swept plate is a stack (see _bench_superops).  When the bench
+    has no plate of the swept kind, each stack is one map: it is scored once
+    and its concurrence and success probability hold for every angle.
+    """
     if vary not in ("theta", "phi"):
         raise OutOfRange(f"vary must be 'theta' or 'phi', not {vary!r}")
     if steps < 2:
         raise OutOfRange("need at least two sweep steps")
+    # ends within MAX_PLATE_ANGLE keep hi - lo finite, and every grid angle
+    # lies between the ends
+    for end in (lo, hi):
+        _check_plate_angle(vary, end)
     angles = np.linspace(lo, hi, steps)
-    if not np.isfinite(angles).all():
-        raise OutOfRange(f"{vary} is not finite")
     plates = {"theta": s.theta, "phi": s.phi}
     c, p = [], []
     for start in range(0, steps, _STACK_POINTS):
         plates[vary] = angles[start:start + _STACK_POINTS]
         c_part, p_part = _score(s, _bench_superops(s, **plates))
-        c.extend(c_part.tolist())
-        p.extend(p_part.tolist())
+        n = plates[vary].size
+        c.extend(np.broadcast_to(c_part, n).tolist())
+        p.extend(np.broadcast_to(p_part, n).tolist())
     return [SweepPoint(*row) for row in zip(angles.tolist(), c, p)]
 

@@ -239,6 +239,32 @@ def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad, flag, got", [
+    (("--range", "0", "1e308"), "--range", "1e+308"),
+    (("--range", "1e308", "0"), "--range", "1e+308"),
+    (("--theta", "1e308", "--vary", "phi"), "--theta", "1e+308"),
+    (("--phi=-1e308",), "--phi", "-1e+308"),
+])
+def test_experiment_overflowing_plate_angle_is_refused(tmp_path, capsys,
+                                                      monkeypatch, bad, flag,
+                                                      got):
+    # finite, but twice the angle, the argument of the plate's cos and sin,
+    # overflows: refused naming the flag, before any plate is formed
+    from entweave import optics
+    formed = []
+    monkeypatch.setattr(optics, "hwp", lambda xi: formed.append(xi))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out), "experiment", "--steps", "3", *bad])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"invalid input: {flag} must be at most 8.98847e+307 in magnitude, "
+        f"so that twice it is finite, got {got}\n")
+    assert not out.exists()
+    assert formed == []
+
+
 def test_continuous_refuses_inexact_slice_counts(tmp_path, capsys):
     # 1e20 slices per line would wrap the int64 slice index and print a
     # wrong, finite breaking length for the n-line

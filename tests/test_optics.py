@@ -1,6 +1,7 @@
 """Interferometer bench: ideal closure onto damping, measured-element effects."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,15 @@ def test_plate_matrix_properties():
         assert np.allclose(m, m.conj().T)          # half-wave: involution
         assert np.allclose(hwp(xi + HALF_PI), -m)  # period pi/2 up to sign
     assert np.allclose(hwp(0.0), np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (2, 1, 3)])
+def test_stacked_plates_equal_scalar_plates(rng, shape):
+    xi = rng.uniform(-10.0, 10.0, size=shape)
+    stack = hwp(xi)
+    assert stack.shape == shape + (2, 2)
+    for idx in np.ndindex(shape):
+        assert (stack[idx] == hwp(float(xi[idx]))).all()
 
 
 def test_alpha_for_eta_anchors():
@@ -250,6 +260,10 @@ def test_source_state_options():
 def test_setup_validation():
     with pytest.raises(OutOfRange):
         OpticalSetup(0.1, 0.1, math.inf)
+    # finite, but twice the angle overflows in hwp's cos and sin
+    for name in ("alpha1", "theta", "phi"):
+        with pytest.raises(OutOfRange, match=f"{name} = -1e\\+308 exceeds"):
+            replace(mprime_setup(), **{name: -1e308})
     with pytest.raises(OutOfRange):
         mprime_setup(w=1.3)
     with pytest.raises(ElementInconsistent):
@@ -318,7 +332,7 @@ def _reference_map(s):
 @pytest.mark.parametrize("preset", ["ideal", "measured"])
 @pytest.mark.parametrize("make, vary", [
     (mprime_setup, "theta"), (m1_setup, "theta"), (m2_setup, "phi"),
-    (identity_setup, "theta"),
+    (identity_setup, "theta"), (m1_setup, "phi"), (m2_setup, "theta"),
 ])
 def test_stacked_sweep_matches_channel_algebra(make, vary, preset):
     s = make(preset=preset)
@@ -330,13 +344,51 @@ def test_stacked_sweep_matches_channel_algebra(make, vary, preset):
         assert abs(p.success_prob - succ) <= 1e-12
 
 
-def test_long_sweep_runs_in_stacks():
-    s = mprime_setup(preset="measured")
-    pts = sweep(s, "theta", -HALF_PI, HALF_PI, optics._STACK_POINTS + 3)
-    for p in pts[optics._STACK_POINTS - 2:]:
-        c, succ = run_point(replace(s, theta=p.angle))
-        assert abs(p.concurrence - c) <= 1e-12
-        assert abs(p.success_prob - succ) <= 1e-12
+@pytest.mark.parametrize("steps", [61, optics._STACK_POINTS + 3])
+@pytest.mark.parametrize("vary", ["theta", "phi"])
+@pytest.mark.parametrize("preset", ["ideal", "measured"])
+def test_sweep_points_equal_run_point_exactly(preset, vary, steps):
+    # a stack of angles and a single setting are the same arithmetic
+    for make in (mprime_setup, m1_setup, m2_setup, identity_setup):
+        s = make(preset=preset)
+        for p in sweep(s, vary, -HALF_PI, HALF_PI, steps):
+            c, succ = run_point(replace(s, **{vary: p.angle}))
+            assert (p.concurrence, p.success_prob) == (c, succ)
+
+
+@pytest.mark.parametrize("preset", ["ideal", "measured"])
+@pytest.mark.parametrize("make, vary, flat", [
+    (identity_setup, "theta", True), (identity_setup, "phi", True),
+    (m1_setup, "phi", True), (m2_setup, "theta", True),
+    (mprime_setup, "theta", False), (m1_setup, "theta", False),
+    (m2_setup, "phi", False),
+])
+def test_sweep_over_absent_plate_scores_one_map(monkeypatch, preset, make,
+                                                vary, flat):
+    scored, score = [], optics._scores
+
+    def spy(rho):
+        scored.append(rho.shape)
+        return score(rho)
+
+    monkeypatch.setattr(optics, "_scores", spy)
+    steps = optics._STACK_POINTS + 3
+    pts = sweep(make(preset=preset), vary, -HALF_PI, HALF_PI, steps)
+    assert scored == [(1 if flat else n, 4, 4) for n in (optics._STACK_POINTS, 3)]
+    assert len(pts) == steps
+    if flat:
+        assert len({(p.concurrence, p.success_prob) for p in pts}) == 1
+
+
+def test_overflowing_sweep_is_refused_before_any_plate(monkeypatch):
+    formed = []
+    monkeypatch.setattr(optics, "hwp", lambda xi: formed.append(xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in ((0.0, 1e308), (-1e308, 0.0), (-1e308, 1e308)):
+            with pytest.raises(OutOfRange, match="theta = .* exceeds"):
+                sweep(mprime_setup(), "theta", lo, hi, 5)
+    assert formed == []
 
 
 def test_dark_sweep_raises_with_label():
