@@ -9,9 +9,7 @@ import numpy as np
 from .qmath import (
     SIGMA_Y,
     OutOfRange,
-    _qubit_shaped,
     maximally_entangled,
-    partial_trace,
     partial_transpose,
     projector,
 )
@@ -138,25 +136,18 @@ def negativity(rho) -> float | np.ndarray:
     return float(neg) if neg.ndim == 0 else neg
 
 
-def werner_state(w: float, omega: DensityMatrix | None = None) -> DensityMatrix:
-    """Isotropic mixture ``w * omega + (1 - w) * I/4``.
+def _werner(w: float, ket: np.ndarray) -> np.ndarray:
+    """The isotropic mixture ``w |ket><ket| + (1 - w) I/4`` as formed, for a
+    weight ``w`` in [0, 1] and a maximally entangled two-qubit ``ket``,
+    neither checked here."""
+    return w * projector(ket) + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
 
-    ``omega`` defaults to the projector onto (|00> + |11>)/sqrt(2); any pure
-    maximally entangled two-qubit state is accepted.  Concurrence of the
-    result is ``max(0, (3w - 1)/2)`` regardless of that choice.
+
+def werner_state(w: float) -> DensityMatrix:
+    """Isotropic mixture ``w |Phi+><Phi+| + (1 - w) I/4`` on
+    |Phi+> = (|00> + |11>)/sqrt(2), whose concurrence is
+    ``max(0, (3w - 1)/2)``.
     """
     if not 0.0 <= w <= 1.0:
         raise OutOfRange(f"mixing weight {w} outside [0, 1]")
-    if omega is None:
-        pure = projector(maximally_entangled())
-    else:
-        pure = _qubit_shaped(getattr(omega, "matrix", omega), (4, 4))
-        purity = float(np.trace(pure @ pure).real)
-        half = np.eye(2) / 2.0
-        marg_a = partial_trace(pure, 0)
-        marg_b = partial_trace(pure, 1)
-        if (abs(purity - 1.0) > 1e-8
-                or np.max(np.abs(marg_a - half)) > 1e-8
-                or np.max(np.abs(marg_b - half)) > 1e-8):
-            raise ValueError("omega must be pure and maximally entangled")
-    return DensityMatrix(w * pure + (1.0 - w) * np.eye(4, dtype=complex) / 4.0)
+    return DensityMatrix(_werner(w, maximally_entangled()))

@@ -30,9 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel
-from .entanglement import _VANISHED_TRACE, _normalized, _scores, werner_state
-from .qmath import OutOfRange, choi_matrices, projector, sandwich_superop, superop_of_choi
-from .states import DensityMatrix, matrix_of
+from .entanglement import _VANISHED_TRACE, _normalized, _scores, _werner
+from .qmath import OutOfRange, choi_matrices, sandwich_superop, superop_of_choi
 
 
 class ElementInconsistent(ValueError):
@@ -46,6 +45,16 @@ class ZeroSuccessProbability(RuntimeError):
 _ETOL = 1e-9
 
 
+def _check_split(t: float, r: float, what: str) -> None:
+    """Refuse a splitter's intensity ratios T, R unless both are finite and
+    nonnegative with T + R <= 1; NaN fails the first test."""
+    if not (math.isfinite(t) and math.isfinite(r) and t >= 0.0 and r >= 0.0):
+        raise ElementInconsistent(f"{what}: T = {t} and R = {r} must be finite "
+                                  "and nonnegative")
+    if t + r > 1.0 + _ETOL:
+        raise ElementInconsistent(f"{what}: T + R = {t + r:.4f} exceeds 1")
+
+
 @dataclass(frozen=True)
 class BeamSplitterParams:
     """Measured intensity transmissivity/reflectivity; loss is the remainder."""
@@ -54,11 +63,7 @@ class BeamSplitterParams:
     R: float
 
     def __post_init__(self):
-        if not (0.0 <= self.T and 0.0 <= self.R):
-            raise ElementInconsistent("negative transmissivity or reflectivity")
-        if self.T + self.R > 1.0 + _ETOL:
-            raise ElementInconsistent(
-                f"T + R = {self.T + self.R:.4f} exceeds 1")
+        _check_split(self.T, self.R, "beam splitter")
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,8 @@ class PbsParams:
     R_V: float
 
     def __post_init__(self):
-        for t, r, pol in ((self.T_H, self.R_H, "H"), (self.T_V, self.R_V, "V")):
-            if t < 0.0 or r < 0.0 or t + r > 1.0 + _ETOL:
-                raise ElementInconsistent(f"{pol} parameters violate T + R <= 1")
+        _check_split(self.T_H, self.R_H, "polarizing splitter, H")
+        _check_split(self.T_V, self.R_V, "polarizing splitter, V")
 
 
 @dataclass(frozen=True)
@@ -187,26 +191,27 @@ class OpticalSetup:
     ``alpha1``, ``alpha21``, ``alpha2`` are the loop plate angles of the three
     DIFs in signal order, all three built from the one element set
     ``elements``; ``phi`` plates sit right after the first and second DIF,
-    ``theta`` plates right after the phi plates.  ``source_phase`` is the
-    relative phase of the entangled-pair ket (|HV> + e^{i phase}|VH>)/sqrt(2);
-    the experiment does not pin it, and entanglement verdicts cannot depend on
-    it.  ``label`` names the bench in a :class:`ZeroSuccessProbability`.
+    ``theta`` plates right after the phi plates; an angle of None removes its
+    plates.  The input is a Werner pair of weight ``W`` on the ket
+    (|HV> + e^{i source_phase}|VH>)/sqrt(2); the experiment does not pin the
+    phase, and entanglement verdicts cannot depend on it.  Angles, ``W`` and
+    the phase are checked here, where they enter.  ``label`` names the bench
+    in a :class:`ZeroSuccessProbability`.
     """
 
     alpha1: float
     alpha21: float
     alpha2: float
-    theta: float = math.pi / 4
-    phi: float = math.pi / 4
-    theta_present: bool = True
-    phi_present: bool = True
+    theta: float | None = math.pi / 4
+    phi: float | None = math.pi / 4
     elements: DifElements = IDEAL
     W: float = 0.96
     source_phase: float = math.pi
     label: str = "custom"
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha21", "alpha2", "theta", "phi"):
+        plates = [name for name in ("theta", "phi") if getattr(self, name) is not None]
+        for name in ("alpha1", "alpha21", "alpha2", *plates):
             _check_plate_angle(name, getattr(self, name))
         if not math.isfinite(self.source_phase):
             raise OutOfRange("source_phase is not finite")
@@ -242,7 +247,7 @@ def m1_setup(eta2: float = 0.3, *, theta: float = math.pi / 4,
     """Twice the damping-then-rotation map: first DIF idles (alpha = pi/2),
     phi plates removed."""
     a = alpha_for_eta(eta2)
-    return OpticalSetup(math.pi / 2, a, a, theta=theta, phi_present=False,
+    return OpticalSetup(math.pi / 2, a, a, theta=theta, phi=None,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase, label="m1")
 
@@ -253,7 +258,7 @@ def m2_setup(eta1: float = 0.3, *, phi: float = math.pi / 4,
     """Twice the rotation-then-damping map: last DIF idles, theta plates
     removed."""
     a = alpha_for_eta(eta1)
-    return OpticalSetup(a, a, math.pi / 2, phi=phi, theta_present=False,
+    return OpticalSetup(a, a, math.pi / 2, phi=phi, theta=None,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase, label="m2")
 
@@ -263,17 +268,18 @@ def identity_setup(*, preset="ideal", w: float = 0.96,
     """All three DIFs idle, every external plate removed: the bench's
     do-nothing baseline."""
     return OpticalSetup(math.pi / 2, math.pi / 2, math.pi / 2,
-                        theta_present=False, phi_present=False,
+                        theta=None, phi=None,
                         elements=resolve_elements(preset), W=w,
                         source_phase=source_phase, label="identity")
 
 
-def source_state(s: OpticalSetup) -> DensityMatrix:
-    """Werner input built on (|HV> + e^{i source_phase}|VH>)/sqrt(2)."""
+def source_state(s: OpticalSetup) -> np.ndarray:
+    """The bench's 4x4 Werner input, formed from the ``W`` and
+    ``source_phase`` that :class:`OpticalSetup` has checked."""
     v = np.zeros(4, dtype=complex)
     v[1] = 1.0 / math.sqrt(2.0)
     v[2] = np.exp(1.0j * s.source_phase) / math.sqrt(2.0)
-    return werner_state(s.W, omega=DensityMatrix(projector(v)))
+    return _werner(s.W, v)
 
 
 # Most points in one stack.  A sweep peaks at about 2 KB per point, so this
@@ -284,10 +290,10 @@ _STACK_POINTS = 1024
 
 def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
     """Superoperators of the bench at plate angles theta[k], phi[k], shape
-    (N, 4, 4).  N is the size of the angles of the plates the bench has: a
-    scalar angle holds for every k, and an absent plate's angle is not read,
-    so a bench whose plates all sit at scalar angles, or that has none, is
-    one map (N = 1).
+    (N, 4, 4), where an angle of None removes its plates.  N is the size of
+    the angles of the plates present: a scalar angle holds for every k, so a
+    bench whose plates all sit at scalar angles, or that has none, is one map
+    (N = 1).
 
     Signal order: DIF1, [phi plate], [theta plate], DIF2, [phi plate],
     [theta plate], DIF3, each DIF averaged over its random phase
@@ -298,8 +304,8 @@ def _bench_superops(s: OpticalSetup, theta, phi) -> np.ndarray:
     d1, d2, d3 = _dif_superop(np.array([s.alpha1, s.alpha21, s.alpha2]),
                               s.elements)
     plates = None
-    for present, xi in ((s.phi_present, phi), (s.theta_present, theta)):
-        if present:
+    for xi in (phi, theta):
+        if xi is not None:
             u = hwp(xi)
             plate = sandwich_superop(u, u)
             plates = plate if plates is None else plate @ plates
@@ -318,7 +324,7 @@ def _score(s: OpticalSetup, superops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Applies (map (x) id) to the input by the Choi reshuffle;
     ``_normalized`` renormalizes each output by its postselection trace.
     """
-    werner = superop_of_choi(matrix_of(source_state(s)))
+    werner = superop_of_choi(source_state(s))
     out = choi_matrices(superops @ werner)
     succ = np.trace(out, axis1=-2, axis2=-1).real
     dark = succ < _VANISHED_TRACE
@@ -336,7 +342,7 @@ def setup_map(s: OpticalSetup) -> tuple[QuantumChannel, float]:
     compose as channels; see _bench_superops for the signal order.
     """
     superop = _bench_superops(s, s.theta, s.phi)[0]
-    werner = superop_of_choi(matrix_of(source_state(s)))
+    werner = superop_of_choi(source_state(s))
     out = choi_matrices(superop @ werner)
     return QuantumChannel(superop), float(np.trace(out).real)
 
@@ -358,9 +364,9 @@ def sweep(s: OpticalSetup, vary: str, lo: float, hi: float,
     """run_point over a uniform grid of the theta or phi plate angle,
     evaluated a stack of angles at a time (see _STACK_POINTS).
 
-    Only the swept plate is a stack (see _bench_superops).  When the bench
-    has no plate of the swept kind, each stack is one map: it is scored once
-    and its concurrence and success probability hold for every angle.
+    Only the swept plate is a stack (see _bench_superops).  When the swept
+    plate is removed (None), each stack is one map: it is scored once and its
+    concurrence and success probability hold for every angle.
     """
     if vary not in ("theta", "phi"):
         raise OutOfRange(f"vary must be 'theta' or 'phi', not {vary!r}")
@@ -374,10 +380,11 @@ def sweep(s: OpticalSetup, vary: str, lo: float, hi: float,
     plates = {"theta": s.theta, "phi": s.phi}
     c, p = [], []
     for start in range(0, steps, _STACK_POINTS):
-        plates[vary] = angles[start:start + _STACK_POINTS]
+        part = angles[start:start + _STACK_POINTS]
+        if plates[vary] is not None:  # a removed plate stays removed
+            plates[vary] = part
         c_part, p_part = _score(s, _bench_superops(s, **plates))
-        n = plates[vary].size
-        c.extend(np.broadcast_to(c_part, n).tolist())
-        p.extend(np.broadcast_to(p_part, n).tolist())
+        c.extend(np.broadcast_to(c_part, part.size).tolist())
+        p.extend(np.broadcast_to(p_part, part.size).tolist())
     return [SweepPoint(*row) for row in zip(angles.tolist(), c, p)]
 

@@ -38,8 +38,9 @@ from entweave.optics import (
     source_state,
     sweep,
 )
-from entweave.qmath import OutOfRange, is_unitary, sandwich_superop, unvec, vec
-from entweave.states import matrix_of
+from entweave.qmath import (OutOfRange, is_unitary, partial_trace, sandwich_superop,
+                            unvec, vec)
+from entweave.states import validate_density
 
 
 HALF_PI = math.pi / 2
@@ -85,6 +86,14 @@ def test_element_validation():
         BeamSplitterParams(0.7, 0.5)       # T + R > 1
     with pytest.raises(ElementInconsistent):
         BeamSplitterParams(-0.1, 0.5)
+
+
+@pytest.mark.parametrize("field", ["T", "R", "T_H", "R_H", "T_V", "R_V"])
+def test_nan_element_parameter_is_refused(field):
+    # NaN fails every comparison, so a check not written for it lets it pass
+    element = IDEAL.bs if field in ("T", "R") else IDEAL.pbs
+    with pytest.raises(ElementInconsistent, match=f"{field[0]} = nan.*must be finite"):
+        replace(element, **{field: math.nan})
 
 
 def _kron_dif_branches(alpha, el):
@@ -239,7 +248,7 @@ def test_monte_carlo_phase_average(rng):
 
 
 def test_source_state_options():
-    rho = matrix_of(source_state(identity_setup()))
+    rho = source_state(identity_setup())
     assert math.isclose(concurrence(rho).value, 0.94, abs_tol=1e-12)
     # verdicts cannot depend on the unpinned pair phase
     for phase in (0.0, 1.0, math.pi):
@@ -255,6 +264,20 @@ def test_source_state_options():
             assert abs(p.concurrence - q.concurrence) <= 1e-12
             assert abs(p.success_prob - q.success_prob) <= 1e-12
     assert max(p.concurrence for p in sweeps[2]) > 0.0
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0 / 3.0, 0.5, 0.96, 1.0])
+@pytest.mark.parametrize("phase", [0.0, 1.0, math.pi, 1e300])
+def test_formed_source_state_is_a_werner_state(w, phase):
+    # the input is formed from checked parameters and not validated again:
+    # it must still be a state, maximally mixed on each side, of the Werner
+    # concurrence
+    rho = source_state(identity_setup(w=w, source_phase=phase))
+    validate_density(rho)
+    for keep in (0, 1):
+        assert np.max(np.abs(partial_trace(rho, keep) - np.eye(2) / 2.0)) <= 1e-15
+    expect = max(0.0, (3.0 * w - 1.0) / 2.0)
+    assert abs(concurrence(rho).value - expect) <= 1e-12
 
 
 def test_setup_validation():
@@ -275,8 +298,8 @@ def test_setup_validation():
 def test_zero_success_raises():
     dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
     s = identity_setup()
-    s = OpticalSetup(s.alpha1, s.alpha21, s.alpha2, theta_present=False,
-                     phi_present=False, elements=dark)
+    s = OpticalSetup(s.alpha1, s.alpha21, s.alpha2, theta=None, phi=None,
+                     elements=dark)
     with pytest.raises(ZeroSuccessProbability):
         run_point(s)
 
@@ -304,7 +327,7 @@ def _reference_point(s):
     the Werner input one 2x2 block at a time,
     (map (x) id)(sum rho_yz (x) |y><z|) = sum map(rho_yz) (x) |y><z|."""
     total = _reference_map(s)
-    blocks = matrix_of(source_state(s)).reshape(2, 2, 2, 2)
+    blocks = source_state(s).reshape(2, 2, 2, 2)
     out = np.zeros((4, 4), dtype=complex)
     for y in range(2):
         for z in range(2):
@@ -319,11 +342,7 @@ def _reference_point(s):
 def _reference_map(s):
     def stage(alpha, el):
         return dif_map(alpha, el)
-    plates = []
-    if s.phi_present:
-        plates.append(unitary_channel(hwp(s.phi)))
-    if s.theta_present:
-        plates.append(unitary_channel(hwp(s.theta)))
+    plates = [unitary_channel(hwp(xi)) for xi in (s.phi, s.theta) if xi is not None]
     return compose_signal_chain([stage(s.alpha1, s.elements), *plates,
                                  stage(s.alpha21, s.elements), *plates,
                                  stage(s.alpha2, s.elements)])
@@ -338,8 +357,10 @@ def test_stacked_sweep_matches_channel_algebra(make, vary, preset):
     s = make(preset=preset)
     pts = sweep(s, vary, -HALF_PI, HALF_PI, 61)
     assert len(pts) == 61
+    # a removed plate (None) stays removed: every point is the plate-free bench
+    present = getattr(s, vary) is not None
     for p in pts:
-        c, succ = _reference_point(replace(s, **{vary: p.angle}))
+        c, succ = _reference_point(replace(s, **{vary: p.angle}) if present else s)
         assert abs(p.concurrence - c) <= 1e-12
         assert abs(p.success_prob - succ) <= 1e-12
 
@@ -351,8 +372,9 @@ def test_sweep_points_equal_run_point_exactly(preset, vary, steps):
     # a stack of angles and a single setting are the same arithmetic
     for make in (mprime_setup, m1_setup, m2_setup, identity_setup):
         s = make(preset=preset)
+        present = getattr(s, vary) is not None
         for p in sweep(s, vary, -HALF_PI, HALF_PI, steps):
-            c, succ = run_point(replace(s, **{vary: p.angle}))
+            c, succ = run_point(replace(s, **{vary: p.angle}) if present else s)
             assert (p.concurrence, p.success_prob) == (c, succ)
 
 
