@@ -91,36 +91,52 @@ class Run(NamedTuple):
     counts: dict[str, int] = {}  # work the core calls report, into the manifest
 
 
-def _write_file(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path`` and rename it into
-    place, so a write that fails midway leaves no partial file.  An
-    ``OSError`` names ``path``, not the temporary file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+# the flags of open(path, "w"); O_BINARY, where it exists, writes the bytes
+# untranslated, as newline="" did
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_file(out_dir: str, name: str, text: str) -> None:
+    """Write ``text`` to a temporary file in ``out_dir`` and rename it to
+    ``name``, so a write that fails midway leaves no partial file.  An
+    ``OSError`` names the target file, not the temporary one."""
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, newline="")
-        os.replace(tmp, path)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        try:
+            data = memoryview(text.encode())
+            while data:  # os.write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, os.path.join(out_dir, name))
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            exc.filename = str(path)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        if isinstance(exc, OSError):  # spelled as pathlib does: no "./"
+            exc.filename = str(Path(out_dir, name))
         raise
 
 
 def _write(args, run: Run, started: float) -> None:
-    """Create ``--out``, write every output, then the manifest, whose
-    parameters are the parsed ``args`` as the subcommand resolved them."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Make ``--out`` if it is missing, write every output, then the
+    manifest, whose parameters are the parsed ``args`` as the subcommand
+    resolved them."""
+    out_dir = str(Path(args.out))  # "" is "."
+    if not os.path.isdir(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     for name, text in run.outputs.items():
-        _write_file(out_dir / name, text)
+        _write_file(out_dir, name, text)
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     manifest = {
-        "command": args.command, "parameters": {**parameters, "out": str(out_dir)},
+        "command": args.command, "parameters": {**parameters, "out": out_dir},
         "outputs": list(run.outputs), "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
         "notes": list(run.notes), "counts": dict(run.counts),
     }
-    _write_file(out_dir / run.manifest_name,
+    _write_file(out_dir, run.manifest_name,
                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -129,11 +145,12 @@ SWEEP_HEADER = ("angle", "concurrence", "success_prob", "preset", "map_label")
 
 
 def _csv_text(header, rows, *tags: str) -> str:
-    """CSV text: numeric cells to 12 significant digits, ``tags`` appended to
-    every row, '\\n' line endings.  The tags are fixed labels, preset and
-    map names, which need no quoting."""
-    fmt = ",".join(["%.12g"] * (len(header) - len(tags)) + ["%s"] * len(tags))
-    lines = [",".join(header), *(fmt % (*row, *tags) for row in rows)]
+    """CSV text: each row a tuple of numbers, its cells to 12 significant
+    digits, ``tags`` appended to every row, '\\n' line endings.  The tags
+    are fixed labels, preset and map names, which need no quoting."""
+    fmt = ",".join(["%.12g"] * (len(header) - len(tags))
+                   + [tag.replace("%", "%%") for tag in tags])
+    lines = [",".join(header), *(fmt % row for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -11,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import entweave
 from entweave import cli
 from entweave.channels import Unbounded, eb_order, unitary_channel
-from entweave.cli import main
+from entweave.cli import PROFILE_HEADER, main
+from entweave.continuous import ProfilePoint
 from entweave.qmath import SIGMA_Z, OutOfRange
 from entweave.optics import BeamSplitterParams, DifElements, IDEAL, identity_setup
 from dataclasses import replace
@@ -432,17 +435,21 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     # manifest is left
     args = ["continuous", "--family", "ad", "--n", "1", "--x-max", "1",
             "--steps", "5"]
-    write_text = Path.write_text
-    calls = []
+    real_open, real_write = os.open, os.write
+    opened = []
 
-    def half_then_fail(self, text, *rest, **kwargs):
-        calls.append(self)
-        if len(calls) == 2:
-            write_text(self, text[:len(text) // 2], *rest, **kwargs)
+    def recording_open(path, *rest):
+        opened.append(path)
+        return real_open(path, *rest)
+
+    def half_then_fail(fd, data):
+        if len(opened) == 2:
+            real_write(fd, data[:len(data) // 2])
             raise OSError(28, "No space left on device")
-        return write_text(self, text, *rest, **kwargs)
+        return real_write(fd, data)
 
-    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "write", half_then_fail)
     out_dir = tmp_path / "out"
     assert main(["--out", str(out_dir), *args]) == 4
     monkeypatch.undo()
@@ -464,6 +471,86 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert err == f"write failure: {taken}: File exists\n"
     assert taken.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "taken", "whole"]
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # the first rename into place fails: the run exits 4 naming the target,
+    # and neither the temporary file nor the manifest is left
+    def refuse(src, dst):
+        raise OSError(13, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "discrete"]) == 4
+    err = capsys.readouterr().err
+    assert err == (f"write failure: {out_dir / 'discrete_report.json'}: "
+                   f"Permission denied\n")
+    assert list(out_dir.iterdir()) == []
+
+
+def _outputs(out_dir):
+    """Every file's bytes; a manifest's without its timing and ``out``."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith("manifest.json"):
+            manifest = json.loads(data)
+            del manifest["wall_time_s"], manifest["parameters"]["out"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[path.name] = data
+    return files
+
+
+RUNS = (["discrete", "--sequence", "QP"],
+        ["continuous", "--family", "ad", "--n", "2", "--x-max", "1", "--steps", "9"],
+        ["experiment", "--map", "m2", "--steps", "9"])
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, argv):
+    # os.write may write fewer bytes than it is given; with at most three a
+    # call every file still comes out whole
+    real_write = os.write
+    assert main(["--out", str(tmp_path / "whole"), *argv]) == 0
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+    assert main(["--out", str(tmp_path / "short"), *argv]) == 0
+    monkeypatch.undo()
+    whole = _outputs(tmp_path / "whole")
+    assert len(whole) >= 2
+    assert _outputs(tmp_path / "short") == whole
+
+
+@pytest.mark.parametrize("out", [".", "", "sub/", "nested/deeper/out"])
+def test_out_forms(tmp_path, monkeypatch, out):
+    # the working directory, its empty name, a trailing slash and a nested
+    # directory not yet made: each run writes there, and the manifest names
+    # the directory as pathlib spells it
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", out, "experiment", "--map", "m1", "--steps", "3"]) == 0
+    written = Path(out)
+    assert {p.name for p in written.iterdir()} >= {
+        "experiment_m1_ideal_theta.csv", "experiment_m1_ideal_theta_manifest.json"}
+    manifest = json.loads((written / "experiment_m1_ideal_theta_manifest.json").read_text())
+    assert manifest["parameters"]["out"] == str(Path(out))
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@given(st.integers(0, 3).flatmap(lambda tags: st.tuples(
+    st.lists(st.text(st.sampled_from("ab%sd.-_1"), max_size=5),
+             min_size=tags, max_size=tags),
+    st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), max_size=4))))
+@example((["%s", "100%"], [(0.1, -1e300, 5e-324)]))
+def test_csv_text_matches_the_per_row_formula(tags_and_rows):
+    # one format that holds the tags gives the text of one format applied to
+    # each row with its tags appended
+    tags, rows = tags_and_rows
+    rows = [ProfilePoint(*row) for row in rows]
+    header = (*PROFILE_HEADER[:3], *(f"t{i}" for i in range(len(tags))))
+    fmt = ",".join(["%.12g"] * 3 + ["%s"] * len(tags))
+    expected = "\n".join([",".join(header), *(fmt % (*row, *tags) for row in rows)]) + "\n"
+    assert cli._csv_text(header, rows, *tags) == expected
 
 
 def test_runs_import_no_scipy(tmp_path):
@@ -500,14 +587,16 @@ def test_continuous_undriven_skips_switched(tmp_path):
 
 
 def test_continuous_byte_determinism(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    args = ("continuous", "--family", "ad", "--n", "2", "--x-max", "1.0",
-            "--steps", "9")
-    for d in (a, b):
-        assert run_cli(d, *args).returncode == 0
-    for name in ("continuous_ad_single.csv", "continuous_ad_n2.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    # two identical runs of each subcommand give identical CSVs and reports
+    for argv, names in zip(RUNS, (["discrete_report.json"],
+                                  ["continuous_ad_single.csv", "continuous_ad_n2.csv"],
+                                  ["experiment_m2_ideal_phi.csv"])):
+        a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+        a.mkdir(parents=True), b.mkdir()
+        for d in (a, b):
+            assert run_cli(d, *argv).returncode == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_experiment_sweep_csv(tmp_path):
