@@ -1,9 +1,10 @@
 """entweave: entanglement transmission through interrupted qubit channels.
 
-Layers, bottom up: ``qmath`` (linear-algebra plumbing), ``states`` and
-``entanglement`` (two-qubit measures), ``channels`` (superoperator
-algebra and breaking verdicts), ``continuous`` (switched master-equation
-lines), ``optics`` (the displaced-interferometer bench), ``cli`` (figure
+Layers, bottom up: ``qmath`` (linear-algebra plumbing), ``states`` (the
+entry checks of two-qubit states, which are plain ``(..., 4, 4)`` arrays),
+``entanglement`` (two-qubit measures), ``channels`` (superoperator algebra
+and breaking verdicts), ``continuous`` (switched master-equation lines),
+``optics`` (the displaced-interferometer bench), ``cli`` (figure
 reproduction).
 """
 
@@ -15,7 +16,6 @@ from .qmath import (
     TOL,
     Tolerances,
 )
-from .states import DensityMatrix, matrix_of, singlet_state
 from .entanglement import (
     ConcurrenceResult,
     concurrence,
@@ -30,12 +30,10 @@ from .channels import (
     Unbounded,
     Undecided,
     ad_channel,
-    choi_matrix,
     choi_state,
     compose,
     compose_signal_chain,
     eb_order,
-    identity_channel,
     is_eb,
     pd_channel,
     unitary_channel,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConcurrenceResult",
-    "DensityMatrix",
     "DifElements",
     "DimensionMismatch",
     "EbVerdict",
@@ -92,7 +89,6 @@ __all__ = [
     "ad_channel",
     "alpha_for_eta",
     "average_liouvillian",
-    "choi_matrix",
     "choi_state",
     "compose",
     "compose_signal_chain",
@@ -101,19 +97,16 @@ __all__ = [
     "dif_map",
     "eb_length",
     "eb_order",
-    "identity_channel",
     "identity_setup",
     "is_eb",
     "m1_setup",
     "m2_setup",
-    "matrix_of",
     "mprime_setup",
     "negativity",
     "pd_channel",
     "rotating_ad_liouvillian",
     "rotating_pd_liouvillian",
     "run_point",
-    "singlet_state",
     "sweep",
     "switched_line",
     "trotter_gap",

@@ -32,7 +32,6 @@ from .qmath import (
     unvec,
     vec,
 )
-from .states import DensityMatrix
 
 # Breaking orders are searched by galloping, then narrowing brackets.  The
 # first round holds the first _FIRST_STACK powers of each channel and the
@@ -172,10 +171,6 @@ class QuantumChannel:
         return QuantumChannel(self.superop / c)
 
 
-def identity_channel() -> QuantumChannel:
-    return QuantumChannel.from_kraus((np.eye(2, dtype=complex),))
-
-
 def ad_channel(eta: float) -> QuantumChannel:
     """Amplitude damping toward basis state 0 with survival parameter eta.
 
@@ -210,14 +205,13 @@ def unitary_channel(u) -> QuantumChannel:
     return QuantumChannel.from_kraus((u,))
 
 
-def choi_matrix(c: QuantumChannel) -> np.ndarray:
-    return choi_matrices(c.superop)
-
-
-def choi_state(c: QuantumChannel) -> DensityMatrix:
-    """Choi state ``(Phi (x) id)(|Omega><Omega|)`` with the channel acting on
-    the first qubit; valid only for trace-preserving channels."""
-    return DensityMatrix(choi_matrix(c) / 2)
+def choi_state(c: QuantumChannel) -> np.ndarray:
+    """Choi state ``(Phi (x) id)(|Omega><Omega|)`` as a 4x4 array, with the
+    channel acting on the first qubit.  A map that is not trace preserving
+    has no Choi state of unit trace, so it raises ``ValueError``."""
+    if not c.trace_preserving:
+        raise ValueError("Choi state needs a trace-preserving map")
+    return choi_matrices(c.superop) / 2
 
 
 def compose(first: QuantumChannel, then: QuantumChannel) -> QuantumChannel:

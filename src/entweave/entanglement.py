@@ -13,8 +13,7 @@ from .qmath import (
     partial_transpose,
     projector,
 )
-from .states import (DensityMatrix, _checked_psd, _checked_structure, _first_failure,
-                     validate_density)
+from .states import _checked_psd, _checked_structure, _first_failure, validate_density
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -36,9 +35,10 @@ class ConcurrenceResult(NamedTuple):
 def concurrence(rho) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit state, or of a stack of them.
 
-    One state, 4x4, gives floats; a stack, shape ``(..., 4, 4)``, gives
-    arrays of its shape without the last two axes, each entry equal to the
-    single-state result.  Any other shape raises :class:`DimensionMismatch`.
+    One state, a 4x4 array, gives floats; a stack, shape ``(..., 4, 4)``,
+    gives arrays of its shape without the last two axes, each entry equal to
+    the single-state result.  Any other shape raises
+    :class:`DimensionMismatch`.
 
     ``value`` is ``max(0, l1 - l2 - l3 - l4)`` where the ``l``s are the
     descending square roots of the eigenvalues of ``rho @ spin_flip(rho)``.
@@ -63,7 +63,7 @@ def concurrence(rho) -> ConcurrenceResult:
     checks it, with its messages; the first failing state of a stack is
     named by its flat index.
     """
-    c, low = _scores(_checked_structure(getattr(rho, "matrix", rho)))
+    c, low = _scores(_checked_structure(rho))
     _checked_psd(low)
     return c
 
@@ -124,14 +124,14 @@ def _ppt_verdicts(rho: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.nd
 def negativity(rho) -> float | np.ndarray:
     """Sum of the absolute values of the negative partial-transpose eigenvalues.
 
-    One state, 4x4, gives a float; a stack, shape ``(..., 4, 4)``, gives an
-    array of its shape without the last two axes, each entry equal to the
-    single-state result.  A state passed here is checked by
+    One state, a 4x4 array, gives a float; a stack, shape ``(..., 4, 4)``,
+    gives an array of its shape without the last two axes, each entry equal
+    to the single-state result.  A state passed here is checked by
     :func:`~entweave.states.validate_density`, as :func:`concurrence` checks
     it.
     """
     # the partial transpose only permutes entries, so it is Hermitian too
-    w = np.linalg.eigvalsh(partial_transpose(validate_density(getattr(rho, "matrix", rho))))
+    w = np.linalg.eigvalsh(partial_transpose(validate_density(rho)))
     neg = -np.where(w < 0.0, w, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
 
@@ -143,11 +143,11 @@ def _werner(w: float, ket: np.ndarray) -> np.ndarray:
     return w * projector(ket) + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
 
 
-def werner_state(w: float) -> DensityMatrix:
+def werner_state(w: float) -> np.ndarray:
     """Isotropic mixture ``w |Phi+><Phi+| + (1 - w) I/4`` on
-    |Phi+> = (|00> + |11>)/sqrt(2), whose concurrence is
-    ``max(0, (3w - 1)/2)``.
+    |Phi+> = (|00> + |11>)/sqrt(2) as a 4x4 array, whose concurrence is
+    ``max(0, (3w - 1)/2)``; a weight outside [0, 1] is :class:`OutOfRange`.
     """
     if not 0.0 <= w <= 1.0:
         raise OutOfRange(f"mixing weight {w} outside [0, 1]")
-    return DensityMatrix(_werner(w, maximally_entangled()))
+    return _werner(w, maximally_entangled())

@@ -286,14 +286,6 @@ def maximally_entangled() -> np.ndarray:
     return v / np.sqrt(2.0)
 
 
-def singlet() -> np.ndarray:
-    """(|01> - |10>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0
-    v[2] = -1.0
-    return v / np.sqrt(2.0)
-
-
 def projector(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     return np.outer(v, v.conj())

@@ -1,12 +1,12 @@
-"""Validated density matrices and a few reference two-qubit states.
+"""Entry checks of two-qubit density matrices, plain arrays of shape
+``(..., 4, 4)``: the states :func:`~entweave.entanglement.concurrence` and
+:func:`~entweave.entanglement.negativity` take are checked here.
 
 A refusal names the failing matrix of a stack by its flat index, or by its
 propagation length when the stack lies along a line.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +15,6 @@ from .qmath import (
     NonHermitian,
     OutOfRange,
     _qubit_shaped,
-    as_matrix,
-    projector,
-    singlet,
 )
 
 
@@ -72,29 +69,3 @@ def validate_density(m) -> np.ndarray:
     m = _checked_structure(m)
     _checked_psd(np.linalg.eigvalsh(m)[..., 0])
     return m
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A Hermitian, unit-trace, positive-semidefinite 4x4 matrix.
-
-    Construction validates all three properties with
-    :func:`validate_density` and freezes the underlying array.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = validate_density(np.array(as_matrix(self.matrix), dtype=complex))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def matrix_of(rho) -> np.ndarray:
-    """Accept a DensityMatrix or a raw array and hand back the array."""
-    return as_matrix(getattr(rho, "matrix", rho))
-
-
-def singlet_state() -> DensityMatrix:
-    """Projector onto (|01> - |10>)/sqrt(2)."""
-    return DensityMatrix(projector(singlet()))

@@ -15,6 +15,10 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 
+# the singlet (|01> - |10>)/sqrt(2)
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

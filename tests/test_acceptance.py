@@ -334,7 +334,7 @@ def test_criterion_9_measure_sanity(rng):
     cptp = []
     for ch in (ad_channel(0.3), pd_channel(0.4),
                compose(ad_channel(0.5), unitary_channel(SIGMA_X))):
-        choi = np.asarray(choi_state(ch).matrix)
+        choi = choi_state(ch)
         w = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
         marg = partial_trace(choi, keep=1)  # trace out the output slot
         cptp.append(w.min() > -1e-10

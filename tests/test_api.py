@@ -4,7 +4,10 @@ public callable of the library takes a dimension."""
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
+
+import pytest
 
 import entweave
 
@@ -55,3 +58,24 @@ def test_no_public_callable_takes_a_dimension():
             seen.append(f"{layer}.{name}")
     assert {"qmath.choi_matrices", "qmath.partial_transpose",
             "channels.QuantumChannel.from_kraus", "continuous.Liouvillian"} <= set(seen)
+
+
+def test_readme_sketch_runs_as_documented():
+    # README's library sketch is run statement by statement and each bare
+    # expression kept by its source text, so a public name the package no
+    # longer has, or a commented value that no longer holds, fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    namespace, values = {}, {}
+    for node in ast.parse(sketch).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(sketch, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert values["eb_order(phi)"] == 2
+    assert values["eb_length(line, 6.0)"] == pytest.approx(1.7739, abs=5e-5)
+    assert values["eb_length(line, 6.0, 1e-4, profile)"] == pytest.approx(1.7739, abs=5e-5)
+    concurrence, success = values["run_point(mprime_setup())"]
+    assert concurrence == pytest.approx(0.0737, abs=5e-5)
+    assert success == pytest.approx(1 / 8, abs=1e-12)

@@ -23,12 +23,10 @@ from entweave.channels import (
     Unbounded,
     Undecided,
     ad_channel,
-    choi_matrix,
     choi_state,
     compose,
     compose_signal_chain,
     eb_order,
-    identity_channel,
     is_eb,
     pd_channel,
     superop_distance,
@@ -36,6 +34,7 @@ from entweave.channels import (
 )
 from entweave.continuous import Liouvillian
 from entweave.entanglement import concurrence
+from entweave.optics import alpha_for_eta, dif_map
 from entweave.qmath import (
     SIGMA_X,
     SIGMA_Z,
@@ -49,7 +48,7 @@ from entweave.qmath import (
     unvec,
     vec,
 )
-from entweave.states import matrix_of, validate_density
+from entweave.states import validate_density
 
 from conftest import haar_unitary, random_channel, random_density, random_kraus
 
@@ -66,7 +65,7 @@ def _restored_pair(eta=0.3, u_mat=SIGMA_X):
 def test_basic_channel_shapes():
     c = ad_channel(0.3)
     assert c.trace_preserving
-    assert np.linalg.matrix_rank(choi_matrix(c)) == 2  # two Kraus operators
+    assert np.linalg.matrix_rank(choi_matrices(c.superop)) == 2  # two Kraus operators
     assert c.superop.shape == (4, 4)
 
 
@@ -130,7 +129,7 @@ def test_choi_concurrence_closed_forms():
 
 
 def test_choi_of_identity_is_maximally_entangled():
-    choi = matrix_of(choi_state(identity_channel()))
+    choi = choi_state(QuantumChannel.from_kraus((np.eye(2),)))
     v = np.array([1, 0, 0, 1]) / np.sqrt(2)
     assert np.allclose(choi, np.outer(v, v))
 
@@ -139,7 +138,7 @@ def test_choi_superop_roundtrip(rng):
     c = random_channel(2, 4, rng)
     rebuilt = QuantumChannel(c.superop)
     assert superop_distance(c, rebuilt) < 1e-12
-    assert np.linalg.matrix_rank(choi_matrix(rebuilt)) == 4  # four Kraus operators
+    assert np.linalg.matrix_rank(choi_matrices(rebuilt.superop)) == 4  # four Kraus operators
 
 
 def test_superop_constructor_rejects_non_cp_and_amplifying():
@@ -169,7 +168,7 @@ def test_choi_matrix_is_the_e_ij_sum(rng):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             expect += np.kron(unvec(c.superop @ vec(e)), e)
-    assert np.array_equal(choi_matrix(c), expect)
+    assert np.array_equal(choi_matrices(c.superop), expect)
 
 
 def test_compose_is_associative(rng):
@@ -218,7 +217,7 @@ def test_channels_on_the_ppt_boundary_are_undecided():
     # breaks for eta > 0 and pd(p) for p > 0, and double precision cannot
     # tell the boundary from those channels, so power 1 is already undecided
     for c in (ad_channel(0.0), pd_channel(0.0)):
-        assert np.linalg.eigvalsh(partial_transpose(choi_matrix(c) / 2))[0] == 0.0
+        assert np.linalg.eigvalsh(partial_transpose(choi_matrices(c.superop) / 2))[0] == 0.0
         assert eb_order(c) == Undecided(1, None, 16.0)
         assert not is_eb(c).eb
     # the fully depolarizing channel's is I/4, far from the boundary
@@ -536,13 +535,25 @@ def test_eb_monotone_under_post_processing(rng):
 
 def test_choi_is_normalized_cptp(rng):
     c = random_channel(2, 3, rng)
-    choi = matrix_of(choi_state(c))
+    choi = choi_state(c)
     assert math.isclose(np.trace(choi).real, 1.0, abs_tol=1e-10)
     w = np.linalg.eigvalsh(choi)
     assert w.min() > -1e-10
     # Choi positivity survives partial transposition for EB channels only;
-    # here just confirm choi_matrix is choi_state times the input dimension 2
-    assert np.allclose(choi_matrix(c), 2.0 * choi)
+    # here just confirm the Choi matrix is choi_state times the input dimension 2
+    assert np.allclose(choi_matrices(c.superop), 2.0 * choi)
+
+
+@pytest.mark.parametrize("verdict", [choi_state, eb_order, is_eb])
+def test_maps_that_lose_trace_are_refused(verdict):
+    # one double interferometer passes a photon with probability 1/2 whatever
+    # its state, so its map halves every trace and has no Choi state of unit
+    # trace; each verdict refuses it by name instead of scoring half a state
+    lossy = dif_map(alpha_for_eta(0.3))
+    for rho in (np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+        assert math.isclose(np.trace(unvec(lossy.superop @ vec(rho))).real, 0.5)
+    with pytest.raises(ValueError, match="needs a trace-preserving map"):
+        verdict(lossy)
 
 
 def test_unbounded_reporting():

@@ -40,10 +40,12 @@ from entweave.qmath import (
     SIGMA_Z,
     OutOfRange,
     Spectral,
+    projector,
     unvec,
     vec,
 )
-from entweave.states import matrix_of, singlet_state
+
+from conftest import SINGLET
 
 
 AD1 = rotating_ad_liouvillian(1, 1.5, 1.0)
@@ -159,7 +161,7 @@ def test_non_lindblad_generator_is_refused_before_it_is_factored(monkeypatch):
     # eigenvalue is about -x, below -TOL.psd from x = 1e-9 on.  The generator
     # is refused where it enters, before it is factored, so no profile or
     # search ever scores such a state
-    singlet = matrix_of(singlet_state())
+    singlet = projector(SINGLET)
     for x in (2e-9, 1e-6):
         out = _on_first_qubit(scipy.linalg.expm(NON_CP * x), singlet)
         assert math.isclose(np.linalg.eigvalsh(out)[0], -x, rel_tol=1e-5)
@@ -339,7 +341,7 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
     pre-clamp concurrence below -1e-9, then bisect the bracket from the
     last positive value before it down to xtol."""
     floor = 1e-9  # below which a pre-clamp value counts as past the root
-    singlet = matrix_of(singlet_state())
+    singlet = projector(SINGLET)
 
     def f(x):
         out = _on_first_qubit(propagation_superop(source, x), singlet)
@@ -1119,8 +1121,7 @@ def test_generators_and_lines_compare_by_identity():
 def test_channels_states_and_exponentials_compare_by_identity():
     # their array fields would make a generated __eq__ ambiguous and the
     # objects unhashable, as for Liouvillian above
-    for make in (lambda: ad_channel(0.5), singlet_state,
-                 lambda: qmath.Spectral(np.zeros((2, 2)))):
+    for make in (lambda: ad_channel(0.5), lambda: qmath.Spectral(np.zeros((2, 2)))):
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, b, a}) == 2 and hash(a) == hash(a)

@@ -21,19 +21,18 @@ from entweave.qmath import (
     OutOfRange,
     maximally_entangled,
     projector,
-    singlet,
 )
-from entweave.states import DensityMatrix, matrix_of, validate_density
+from entweave.states import validate_density
 
-from conftest import random_density, random_pure_state
+from conftest import SINGLET, random_density, random_pure_state
 
 
 def test_bell_states_are_maximal():
     assert math.isclose(concurrence(projector(maximally_entangled())).value, 1.0,
                         abs_tol=1e-12)
-    assert math.isclose(concurrence(projector(singlet())).value, 1.0,
+    assert math.isclose(concurrence(projector(SINGLET)).value, 1.0,
                         abs_tol=1e-12)
-    assert math.isclose(negativity(projector(singlet())), 0.5, abs_tol=1e-12)
+    assert math.isclose(negativity(projector(SINGLET)), 0.5, abs_tol=1e-12)
 
 
 def test_separable_states_vanish(rng):
@@ -50,7 +49,7 @@ def test_dimension_guard():
         negativity(np.eye(8) / 8.0)
     # a state is checked for two qubits where it enters, not first when scored
     with pytest.raises(DimensionMismatch, match=r"\(3, 3\)"):
-        DensityMatrix(np.eye(3) / 3.0)
+        validate_density(np.eye(3) / 3.0)
     with pytest.raises(DimensionMismatch, match=r"\(2, 2\)"):
         validate_density(np.eye(2) / 2.0)
 
@@ -119,15 +118,9 @@ def test_verdict_agreement_with_negativity(rng):
             assert c > 1e-12
 
 
-def test_accepts_density_matrix_wrapper():
-    dm = werner_state(0.5)
-    assert isinstance(dm, DensityMatrix)
-    assert concurrence(dm).value == concurrence(matrix_of(dm)).value
-
-
 def test_stacked_concurrence_matches_single_states(rng):
     stack = np.array([random_density(4, rng, rank=1 + i % 4) for i in range(40)]
-                     + [np.eye(4) / 4.0, projector(singlet())])
+                     + [np.eye(4) / 4.0, projector(SINGLET)])
     c = concurrence(stack)
     assert c.value.shape == c.pre_clamp.shape == (42,)
     for rho, value, pre in zip(stack, c.value, c.pre_clamp):
@@ -140,7 +133,7 @@ def test_stacked_concurrence_matches_single_states(rng):
 
 def test_stacked_negativity_matches_single_states(rng):
     stack = np.array([random_density(4, rng, rank=1 + i % 4) for i in range(40)]
-                     + [np.eye(4) / 4.0, projector(singlet())])
+                     + [np.eye(4) / 4.0, projector(SINGLET)])
     n = negativity(stack)
     assert n.shape == (42,)
     assert (n > 1e-3).sum() >= 10 and (n == 0.0).sum() >= 1  # both kinds
@@ -229,8 +222,9 @@ def test_near_rank_deficient_choi_state_is_good_to_1e_12():
     # evaluation of the same float matrix, against 1e-14 on closed forms)
     import mpmath
 
-    from entweave.channels import (ad_channel, choi_matrix, compose,
-                                   compose_signal_chain, unitary_channel)
+    from entweave.channels import (ad_channel, compose, compose_signal_chain,
+                                   unitary_channel)
+    from entweave.qmath import choi_matrices
 
     u = np.array([[-0.9475739293580296 + 0.3178935133470756j,
                    -0.026508802000143324 + 0.018564643528879467j],
@@ -239,7 +233,7 @@ def test_near_rank_deficient_choi_state_is_good_to_1e_12():
     base = ad_channel(0.4590426889875381)
     p = compose(unitary_channel(u), base)
     q = compose(base, unitary_channel(u.conj().T))
-    rho = choi_matrix(compose_signal_chain([p, p, q, p]))
+    rho = choi_matrices(compose_signal_chain([p, p, q, p]).superop)
     rho = rho / np.trace(rho)
     rho = (rho + rho.conj().T) / 2
     assert 1e-11 < np.linalg.eigvalsh(rho)[0] < 2e-11

@@ -24,13 +24,12 @@ from entweave.qmath import (
     partial_transpose,
     projector,
     sandwich_superop,
-    singlet,
     superop_of_choi,
     unvec,
     vec,
 )
 
-from conftest import haar_unitary, random_density
+from conftest import SINGLET, haar_unitary, random_density
 
 
 complex_entries = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
@@ -182,9 +181,7 @@ def test_entangled_vectors():
     omega = maximally_entangled()
     assert np.isclose(np.linalg.norm(omega), 1.0)
     assert np.allclose(omega, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    psi = singlet()
-    assert np.allclose(psi, np.array([0, 1, -1, 0]) / np.sqrt(2))
-    p = projector(psi)
+    p = projector(SINGLET)
     assert np.allclose(p @ p, p)
     assert np.isclose(np.trace(p), 1.0)
 
