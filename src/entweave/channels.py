@@ -9,6 +9,7 @@ one qubit to one qubit, so its superoperator is 4x4.  It acts on a state as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -25,12 +26,9 @@ from .qmath import (
     _qubit_shaped,
     as_matrix,
     choi_matrices,
-    is_hermitian,
     is_unitary,
     opnorm,
     sandwich_superop,
-    unvec,
-    vec,
 )
 
 # Breaking orders are searched by galloping, then narrowing brackets.  The
@@ -108,9 +106,17 @@ class EbVerdict(NamedTuple):
 
 
 def _gram(superop: np.ndarray) -> np.ndarray:
-    """``sum_k K^dag K`` of a map: ``Tr Phi(rho) = Tr(gram @ rho)``, and
-    ``vec(I)^T superop`` is ``vec(gram^T)``."""
-    return unvec(vec(np.eye(2)) @ superop).T
+    """``sum_k K^dag K`` of a map: ``Tr Phi(rho) = Tr(gram @ rho)``.
+    ``vec(I)^T superop``, the sum of rows 0 and 3, is ``vec(gram^T)``, so
+    that sum read row by row is ``gram``."""
+    return (superop[0] + superop[3]).reshape(2, 2)
+
+
+def _top_eigenvalue(a: float, b: complex, d: float) -> float:
+    """Largest eigenvalue of the Hermitian 2x2 ``[[a, conj(b)], [b, d]]``,
+    in closed form from what ``eigvalsh`` reads: the real diagonal and the
+    lower triangle."""
+    return (a + d) / 2 + math.hypot((a - d) / 2, abs(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,32 +124,39 @@ class QuantumChannel:
     """A completely positive, trace-nonincreasing qubit map, stored as its
     4x4 column-stacking superoperator: ``vec(Phi(rho)) = superop @ vec(rho)``.
 
-    Construction refuses any other shape (:class:`DimensionMismatch`), and
-    checks complete positivity (the Choi matrix is Hermitian and has no
-    eigenvalue below ``-TOL.psd``, else :class:`NotCompletelyPositive`) and
-    that the map does not amplify trace (the Gram matrix
-    ``sum_k K^dag K``, read off ``vec(I)^T superop``, has no eigenvalue above
-    ``1 + TOL.psd``, else ``ValueError``).  Kraus operators go in through
-    :meth:`from_kraus`.
+    Construction copies the superoperator once and checks it in one pass, in
+    this order: its shape is 4x4 (else :class:`DimensionMismatch`); its
+    entries are finite (else ``ValueError``); it is completely positive, its
+    Choi matrix Hermitian within 1e-8 with no eigenvalue below ``-TOL.psd``
+    (else :class:`NotCompletelyPositive`); and it does not amplify trace,
+    the Gram matrix ``sum_k K^dag K``, read off ``vec(I)^T superop``, having
+    no eigenvalue above ``1 + TOL.psd`` (else ``ValueError``).  The Choi
+    spectrum is one ``eigvalsh``; the Gram matrix's top eigenvalue is the
+    closed form of a Hermitian 2x2, from its diagonal and lower triangle.
+    Kraus operators go in through :meth:`from_kraus`.
     """
 
     superop: np.ndarray
     trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
-        s = np.array(_qubit_shaped(as_matrix(self.superop), (4, 4)))
+        s = np.array(self.superop, dtype=complex)
+        if s.shape != (4, 4):
+            _qubit_shaped(as_matrix(s), (4, 4))  # raises, naming the shape
+        if not np.isfinite(s).all():
+            raise ValueError("superoperator has non-finite entries")
         s.setflags(write=False)
         choi = choi_matrices(s)
-        if not is_hermitian(choi, tol=1e-8):
+        if not np.abs(choi - choi.conj().T).max() <= 1e-8:
             raise NotCompletelyPositive("Choi matrix is not Hermitian")
         low = np.linalg.eigvalsh(choi)[0]
         if low < -TOL.psd:
             raise NotCompletelyPositive(f"Choi matrix has negative eigenvalue {low:.3e}")
-        gram = _gram(s)
-        high = np.linalg.eigvalsh(gram)[-1]
+        (a, c), (b, d) = _gram(s).tolist()
+        high = _top_eigenvalue(a.real, b, d.real)
         if high > 1.0 + TOL.psd:
             raise ValueError(f"map amplifies trace: max eig {high:.6f}")
-        tp = bool(np.max(np.abs(gram - np.eye(2))) <= TOL.structural)
+        tp = max(abs(a - 1), abs(b), abs(c), abs(d - 1)) <= TOL.structural
         object.__setattr__(self, "superop", s)
         object.__setattr__(self, "trace_preserving", tp)
 

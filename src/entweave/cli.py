@@ -13,7 +13,9 @@ last.  A run that exits 2 or 3 writes nothing, and each file is written whole
 or not at all: to a temporary file in ``--out``, then renamed into place.  A
 write that fails (``--out`` names a file, the disk is full) exits 4 with one
 line naming the file, leaving only the files written whole before it.
-Identical invocations produce byte-identical CSVs.
+Identical invocations produce byte-identical CSVs.  The report and the
+manifests are one line of JSON each, keys sorted and no indent, so that
+CPython's C encoder writes them (an indent selects its Python one).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 """
@@ -137,7 +139,7 @@ def _write(args, run: Run, started: float) -> None:
         "notes": list(run.notes), "counts": dict(run.counts),
     }
     _write_file(out_dir, run.manifest_name,
-                json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+                json.dumps(manifest, sort_keys=True) + "\n")
 
 
 PROFILE_HEADER = ("x", "concurrence", "pre_clamp", "label")
@@ -154,6 +156,17 @@ def _csv_text(header, rows, *tags: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number_parts(entry) -> list:
+    """A JSON matrix entry, a number or a ``[re, im]`` pair of numbers, as
+    the arguments of ``complex``; anything else, a boolean or a string
+    among them, is a ``TypeError``."""
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise TypeError(f"entry {json.dumps(entry)} is not a number "
+                        f"or a [re, im] pair of numbers")
+    return parts
+
+
 def _unitary_from_string(text: str) -> np.ndarray:
     named = {
         "x": SIGMA_X,
@@ -168,13 +181,14 @@ def _unitary_from_string(text: str) -> np.ndarray:
         raise ParseError(f"--unitary {text!r} is neither a name "
                          f"(x, z, zx-diag) nor JSON: {exc}") from None
     try:
-        m = np.array([[complex(*e) if isinstance(e, (list, tuple)) else complex(e)
-                       for e in row] for row in rows])
-    except (TypeError, ValueError) as exc:
+        m = np.array([[complex(*_number_parts(e)) for e in row] for row in rows])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"--unitary: cannot read a 2x2 matrix from {text!r}: "
                          f"{exc}") from None
     if m.shape != (2, 2):
         raise ParseError(f"--unitary must be 2x2, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ParseError(f"--unitary {text!r} has non-finite entries")
     if not is_unitary(m):
         raise NotUnitary(f"--unitary {text!r} is not unitary within tolerance")
     return m
@@ -258,7 +272,7 @@ def cmd_discrete(args) -> Run:
         name = f"sequence {seq}" if key == "sequence" else key
         print(f"{name}: is_eb={r['is_eb']} "
               f"concurrence={r['choi_concurrence']:.12g} order={r['eb_order']}")
-    report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    report_text = json.dumps(report, sort_keys=True) + "\n"
     return Run({"discrete_report.json": report_text}, "discrete_manifest.json",
                counts={"choi_states_scored": choi_states, "scoring_rounds": rounds})
 

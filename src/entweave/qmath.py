@@ -77,8 +77,11 @@ def is_hermitian(m, tol: float = TOL.structural) -> bool:
 
 
 def is_unitary(m, tol: float = TOL.structural) -> bool:
+    """Whether ``m`` is unitary within ``tol``.  No entry of a unitary exceeds
+    1 in modulus, so a matrix with one above ``1 + tol``, or one that is not
+    finite, is refused before ``U^dag U`` is formed, which could overflow."""
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1] or not (np.abs(m) <= 1.0 + tol).all():
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
@@ -256,8 +259,8 @@ def choi_matrices(superop) -> np.ndarray:
     """
     superop = _qubit_shaped(superop, (4, 4))
     batch = superop.shape[:-2]
-    s = superop.reshape(*batch, 2, 2, 2, 2)
-    return np.einsum("...jiba->...iajb", s).reshape(*batch, 4, 4)
+    s = superop.reshape(-1, 2, 2, 2, 2)  # axes (k, j, i, b, a) to (k, i, a, j, b)
+    return s.transpose(0, 2, 4, 1, 3).reshape(*batch, 4, 4)
 
 
 def superop_of_choi(choi) -> np.ndarray:
@@ -269,8 +272,8 @@ def superop_of_choi(choi) -> np.ndarray:
     """
     choi = _qubit_shaped(choi, (4, 4))
     batch = choi.shape[:-2]
-    t = choi.reshape(*batch, 2, 2, 2, 2)
-    return np.einsum("...iajb->...jiba", t).reshape(*batch, 4, 4)
+    t = choi.reshape(-1, 2, 2, 2, 2)  # axes (k, i, a, j, b) to (k, j, i, b, a)
+    return t.transpose(0, 3, 1, 4, 2).reshape(*batch, 4, 4)
 
 
 def opnorm(m) -> float:

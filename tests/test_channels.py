@@ -6,6 +6,7 @@ import inspect
 import math
 import pkgutil
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ import entweave
 from entweave.channels import (
     NotCompletelyPositive,
     _OrderSearch,
+    _gram,
     _orders_and_margins,
     _ppt_verdicts,
+    _top_eigenvalue,
     QuantumChannel,
     ToleranceConflict,
     Unbounded,
@@ -38,12 +41,14 @@ from entweave.optics import alpha_for_eta, dif_map
 from entweave.qmath import (
     SIGMA_X,
     SIGMA_Z,
+    TOL,
     DimensionMismatch,
     OutOfRange,
     choi_matrices,
     maximally_entangled,
     partial_transpose,
     projector,
+    sandwich_superop,
     superop_of_choi,
     unvec,
     vec,
@@ -156,6 +161,93 @@ def test_superop_constructor_rejects_non_cp_and_amplifying():
         QuantumChannel(1.21 * np.eye(4))
     with pytest.raises(DimensionMismatch):
         QuantumChannel(np.eye(4)[:3])
+
+
+def _choi_of(choi: np.ndarray) -> np.ndarray:
+    """The superoperator of an unnormalized Choi matrix."""
+    return superop_of_choi(np.asarray(choi, dtype=complex))
+
+
+_AD = ad_channel(0.3).superop
+
+
+@pytest.mark.parametrize("superop, error, message", [
+    (np.zeros((4, 4, 1)), DimensionMismatch, "expected a matrix, got shape (4, 4, 1)"),
+    (np.eye(3), DimensionMismatch, "shape (3, 3) does not end in the qubit shape (4, 4)"),
+    (_choi_of(np.eye(4) + np.triu(np.ones((4, 4)), 1) * 1e-7), NotCompletelyPositive,
+     "Choi matrix is not Hermitian"),
+    (_choi_of(np.diag([1.0, 0.0, 0.0, -2e-9])), NotCompletelyPositive,
+     "Choi matrix has negative eigenvalue -2.000e-09"),
+    (2 * _AD, ValueError, "map amplifies trace: max eig 2.000000"),
+])
+def test_channel_refusals_keep_their_class_and_message(superop, error, message):
+    with pytest.raises(ValueError) as info:
+        QuantumChannel(superop)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_trace_preserving_flag():
+    assert QuantumChannel(_AD).trace_preserving
+    assert not QuantumChannel(0.5 * _AD).trace_preserving
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_non_finite_superoperators_are_refused_as_such(bad):
+    # finiteness is checked before the Choi matrix is formed, so neither a
+    # wrong reason ("not Hermitian") nor a floating-point warning comes first
+    s = _AD.copy()
+    s[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            QuantumChannel(s)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "superoperator has non-finite entries"
+
+
+def _reference_verdict(s: np.ndarray):
+    """What the channel checks gave when each was its own numpy call: the
+    refusal class, or else ``trace_preserving``."""
+    choi = np.einsum("jiba->iajb", s.reshape(2, 2, 2, 2)).reshape(4, 4)
+    if not np.max(np.abs(choi - choi.conj().T)) <= 1e-8:
+        return NotCompletelyPositive
+    if np.linalg.eigvalsh(choi)[0] < -TOL.psd:
+        return NotCompletelyPositive
+    gram = unvec(vec(np.eye(2)) @ s).T
+    if np.linalg.eigvalsh(gram)[-1] > 1.0 + TOL.psd:
+        return ValueError
+    return bool(np.max(np.abs(gram - np.eye(2))) <= TOL.structural)
+
+
+# Gram eigenvalues at and around the two edges the checks draw: 1 + TOL.psd
+# (amplifies trace) and |gram - I| = TOL.structural (trace preserving)
+_EDGES = (-1e-6, -1e-9, -1e-10, -1e-11, 0.0, 1e-11, 1e-10, 5e-10,
+          1e-9 - 1e-12, 1e-9, 1e-9 + 1e-12, 1e-8, 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), env=st.integers(1, 4),
+       top=st.sampled_from(_EDGES),
+       other=st.one_of(st.sampled_from(_EDGES), st.floats(-0.9, 0.0)))
+def test_one_pass_checks_match_the_separate_ones(seed, env, top, other):
+    # a random trace-preserving map, then a Kraus factor whose Gram matrix
+    # has eigenvalues about 1 + top and 1 + other
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(2, rng)
+    a = v @ np.diag(np.sqrt([1.0 + top, 1.0 + other])) @ v.conj().T
+    s = sum(sandwich_superop(k @ a, k @ a) for k in random_kraus(2, env, rng))
+    gram = _gram(s)
+    assert np.array_equal(gram, unvec(vec(np.eye(2)) @ s).T)
+    # eigvalsh itself is off by up to about 4.5 eps here, the closed form
+    # by about 1 eps, against 40-digit references
+    top_eig = _top_eigenvalue(gram[0, 0].real, gram[1, 0], gram[1, 1].real)
+    assert abs(top_eig - np.linalg.eigvalsh(gram)[-1]) <= 8 * np.finfo(float).eps
+    try:
+        verdict = QuantumChannel(s).trace_preserving
+    except ValueError as exc:
+        verdict = type(exc)
+    assert verdict == _reference_verdict(s)
 
 
 def test_choi_matrix_is_the_e_ij_sum(rng):

@@ -599,6 +599,52 @@ def test_continuous_byte_determinism(tmp_path):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+def test_json_outputs_are_one_line_from_the_c_encoder(tmp_path, argv):
+    # reports and manifests are json.dumps(obj, sort_keys=True) without an
+    # indent, which CPython encodes in C: one line each
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    written = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert written == {"discrete": ["discrete_manifest.json", "discrete_report.json"],
+                       "continuous": ["continuous_manifest.json"],
+                       "experiment": ["experiment_m2_ideal_phi_manifest.json"]}[argv[0]]
+    for name in written:
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize("unitary, reason", [
+    ("[[Infinity,0],[0,1]]", "has non-finite entries"),
+    ("[[1e400,0],[0,1]]", "has non-finite entries"),
+    ("[[NaN,0],[0,1]]", "has non-finite entries"),
+    ("[[1e200,0],[0,1]]", "is not unitary within tolerance"),
+    ("[[true,false],[false,true]]", "entry true is not a number or a [re, im] pair of numbers"),
+    ('[["1","0"],["0","1"]]', 'entry "1" is not a number or a [re, im] pair of numbers'),
+    ("[[[1],0],[0,1]]", "entry [1] is not a number or a [re, im] pair of numbers"),
+    ("[[1" + "0" * 400 + ",0],[0,1]]", "int too large to convert to float"),
+], ids=["Infinity", "1e400", "NaN", "1e200", "booleans", "strings", "one-part", "huge-int"])
+def test_discrete_unreadable_unitary_is_refused(tmp_path, capsys, unitary, reason):
+    # refused naming --unitary, with no floating-point warning before it
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out), "discrete", "--unitary", unitary, "--sequence", "PQ"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: --unitary") and err.count("\n") == 1
+    assert reason in err
+    assert not out.exists()
+
+
+def test_unitary_pairs_and_real_entries_are_read_alike(tmp_path, capsys):
+    printed = []
+    for unitary in ("[[0,1],[1,0]]", "[[[0,0],[1,0]],[[1,0],[0,0]]]"):
+        assert main(["--out", str(tmp_path), "discrete", "--unitary", unitary]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 def test_experiment_sweep_csv(tmp_path):
     r = run_cli(tmp_path, "experiment", "--map", "m1", "--steps", "9")
     assert r.returncode == 0, r.stderr

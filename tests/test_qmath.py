@@ -1,5 +1,7 @@
 """Vectorization conventions, partial operations, and guard rails."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,24 @@ def test_expm_rotation_closed_form():
 def test_unitary_checks(rng):
     assert is_unitary(haar_unitary(5, rng))
     assert not is_unitary(2.0 * IDENTITY_2)
+    # an entry above 1 in modulus, or one not finite, is refused before
+    # U^dag U is formed, so nothing overflows or warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1e200, 1.0 + 2 * TOL.structural, np.inf, -np.inf, np.nan, 1e200j):
+            assert not is_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+def test_choi_reshuffles_are_the_einsum_permutations(batch):
+    # the axis permutations (j, i, b, a) -> (i, a, j, b) and back, bit for bit
+    rng = np.random.default_rng(len(batch))
+    m = rng.normal(size=(*batch, 4, 4)) + 1j * rng.normal(size=(*batch, 4, 4))
+    t = m.reshape(*batch, 2, 2, 2, 2)
+    assert (choi_matrices(m)
+            == np.einsum("...jiba->...iajb", t).reshape(*batch, 4, 4)).all()
+    assert (superop_of_choi(m)
+            == np.einsum("...iajb->...jiba", t).reshape(*batch, 4, 4)).all()
 
 
 def test_opnorm_is_spectral():
