@@ -335,7 +335,6 @@ class _OrderSearch:
     brackets of the first power that does not certainly transmit (``lower``)
     and of the first that certainly breaks (``upper``)."""
 
-    superop: np.ndarray
     squares: list[np.ndarray]  # S^(2^j), as many as formed
     lower: _Edge = field(default_factory=lambda: _Edge(0))
     upper: _Edge = field(default_factory=lambda: _Edge(1))
@@ -382,7 +381,7 @@ def is_eb(c: QuantumChannel) -> EbVerdict:
     the signed pre-clamp Wootters concurrence of the Choi state, which
     cross-checks the verdict as :func:`eb_order` describes.
     """
-    (((order, margin),), *_) = _orders_and_margins([c], 1)
+    order, margin = _checked_search(c, 1)
     return EbVerdict(order == 1, margin)
 
 
@@ -408,45 +407,49 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded | Undecided:
     ``max_n``.  Then it scores at most 64 evenly spaced powers inside each
     bracket per round, the bracket of the first power that does not
     certainly transmit and that of the first that certainly breaks, so no
-    power past max(64, twice the latter), or ``max_n``, is formed.  A
-    channel is held to complete positivity when it is built, and its powers
-    are scored as formed; power 1 alone is cross-checked against its
-    concurrence (:func:`_orders_and_margins`).  Powers the search skips are
-    not scored at all.
+    power past max(64, twice the latter), or ``max_n``, is formed.  The
+    channel was held to complete positivity when built, and trace
+    preservation and ``max_n`` are checked here; its powers are scored as
+    formed, power 1 alone cross-checked against its concurrence
+    (:func:`_orders_and_margins`).  Powers the search skips are not scored.
     """
-    return _orders_and_margins([c], max_n)[0][0][0]
+    return _checked_search(c, max_n)[0]
 
 
-def _orders_and_margins(channels: Sequence[QuantumChannel], max_n: int
+def _checked_search(c: QuantumChannel, max_n: int) -> tuple[int | Unbounded | Undecided, float]:
+    """Order and margin of one channel as it enters the search: ``max_n`` in
+    [1, 2**52] (else :class:`OutOfRange`), trace preserved (else ``ValueError``)."""
+    if not 1 <= max_n <= _MAX_ORDER:
+        raise OutOfRange(f"max_n must lie in [1, 2**52], got {max_n}")
+    if not c.trace_preserving:
+        raise ValueError("entanglement-breaking test needs a trace-preserving map")
+    return _orders_and_margins(c.superop[None], max_n)[0][0]
+
+
+def _orders_and_margins(superops: np.ndarray, max_n: int
                         ) -> tuple[list[tuple[int | Unbounded | Undecided, float]], int, int]:
-    """:func:`eb_order` of every channel, and the margin :func:`is_eb`
-    reports for it, the signed pre-clamp concurrence of its first power by
-    ``entanglement._scores``; beside them, the number of Choi states scored
-    by the partial-transpose verdict and of scoring rounds.
+    """:func:`eb_order` of every map of a stack ``(C, 4, 4)``, and the margin
+    :func:`is_eb` reports for it, the signed pre-clamp concurrence of its
+    first power by ``entanglement._scores``; beside them, the number of Choi
+    states scored by the partial-transpose verdict and of scoring rounds.
+    It checks nothing: the maps and ``max_n`` were checked where they entered
+    (:func:`_checked_search`), or the maps formed as products of checked ones.
 
     Each round forms and normalizes the Choi states of one flat stack once.
-    The first holds every channel's powers 1 to 4 and squares up to
-    ``min(max_n, 64)``, formed from one ``(channels, 4, 4)`` stack
-    (:func:`_first_round`), so at ``max_n = 64`` a search takes at most two
-    rounds; each later one holds every unresolved channel's next powers
-    (:meth:`_OrderSearch.next_powers`).  Power 1's concurrence is read off
-    the first round's rows, and power 1 of each channel raises
-    :class:`ToleranceConflict` if it certainly breaks and its concurrence is
-    above ``TOL.conflict_band``, or if it certainly transmits with
-    ``-lambda_min`` above that band and its concurrence is at or below it
-    (the negativity never exceeds the concurrence: Verstraete et al., J.
+    The first holds every map's powers 1 to 4 and squares up to
+    ``min(max_n, 64)``, formed from the stack (:func:`_first_round`), so at
+    ``max_n = 64`` a search takes at most two rounds; each later one holds
+    every unresolved map's next powers (:meth:`_OrderSearch.next_powers`).
+    Power 1's concurrence is read off the first round's rows, and power 1 of
+    each map raises :class:`ToleranceConflict` if it certainly breaks and its
+    concurrence is above ``TOL.conflict_band``, or if it certainly transmits
+    with ``-lambda_min`` above that band and its concurrence is at or below
+    it (the negativity never exceeds the concurrence: Verstraete et al., J.
     Phys. A 34, 10327, 2001).  Up to power 200 every formed power agrees
     with running products to 1e-13.
     """
-    if not 1 <= max_n <= _MAX_ORDER:
-        raise OutOfRange(f"max_n must lie in [1, 2**52], got {max_n}")
-    for c in channels:
-        if not c.trace_preserving:
-            raise ValueError("entanglement-breaking test needs a trace-preserving map")
-    superops = np.stack([c.superop for c in channels])
     exps, stacks, squares = _first_round(superops, max_n)
-    searches = [_OrderSearch(c.superop, [sq[k] for sq in squares])
-                for k, c in enumerate(channels)]
+    searches = [_OrderSearch([sq[k] for sq in squares]) for k in range(len(superops))]
     rounds = [(s, exps, [stack]) for s, stack in zip(searches, stacks)]
     scored = scoring_rounds = 0
     while rounds:

@@ -35,14 +35,12 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    QuantumChannel,
     ToleranceConflict,
     Unbounded,
     Undecided,
     _MAX_ORDER,
     _orders_and_margins,
     ad_channel,
-    compose_signal_chain,
     pd_channel,
 )
 from .continuous import (
@@ -204,7 +202,7 @@ def _parse_sequence(text: str) -> str:
 # ---------------------------------------------------------------- discrete
 
 
-def _channel_report(label: str, order: int | Unbounded | Undecided, margin: float) -> dict:
+def _channel_report(order: int | Unbounded | Undecided, margin: float) -> dict:
     # the verdict of is_eb(c) is "order 1", so the first power is scored once;
     # the bracket holds the first power that does not certainly transmit and
     # the first that certainly breaks, null where none does up to --max-order
@@ -215,7 +213,6 @@ def _channel_report(label: str, order: int | Unbounded | Undecided, margin: floa
     else:
         bracket = [None, None]
     return {
-        "label": label,
         "is_eb": order == 1,
         "margin": margin,
         "choi_concurrence": max(0.0, margin),
@@ -248,25 +245,26 @@ def cmd_discrete(args) -> Run:
     else:
         base = ad_channel(args.eta)
         base_label = f"ad({args.eta:g})"
-    # the parser checked u_mat is unitary; P meets it first, Q meets it last
+    # the base and u_mat were checked where they entered, so P, Q and the word,
+    # their products, are scored as formed; P meets u first, Q meets it last
     u = sandwich_superop(u_mat, u_mat)
-    phi = QuantumChannel(base.superop @ u)
-    psi = QuantumChannel(u.conj().T @ base.superop)
-    channels = [phi, psi]
-    if seq:
-        channels.append(compose_signal_chain([phi if ch == "P" else psi for ch in seq]))
+    letters = {"P": base.superop @ u, "Q": u.conj().T @ base.superop}
+    superops = [letters["P"], letters["Q"]]
+    if seq:  # the product in signal order, as compose_signal_chain takes it
+        word = letters[seq[0]]
+        for ch in seq[1:]:
+            word = letters[ch] @ word
+        superops.append(word)
     # P, Q and the word are scored together, one stack of powers per round
-    scored, choi_states, rounds = _orders_and_margins(channels, args.max_order)
+    scored, choi_states, rounds = _orders_and_margins(np.stack(superops), args.max_order)
     report = {
         "base": base_label,
         "unitary": args.unitary,
-        "P": _channel_report("P", *scored[0]),
-        "Q": _channel_report("Q", *scored[1]),
+        "P": {"label": "P", **_channel_report(*scored[0])},
+        "Q": {"label": "Q", **_channel_report(*scored[1])},
     }
     if seq:
-        report["sequence"] = {"word": seq,
-                              **{k: v for k, v in _channel_report(seq, *scored[2]).items()
-                                 if k != "label"}}
+        report["sequence"] = {"word": seq, **_channel_report(*scored[2])}
     for key in ("P", "Q", "sequence")[:len(scored)]:
         r = report[key]
         name = f"sequence {seq}" if key == "sequence" else key

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import NotCompletelyPositive, Unbounded, Undecided
+from .channels import NotCompletelyPositive, Unbounded, Undecided, _gram
 from .entanglement import _EPS, _normalized, _ppt_verdicts, _scores
 from .qmath import (
     LOWERING,
@@ -36,7 +36,6 @@ from .qmath import (
     opnorm,
     projector,
     sandwich_superop,
-    vec,
 )
 
 # profiles score this many grid points in one stack, so memory stays bounded
@@ -93,9 +92,8 @@ class Liouvillian:
         choi = choi_matrices(g)
         if not is_hermitian(choi, tol=1e-8):
             raise NonHermitian("generator does not preserve Hermiticity")
-        # trace preservation: <<I| L = 0
-        tr_row = vec(np.eye(2)).conj() @ g
-        if np.max(np.abs(tr_row)) > 1e-8:
+        # trace preservation: <<I| L = 0, read off rows 0 and 3 as for a channel
+        if np.max(np.abs(_gram(g))) > 1e-8:
             raise ValueError("generator does not preserve trace")
         # scaled part by part, so neither huge nor subnormal entries overflow;
         # subnormal ones carry an absolute rounding, which the floor allows for

@@ -385,7 +385,8 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
         orders.append(got)
         assert got == _eb_order_per_power(c, max_n)
         # the discrete report's one scoring gives is_eb's margin exactly
-        assert _orders_and_margins([c], max_n)[0] == [(got, is_eb(c).margin)]
+        assert (_orders_and_margins(np.stack([c.superop]), max_n)[0]
+                == [(got, is_eb(c).margin)])
     assert orders[1:7] == [Undecided(12, None, 16.0), Unbounded(16.0),
                            Undecided(54, None, 80.0), Unbounded(80.0), 70, 66]
     assert sum(isinstance(o, Unbounded) for o in orders) >= 3
@@ -396,7 +397,7 @@ def test_stacked_eb_order_matches_per_power_reference(rng):
     mixed = [_depolarizing(), phi, pd_channel(0.05), _with_order(66, False),
              _with_order(70, True), pd_channel(0.97), ad_channel(0.55)]
     for max_n in (1, 3, 5, 17, 64, 80):
-        scored = _orders_and_margins(mixed, max_n)[0]
+        scored = _orders_and_margins(np.stack([c.superop for c in mixed]), max_n)[0]
         assert len(scored) == len(mixed)
         for c, (order, margin) in zip(mixed, scored):
             assert order == _eb_order_per_power(c, max_n)
@@ -429,27 +430,29 @@ def test_breaking_orders_stop_at_the_stack_that_holds_them(monkeypatch):
 
     phi, psi = _restored_pair()
     blocked = compose_signal_chain([psi, psi, phi, phi])  # breaks at once
-    scored, states, rounds = _orders_and_margins([phi, psi, blocked], 64)
+    scored, states, rounds = _orders_and_margins(
+        np.stack([c.superop for c in [phi, psi, blocked]]), 64)
     assert [o for o, _ in scored] == [2, 2, 1]
     assert shapes == [(24,)] and (states, rounds) == (24, 1)  # 3 x 8, not 3 x 64
     shapes.clear()
-    scored, states, rounds = _orders_and_margins([phi, pd_channel(0.97), psi], 64)
+    scored, states, rounds = _orders_and_margins(
+        np.stack([c.superop for c in [phi, pd_channel(0.97), psi]]), 64)
     assert [o for o, _ in scored] == [2, Unbounded(64.0), 2]
     assert shapes == [(24,)] and (states, rounds) == (24, 1)
     shapes.clear()
-    assert _orders_and_margins([pd_channel(0.97)], 200)[1:] == (10, 3)
+    assert _orders_and_margins(np.stack([pd_channel(0.97).superop]), 200)[1:] == (10, 3)
     assert shapes == [(8,), (1,), (1,)]  # 1-4 and 8-64, 128, then 200
     shapes.clear()
     # a channel that breaks at 70: powers 1-4 and 8, ..., 64, then 80 (capped
     # at max_n) closes the bracket and its 15 interior powers find the order
-    scored, states, rounds = _orders_and_margins([_with_order(70, True)], 80)
+    scored, states, rounds = _orders_and_margins(np.stack([_with_order(70, True).superop]), 80)
     assert scored[0][0] == 70 and (states, rounds) == (24, 3)
     assert shapes == [(8,), (1,), (15,)]
     shapes.clear()
     # the bare ad(0.55) never breaks: undecided from 64 in the first round,
     # so the second holds the 31 powers inside (32, 64), which find the first
     # undecided power, and the gallop's 80
-    scored, states, rounds = _orders_and_margins([ad_channel(0.55)], 80)
+    scored, states, rounds = _orders_and_margins(np.stack([ad_channel(0.55).superop]), 80)
     assert scored[0][0] == Undecided(54, None, 80.0) and (states, rounds) == (40, 2)
     assert shapes == [(8,), (32,)]
 
@@ -471,7 +474,7 @@ def test_each_round_forms_and_scores_its_states_once(monkeypatch):
             calls[_name].append(np.shape(a))
             return _inner(a, *rest)
         monkeypatch.setattr(module, name, recording)
-    scored, states, rounds = _orders_and_margins(chans, 200)
+    scored, states, rounds = _orders_and_margins(np.stack([c.superop for c in chans]), 200)
     assert [o for o, _ in scored] == [2, 2, Unbounded(200.0), 70]
     assert calls["_normalized"] == calls["eigvalsh"] == [(*s, 4, 4) for s in shapes]
     assert len(shapes) == rounds and sum(math.prod(s) for s in shapes) == states
@@ -499,7 +502,7 @@ def test_an_unbounded_row_costs_one_round_at_max_64(monkeypatch):
     # pd(0.97) never breaks by power 64: powers 1-4, 8, 16, 32 and 64 in one
     # round, 8 Choi states instead of 64
     shapes = _counting_scores(monkeypatch)
-    scored, states, rounds = _orders_and_margins([pd_channel(0.97)], 64)
+    scored, states, rounds = _orders_and_margins(np.stack([pd_channel(0.97).superop]), 64)
     assert scored[0][0] == Unbounded(64.0)
     assert shapes == [(8,)] and (states, rounds) == (8, 1)
 
@@ -531,12 +534,14 @@ def _recording_searches(monkeypatch):
 
 def test_gallop_resumes_past_64_one_square_per_round(monkeypatch):
     formed = _recording_searches(monkeypatch)
-    assert _orders_and_margins([pd_channel(0.97)], 200)[0][0][0] == Unbounded(200.0)
+    scored = _orders_and_margins(np.stack([pd_channel(0.97).superop]), 200)[0]
+    assert scored[0][0] == Unbounded(200.0)
     assert [exps for _, exps in formed] == [[1, 2, 3, 4, 8, 16, 32, 64], [128], [200]]
     formed.clear()
     # below 64 the last power of the first round is capped at max_n, a
     # product of the squares, and no later round follows
-    assert _orders_and_margins([pd_channel(0.97)], 50)[0][0][0] == Unbounded(50.0)
+    scored = _orders_and_margins(np.stack([pd_channel(0.97).superop]), 50)[0]
+    assert scored[0][0] == Unbounded(50.0)
     assert [exps for _, exps in formed] == [[1, 2, 3, 4, 8, 16, 32, 50]]
 
 
@@ -552,14 +557,15 @@ def test_no_formed_power_exceeds_64_or_twice_the_order(monkeypatch):
              _with_order(70, True), _with_order(152, False)]
     for max_n in (3, 50, 64, 80, 200, 10 ** 6):
         formed.clear()
-        orders = [o for o, _ in _orders_and_margins(chans, max_n)[0]]
+        scored = _orders_and_margins(np.stack([c.superop for c in chans]), max_n)[0]
+        orders = [o for o, _ in scored]
         breaks = [o if isinstance(o, int) else getattr(o, "last", None) for o in orders]
-        bound = {id(c.superop): max_n if b is None else min(max_n, max(64, 2 * b))
+        bound = {c.superop.tobytes(): max_n if b is None else min(max_n, max(64, 2 * b))
                  for c, b in zip(chans, breaks)}
         (first, first_exps), *later = formed
         assert first is None and max(first_exps) == min(max_n, 64)
         for search, exps in later:
-            assert max(exps) <= bound[id(search.superop)], (max_n, exps)
+            assert max(exps) <= bound[search.squares[0].tobytes()], (max_n, exps)
     assert orders == [2, *(Undecided(n, None, 1e6) for n in (12, 100, 54, 115, 958, 25870)),
                       Unbounded(1e6), 70, 152]
 
@@ -601,7 +607,8 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
     # break moves its order there and raises nothing
     for power in (3, 32, 66):
         monkeypatch.setattr(channels, "_ppt_verdicts", faked_at(slow, power, 1))
-        assert [o for o, _ in _orders_and_margins([phi, slow], 80)[0]] == [2, power]
+        scored = _orders_and_margins(np.stack([c.superop for c in [phi, slow]]), 80)[0]
+        assert [o for o, _ in scored] == [2, power]
 
 
 def test_eb_classification_floor():
@@ -689,7 +696,7 @@ def test_doubled_powers_match_running_products(rng, monkeypatch):
 
     def recording(search, max_n):
         pieces = true_next_powers(search, max_n)
-        formed.extend((search.superop, exps, powers.copy()) for exps, powers in pieces)
+        formed.extend((search.squares[0], exps, powers.copy()) for exps, powers in pieces)
         return pieces
 
     monkeypatch.setattr(channels, "_first_round", first_round)
@@ -698,7 +705,8 @@ def test_doubled_powers_match_running_products(rng, monkeypatch):
     bases += [pd_channel(v) for v in (0.05, 0.5, 0.97, 1.0)]
     bases += [_with_order(70, True), _with_order(152, False)]
     chans = bases + [_sandwiched(b, rng) for b in bases]
-    orders = [o for o, _ in _orders_and_margins(chans, 200)[0]]
+    scored = _orders_and_margins(np.stack([c.superop for c in chans]), 200)[0]
+    orders = [o for o, _ in scored]
     # ad(0.55, 0.76, 0.9) and the two that break
     assert orders[1:4] + orders[9:11] == [Undecided(54, None, 200.0),
                                           Undecided(115, None, 200.0),
@@ -763,7 +771,8 @@ def test_orders_match_the_reference_at_every_max_n(rng):
     for max_n in (1, 2, 3, 5, 63, 64, 65, 80, 200):
         expected = [r if isinstance(r, int) and r <= max_n else Unbounded(float(max_n))
                     for r in reference]
-        assert [o for o, _ in _orders_and_margins(chans, max_n)[0]] == expected
+        scored = _orders_and_margins(np.stack([c.superop for c in chans]), max_n)[0]
+        assert [o for o, _ in scored] == expected
         assert [eb_order(c, max_n) for c in chans] == expected
     assert reference[:13] == [1, 2, 3, 4, 5, 6, 63, 64, 65, 66, 80, 81, 200]
     assert reference[13] == Unbounded(200.0)
@@ -782,7 +791,7 @@ def test_breaking_orders_of_sandwiched_words_match_the_reference(seed, damping, 
     base = ad_channel(value) if damping else pd_channel(value)
     p, q = compose(u, base), compose(base, u_dag)
     chans = [p, q, compose_signal_chain([p if ch == "P" else q for ch in word])]
-    scored = _orders_and_margins(chans, max_n)[0]
+    scored = _orders_and_margins(np.stack([c.superop for c in chans]), max_n)[0]
     assert [o for o, _ in scored] == [_eb_order_per_power(c, max_n) for c in chans]
 
 
@@ -812,7 +821,8 @@ def test_no_round_holds_more_than_a_stack_of_one_channel(monkeypatch):
                                      Undecided(25870, None, 1e6),
                                      Undecided(236681, None, 1e6)])):
         counts.clear()
-        assert [o for o, _ in _orders_and_margins(chans, max_n)[0]] == orders
+        scored = _orders_and_margins(np.stack([c.superop for c in chans]), max_n)[0]
+        assert [o for o, _ in scored] == orders
         assert max(counts) == 63 <= channels._POWER_STACK
 
 

@@ -689,9 +689,9 @@ def test_experiment_rejects_monte_carlo_flags(tmp_path, capsys):
         assert not [flag for c, flag, *_ in cases if c == command and flag in usage]
 
 
-def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):
-    # the base, P, Q and the word: P and Q are built from the base and the
-    # parsed unitary's superoperator, the word from one product
+def test_discrete_validates_only_the_base_channel(tmp_path, monkeypatch):
+    # the base is checked where it enters and the unitary by the parser;
+    # P, Q and the word are products of the two, scored as formed
     from entweave.channels import (QuantumChannel, ad_channel, compose,
                                    is_eb, unitary_channel)
     from entweave.qmath import SIGMA_X, SIGMA_Z
@@ -708,10 +708,68 @@ def test_discrete_validates_each_channel_once(tmp_path, monkeypatch):
         true_post_init(self)
 
     monkeypatch.setattr(QuantumChannel, "__post_init__", counting)
-    for extra, count in (((), 3), (("--sequence", "QPQPPQ"), 4)):
+    for extra in ((), ("--sequence", "QPQPPQ")):
         calls.clear()
         assert main(["--out", str(tmp_path), "discrete", "--eta", "0.3",
                      "--unitary", "zx-diag", *extra]) == 0
-        assert len(calls) == count
+        assert len(calls) == 1
         report = json.loads((tmp_path / "discrete_report.json").read_text())
         assert [report[k]["margin"] for k in "PQ"] == margins
+
+
+def test_discrete_scores_products_as_validated_channels_do(tmp_path):
+    # P, Q and the word are formed as raw products and scored unchecked; the
+    # reference builds each as a validated QuantumChannel through compose and
+    # compose_signal_chain and asks eb_order and is_eb
+    from conftest import haar_unitary
+    from entweave.channels import (Undecided, ad_channel, compose, compose_signal_chain,
+                                   is_eb, pd_channel)
+
+    haar = haar_unitary(2, np.random.default_rng(44))
+    haar_json = json.dumps([[[z.real, z.imag] for z in row.tolist()] for row in haar])
+    seen = set()
+    for (flag, value), unitary in itertools.product(
+            (("--eta", "0.3"), ("--pd", "0.9")), ("x", "z", "zx-diag", haar_json)):
+        base = (ad_channel if flag == "--eta" else pd_channel)(float(value))
+        u_mat = cli._unitary_from_string(unitary)
+        p = compose(unitary_channel(u_mat), base)
+        q = compose(base, unitary_channel(u_mat.conj().T))
+        for word in ("Q", "PQPQ", "QPQPPQ"):
+            assert main(["--out", str(tmp_path), "discrete", flag, value, "--unitary", unitary,
+                         "--sequence", word, "--max-order", "64"]) == 0
+            report = json.loads((tmp_path / "discrete_report.json").read_text())
+            chain = compose_signal_chain([p if ch == "P" else q for ch in word])
+            for key, c in (("P", p), ("Q", q), ("sequence", chain)):
+                order = eb_order(c, 64)
+                seen.add(type(order))
+                bracket = ([order, order] if isinstance(order, int) else
+                           [order.first, order.last] if isinstance(order, Undecided)
+                           else [None, None])
+                r = report[key]
+                assert r["eb_order"] == (order if isinstance(order, int) else str(order))
+                assert r["eb_bracket"] == bracket
+                assert r["margin"] == is_eb(c).margin
+    assert seen == {int, Undecided, Unbounded}
+
+
+def test_a_unitary_accepted_where_it_enters_is_not_refused_later(tmp_path):
+    # is_unitary holds U^dag U to I entrywise within 1e-10, and a channel's
+    # trace_preserving flag holds its Gram matrix to I within 1e-10; the two
+    # are not nested, so Q of this accepted near-unitary misses the flag by
+    # rounding.  The unitary is checked where it enters and its products are
+    # scored as formed, so the run is scored, not refused as losing trace
+    from entweave.channels import QuantumChannel, ad_channel
+    from entweave.qmath import is_unitary, sandwich_superop
+
+    text = json.dumps([[[-0.8310412590752871, -0.4006355834474667],
+                        [-0.2310850457572566, 0.3089680513054866]],
+                       [[-0.3441091334341125, -0.17450059981085517],
+                        [0.5673000659007599, -0.7275363084647833]]])
+    u_mat = cli._unitary_from_string(text)
+    assert is_unitary(u_mat)
+    u = sandwich_superop(u_mat, u_mat)
+    assert not QuantumChannel(u.conj().T @ ad_channel(0.3).superop).trace_preserving
+    assert main(["--out", str(tmp_path), "discrete", "--unitary", text,
+                 "--sequence", "PQ"]) == 0
+    report = json.loads((tmp_path / "discrete_report.json").read_text())
+    assert [report[k]["eb_order"] for k in ("P", "Q")] == [5, 5]

@@ -971,6 +971,19 @@ def test_liouvillian_rejects_a_generator_that_breaks_hermiticity(monkeypatch):
     assert len(factored) == 1
 
 
+def test_liouvillian_trace_row_is_held_to_1e_8():
+    # c times the identity superoperator keeps Hermiticity and adds c to the
+    # trace row <<I| L, rows 0 and 3; off the maximally entangled state its
+    # Choi matrix vanishes, so only the trace check sees it
+    for c in (5e-9, -5e-9):
+        continuous.Liouvillian(AD1.generator + c * np.eye(4))
+    for c in (2e-8, -2e-8):
+        with pytest.raises(ValueError) as refused:
+            continuous.Liouvillian(AD1.generator + c * np.eye(4))
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "generator does not preserve trace"
+
+
 def test_rotating_generators_reject_non_finite_rates():
     for family in (rotating_ad_liouvillian, rotating_pd_liouvillian):
         for omega in (np.inf, -np.inf, np.nan):
