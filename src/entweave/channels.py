@@ -56,6 +56,7 @@ _POWER_STACK = 64
 _BAND = 1.0
 # past 2**52 powers n eps >= 1, so delta_n >= lambda_max and no power is decided
 _MAX_ORDER = 2 ** 52
+_HERMITIAN_TOL = 1e-8  # a map's or a generator's Choi matrix, and a generator's trace row
 
 
 class ToleranceConflict(RuntimeError):
@@ -147,7 +148,7 @@ class QuantumChannel:
             raise ValueError("superoperator has non-finite entries")
         s.setflags(write=False)
         choi = choi_matrices(s)
-        if not np.abs(choi - choi.conj().T).max() <= 1e-8:
+        if not np.abs(choi - choi.conj().T).max() <= _HERMITIAN_TOL:
             raise NotCompletelyPositive("Choi matrix is not Hermitian")
         low = np.linalg.eigvalsh(choi)[0]
         if low < -TOL.psd:

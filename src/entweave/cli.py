@@ -6,16 +6,19 @@ Three subcommands:
 * ``continuous`` -- switched-generator concurrence profiles and thresholds
 * ``experiment`` -- interferometer-bench sweeps, ideal or measured elements
 
-The bench is described by a map name and an element preset only.  Each
-subcommand computes all its outputs before ``main`` writes any; the manifest,
-recording every parsed argument as resolved (defaults filled in), is written
-last.  A run that exits 2 or 3 writes nothing, and each file is written whole
-or not at all: to a temporary file in ``--out``, then renamed into place.  A
-write that fails (``--out`` names a file, the disk is full) exits 4 with one
-line naming the file, leaving only the files written whole before it.
-Identical invocations produce byte-identical CSVs.  The report and the
-manifests are one line of JSON each, keys sorted and no indent, so that
-CPython's C encoder writes them (an indent selects its Python one).
+The bench is described by a map name and an element preset only.  Each flag's
+argparse type holds its range, so the parser refuses a value out of it; only
+``--unitary`` and limits on computed values are refused later, with one
+``invalid input:`` line.  Each subcommand computes all its outputs before
+``main`` writes any; the manifest, recording every parsed argument but
+``--out`` as resolved (defaults filled in), is written last.  A run that exits
+2 or 3 writes nothing, and each file is written whole or not at all: to a
+temporary file in ``--out``, then renamed into place.  A write that fails
+(``--out`` names a file, the disk is full) exits 4 with one line naming the
+file, leaving only the files written whole before it.  Identical invocations
+produce byte-identical CSVs.  The report and the manifests are one line of JSON
+each, keys sorted and no indent, so that CPython's C encoder writes them (an
+indent selects its Python one).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 """
@@ -64,7 +67,6 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Z,
     NotUnitary,
-    OutOfRange,
     is_unitary,
     sandwich_superop,
 )
@@ -76,7 +78,7 @@ EXIT_WRITE = 4
 
 
 class ParseError(ValueError):
-    """Malformed sequence string or unitary descriptor."""
+    """Malformed unitary descriptor."""
 
 
 _NUMERICAL = (ToleranceConflict, ZeroSuccessProbability)
@@ -122,17 +124,16 @@ def _write_file(out_dir: str, name: str, text: str) -> None:
 
 def _write(args, run: Run, started: float) -> None:
     """Make ``--out`` if it is missing, write every output, then the
-    manifest, whose parameters are the parsed ``args`` as the subcommand
-    resolved them."""
+    manifest, whose parameters are the parsed ``args`` but ``--out`` as the
+    subcommand resolved them."""
     out_dir = str(Path(args.out))  # "" is "."
     if not os.path.isdir(out_dir):
         os.makedirs(out_dir, exist_ok=True)
     for name, text in run.outputs.items():
         _write_file(out_dir, name, text)
-    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     manifest = {
-        "command": args.command, "parameters": {**parameters, "out": out_dir},
-        "outputs": list(run.outputs), "version": __version__,
+        "command": args.command, "outputs": list(run.outputs), "version": __version__,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "out")},
         "wall_time_s": round(time.monotonic() - started, 3),
         "notes": list(run.notes), "counts": dict(run.counts),
     }
@@ -192,13 +193,6 @@ def _unitary_from_string(text: str) -> np.ndarray:
     return m
 
 
-def _parse_sequence(text: str) -> str:
-    seq = text.strip().upper()
-    if not seq or any(ch not in "PQ" for ch in seq):
-        raise ParseError(f"--sequence {text!r} must be a nonempty word over P/Q")
-    return seq
-
-
 # ---------------------------------------------------------------- discrete
 
 
@@ -221,24 +215,8 @@ def _channel_report(order: int | Unbounded | Undecided, margin: float) -> dict:
     }
 
 
-def _in_unit_interval(flag: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"{flag} must lie in [0, 1], got {value}")
-
-
-def _validate_discrete(args) -> tuple[np.ndarray, str | None]:
-    """Check every argument; return the parsed unitary and sequence."""
-    _in_unit_interval("--eta", args.eta)
-    if args.pd is not None:
-        _in_unit_interval("--pd", args.pd)
-    if not 1 <= args.max_order <= _MAX_ORDER:
-        raise OutOfRange(f"--max-order must lie in [1, 2**52], got {args.max_order}")
-    seq = _parse_sequence(args.sequence) if args.sequence is not None else None
-    return _unitary_from_string(args.unitary), seq
-
-
 def cmd_discrete(args) -> Run:
-    u_mat, seq = _validate_discrete(args)
+    u_mat, seq = _unitary_from_string(args.unitary), args.sequence
     if args.pd is not None:
         base = pd_channel(args.pd)
         base_label = f"pd({args.pd:g})"
@@ -286,20 +264,6 @@ EB_XTOL = 1e-4
 _EB_DECIMALS = math.ceil(-math.log10(EB_XTOL))
 
 
-def _validate_continuous(args) -> None:
-    bad_n = [n for n in args.n if n < 1]
-    if bad_n:
-        raise OutOfRange(f"--n: slice counts must be at least 1, got {bad_n}")
-    if not math.isfinite(args.omega):
-        raise OutOfRange(f"--omega must be finite, got {args.omega}")
-    if not (math.isfinite(args.eps) and args.eps >= 0.0):
-        raise OutOfRange(f"--eps must be finite and nonnegative, got {args.eps}")
-    if not (math.isfinite(args.x_max) and args.x_max > 0.0):
-        raise OutOfRange(f"--x-max must be finite and positive, got {args.x_max}")
-    if args.steps < 2:
-        raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
-
-
 def _line(source, args) -> tuple[list, float | Unbounded | Undecided, str]:
     """Profile and breaking length of one line, with the length as printed;
     the search runs to ``max(--x-max, 20)`` and places its first stack from
@@ -315,7 +279,6 @@ def _line(source, args) -> tuple[list, float | Unbounded | Undecided, str]:
 
 
 def cmd_continuous(args) -> Run:
-    _validate_continuous(args)
     if args.family == "ad":
         g1 = rotating_ad_liouvillian(1, args.omega, args.eps)
         g2 = rotating_ad_liouvillian(2, args.omega, args.eps)
@@ -375,27 +338,8 @@ def _summarize(points) -> list[str]:
     return lines
 
 
-def _validate_experiment(args) -> None:
-    if args.steps < 2:
-        raise OutOfRange(f"--steps must be at least 2, got {args.steps}")
-    for flag, value in (("--W", args.W), ("--eta1", args.eta1),
-                        ("--eta2", args.eta2)):
-        _in_unit_interval(flag, value)
-    plate_angles = (("--theta", args.theta), ("--phi", args.phi),
-                    ("--range", args.range[0]), ("--range", args.range[1]))
-    for flag, value in (*plate_angles, ("--source-phase", args.source_phase)):
-        if not math.isfinite(value):
-            raise OutOfRange(f"{flag} must be finite, got {value}")
-    for flag, value in plate_angles:
-        if abs(value) > MAX_PLATE_ANGLE:
-            raise OutOfRange(f"{flag} must be at most {MAX_PLATE_ANGLE:.6g} "
-                             f"in magnitude, so that twice it is finite, "
-                             f"got {value:g}")
-
-
 def cmd_experiment(args) -> Run:
     args.vary = args.vary or _DEFAULT_VARY[args.map]
-    _validate_experiment(args)
     lo, hi = args.range
     points = sweep(_SETUPS[args.map](args), args.vary, lo, hi, args.steps)
     for line in _summarize(points):
@@ -408,6 +352,38 @@ def cmd_experiment(args) -> Run:
 # ------------------------------------------------------------------ parser
 
 
+def _parse_sequence(text: str) -> str:
+    seq = text.strip().upper()
+    if not seq or any(ch not in "PQ" for ch in seq):
+        raise argparse.ArgumentTypeError(f"must be a nonempty word over P/Q, got {text!r}")
+    return seq
+
+
+def _within(kind, lo, hi, must: str):
+    """An argparse type: text read by ``kind``, refused unless within [lo, hi]
+    (NaN never is); it takes ``kind``'s name for argparse's "invalid int value"."""
+    def convert(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must {must}, got {value}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_unit = _within(float, 0.0, 1.0, "lie in [0, 1]")
+_finite = _within(float, -sys.float_info.max, sys.float_info.max, "be finite")
+_nonnegative = _within(float, 0.0, sys.float_info.max, "be finite and nonnegative")
+_positive = _within(float, math.ulp(0.0), sys.float_info.max, "be finite and positive")
+# twice a plate angle is the argument of the plate's cosine and sine
+_plate_angle = _within(float, -MAX_PLATE_ANGLE, MAX_PLATE_ANGLE,
+                       f"be at most {MAX_PLATE_ANGLE:.6g} in magnitude, "
+                       f"so that twice it is finite")
+_max_order = _within(int, 1, _MAX_ORDER, "lie in [1, 2**52]")
+_slices = _within(int, 1, math.inf, "be at least 1")
+_steps = _within(int, 2, math.inf, "be at least 2")  # a grid has both ends
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="entweave",
@@ -417,39 +393,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("discrete", help="channel pairs and sequence verdicts")
-    d.add_argument("--eta", type=float, default=0.3,
+    d.add_argument("--eta", type=_unit, default=0.3,
                    help="damping parameter of the base channel")
-    d.add_argument("--pd", type=float, default=None, metavar="P",
+    d.add_argument("--pd", type=_unit, default=None, metavar="P",
                    help="use the dephasing channel with this parameter instead")
     d.add_argument("--unitary", default="x",
                    help="x, z, zx-diag, or a JSON 2x2 matrix")
-    d.add_argument("--sequence", default=None,
+    d.add_argument("--sequence", type=_parse_sequence, default=None,
                    help="word over P/Q, leftmost applied first")
-    d.add_argument("--max-order", type=int, default=16)
+    d.add_argument("--max-order", type=_max_order, default=16)
 
     c = sub.add_parser("continuous", help="switched-generator profiles")
     c.add_argument("--family", choices=("ad", "pd"), required=True)
-    c.add_argument("--omega", type=float, default=1.5, help="rotation rate")
-    c.add_argument("--eps", type=float, default=1.0, help="dissipation rate")
-    c.add_argument("--n", type=int, nargs="+", default=(1, 2, 4, 8, 16),
+    c.add_argument("--omega", type=_finite, default=1.5, help="rotation rate")
+    c.add_argument("--eps", type=_nonnegative, default=1.0, help="dissipation rate")
+    c.add_argument("--n", type=_slices, nargs="+", default=(1, 2, 4, 8, 16),
                    help="slice counts for the switched lines")
-    c.add_argument("--x-max", type=float, default=6.0)
-    c.add_argument("--steps", type=int, default=241)
+    c.add_argument("--x-max", type=_positive, default=6.0)
+    c.add_argument("--steps", type=_steps, default=241)
 
     e = sub.add_parser("experiment", help="interferometer-bench sweeps")
     e.add_argument("--map", choices=tuple(_SETUPS), default="mprime")
     e.add_argument("--preset", choices=("ideal", "measured"), default="ideal")
     e.add_argument("--vary", choices=("theta", "phi"), default=None)
-    e.add_argument("--range", type=float, nargs=2,
+    e.add_argument("--range", type=_plate_angle, nargs=2,
                    default=(-math.pi / 2, math.pi / 2),
                    help="swept interval in radians (default -pi/2 pi/2)")
-    e.add_argument("--steps", type=int, default=361)
-    e.add_argument("--W", type=float, default=0.96, help="Werner parameter")
-    e.add_argument("--eta1", type=float, default=0.3)
-    e.add_argument("--eta2", type=float, default=0.3)
-    e.add_argument("--theta", type=float, default=math.pi / 4, help="(default pi/4)")
-    e.add_argument("--phi", type=float, default=math.pi / 4, help="(default pi/4)")
-    e.add_argument("--source-phase", type=float, default=math.pi, help="(default pi)")
+    e.add_argument("--steps", type=_steps, default=361)
+    e.add_argument("--W", type=_unit, default=0.96, help="Werner parameter")
+    e.add_argument("--eta1", type=_unit, default=0.3)
+    e.add_argument("--eta2", type=_unit, default=0.3)
+    e.add_argument("--theta", type=_plate_angle, default=math.pi / 4, help="(default pi/4)")
+    e.add_argument("--phi", type=_plate_angle, default=math.pi / 4, help="(default pi/4)")
+    e.add_argument("--source-phase", type=_finite, default=math.pi, help="(default pi)")
     return top
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import NotCompletelyPositive, Unbounded, Undecided, _gram
+from .channels import _HERMITIAN_TOL, NotCompletelyPositive, Unbounded, Undecided, _gram
 from .entanglement import _EPS, _normalized, _ppt_verdicts, _scores
 from .qmath import (
     LOWERING,
@@ -90,10 +90,10 @@ class Liouvillian:
         if not np.isfinite(g).all():
             raise ValueError("generator has non-finite entries")
         choi = choi_matrices(g)
-        if not is_hermitian(choi, tol=1e-8):
+        if not is_hermitian(choi, tol=_HERMITIAN_TOL):
             raise NonHermitian("generator does not preserve Hermiticity")
         # trace preservation: <<I| L = 0, read off rows 0 and 3 as for a channel
-        if np.max(np.abs(_gram(g))) > 1e-8:
+        if np.max(np.abs(_gram(g))) > _HERMITIAN_TOL:
             raise ValueError("generator does not preserve trace")
         # scaled part by part, so neither huge nor subnormal entries overflow;
         # subnormal ones carry an absolute rounding, which the floor allows for

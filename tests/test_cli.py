@@ -30,6 +30,16 @@ def run_cli(tmp_path, *args):
         capture_output=True, text=True)
 
 
+def _exit_code(argv):
+    """What ``main(argv)`` returns, or the code of the ``SystemExit`` it
+    raises: the parser refuses a flag value by exiting, the subcommands by
+    returning."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_discrete_report_and_manifest(tmp_path):
     r = run_cli(tmp_path, "discrete", "--eta", "0.3", "--unitary", "x",
                 "--sequence", "QPQP")
@@ -59,7 +69,8 @@ def test_discrete_report_and_manifest(tmp_path):
 
 def test_manifest_records_every_parsed_argument(tmp_path):
     # the manifest's parameters are exactly the subcommand's parser
-    # destinations plus --out, as resolved: the map's swept angle filled in
+    # destinations, as resolved: the map's swept angle filled in.  --out is
+    # not one: the manifest lies in it
     subparsers = next(a for a in cli._PARSER._actions
                       if isinstance(a, argparse._SubParsersAction))
     runs = {
@@ -75,8 +86,7 @@ def test_manifest_records_every_parsed_argument(tmp_path):
         assert main(["--out", str(out), command, *args]) == 0
         params = json.loads((out / name).read_text())["parameters"]
         dests = {a.dest for a in subparsers.choices[command]._actions}
-        assert set(params) == (dests - {"help"}) | {"out"}
-        assert params["out"] == str(out)
+        assert set(params) == dests - {"help"}
     assert params["vary"] == "phi"
     assert params["phi"] == 0.5
     assert params["range"] == [-1.5, 1.5]
@@ -123,8 +133,8 @@ def test_max_order_past_2_52_is_refused(tmp_path, capsys):
     # past 2**52 powers n eps >= 1, so the band n eps lambda_max reaches
     # lambda_max and no power could be decided: refused before any work
     out = tmp_path / "out"
-    assert main(["--out", str(out), "discrete", "--eta", "1", "--unitary", "z",
-                 "--max-order", "100000000000000000000"]) == 2
+    assert _exit_code(["--out", str(out), "discrete", "--eta", "1", "--unitary", "z",
+                       "--max-order", "100000000000000000000"]) == 2
     assert "--max-order" in capsys.readouterr().err
     assert not out.exists()
     z = unitary_channel(SIGMA_Z)
@@ -215,7 +225,7 @@ def test_repeated_slice_counts_are_scored_once(tmp_path, capsys, monkeypatch):
 ])
 def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
     out = tmp_path / "out"
-    rc = main(["--out", str(out), "continuous", "--family", "pd", *bad])
+    rc = _exit_code(["--out", str(out), "continuous", "--family", "pd", *bad])
     assert rc == 2
     assert bad[0] in capsys.readouterr().err
     assert not out.exists()
@@ -236,7 +246,7 @@ def test_continuous_validation_writes_nothing(tmp_path, capsys, bad):
 ])
 def test_discrete_experiment_validation_writes_nothing(tmp_path, capsys, bad):
     out = tmp_path / "out"
-    rc = main(["--out", str(out), *bad])
+    rc = _exit_code(["--out", str(out), *bad])
     assert rc == 2
     assert bad[1] in capsys.readouterr().err
     assert not out.exists()
@@ -252,20 +262,89 @@ def test_experiment_overflowing_plate_angle_is_refused(tmp_path, capsys,
                                                       monkeypatch, bad, flag,
                                                       got):
     # finite, but twice the angle, the argument of the plate's cos and sin,
-    # overflows: refused naming the flag, before any plate is formed
+    # overflows: refused by the parser naming the flag, before any plate is
+    # formed
     from entweave import optics
     formed = []
     monkeypatch.setattr(optics, "hwp", lambda xi: formed.append(xi))
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["--out", str(out), "experiment", "--steps", "3", *bad])
+        rc = _exit_code(["--out", str(out), "experiment", "--steps", "3", *bad])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        f"invalid input: {flag} must be at most 8.98847e+307 in magnitude, "
-        f"so that twice it is finite, got {got}\n")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: entweave experiment")
+    assert err.splitlines()[-1] == (
+        f"entweave experiment: error: argument {flag}: must be at most "
+        f"8.98847e+307 in magnitude, so that twice it is finite, got {got}")
     assert not out.exists()
     assert formed == []
+
+
+# each flag's last accepted value, and the next one out, on either side of
+# its range; the largest plate angle is MAX_PLATE_ANGLE as Python prints it
+# (8.98846567431158e307 rounds to 2**1023, the next double above it)
+_EDGES_IN = [
+    ("discrete", "--eta", "0"), ("discrete", "--eta", "1"),
+    ("discrete", "--max-order", "4503599627370496"),
+    ("continuous", "--eps", "-0.0"), ("continuous", "--steps", "2"),
+    ("continuous", "--n", "1"),
+    ("experiment", "--theta", "8.988465674311579e+307"),
+    ("experiment", "--theta", "-8.988465674311579e+307"),
+]
+_EDGES_OUT = [
+    ("discrete", "--eta", "1.0000000000000002"),
+    ("discrete", "--max-order", "4503599627370497"),
+    ("continuous", "--eps", "-5e-324"), ("continuous", "--x-max", "0"),
+    ("continuous", "--steps", "1"), ("continuous", "--n", "0"),
+    ("experiment", "--theta", "8.98846567431158e307"),
+]
+_REQUIRED = {"discrete": [], "continuous": ["--family", "ad"], "experiment": []}
+
+
+@pytest.mark.parametrize("command, flag, text", _EDGES_IN)
+def test_range_edges_parse_as_read(command, flag, text):
+    # an accepted edge is the value float or int reads from the text, the
+    # sign of -0.0 included
+    args = cli._PARSER.parse_args([command, *_REQUIRED[command], f"{flag}={text}"])
+    value = getattr(args, flag[2:].replace("-", "_"))
+    value = value[0] if flag == "--n" else value
+    expected = (int if flag in ("--max-order", "--steps", "--n") else float)(text)
+    assert (type(value), repr(value)) == (type(expected), repr(expected))
+
+
+@pytest.mark.parametrize("command, flag, text", _EDGES_OUT)
+def test_range_edges_refused_by_the_parser(tmp_path, capsys, monkeypatch,
+                                           command, flag, text):
+    # the next value out exits 2 in the parser, naming the flag: no
+    # subcommand runs and nothing is written
+    ran = []
+    for name in ("cmd_discrete", "cmd_continuous", "cmd_experiment"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: ran.append(name))
+    out = tmp_path / "out"
+    assert _exit_code(["--out", str(out), command, *_REQUIRED[command],
+                       f"{flag}={text}"]) == 2
+    assert f"error: argument {flag}: must " in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, text, kind", [
+    ("--steps", "abc", "int"), ("--eta", "x", "float")])
+def test_unreadable_flag_values_keep_argparse_messages(capsys, flag, text, kind):
+    command = "continuous" if flag == "--steps" else "discrete"
+    assert _exit_code([command, *_REQUIRED[command], flag, text]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: invalid {kind} value: '{text}'")
+
+
+def test_sequence_is_recorded_as_read(tmp_path):
+    # the manifest records the word the run scored, stripped and upper-cased
+    assert main(["--out", str(tmp_path), "discrete", "--sequence", " qp "]) == 0
+    manifest = json.loads((tmp_path / "discrete_manifest.json").read_text())
+    assert manifest["parameters"]["sequence"] == "QP"
+    report = json.loads((tmp_path / "discrete_report.json").read_text())
+    assert report["sequence"]["word"] == "QP"
 
 
 def test_continuous_refuses_inexact_slice_counts(tmp_path, capsys):
@@ -489,13 +568,13 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
 
 
 def _outputs(out_dir):
-    """Every file's bytes; a manifest's without its timing and ``out``."""
+    """Every file's bytes; a manifest's without its timing."""
     files = {}
     for path in sorted(out_dir.iterdir()):
         data = path.read_bytes()
         if path.name.endswith("manifest.json"):
             manifest = json.loads(data)
-            del manifest["wall_time_s"], manifest["parameters"]["out"]
+            del manifest["wall_time_s"]
             data = json.dumps(manifest, sort_keys=True).encode()
         files[path.name] = data
     return files
@@ -523,15 +602,15 @@ def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("out", [".", "", "sub/", "nested/deeper/out"])
 def test_out_forms(tmp_path, monkeypatch, out):
     # the working directory, its empty name, a trailing slash and a nested
-    # directory not yet made: each run writes there, and the manifest names
-    # the directory as pathlib spells it
+    # directory not yet made: each run writes there, and the manifest, which
+    # lies in the directory, does not name it
     monkeypatch.chdir(tmp_path)
     assert main(["--out", out, "experiment", "--map", "m1", "--steps", "3"]) == 0
     written = Path(out)
     assert {p.name for p in written.iterdir()} >= {
         "experiment_m1_ideal_theta.csv", "experiment_m1_ideal_theta_manifest.json"}
     manifest = json.loads((written / "experiment_m1_ideal_theta_manifest.json").read_text())
-    assert manifest["parameters"]["out"] == str(Path(out))
+    assert "out" not in manifest["parameters"]
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)

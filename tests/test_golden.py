@@ -15,9 +15,13 @@ allows them: their slices are cut from the single-line breaking length,
 and that wider tolerance exists for a change to the length search, which
 moves them on purpose.  Such a change regenerates results/continuous/
 (ROADMAP item 1).
+
+Each of the eleven runs also holds its fresh manifest to the committed one
+but ``wall_time_s``: parameters, outputs, notes, counts and version.
 """
 
 import csv
+import json
 import pathlib
 
 import pytest
@@ -35,6 +39,12 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
+def _assert_manifest_matches(got_dir, want_dir, name):
+    got, want = (json.loads((d / name).read_text()) for d in (got_dir, want_dir))
+    del got["wall_time_s"], want["wall_time_s"]
+    assert got == want
+
+
 @pytest.mark.parametrize("preset", ["ideal", "measured"])
 @pytest.mark.parametrize("map_name, vary", [
     ("mprime", "theta"), ("m1", "theta"), ("m2", "phi"), ("identity", "theta"),
@@ -46,6 +56,8 @@ def test_experiment_sweep_matches_committed_csv(tmp_path, capsys, preset,
     name = f"experiment_{map_name}_{preset}_{vary}.csv"
     got, want = _rows(tmp_path / name), _rows(RESULTS / preset / name)
     assert len(got) == len(want) == 361
+    _assert_manifest_matches(tmp_path, RESULTS / preset,
+                             f"experiment_{map_name}_{preset}_{vary}_manifest.json")
     assert list(got[0]) == list(want[0])
     for g, w in zip(got, want):
         for column, value in w.items():
@@ -96,6 +108,7 @@ def test_continuous_curves_match_committed_csv(tmp_path, capsys, subdir, args):
     want_files = sorted(p.name for p in (CONTINUOUS / subdir).glob("*.csv"))
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == want_files
     assert len(want_files) == (2 if subdir == "undriven" else 7)
+    _assert_manifest_matches(tmp_path, CONTINUOUS / subdir, "continuous_manifest.json")
     for name in want_files:
         got, want = _rows(tmp_path / name), _rows(CONTINUOUS / subdir / name)
         assert len(got) == len(want) == 241, name
