@@ -10,15 +10,17 @@ The bench is described by a map name and an element preset only.  Each flag's
 argparse type holds its range, so the parser refuses a value out of it; only
 ``--unitary`` and limits on computed values are refused later, with one
 ``invalid input:`` line.  Each subcommand computes all its outputs before
-``main`` writes any; the manifest, recording every parsed argument but
-``--out`` as resolved (defaults filled in), is written last.  A run that exits
-2 or 3 writes nothing, and each file is written whole or not at all: to a
-temporary file in ``--out``, then renamed into place.  A write that fails
-(``--out`` names a file, the disk is full) exits 4 with one line naming the
-file, leaving only the files written whole before it.  Identical invocations
-produce byte-identical CSVs.  The report and the manifests are one line of JSON
-each, keys sorted and no indent, so that CPython's C encoder writes them (an
-indent selects its Python one).
+``main`` writes any, and writes the manifest, the run's one record, last: every
+parsed argument but ``--out`` as resolved (defaults filled in), the outputs,
+notes, counts and version, and no clock, so identical invocations write
+byte-identical files.  A ``discrete`` run writes only its manifest,
+``discrete_report.json``, with the verdicts added.  A run that exits 2 or 3
+writes nothing, and each file is written whole or not at all: to a temporary
+file in ``--out``, then renamed into place.  A write that fails (``--out``
+names a file, the disk is full) exits 4 with one line naming the file, leaving
+only the files written whole before it.  A manifest is one line of JSON, keys
+sorted and no indent, so that CPython's C encoder writes it (an indent selects
+its Python one).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 failed write.
 """
@@ -30,9 +32,8 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class Run(NamedTuple):
 
     outputs: dict[str, str]  # file name -> text, in writing order
     manifest_name: str       # written last
-    notes: Sequence[str] = ()
-    counts: dict[str, int] = {}  # work the core calls report, into the manifest
+    record: dict = {}        # merged into the manifest: notes, counts, verdicts
 
 
 # the flags of open(path, "w"); O_BINARY, where it exists, writes the bytes
@@ -122,10 +122,10 @@ def _write_file(out_dir: str, name: str, text: str) -> None:
         raise
 
 
-def _write(args, run: Run, started: float) -> None:
+def _write(args, run: Run) -> None:
     """Make ``--out`` if it is missing, write every output, then the
-    manifest, whose parameters are the parsed ``args`` but ``--out`` as the
-    subcommand resolved them."""
+    manifest: its parameters are the parsed ``args`` but ``--out`` as the
+    subcommand resolved them, and ``run.record`` is merged in last."""
     out_dir = str(Path(args.out))  # "" is "."
     if not os.path.isdir(out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -134,8 +134,7 @@ def _write(args, run: Run, started: float) -> None:
     manifest = {
         "command": args.command, "outputs": list(run.outputs), "version": __version__,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "out")},
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "notes": list(run.notes), "counts": dict(run.counts),
+        "notes": [], "counts": {}, **run.record,
     }
     _write_file(out_dir, run.manifest_name,
                 json.dumps(manifest, sort_keys=True) + "\n")
@@ -237,7 +236,7 @@ def cmd_discrete(args) -> Run:
     scored, choi_states, rounds = _orders_and_margins(np.stack(superops), args.max_order)
     report = {
         "base": base_label,
-        "unitary": args.unitary,
+        "counts": {"choi_states_scored": choi_states, "scoring_rounds": rounds},
         "P": {"label": "P", **_channel_report(*scored[0])},
         "Q": {"label": "Q", **_channel_report(*scored[1])},
     }
@@ -248,9 +247,7 @@ def cmd_discrete(args) -> Run:
         name = f"sequence {seq}" if key == "sequence" else key
         print(f"{name}: is_eb={r['is_eb']} "
               f"concurrence={r['choi_concurrence']:.12g} order={r['eb_order']}")
-    report_text = json.dumps(report, sort_keys=True) + "\n"
-    return Run({"discrete_report.json": report_text}, "discrete_manifest.json",
-               counts={"choi_states_scored": choi_states, "scoring_rounds": rounds})
+    return Run({}, "discrete_report.json", report)
 
 
 # -------------------------------------------------------------- continuous
@@ -304,7 +301,7 @@ def cmd_continuous(args) -> Run:
         outputs[f"continuous_{args.family}_{label}.csv"] = _csv_text(
             PROFILE_HEADER, points, label)
         print(f"{label}: {text}")
-    return Run(outputs, "continuous_manifest.json", notes)
+    return Run(outputs, "continuous_manifest.json", {"notes": notes})
 
 
 # -------------------------------------------------------------- experiment
@@ -435,7 +432,6 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    started = time.monotonic()
     args = _PARSER.parse_args(argv)
     handlers = {"discrete": cmd_discrete, "continuous": cmd_continuous,
                 "experiment": cmd_experiment}
@@ -448,7 +444,7 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        _write(args, run, started)
+        _write(args, run)
     except OSError as exc:
         print(f"write failure: {exc.filename}: {exc.strerror or exc}",
               file=sys.stderr)

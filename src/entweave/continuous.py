@@ -166,6 +166,15 @@ def _drive(j: int, omega: float) -> np.ndarray:
     return sign * omega * SIGMA_X
 
 
+def _rotating_liouvillian(j: int, omega: float, eps: float, jump) -> Liouvillian:
+    _check_rates(omega, eps)
+    # a rate past half the largest float overflows the dephasing part, whose
+    # diagonal holds -2; the Liouvillian's check on non-finite entries refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = _hamiltonian_superop(_drive(j, omega)) + eps * _dissipator_superop(jump)
+    return Liouvillian(gen)
+
+
 def rotating_ad_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     """Amplitude-damping generator with an x-axis drive of sign (-1)^(j+1).
 
@@ -174,9 +183,7 @@ def rotating_ad_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     propagator over length x is the damping channel with parameter
     ``exp(-eps x)``.
     """
-    _check_rates(omega, eps)
-    gen = _hamiltonian_superop(_drive(j, omega)) + eps * _dissipator_superop(LOWERING)
-    return Liouvillian(gen)
+    return _rotating_liouvillian(j, omega, eps, LOWERING)
 
 
 def rotating_pd_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
@@ -186,13 +193,7 @@ def rotating_pd_liouvillian(j: int, omega: float, eps: float) -> Liouvillian:
     coherences decay as ``exp(-2 eps x)``; with omega = 0 the propagator is the
     phase-damping channel with parameter ``exp(-2 eps x)``.
     """
-    _check_rates(omega, eps)
-    sz_part = sandwich_superop(SIGMA_Z, SIGMA_Z) - np.eye(4, dtype=complex)
-    # a rate past half the largest float overflows here; the Liouvillian's
-    # check on non-finite entries refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        gen = _hamiltonian_superop(_drive(j, omega)) + eps * sz_part
-    return Liouvillian(gen)
+    return _rotating_liouvillian(j, omega, eps, SIGMA_Z)
 
 
 def average_liouvillian(a: Liouvillian, b: Liouvillian) -> Liouvillian:

@@ -41,20 +41,23 @@ def _exit_code(argv):
 
 
 def test_discrete_report_and_manifest(tmp_path):
+    # the report is the run's one file and its manifest
     r = run_cli(tmp_path, "discrete", "--eta", "0.3", "--unitary", "x",
                 "--sequence", "QPQP")
     assert r.returncode == 0, r.stderr
     assert "sequence QPQP" in r.stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["discrete_report.json"]
     report = json.loads((tmp_path / "discrete_report.json").read_text())
+    assert set(report) == {"P", "Q", "sequence", "base", "command", "parameters",
+                           "outputs", "notes", "counts", "version"}
     assert report["P"]["eb_order"] == 2
     assert report["Q"]["eb_order"] == 2
     assert not report["sequence"]["is_eb"]
     assert math.isclose(report["sequence"]["choi_concurrence"], 0.09,
                         abs_tol=1e-9)
-    manifest = json.loads((tmp_path / "discrete_manifest.json").read_text())
-    assert manifest["command"] == "discrete"
-    assert manifest["outputs"] == ["discrete_report.json"]
-    assert manifest["parameters"]["sequence"] == "QPQP"
+    assert report["base"] == "ad(0.3)" and report["command"] == "discrete"
+    assert report["outputs"] == [] and report["notes"] == []
+    assert report["parameters"]["sequence"] == "QPQP"
     # the word is ad(0.3^4): its Choi state's partial transpose has
     # lambda_min -0.0081^n / 2, inside the rounding band from n = 8 on
     assert "sequence QPQP: is_eb=False concurrence=0.09 " \
@@ -64,7 +67,7 @@ def test_discrete_report_and_manifest(tmp_path):
     # one round of powers 1-4, 8 and 16 (the default --max-order) of P, Q
     # and the word; the word then scores the 3 powers between 4 and 8 in a
     # second round
-    assert manifest["counts"] == {"choi_states_scored": 21, "scoring_rounds": 2}
+    assert report["counts"] == {"choi_states_scored": 21, "scoring_rounds": 2}
 
 
 def test_manifest_records_every_parsed_argument(tmp_path):
@@ -74,7 +77,7 @@ def test_manifest_records_every_parsed_argument(tmp_path):
     subparsers = next(a for a in cli._PARSER._actions
                       if isinstance(a, argparse._SubParsersAction))
     runs = {
-        "discrete": (["--sequence", "QP"], "discrete_manifest.json"),
+        "discrete": (["--sequence", "QP"], "discrete_report.json"),
         "continuous": (["--family", "ad", "--n", "2", "--x-max", "1",
                         "--steps", "5"], "continuous_manifest.json"),
         "experiment": (["--map", "m2", "--steps", "5",
@@ -125,8 +128,8 @@ def test_discrete_deep_orders(tmp_path, capsys):
     assert firsts == [25870, 8976]
     assert orders == [f"undecided from {n} (searched up to 1e+06)"
                       for n in (25870, 25870, 8976)]
-    manifest = json.loads((tmp_path / "discrete_manifest.json").read_text())
-    assert manifest["counts"] == {"choi_states_scored": 451, "scoring_rounds": 15}
+    report = json.loads((tmp_path / "discrete_report.json").read_text())
+    assert report["counts"] == {"choi_states_scored": 451, "scoring_rounds": 15}
 
 
 def test_max_order_past_2_52_is_refused(tmp_path, capsys):
@@ -339,11 +342,10 @@ def test_unreadable_flag_values_keep_argparse_messages(capsys, flag, text, kind)
 
 
 def test_sequence_is_recorded_as_read(tmp_path):
-    # the manifest records the word the run scored, stripped and upper-cased
+    # the report records the word the run scored, stripped and upper-cased
     assert main(["--out", str(tmp_path), "discrete", "--sequence", " qp "]) == 0
-    manifest = json.loads((tmp_path / "discrete_manifest.json").read_text())
-    assert manifest["parameters"]["sequence"] == "QP"
     report = json.loads((tmp_path / "discrete_report.json").read_text())
+    assert report["parameters"]["sequence"] == "QP"
     assert report["sequence"]["word"] == "QP"
 
 
@@ -553,8 +555,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
-    # the first rename into place fails: the run exits 4 naming the target,
-    # and neither the temporary file nor the manifest is left
+    # the report's rename into place fails: the run exits 4 naming the
+    # target, and no file, temporary or whole, is left
     def refuse(src, dst):
         raise OSError(13, "Permission denied", src, None, dst)
 
@@ -568,21 +570,20 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
 
 
 def _outputs(out_dir):
-    """Every file's bytes; a manifest's without its timing."""
-    files = {}
-    for path in sorted(out_dir.iterdir()):
-        data = path.read_bytes()
-        if path.name.endswith("manifest.json"):
-            manifest = json.loads(data)
-            del manifest["wall_time_s"]
-            data = json.dumps(manifest, sort_keys=True).encode()
-        files[path.name] = data
-    return files
+    """Every file's bytes, by name."""
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
 RUNS = (["discrete", "--sequence", "QP"],
         ["continuous", "--family", "ad", "--n", "2", "--x-max", "1", "--steps", "9"],
         ["experiment", "--map", "m2", "--steps", "9"])
+
+# the files each of RUNS writes, the manifest last
+WRITTEN = {"discrete": ["discrete_report.json"],
+           "continuous": ["continuous_ad_single.csv", "continuous_ad_n2.csv",
+                          "continuous_ad_limit.csv", "continuous_manifest.json"],
+           "experiment": ["experiment_m2_ideal_phi.csv",
+                          "experiment_m2_ideal_phi_manifest.json"]}
 
 
 @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
@@ -595,7 +596,7 @@ def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, argv):
     assert main(["--out", str(tmp_path / "short"), *argv]) == 0
     monkeypatch.undo()
     whole = _outputs(tmp_path / "whole")
-    assert len(whole) >= 2
+    assert sorted(whole) == sorted(WRITTEN[argv[0]])
     assert _outputs(tmp_path / "short") == whole
 
 
@@ -666,27 +667,24 @@ def test_continuous_undriven_skips_switched(tmp_path):
 
 
 def test_continuous_byte_determinism(tmp_path):
-    # two identical runs of each subcommand give identical CSVs and reports
-    for argv, names in zip(RUNS, (["discrete_report.json"],
-                                  ["continuous_ad_single.csv", "continuous_ad_n2.csv"],
-                                  ["experiment_m2_ideal_phi.csv"])):
+    # two identical runs of each subcommand, in two processes, write the same
+    # bytes in every file, manifests included: no file holds a clock
+    for argv in RUNS:
         a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
         a.mkdir(parents=True), b.mkdir()
         for d in (a, b):
             assert run_cli(d, *argv).returncode == 0
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert list(_outputs(a)) == sorted(WRITTEN[argv[0]])
+        assert _outputs(a) == _outputs(b)
 
 
 @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
 def test_json_outputs_are_one_line_from_the_c_encoder(tmp_path, argv):
-    # reports and manifests are json.dumps(obj, sort_keys=True) without an
-    # indent, which CPython encodes in C: one line each
+    # manifests are json.dumps(obj, sort_keys=True) without an indent, which
+    # CPython encodes in C: one line each
     assert main(["--out", str(tmp_path), *argv]) == 0
     written = sorted(p.name for p in tmp_path.glob("*.json"))
-    assert written == {"discrete": ["discrete_manifest.json", "discrete_report.json"],
-                       "continuous": ["continuous_manifest.json"],
-                       "experiment": ["experiment_m2_ideal_phi_manifest.json"]}[argv[0]]
+    assert written == [WRITTEN[argv[0]][-1]]
     for name in written:
         text = (tmp_path / name).read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
