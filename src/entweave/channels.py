@@ -303,43 +303,24 @@ def _first_round(superops: np.ndarray, max_n: int
 
 
 @dataclass(eq=False)
-class _Edge:
-    """One end of a channel's undecided powers, bracketed by the powers
-    scored so far: ``lo`` the highest below the edge, ``hi`` the lowest at or
-    past it (0 while none is).  A power lies at or past the edge when its
-    verdict (:func:`_ppt_verdicts`) is at least ``past``: 0 for the first
-    power that does not certainly transmit, 1 for the first that certainly
-    breaks."""
-
-    past: int
-    lo: int = 0
-    hi: int = 0
-    base: np.ndarray | None = None  # S^lo, None for lo = 0
-
-    def narrow(self, exps: Sequence[int], powers: np.ndarray, verdicts: list[int]) -> None:
-        """Narrow the bracket by scored powers, in ascending order; those
-        outside it are ignored."""
-        for k, e in enumerate(exps):
-            if e <= self.lo:
-                continue
-            if self.hi and e >= self.hi:
-                return
-            if verdicts[k] >= self.past:
-                self.hi = e
-                return
-            self.lo, self.base = e, powers[k]
-
-
-@dataclass(eq=False)
 class _OrderSearch:
-    """One channel's breaking-order search after the shared first round: the
-    brackets of the first power that does not certainly transmit (``lower``)
-    and of the first that certainly breaks (``upper``)."""
+    """One channel's breaking-order search after the shared first round:
+    its squares and its scored powers, ascending, as ``(exponent, verdict,
+    power)`` samples.  An edge's bracket is read off them (:meth:`_edge`)."""
 
     squares: list[np.ndarray]  # S^(2^j), as many as formed
-    lower: _Edge = field(default_factory=lambda: _Edge(0))
-    upper: _Edge = field(default_factory=lambda: _Edge(1))
-    margin: float = 0.0  # power 1's signed pre-clamp concurrence
+    samples: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
+
+    def _edge(self, past: int) -> int:
+        """Index of the first sample at or past an edge, its verdict
+        (:func:`_ppt_verdicts`) at least ``past``: 0 for the first power that
+        does not certainly transmit, 1 for the first that certainly breaks;
+        ``len(samples)`` when none is.  The sample before it brackets the
+        edge from below."""
+        for j, sample in enumerate(self.samples):
+            if sample[1] >= past:
+                return j
+        return len(self.samples)
 
     def next_powers(self, max_n: int) -> list[tuple[range, np.ndarray]]:
         """The next powers to score after the first round
@@ -350,28 +331,36 @@ class _OrderSearch:
         (:func:`_gallop`); inside a bracket, at most ``_POWER_STACK`` powers
         a power-of-two stride apart.  The lower bracket is narrowed on its
         own only once an undecided power parts it from the upper."""
-        lower, upper = self.lower, self.upper
-        pieces = []
-        if lower.hi > lower.lo + 1 and (lower.lo, lower.hi) != (upper.lo, upper.hi):
-            pieces.append(self._inside(lower))
-        if upper.hi > upper.lo + 1:
-            pieces.append(self._inside(upper))
-        elif not upper.hi and upper.lo < max_n:
-            exp, power = _gallop(self.squares, upper.lo, upper.base, max_n)
+        lower, upper, n = self._edge(0), self._edge(1), len(self.samples)
+        pieces = [self._inside(j) for j in sorted({lower, upper})
+                  if 0 < j < n and self.samples[j][0] > self.samples[j - 1][0] + 1]
+        if upper == n and (last := self.samples[-1])[0] < max_n:
+            exp, power = _gallop(self.squares, last[0], last[2], max_n)
             pieces.append((range(exp, exp + 1), power[None]))
         return pieces
 
-    def _inside(self, edge: _Edge) -> tuple[range, np.ndarray]:
-        shift = ((edge.hi - edge.lo - 1) // (_POWER_STACK + 1)).bit_length()
-        stride, count = 1 << shift, (edge.hi - edge.lo - 1) >> shift
-        exps = range(edge.lo + stride, edge.lo + stride * count + 1, stride)
-        return exps, _power_grid(self.squares[shift], count, edge.base)
+    def _inside(self, j: int) -> tuple[range, np.ndarray]:
+        (lo, _, base), hi = self.samples[j - 1], self.samples[j][0]
+        shift = ((hi - lo - 1) // (_POWER_STACK + 1)).bit_length()
+        stride, count = 1 << shift, (hi - lo - 1) >> shift
+        exps = range(lo + stride, lo + stride * count + 1, stride)
+        return exps, _power_grid(self.squares[shift], count, base)
 
     def order(self, max_n: int) -> int | Unbounded | Undecided:
-        first, last = self.lower.hi, self.upper.hi
-        if not first:
-            return Unbounded(float(max_n))
-        return first if first == last else Undecided(first, last or None, float(max_n))
+        exps = [e for e, _, _ in self.samples] + [None]  # None where no edge is
+        return _answer(exps[self._edge(0)], exps[self._edge(1)], float(max_n))
+
+
+def _answer(first, last, searched_up_to: float) -> int | float | Unbounded | Undecided:
+    """A breaking search's answer from its edges, the first point that does
+    not certainly transmit and the first that certainly breaks, each None
+    when none does up to ``searched_up_to``: the threshold when they agree,
+    else :class:`Unbounded` or :class:`Undecided`.  The order search
+    (:meth:`_OrderSearch.order`) and the line search (``continuous._search``)
+    both answer through it."""
+    if first is None:
+        return Unbounded(searched_up_to)
+    return first if first == last else Undecided(first, last, searched_up_to)
 
 
 def is_eb(c: QuantumChannel) -> EbVerdict:
@@ -408,7 +397,10 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded | Undecided:
     ``max_n``.  Then it scores at most 64 evenly spaced powers inside each
     bracket per round, the bracket of the first power that does not
     certainly transmit and that of the first that certainly breaks, so no
-    power past max(64, twice the latter), or ``max_n``, is formed.  The
+    power past max(64, twice the latter), or ``max_n``, is formed.  An
+    edge's bracket is the first scored power at or past it and the scored
+    power before it, the rule ``continuous.eb_length`` brackets lengths by,
+    and both searches answer through :func:`_answer`.  The
     channel was held to complete positivity when built, and trace
     preservation and ``max_n`` are checked here; its powers are scored as
     formed, power 1 alone cross-checked against its concurrence
@@ -440,7 +432,8 @@ def _orders_and_margins(superops: np.ndarray, max_n: int
     The first holds every map's powers 1 to 4 and squares up to
     ``min(max_n, 64)``, formed from the stack (:func:`_first_round`), so at
     ``max_n = 64`` a search takes at most two rounds; each later one holds
-    every unresolved map's next powers (:meth:`_OrderSearch.next_powers`).
+    every unresolved map's next powers (:meth:`_OrderSearch.next_powers`),
+    read off the brackets of the powers scored so far (:meth:`_OrderSearch._edge`).
     Power 1's concurrence is read off the first round's rows, and power 1 of
     each map raises :class:`ToleranceConflict` if it certainly breaks and its
     concurrence is above ``TOL.conflict_band``, or if it certainly transmits
@@ -461,30 +454,28 @@ def _orders_and_margins(superops: np.ndarray, max_n: int
         verdicts = verdicts.tolist()
         if not scoring_rounds:  # power 1 of each channel leads its first round
             step = len(rounds[0][1])
-            _check_power_one(searches, rho[::step], verdicts[::step], low[::step].tolist())
+            margins = _check_power_one(rho[::step], verdicts[::step], low[::step].tolist())
         scored, scoring_rounds = scored + len(powers), scoring_rounds + 1
         start, live = 0, []
         for s, exps, _ in rounds:
             end = start + len(exps)
-            s.lower.narrow(exps, powers[start:end], verdicts[start:end])
-            s.upper.narrow(exps, powers[start:end], verdicts[start:end])
+            scored_now = zip(exps, verdicts[start:end], powers[start:end])
+            s.samples = sorted([*s.samples, *scored_now], key=lambda sample: sample[0])
             if pieces := s.next_powers(max_n):
                 live.append((s, [e for r, _ in pieces for e in r], [p for _, p in pieces]))
             start = end
         rounds = live
-    return [(s.order(max_n), s.margin) for s in searches], scored, scoring_rounds
+    return [(s.order(max_n), m) for s, m in zip(searches, margins)], scored, scoring_rounds
 
 
-def _check_power_one(searches: list[_OrderSearch], rho: np.ndarray,
-                     verdicts: list[int], lows: list[float]) -> None:
-    """Give each search its margin, the signed pre-clamp concurrence of its
-    power 1 (normalized Choi states ``rho``), and cross-check it against that
+def _check_power_one(rho: np.ndarray, verdicts: list[int], lows: list[float]) -> list[float]:
+    """The margins of the maps' powers 1 (normalized Choi states ``rho``),
+    their signed pre-clamp concurrences, each cross-checked against that
     power's verdict and ``lambda_min(rho^Gamma)``, as :func:`_orders_and_margins` states."""
     conc = _scores(rho)[0]
-    for s, verdict, low, value, pre in zip(searches, verdicts, lows, conc.value.tolist(),
-                                           conc.pre_clamp.tolist()):
+    for verdict, low, value in zip(verdicts, lows, conc.value.tolist()):
         if ((verdict == 1 and value > TOL.conflict_band)
                 or (verdict == -1 and -low > TOL.conflict_band and value <= TOL.conflict_band)):
             raise ToleranceConflict(f"concurrence {value:.3e} vs partial-transpose "
                                     f"eigenvalue {low:.3e}")
-        s.margin = pre
+    return conc.pre_clamp.tolist()

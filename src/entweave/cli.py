@@ -78,10 +78,6 @@ EXIT_NUMERICAL = 3
 EXIT_WRITE = 4
 
 
-class ParseError(ValueError):
-    """Malformed unitary descriptor."""
-
-
 _NUMERICAL = (ToleranceConflict, ZeroSuccessProbability)
 
 
@@ -176,17 +172,17 @@ def _unitary_from_string(text: str) -> np.ndarray:
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"--unitary {text!r} is neither a name "
+        raise ValueError(f"--unitary {text!r} is neither a name "
                          f"(x, z, zx-diag) nor JSON: {exc}") from None
     try:
         m = np.array([[complex(*_number_parts(e)) for e in row] for row in rows])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"--unitary: cannot read a 2x2 matrix from {text!r}: "
+        raise ValueError(f"--unitary: cannot read a 2x2 matrix from {text!r}: "
                          f"{exc}") from None
     if m.shape != (2, 2):
-        raise ParseError(f"--unitary must be 2x2, got shape {m.shape}")
+        raise ValueError(f"--unitary must be 2x2, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ParseError(f"--unitary {text!r} has non-finite entries")
+        raise ValueError(f"--unitary {text!r} has non-finite entries")
     if not is_unitary(m):
         raise NotUnitary(f"--unitary {text!r} is not unitary within tolerance")
     return m

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import _HERMITIAN_TOL, NotCompletelyPositive, Unbounded, Undecided, _gram
+from .channels import _HERMITIAN_TOL, NotCompletelyPositive, Unbounded, Undecided, _answer, _gram
 from .entanglement import _EPS, _normalized, _ppt_verdicts, _scores
 from .qmath import (
     LOWERING,
@@ -397,10 +397,7 @@ def _search(source, x_hi: float, xtol: float, profile) -> float | Unbounded | Un
                         and a < root < b)
             samples[j:j] = _verdicts(source, _placed(a, b, root, xtol, windowed))
         edges.append(edge)
-    first, last = edges
-    if first is None:
-        return Unbounded(x_hi)
-    return first if first == last else Undecided(first, last, x_hi)
+    return _answer(*edges, x_hi)
 
 
 def eb_length(source: Liouvillian | SwitchedLine, x_hi: float, xtol: float = 1e-4,

@@ -53,3 +53,11 @@ def random_kraus(dim: int, env: int, rng: np.random.Generator) -> tuple:
 def random_channel(dim: int, env: int, rng: np.random.Generator) -> QuantumChannel:
     """Haar-random channel with the Kraus set of :func:`random_kraus`."""
     return QuantumChannel.from_kraus(random_kraus(dim, env, rng))
+
+
+def refusal(call, *args, **kwargs) -> tuple[type, str]:
+    """The class and message of the exception ``call(*args, **kwargs)``
+    raises; the test fails if it returns instead."""
+    with pytest.raises(Exception) as info:
+        call(*args, **kwargs)
+    return type(info.value), str(info.value)

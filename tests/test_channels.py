@@ -43,6 +43,7 @@ from entweave.qmath import (
     SIGMA_Z,
     TOL,
     DimensionMismatch,
+    NotUnitary,
     OutOfRange,
     choi_matrices,
     maximally_entangled,
@@ -55,7 +56,7 @@ from entweave.qmath import (
 )
 from entweave.states import validate_density
 
-from conftest import haar_unitary, random_channel, random_density, random_kraus
+from conftest import haar_unitary, random_channel, random_density, random_kraus, refusal
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -185,6 +186,14 @@ def test_channel_refusals_keep_their_class_and_message(superop, error, message):
         QuantumChannel(superop)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_zero_map_and_non_unitary_refusals_keep_their_class_and_message():
+    # the zero map has no trace to rescale; diag(1, 1/2) is no unitary
+    assert refusal(QuantumChannel(np.zeros((4, 4))).normalized) == (
+        ValueError, "cannot normalize the zero map")
+    assert refusal(unitary_channel, np.diag([1.0, 0.5])) == (
+        NotUnitary, "matrix is not unitary within tolerance")
 
 
 def test_trace_preserving_flag():
@@ -609,6 +618,25 @@ def test_conflict_past_the_order_never_raises(monkeypatch):
         monkeypatch.setattr(channels, "_ppt_verdicts", faked_at(slow, power, 1))
         scored = _orders_and_margins(np.stack([c.superop for c in [phi, slow]]), 80)[0]
         assert [o for o, _ in scored] == [2, power]
+
+
+def test_a_power_that_breaks_below_an_undecided_one_ends_both_edges(monkeypatch):
+    # faked verdicts that absorption forbids: power 6 certainly breaks below
+    # the undecided 7, 8 and 16-23.  Both edges are read off the scored
+    # powers, the first at or past each, as the line search reads lengths, so
+    # power 6 ends the upper edge too: the order is 6, not "undecided from 6,
+    # breaks by 24"
+    import entweave.channels as channels
+
+    true_verdicts = channels._ppt_verdicts
+
+    def fake(rho, scale):
+        _, low, band = true_verdicts(rho, scale)
+        n = np.rint(scale / channels._BAND)
+        return np.select([n <= 5, n == 6, n < 24], [-1, 1, 0], 1), low, band
+
+    monkeypatch.setattr(channels, "_ppt_verdicts", fake)
+    assert eb_order(ad_channel(0.9), 64) == 6
 
 
 def test_eb_classification_floor():

@@ -554,6 +554,21 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "taken", "whole"]
 
 
+def test_failed_open_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # the first temporary file cannot be made: the run exits 4 with one line
+    # naming the target file, and the directory holds nothing
+    def refuse(path, *rest):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "open", refuse)
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "discrete"]) == 4
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err == f"write failure: {out_dir / 'discrete_report.json'}: Permission denied\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
     # the report's rename into place fails: the run exits 4 naming the
     # target, and no file, temporary or whole, is left

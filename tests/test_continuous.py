@@ -45,7 +45,7 @@ from entweave.qmath import (
     vec,
 )
 
-from conftest import SINGLET
+from conftest import SINGLET, refusal
 
 
 AD1 = rotating_ad_liouvillian(1, 1.5, 1.0)
@@ -992,6 +992,14 @@ def test_rotating_generators_reject_non_finite_rates():
         for eps in (np.nan, np.inf, -1.0):
             with pytest.raises(OutOfRange, match="eps"):
                 family(1, 1.5, eps)
+
+
+def test_generator_index_and_profile_steps_are_refused():
+    # a switched pair has generators 1 and 2 only; a profile has both ends
+    assert refusal(rotating_ad_liouvillian, 3, 1.5, 1.0) == (
+        OutOfRange, "generator index must be 1 or 2")
+    assert refusal(concurrence_profile, AD1, 1.0, steps=1) == (
+        OutOfRange, "need at least two profile points")
 
 
 def test_switched_line_rejects_non_finite_slices():

@@ -42,6 +42,8 @@ from entweave.qmath import (OutOfRange, is_unitary, partial_trace, sandwich_supe
                             unvec, vec)
 from entweave.states import validate_density
 
+from conftest import refusal
+
 
 HALF_PI = math.pi / 2
 
@@ -293,6 +295,14 @@ def test_setup_validation():
         mprime_setup(preset="nope")
     with pytest.raises(ElementInconsistent):  # one element set serves all DIFs
         OpticalSetup(0.1, 0.1, 0.1, elements=(IDEAL, IDEAL, IDEAL))
+
+
+def test_nan_source_phase_and_one_sweep_step_are_refused():
+    # NaN fails every comparison; a sweep grid has both ends
+    assert refusal(replace, mprime_setup(), source_phase=math.nan) == (
+        OutOfRange, "source_phase is not finite")
+    assert refusal(sweep, m1_setup(), "theta", -1.0, 1.0, 1) == (
+        OutOfRange, "need at least two sweep steps")
 
 
 def test_zero_success_raises():

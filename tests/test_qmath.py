@@ -31,7 +31,7 @@ from entweave.qmath import (
     vec,
 )
 
-from conftest import SINGLET, haar_unitary, random_density
+from conftest import SINGLET, haar_unitary, random_density, refusal
 
 
 complex_entries = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
@@ -105,6 +105,18 @@ def test_partial_trace_on_products(rng):
     assert np.allclose(partial_trace(ab, keep=1), b)
     with pytest.raises(DimensionMismatch, match=r"\(6, 6\)"):
         partial_trace(np.kron(a, random_density(3, rng)), keep=0)
+
+
+def test_shape_refusals_keep_their_class_and_message():
+    # a non-square matrix is not Hermitian, and no generator; a pair has
+    # qubits 0 and 1; a superoperator sandwiches matrices, not vectors
+    assert not is_hermitian(np.zeros((2, 3)))
+    assert refusal(Spectral, np.zeros((2, 3))) == (
+        DimensionMismatch, "generator must be square")
+    assert refusal(partial_trace, np.eye(4) / 4.0, 2) == (
+        DimensionMismatch, "keep index 2 is not a qubit of a pair")
+    assert refusal(sandwich_superop, np.ones(2), np.ones(2)) == (
+        DimensionMismatch, "expected matrices, got shapes (2,) and (2,)")
 
 
 def test_partial_transpose_involution(rng):
