@@ -10,6 +10,7 @@ one qubit to one qubit, so its superoperator is 4x4.  It acts on a state as
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -410,8 +411,10 @@ def eb_order(c: QuantumChannel, max_n: int = 16) -> int | Unbounded | Undecided:
 
 
 def _checked_search(c: QuantumChannel, max_n: int) -> tuple[int | Unbounded | Undecided, float]:
-    """Order and margin of one channel as it enters the search: ``max_n`` in
-    [1, 2**52] (else :class:`OutOfRange`), trace preserved (else ``ValueError``)."""
+    """Order and margin of one channel as it enters the search: ``max_n`` an
+    integer (else ``TypeError``) in [1, 2**52] (else :class:`OutOfRange`),
+    trace preserved (else ``ValueError``)."""
+    max_n = operator.index(max_n)
     if not 1 <= max_n <= _MAX_ORDER:
         raise OutOfRange(f"max_n must lie in [1, 2**52], got {max_n}")
     if not c.trace_preserving:

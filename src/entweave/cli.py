@@ -6,7 +6,10 @@ Three subcommands:
 * ``continuous`` -- switched-generator concurrence profiles and thresholds
 * ``experiment`` -- interferometer-bench sweeps, ideal or measured elements
 
-The bench is described by a map name and an element preset only.  Each flag's
+The bench is described by a map name and an element preset only: the command
+line is the one layer that names element sets by text, and ``--preset`` takes
+its choices and its lookup from ``_ELEMENTS``, which maps ``ideal`` and
+``measured`` to ``optics.IDEAL`` and ``optics.MEASURED``.  Each flag's
 argparse type holds its range, so the parser refuses a value out of it; only
 ``--unitary`` and limits on computed values are refused later, with one
 ``invalid input:`` line.  Each subcommand computes all its outputs before
@@ -56,7 +59,9 @@ from .continuous import (
     rotating_pd_liouvillian,
 )
 from .optics import (
+    IDEAL,
     MAX_PLATE_ANGLE,
+    MEASURED,
     ZeroSuccessProbability,
     identity_setup,
     m1_setup,
@@ -271,13 +276,11 @@ def _line(source, args) -> tuple[list, float | Unbounded | Undecided, str]:
     return points, threshold, str(threshold)
 
 
+_FAMILIES = {"ad": rotating_ad_liouvillian, "pd": rotating_pd_liouvillian}
+
+
 def cmd_continuous(args) -> Run:
-    if args.family == "ad":
-        g1 = rotating_ad_liouvillian(1, args.omega, args.eps)
-        g2 = rotating_ad_liouvillian(2, args.omega, args.eps)
-    else:
-        g1 = rotating_pd_liouvillian(1, args.omega, args.eps)
-        g2 = rotating_pd_liouvillian(2, args.omega, args.eps)
+    g1, g2 = (_FAMILIES[args.family](k, args.omega, args.eps) for k in (1, 2))
     # built before any line is scored, so a mean that overflows is refused
     # before any work
     mean = average_liouvillian(g1, g2)
@@ -303,15 +306,18 @@ def cmd_continuous(args) -> Run:
 # -------------------------------------------------------------- experiment
 
 
+# the one place element sets are named by text: --preset's choices and lookup
+_ELEMENTS = {"ideal": IDEAL, "measured": MEASURED}
+
 _SETUPS = {
     "mprime": lambda a: mprime_setup(a.eta1, a.eta2, theta=a.theta, phi=a.phi,
-                                     preset=a.preset, w=a.W,
+                                     elements=_ELEMENTS[a.preset], w=a.W,
                                      source_phase=a.source_phase),
-    "m1": lambda a: m1_setup(a.eta2, theta=a.theta, preset=a.preset, w=a.W,
-                             source_phase=a.source_phase),
-    "m2": lambda a: m2_setup(a.eta1, phi=a.phi, preset=a.preset, w=a.W,
-                             source_phase=a.source_phase),
-    "identity": lambda a: identity_setup(preset=a.preset, w=a.W,
+    "m1": lambda a: m1_setup(a.eta2, theta=a.theta, elements=_ELEMENTS[a.preset],
+                             w=a.W, source_phase=a.source_phase),
+    "m2": lambda a: m2_setup(a.eta1, phi=a.phi, elements=_ELEMENTS[a.preset],
+                             w=a.W, source_phase=a.source_phase),
+    "identity": lambda a: identity_setup(elements=_ELEMENTS[a.preset], w=a.W,
                                          source_phase=a.source_phase),
 }
 
@@ -397,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-order", type=_max_order, default=16)
 
     c = sub.add_parser("continuous", help="switched-generator profiles")
-    c.add_argument("--family", choices=("ad", "pd"), required=True)
+    c.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     c.add_argument("--omega", type=_finite, default=1.5, help="rotation rate")
     c.add_argument("--eps", type=_nonnegative, default=1.0, help="dissipation rate")
     c.add_argument("--n", type=_slices, nargs="+", default=(1, 2, 4, 8, 16),
@@ -407,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", help="interferometer-bench sweeps")
     e.add_argument("--map", choices=tuple(_SETUPS), default="mprime")
-    e.add_argument("--preset", choices=("ideal", "measured"), default="ideal")
+    e.add_argument("--preset", choices=tuple(_ELEMENTS), default="ideal")
     e.add_argument("--vary", choices=("theta", "phi"), default=None)
     e.add_argument("--range", type=_plate_angle, nargs=2,
                    default=(-math.pi / 2, math.pi / 2),

@@ -11,6 +11,7 @@ curve and its breaking length belong to the line itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from typing import NamedTuple, Sequence
@@ -208,8 +209,9 @@ def average_liouvillian(a: Liouvillian, b: Liouvillian) -> Liouvillian:
 
 def switched_line(l1: Liouvillian, l2: Liouvillian, total_len: float,
                   n: int) -> SwitchedLine:
-    """Cut ``total_len`` into ``n`` equal slices per generator alternation."""
-    if n < 1:
+    """Cut ``total_len`` into ``n`` equal slices per generator alternation;
+    ``n`` is an integer (else ``TypeError``) of at least 1."""
+    if operator.index(n) < 1:
         raise OutOfRange("slice count must be at least 1")
     if not 0.0 < total_len < inf:
         raise OutOfRange(f"total length must be positive and finite, got {total_len}")

@@ -13,11 +13,13 @@ Three DIFs in series, with half-wave plates between them, act on one half of a
 Werner pair; sweeps over the plate angles reproduce the experiment's
 concurrence curves for the composed, order-2-breaking, and restored maps.
 
-Element parameters are the measured intensity transmissivities/reflectivities.
-The matrices use the raw amplitudes (sqrt(T), i sqrt(R)); this equals the
-loss-renormalized unitary scaled by sqrt(1 - loss), so losses reduce success
-probability without extra bookkeeping.  The loop's return pass uses the
-inverse splitter matrix (reciprocity of a lossless element traversed
+An element set, :class:`DifElements`, is one checked record of the six
+measured intensity transmissivities/reflectivities; ``IDEAL`` and ``MEASURED``
+are the two the experiment names, and every builder takes one as
+``elements=``.  The matrices use the raw amplitudes (sqrt(T), i sqrt(R)); this
+equals the loss-renormalized unitary scaled by sqrt(1 - loss), so losses
+reduce success probability without extra bookkeeping.  The loop's return pass
+uses the inverse splitter matrix (reciprocity of a lossless element traversed
 backwards), which is what makes the ideal loop close exactly.
 """
 
@@ -56,33 +58,11 @@ def _check_split(t: float, r: float, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class BeamSplitterParams:
-    """Measured intensity transmissivity/reflectivity; loss is the remainder."""
-
-    T: float
-    R: float
-
-    def __post_init__(self):
-        _check_split(self.T, self.R, "beam splitter")
-
-
-@dataclass(frozen=True)
-class PbsParams:
-    """Polarizing splitter: independent splitting ratios for H and V."""
-
-    T_H: float
-    R_H: float
-    T_V: float
-    R_V: float
-
-    def __post_init__(self):
-        _check_split(self.T_H, self.R_H, "polarizing splitter, H")
-        _check_split(self.T_V, self.R_V, "polarizing splitter, V")
-
-
-@dataclass(frozen=True)
 class DifElements:
-    """Element set of an interferometer: loop splitter and output splitter.
+    """Element set of an interferometer: the measured intensity ratios of the
+    output splitter, ``T`` and ``R``, and of the polarizing loop splitter,
+    ``T_H``, ``R_H`` for H and ``T_V``, ``R_V`` for V; each element's loss is
+    the remainder.
 
     A path's loss before the output splitter, such as a fiber's collection
     efficiency, is written into that splitter: path efficiencies (c_a, c_b)
@@ -90,18 +70,24 @@ class DifElements:
     since path a leaves by reflection and path b by transmission.
     """
 
-    bs: BeamSplitterParams
-    pbs: PbsParams
+    T: float
+    R: float
+    T_H: float
+    R_H: float
+    T_V: float
+    R_V: float
+
+    def __post_init__(self):
+        _check_split(self.T, self.R, "beam splitter")
+        _check_split(self.T_H, self.R_H, "polarizing splitter, H")
+        _check_split(self.T_V, self.R_V, "polarizing splitter, V")
 
 
-IDEAL = DifElements(BeamSplitterParams(0.5, 0.5), PbsParams(1.0, 0.0, 0.0, 1.0))
+IDEAL = DifElements(0.5, 0.5, 1.0, 0.0, 0.0, 1.0)
 
 # Bench-characterized averages.  The H triple as stated sums to more than 1,
 # so only T and R are taken from it, and each element loses 1 - T - R.
-MEASURED = DifElements(BeamSplitterParams(0.48, 0.44),
-                       PbsParams(0.965, 0.0185, 0.004, 0.948))
-
-_PRESETS = {"ideal": IDEAL, "measured": MEASURED}
+MEASURED = DifElements(0.48, 0.44, 0.965, 0.0185, 0.004, 0.948)
 
 
 def hwp(xi) -> np.ndarray:
@@ -127,7 +113,7 @@ def alpha_for_eta(eta: float) -> float:
     return math.acos(-math.sqrt(eta)) / 2.0
 
 
-def _dif_branches(alpha, elements: DifElements) -> tuple[np.ndarray, np.ndarray]:
+def _dif_branches(alpha, el: DifElements) -> tuple[np.ndarray, np.ndarray]:
     """Polarization-space operators of the two output branches, or their
     stacks ``alpha.shape + (2, 2)`` for an array of loop plate angles.
 
@@ -137,16 +123,15 @@ def _dif_branches(alpha, elements: DifElements) -> tuple[np.ndarray, np.ndarray]
     ``hwp_y``, and its return pass ``back[x][y]`` leaves path x as
     ``sum_y diag(back[x][y]) @ hwp_y @ diag(into[y])``.
     """
-    el = elements
-    t = np.sqrt([el.pbs.T_H, el.pbs.T_V])
-    r = 1.0j * np.sqrt([el.pbs.R_H, el.pbs.R_V])
+    t = np.sqrt([el.T_H, el.T_V])
+    r = 1.0j * np.sqrt([el.R_H, el.R_V])
     into, back = (t, r), ((t, r.conj()), (r.conj(), t))
     plates = (hwp(0.0), hwp(alpha))
     path_a, path_b = (sum(back[x][y][:, None] * plates[y] * into[y] for y in (0, 1))
                       for x in (0, 1))
     # final splitter, output port fed by reflected a and transmitted b
-    main = 1.0j * math.sqrt(el.bs.R) * path_a
-    arm = math.sqrt(el.bs.T) * path_b
+    main = 1.0j * math.sqrt(el.R) * path_a
+    arm = math.sqrt(el.T) * path_b
     return main, arm
 
 
@@ -221,55 +206,46 @@ class OpticalSetup:
             raise ElementInconsistent("elements must be one DifElements set")
 
 
-def resolve_elements(preset: str) -> DifElements:
-    """The element set of a preset name."""
-    try:
-        return _PRESETS[preset.lower()]
-    except KeyError:
-        raise ElementInconsistent(f"unknown element preset {preset!r}") from None
-
-
 def mprime_setup(eta1: float = 0.3, eta2: float = 0.3, *,
                  theta: float = math.pi / 4, phi: float = math.pi / 4,
-                 preset="ideal", w: float = 0.96,
+                 elements: DifElements = IDEAL, w: float = 0.96,
                  source_phase: float = math.pi) -> OpticalSetup:
     """Restored sequence: three DIFs at alpha(eta1), alpha(eta1 eta2),
     alpha(eta2) with both plate pairs in place."""
     return OpticalSetup(alpha_for_eta(eta1), alpha_for_eta(eta1 * eta2),
                         alpha_for_eta(eta2), theta=theta, phi=phi,
-                        elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase, label="mprime")
+                        elements=elements, W=w, source_phase=source_phase,
+                        label="mprime")
 
 
 def m1_setup(eta2: float = 0.3, *, theta: float = math.pi / 4,
-             preset="ideal", w: float = 0.96,
+             elements: DifElements = IDEAL, w: float = 0.96,
              source_phase: float = math.pi) -> OpticalSetup:
     """Twice the damping-then-rotation map: first DIF idles (alpha = pi/2),
     phi plates removed."""
     a = alpha_for_eta(eta2)
     return OpticalSetup(math.pi / 2, a, a, theta=theta, phi=None,
-                        elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase, label="m1")
+                        elements=elements, W=w, source_phase=source_phase,
+                        label="m1")
 
 
 def m2_setup(eta1: float = 0.3, *, phi: float = math.pi / 4,
-             preset="ideal", w: float = 0.96,
+             elements: DifElements = IDEAL, w: float = 0.96,
              source_phase: float = math.pi) -> OpticalSetup:
     """Twice the rotation-then-damping map: last DIF idles, theta plates
     removed."""
     a = alpha_for_eta(eta1)
     return OpticalSetup(a, a, math.pi / 2, phi=phi, theta=None,
-                        elements=resolve_elements(preset), W=w,
-                        source_phase=source_phase, label="m2")
+                        elements=elements, W=w, source_phase=source_phase,
+                        label="m2")
 
 
-def identity_setup(*, preset="ideal", w: float = 0.96,
+def identity_setup(*, elements: DifElements = IDEAL, w: float = 0.96,
                    source_phase: float = math.pi) -> OpticalSetup:
     """All three DIFs idle, every external plate removed: the bench's
     do-nothing baseline."""
     return OpticalSetup(math.pi / 2, math.pi / 2, math.pi / 2,
-                        theta=None, phi=None,
-                        elements=resolve_elements(preset), W=w,
+                        theta=None, phi=None, elements=elements, W=w,
                         source_phase=source_phase, label="identity")
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from entweave.channels import QuantumChannel
+from entweave.qmath import unvec, vec
 
 # the pytester fixture, for tests of the suite's own configuration
 pytest_plugins = ["pytester"]
@@ -61,3 +62,17 @@ def refusal(call, *args, **kwargs) -> tuple[type, str]:
     with pytest.raises(Exception) as info:
         call(*args, **kwargs)
     return type(info.value), str(info.value)
+
+
+def on_first_qubit(superop, rho) -> np.ndarray:
+    """Reference (map (x) id)(rho) of a 4x4 superoperator on a two-qubit
+    state, one 2x2 block at a time, independent of the Choi reshuffle:
+    (map (x) id)(sum rho_yz (x) |y><z|) = sum map(rho_yz) (x) |y><z|."""
+    blocks = np.asarray(rho).reshape(2, 2, 2, 2)
+    out = np.zeros((4, 4), dtype=complex)
+    for y in range(2):
+        for z in range(2):
+            e = np.zeros((2, 2))
+            e[y, z] = 1.0
+            out += np.kron(unvec(superop @ vec(blocks[:, y, :, z])), e)
+    return out

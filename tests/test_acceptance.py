@@ -41,6 +41,7 @@ from entweave.continuous import (
 )
 from entweave.entanglement import concurrence, negativity
 from entweave.optics import (
+    MEASURED,
     alpha_for_eta,
     dif_map,
     hwp,
@@ -297,14 +298,14 @@ def test_criterion_8_experiment_curves():
     p11 = (1 - w) * eta_t / 4.0
     closed = 2.0 * max(0.0, coh - math.sqrt(p00 * p11))
     peak_val = max(cs)
-    meas = sweep(mprime_setup(preset="measured"), "theta",
+    meas = sweep(mprime_setup(elements=MEASURED), "theta",
                  -math.pi / 2, math.pi / 2, 361)
     mc = [p.concurrence for p in meas]
     heights = sorted(mc[i] for i in range(1, 360)
                      if mc[i] > mc[i - 1] and mc[i] >= mc[i + 1]
                      and mc[i] > 1e-9)
     unequal = bool(heights) and heights[-1] - heights[0] > 1e-3
-    c_meas = run_point(identity_setup(preset="measured"))[0]
+    c_meas = run_point(identity_setup(elements=MEASURED))[0]
     per_dif = 1.0 - (c_meas / 0.94) ** (1.0 / 3.0)
     _verdict(8, "sweep features: plateaus, peak placement, element asymmetry", [
         ("m1 zero at +pi/4", m1_at(pi4) <= 1e-9),

@@ -691,6 +691,25 @@ def test_unbounded_reporting():
     assert order.searched_up_to == 4
 
 
+@pytest.mark.parametrize("max_n", [3.0, 16.0, 100.0, 5.5])
+def test_an_order_bound_that_is_not_an_integer_is_refused_first(monkeypatch, max_n):
+    # a count is an integer where it enters, so a float bound is refused
+    # before any power is formed, not answered or failed midway
+    formed = []
+    monkeypatch.setattr(entweave.channels, "_orders_and_margins",
+                        lambda *args: formed.append(args))
+    assert refusal(eb_order, ad_channel(0.9), max_n) == (
+        TypeError, "'float' object cannot be interpreted as an integer")
+    assert formed == []
+
+
+def test_a_numpy_integer_order_bound_is_an_integer():
+    for c in (ad_channel(0.9), ad_channel(0.3), pd_channel(0.05)):
+        for max_n in (3, 16, 64):
+            assert eb_order(c, np.int64(max_n)) == eb_order(c, max_n)
+            assert eb_order(c, np.int32(max_n)) == eb_order(c, max_n)
+
+
 def test_normalized_requires_proportional_gram():
     phi, _ = _restored_pair()
     assert superop_distance(phi.normalized(), phi) < 1e-12  # already TP

@@ -20,7 +20,7 @@ from entweave.channels import Unbounded, eb_order, unitary_channel
 from entweave.cli import PROFILE_HEADER, main
 from entweave.continuous import ProfilePoint
 from entweave.qmath import SIGMA_Z, OutOfRange
-from entweave.optics import BeamSplitterParams, DifElements, IDEAL, identity_setup
+from entweave.optics import IDEAL, identity_setup
 from dataclasses import replace
 
 
@@ -166,7 +166,7 @@ def test_validation_exit_codes(tmp_path):
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # no command-line input darkens the bench, so the identity map is
     # swapped for one whose output splitter passes no light
-    dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
+    dark = replace(IDEAL, T=0.0, R=0.0)
     monkeypatch.setitem(cli._SETUPS, "identity",
                         lambda a: replace(identity_setup(), elements=dark))
     out = tmp_path / "out"

@@ -41,11 +41,9 @@ from entweave.qmath import (
     OutOfRange,
     Spectral,
     projector,
-    unvec,
-    vec,
 )
 
-from conftest import SINGLET, refusal
+from conftest import SINGLET, on_first_qubit, refusal
 
 
 AD1 = rotating_ad_liouvillian(1, 1.5, 1.0)
@@ -125,20 +123,6 @@ def test_undriven_profiles_match_family_concurrence():
         assert math.isclose(p.concurrence, math.exp(-2.0 * p.x), abs_tol=1e-7)
 
 
-def _on_first_qubit(superop, rho):
-    """Reference (map (x) id)(rho), one 2x2 block at a time, as
-    tests/test_optics.py's _reference_point does:
-    (map (x) id)(sum rho_yz (x) |y><z|) = sum map(rho_yz) (x) |y><z|."""
-    blocks = np.asarray(rho).reshape(2, 2, 2, 2)
-    out = np.zeros((4, 4), dtype=complex)
-    for y in range(2):
-        for z in range(2):
-            e = np.zeros((2, 2))
-            e[y, z] = 1.0
-            out += np.kron(unvec(superop @ vec(blocks[:, y, :, z])), e)
-    return out
-
-
 def _lowest_scaled_eigenvalue(generator) -> tuple[float, float]:
     """Reference for the Lindblad-form test: the lowest eigenvalue of the
     generator's Choi matrix, scaled to unit largest real or imaginary part
@@ -163,7 +147,7 @@ def test_non_lindblad_generator_is_refused_before_it_is_factored(monkeypatch):
     # search ever scores such a state
     singlet = projector(SINGLET)
     for x in (2e-9, 1e-6):
-        out = _on_first_qubit(scipy.linalg.expm(NON_CP * x), singlet)
+        out = on_first_qubit(scipy.linalg.expm(NON_CP * x), singlet)
         assert math.isclose(np.linalg.eigvalsh(out)[0], -x, rel_tol=1e-5)
     assert _lowest_scaled_eigenvalue(NON_CP) == pytest.approx((-1.0, 2.0), abs=1e-15)
     factored = _count_calls(monkeypatch, continuous, "Spectral")
@@ -344,7 +328,7 @@ def _scan_eb_length(source, x_hi: float, xtol: float = 1e-4,
     singlet = projector(SINGLET)
 
     def f(x):
-        out = _on_first_qubit(propagation_superop(source, x), singlet)
+        out = on_first_qubit(propagation_superop(source, x), singlet)
         return concurrence(0.5 * (out + out.conj().T)).pre_clamp
 
     xs = np.linspace(0.0, x_hi, int(np.ceil(x_hi / spacing)) + 1)
@@ -1008,6 +992,13 @@ def test_switched_line_rejects_non_finite_slices():
             SwitchedLine(AD1, AD2, bad)
         with pytest.raises(OutOfRange, match="total length"):
             switched_line(AD1, AD2, bad, 4)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5])
+def test_a_slice_count_that_is_not_an_integer_is_refused(n):
+    assert refusal(switched_line, AD1, AD2, 6.0, n) == (
+        TypeError, "'float' object cannot be interpreted as an integer")
+    assert switched_line(AD1, AD2, 6.0, np.int64(2)).slice_len == 3.0
 
 
 def test_eb_length_rejects_non_finite_bounds():

@@ -20,11 +20,8 @@ from entweave.entanglement import concurrence
 from entweave.optics import (
     IDEAL,
     MEASURED,
-    BeamSplitterParams,
-    DifElements,
     ElementInconsistent,
     OpticalSetup,
-    PbsParams,
     ZeroSuccessProbability,
     alpha_for_eta,
     dif_map,
@@ -38,11 +35,10 @@ from entweave.optics import (
     source_state,
     sweep,
 )
-from entweave.qmath import (OutOfRange, is_unitary, partial_trace, sandwich_superop,
-                            unvec, vec)
+from entweave.qmath import OutOfRange, is_unitary, partial_trace, sandwich_superop
 from entweave.states import validate_density
 
-from conftest import refusal
+from conftest import on_first_qubit, refusal
 
 
 HALF_PI = math.pi / 2
@@ -85,17 +81,24 @@ def test_alpha_for_eta_anchors():
 
 def test_element_validation():
     with pytest.raises(ElementInconsistent):
-        BeamSplitterParams(0.7, 0.5)       # T + R > 1
+        replace(IDEAL, T=0.7, R=0.5)       # T + R > 1
     with pytest.raises(ElementInconsistent):
-        BeamSplitterParams(-0.1, 0.5)
+        replace(IDEAL, T=-0.1)
 
 
 @pytest.mark.parametrize("field", ["T", "R", "T_H", "R_H", "T_V", "R_V"])
 def test_nan_element_parameter_is_refused(field):
     # NaN fails every comparison, so a check not written for it lets it pass
-    element = IDEAL.bs if field in ("T", "R") else IDEAL.pbs
     with pytest.raises(ElementInconsistent, match=f"{field[0]} = nan.*must be finite"):
-        replace(element, **{field: math.nan})
+        replace(IDEAL, **{field: math.nan})
+
+
+@pytest.mark.parametrize("value", ["x", None, "0.5"])
+@pytest.mark.parametrize("field", ["T", "R", "T_H", "R_H", "T_V", "R_V"])
+def test_element_parameter_that_is_not_a_number_is_refused(field, value):
+    # refused where the record is built, not when a bench first reads it
+    with pytest.raises(TypeError, match="must be real number"):
+        replace(IDEAL, **{field: value})
 
 
 def _kron_dif_branches(alpha, el):
@@ -108,22 +111,22 @@ def _kron_dif_branches(alpha, el):
                          [ph * math.sqrt(r), math.sqrt(t)]])
 
     def pbs(conj):
-        return (np.kron(np.diag([1.0, 0.0]), split(el.pbs.T_H, el.pbs.R_H, conj))
-                + np.kron(np.diag([0.0, 1.0]), split(el.pbs.T_V, el.pbs.R_V, conj)))
+        return (np.kron(np.diag([1.0, 0.0]), split(el.T_H, el.R_H, conj))
+                + np.kron(np.diag([0.0, 1.0]), split(el.T_V, el.R_V, conj)))
 
     loop = (np.kron(hwp(0.0), np.diag([1.0, 0.0]))
             + np.kron(hwp(alpha), np.diag([0.0, 1.0])))
     embed = np.kron(np.eye(2), np.array([[1.0], [0.0]]))
     stage = pbs(True) @ loop @ pbs(False) @ embed
-    return (1.0j * math.sqrt(el.bs.R) * stage[0::2],
-            math.sqrt(el.bs.T) * stage[1::2])
+    return (1.0j * math.sqrt(el.R) * stage[0::2],
+            math.sqrt(el.T) * stage[1::2])
 
 
 def test_dif_branches_match_kron_model(rng):
     # path couplings (c_a, c_b) folded into the output splitter as
     # (T c_b, R c_a): (0.9, 0.7) on the measured elements, (0.8, 0.6) on ideal
-    lossy = DifElements(BeamSplitterParams(0.48 * 0.7, 0.44 * 0.9), MEASURED.pbs)
-    leaky = DifElements(BeamSplitterParams(0.5 * 0.6, 0.5 * 0.8), IDEAL.pbs)
+    lossy = replace(MEASURED, T=0.48 * 0.7, R=0.44 * 0.9)
+    leaky = replace(IDEAL, T=0.5 * 0.6, R=0.5 * 0.8)
     for el in (IDEAL, MEASURED, lossy, leaky):
         for alpha in rng.uniform(-math.pi, math.pi, size=100):
             got = optics._dif_branches(alpha, el)
@@ -192,7 +195,7 @@ def test_measured_single_dif_transmission():
 
 
 def test_measured_identity_chain_frozen():
-    c, succ = run_point(identity_setup(preset="measured"))
+    c, succ = run_point(identity_setup(elements=MEASURED))
     assert math.isclose(c, 0.7047542750447778, abs_tol=1e-9)
     assert math.isclose(succ, 0.07117840508122039, abs_tol=1e-9)
     # concurrence degradation per DIF against the ideal baseline 0.94
@@ -201,7 +204,7 @@ def test_measured_identity_chain_frozen():
 
 
 def test_measured_mprime_peak_doublet():
-    pts = sweep(mprime_setup(preset="measured"), "theta", -HALF_PI, HALF_PI, 361)
+    pts = sweep(mprime_setup(elements=MEASURED), "theta", -HALF_PI, HALF_PI, 361)
     cs = [p.concurrence for p in pts]
     peaks = [(pts[i].angle, cs[i]) for i in range(1, 360)
              if cs[i] > cs[i - 1] and cs[i] >= cs[i + 1] and cs[i] > 1e-9]
@@ -212,15 +215,15 @@ def test_measured_mprime_peak_doublet():
     # unequal heights within each half-period, yet exact pi/2 translates:
     # hwp(theta + pi/2) = -hwp(theta) makes the bench periodic in theta
     assert heights[-1] - heights[0] > 1e-3
-    a = run_point(mprime_setup(0.3, 0.3, theta=0.31, preset="measured"))[0]
+    a = run_point(mprime_setup(0.3, 0.3, theta=0.31, elements=MEASURED))[0]
     b = run_point(mprime_setup(0.3, 0.3, theta=0.31 + HALF_PI,
-                               preset="measured"))[0]
+                               elements=MEASURED))[0]
     assert math.isclose(a, b, abs_tol=1e-12)
 
 
 def test_measured_m1_m2_split():
-    p1 = sweep(m1_setup(preset="measured"), "theta", -HALF_PI, HALF_PI, 181)
-    p2 = sweep(m2_setup(preset="measured"), "phi", -HALF_PI, HALF_PI, 181)
+    p1 = sweep(m1_setup(elements=MEASURED), "theta", -HALF_PI, HALF_PI, 181)
+    p2 = sweep(m2_setup(elements=MEASURED), "phi", -HALF_PI, HALF_PI, 181)
     gap = max(abs(a.concurrence - b.concurrence) for a, b in zip(p1, p2))
     assert math.isclose(gap, 0.1030525434118771, abs_tol=1e-9)
     z1 = sum(1 for p in p1 if p.concurrence <= 1e-9)
@@ -236,7 +239,7 @@ def test_monte_carlo_phase_average(rng):
     # z S(arm, main) + conj(z) S(main, arm) of their mean phase factor z: an
     # exact identity, so averaging the phase exactly (z = 0) leaves dif_map
     alpha = alpha_for_eta(0.3)
-    lossy = DifElements(BeamSplitterParams(0.48 * 0.7, 0.44 * 0.9), MEASURED.pbs)
+    lossy = replace(MEASURED, T=0.48 * 0.7, R=0.44 * 0.9)
     for el in (IDEAL, MEASURED, lossy):
         main, arm = optics._dif_branches(alpha, el)
         phases = np.exp(1.0j * rng.uniform(0.0, 2.0 * math.pi, size=200))
@@ -258,7 +261,7 @@ def test_source_state_options():
         assert math.isclose(c, 0.94, abs_tol=1e-9)
     # the phase is a local unitary on the untouched qubit, so a whole
     # measured-element sweep, concurrence and success, is unchanged by it
-    sweeps = [sweep(mprime_setup(preset="measured", source_phase=phase),
+    sweeps = [sweep(mprime_setup(elements=MEASURED, source_phase=phase),
                     "theta", -HALF_PI, HALF_PI, 61)
               for phase in (0.0, 1.0, math.pi)]
     for pts in sweeps[:2]:
@@ -291,8 +294,6 @@ def test_setup_validation():
             replace(mprime_setup(), **{name: -1e308})
     with pytest.raises(OutOfRange):
         mprime_setup(w=1.3)
-    with pytest.raises(ElementInconsistent):
-        mprime_setup(preset="nope")
     with pytest.raises(ElementInconsistent):  # one element set serves all DIFs
         OpticalSetup(0.1, 0.1, 0.1, elements=(IDEAL, IDEAL, IDEAL))
 
@@ -306,7 +307,7 @@ def test_nan_source_phase_and_one_sweep_step_are_refused():
 
 
 def test_zero_success_raises():
-    dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
+    dark = replace(IDEAL, T=0.0, R=0.0)
     s = identity_setup()
     s = OpticalSetup(s.alpha1, s.alpha21, s.alpha2, theta=None, phi=None,
                      elements=dark)
@@ -334,37 +335,27 @@ def test_sweep_grid_and_csv(tmp_path):
 def _reference_point(s):
     """Per-point bench from the public channel algebra: DIF channels and
     plate channels composed in signal order, applied to the first qubit of
-    the Werner input one 2x2 block at a time,
-    (map (x) id)(sum rho_yz (x) |y><z|) = sum map(rho_yz) (x) |y><z|."""
-    total = _reference_map(s)
-    blocks = source_state(s).reshape(2, 2, 2, 2)
-    out = np.zeros((4, 4), dtype=complex)
-    for y in range(2):
-        for z in range(2):
-            e = np.zeros((2, 2))
-            e[y, z] = 1.0
-            out += np.kron(unvec(total.superop @ vec(blocks[:, y, :, z])), e)
+    the Werner input by the block reference ``on_first_qubit``."""
+    out = on_first_qubit(_reference_map(s).superop, source_state(s))
     succ = float(np.trace(out).real)
     rho = out / succ
     return concurrence(0.5 * (rho + rho.conj().T)).value, succ
 
 
 def _reference_map(s):
-    def stage(alpha, el):
-        return dif_map(alpha, el)
     plates = [unitary_channel(hwp(xi)) for xi in (s.phi, s.theta) if xi is not None]
-    return compose_signal_chain([stage(s.alpha1, s.elements), *plates,
-                                 stage(s.alpha21, s.elements), *plates,
-                                 stage(s.alpha2, s.elements)])
+    return compose_signal_chain([dif_map(s.alpha1, s.elements), *plates,
+                                 dif_map(s.alpha21, s.elements), *plates,
+                                 dif_map(s.alpha2, s.elements)])
 
 
-@pytest.mark.parametrize("preset", ["ideal", "measured"])
+@pytest.mark.parametrize("elements", [IDEAL, MEASURED], ids=["ideal", "measured"])
 @pytest.mark.parametrize("make, vary", [
     (mprime_setup, "theta"), (m1_setup, "theta"), (m2_setup, "phi"),
     (identity_setup, "theta"), (m1_setup, "phi"), (m2_setup, "theta"),
 ])
-def test_stacked_sweep_matches_channel_algebra(make, vary, preset):
-    s = make(preset=preset)
+def test_stacked_sweep_matches_channel_algebra(make, vary, elements):
+    s = make(elements=elements)
     pts = sweep(s, vary, -HALF_PI, HALF_PI, 61)
     assert len(pts) == 61
     # a removed plate (None) stays removed: every point is the plate-free bench
@@ -377,25 +368,25 @@ def test_stacked_sweep_matches_channel_algebra(make, vary, preset):
 
 @pytest.mark.parametrize("steps", [61, optics._STACK_POINTS + 3])
 @pytest.mark.parametrize("vary", ["theta", "phi"])
-@pytest.mark.parametrize("preset", ["ideal", "measured"])
-def test_sweep_points_equal_run_point_exactly(preset, vary, steps):
+@pytest.mark.parametrize("elements", [IDEAL, MEASURED], ids=["ideal", "measured"])
+def test_sweep_points_equal_run_point_exactly(elements, vary, steps):
     # a stack of angles and a single setting are the same arithmetic
     for make in (mprime_setup, m1_setup, m2_setup, identity_setup):
-        s = make(preset=preset)
+        s = make(elements=elements)
         present = getattr(s, vary) is not None
         for p in sweep(s, vary, -HALF_PI, HALF_PI, steps):
             c, succ = run_point(replace(s, **{vary: p.angle}) if present else s)
             assert (p.concurrence, p.success_prob) == (c, succ)
 
 
-@pytest.mark.parametrize("preset", ["ideal", "measured"])
+@pytest.mark.parametrize("elements", [IDEAL, MEASURED], ids=["ideal", "measured"])
 @pytest.mark.parametrize("make, vary, flat", [
     (identity_setup, "theta", True), (identity_setup, "phi", True),
     (m1_setup, "phi", True), (m2_setup, "theta", True),
     (mprime_setup, "theta", False), (m1_setup, "theta", False),
     (m2_setup, "phi", False),
 ])
-def test_sweep_over_absent_plate_scores_one_map(monkeypatch, preset, make,
+def test_sweep_over_absent_plate_scores_one_map(monkeypatch, elements, make,
                                                 vary, flat):
     scored, score = [], optics._scores
 
@@ -405,7 +396,7 @@ def test_sweep_over_absent_plate_scores_one_map(monkeypatch, preset, make,
 
     monkeypatch.setattr(optics, "_scores", spy)
     steps = optics._STACK_POINTS + 3
-    pts = sweep(make(preset=preset), vary, -HALF_PI, HALF_PI, steps)
+    pts = sweep(make(elements=elements), vary, -HALF_PI, HALF_PI, steps)
     assert scored == [(1 if flat else n, 4, 4) for n in (optics._STACK_POINTS, 3)]
     assert len(pts) == steps
     if flat:
@@ -424,7 +415,7 @@ def test_overflowing_sweep_is_refused_before_any_plate(monkeypatch):
 
 
 def test_dark_sweep_raises_with_label():
-    dark = DifElements(BeamSplitterParams(0.0, 0.0), IDEAL.pbs)
+    dark = replace(IDEAL, T=0.0, R=0.0)
     s = replace(identity_setup(), elements=dark)
     with pytest.raises(ZeroSuccessProbability, match="identity"):
         sweep(s, "theta", -1.0, 1.0, 5)
