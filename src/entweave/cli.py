@@ -433,6 +433,26 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _argv(manifest: dict) -> list[str]:
+    """The parser's inverse: an argv, without ``--out``, that parses back to
+    a manifest's ``command`` and ``parameters``.  Each non-None parameter is
+    spelled by its subcommand's own option string for that ``dest``, then its
+    value or values; a float by the digits of its ``repr`` in positional
+    notation, since argparse reads a value such as ``-1e-05`` as an option."""
+    (commands,) = (a for a in _PARSER._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings[0]
+             for a in commands.choices[manifest["command"]]._actions}
+    argv = [manifest["command"]]
+    for dest, value in manifest["parameters"].items():
+        if value is not None:
+            argv.append(flags[dest])
+            argv += [np.format_float_positional(v, unique=True, trim="0")
+                     if isinstance(v, float) else str(v)
+                     for v in (value if isinstance(value, list) else [value])]
+    return argv
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     handlers = {"discrete": cmd_discrete, "continuous": cmd_continuous,

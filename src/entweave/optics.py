@@ -26,6 +26,7 @@ backwards), which is what makes the ideal loop close exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,9 +48,15 @@ class ZeroSuccessProbability(RuntimeError):
 _ETOL = 1e-9
 
 
-def _check_split(t: float, r: float, what: str) -> None:
-    """Refuse a splitter's intensity ratios T, R unless both are finite and
-    nonnegative with T + R <= 1; NaN fails the first test."""
+def _check_split(what: str, **ratios: float) -> None:
+    """Refuse a splitter's intensity ratios T, R, named as fields, unless both
+    are real numbers, not booleans, finite and nonnegative with T + R <= 1;
+    NaN fails the finiteness test."""
+    for name, value in ratios.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{what}: {name} = {value!r} must be real number, "
+                            f"not {type(value).__name__}")
+    t, r = ratios.values()
     if not (math.isfinite(t) and math.isfinite(r) and t >= 0.0 and r >= 0.0):
         raise ElementInconsistent(f"{what}: T = {t} and R = {r} must be finite "
                                   "and nonnegative")
@@ -78,9 +85,9 @@ class DifElements:
     R_V: float
 
     def __post_init__(self):
-        _check_split(self.T, self.R, "beam splitter")
-        _check_split(self.T_H, self.R_H, "polarizing splitter, H")
-        _check_split(self.T_V, self.R_V, "polarizing splitter, V")
+        _check_split("beam splitter", T=self.T, R=self.R)
+        _check_split("polarizing splitter, H", T_H=self.T_H, R_H=self.R_H)
+        _check_split("polarizing splitter, V", T_V=self.T_V, R_V=self.R_V)
 
 
 IDEAL = DifElements(0.5, 0.5, 1.0, 0.0, 0.0, 1.0)
@@ -111,6 +118,11 @@ def alpha_for_eta(eta: float) -> float:
     if not 0.0 <= eta <= 1.0:
         raise OutOfRange(f"damping parameter {eta} outside [0, 1]")
     return math.acos(-math.sqrt(eta)) / 2.0
+
+
+def _check_elements(elements) -> None:
+    if not isinstance(elements, DifElements):
+        raise ElementInconsistent("elements must be one DifElements set")
 
 
 def _dif_branches(alpha, el: DifElements) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +163,7 @@ def dif_map(alpha: float, elements: DifElements = IDEAL) -> QuantumChannel:
     parameter eta(alpha) given by cos(2 alpha) = -sqrt(eta), at success
     probability 1/2.
     """
+    _check_elements(elements)
     return QuantumChannel(_dif_superop(alpha, elements))
 
 
@@ -202,8 +215,7 @@ class OpticalSetup:
             raise OutOfRange("source_phase is not finite")
         if not 0.0 <= self.W <= 1.0:
             raise OutOfRange(f"Werner parameter {self.W} outside [0, 1]")
-        if not isinstance(self.elements, DifElements):
-            raise ElementInconsistent("elements must be one DifElements set")
+        _check_elements(self.elements)
 
 
 def mprime_setup(eta1: float = 0.3, eta2: float = 0.3, *,

@@ -227,16 +227,6 @@ def partial_transpose(m) -> np.ndarray:
     return t.swapaxes(-3, -1).reshape(m.shape)
 
 
-def vec(m) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return as_matrix(m).flatten(order="F")
-
-
-def unvec(v) -> np.ndarray:
-    """Inverse of :func:`vec` for a 2x2 matrix."""
-    return _qubit_shaped(np.ravel(v), (4,)).reshape((2, 2), order="F")
-
-
 def sandwich_superop(a, b) -> np.ndarray:
     """Superoperator of ``rho -> a @ rho @ dagger(b)``: ``kron(conj(b), a)``,
     formed as one broadcast product.  Stacks ``(..., r, c)`` of ``a`` and

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from entweave.channels import QuantumChannel
-from entweave.qmath import unvec, vec
+from entweave.qmath import _qubit_shaped, as_matrix
 
 # the pytester fixture, for tests of the suite's own configuration
 pytest_plugins = ["pytester"]
@@ -62,6 +62,16 @@ def refusal(call, *args, **kwargs) -> tuple[type, str]:
     with pytest.raises(Exception) as info:
         call(*args, **kwargs)
     return type(info.value), str(info.value)
+
+
+def vec(m) -> np.ndarray:
+    """Column-stack a matrix into a vector."""
+    return as_matrix(m).flatten(order="F")
+
+
+def unvec(v) -> np.ndarray:
+    """Inverse of :func:`vec` for a 2x2 matrix."""
+    return _qubit_shaped(np.ravel(v), (4,)).reshape((2, 2), order="F")
 
 
 def on_first_qubit(superop, rho) -> np.ndarray:

@@ -51,12 +51,11 @@ from entweave.qmath import (
     projector,
     sandwich_superop,
     superop_of_choi,
-    unvec,
-    vec,
 )
 from entweave.states import validate_density
 
-from conftest import haar_unitary, random_channel, random_density, random_kraus, refusal
+from conftest import (haar_unitary, random_channel, random_density, random_kraus,
+                      refusal, unvec, vec)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 

@@ -73,12 +73,14 @@ def test_discrete_report_and_manifest(tmp_path):
 def test_manifest_records_every_parsed_argument(tmp_path):
     # the manifest's parameters are exactly the subcommand's parser
     # destinations, as resolved: the map's swept angle filled in.  --out is
-    # not one: the manifest lies in it
+    # not one: the manifest lies in it.  The parser's inverse spells them as
+    # an argv that parses back to them, None ones (--pd) left out and floats
+    # positionally, since argparse reads a value such as -1e-05 as an option
     subparsers = next(a for a in cli._PARSER._actions
                       if isinstance(a, argparse._SubParsersAction))
     runs = {
         "discrete": (["--sequence", "QP"], "discrete_report.json"),
-        "continuous": (["--family", "ad", "--n", "2", "--x-max", "1",
+        "continuous": (["--family", "ad", "--n", "2", "--x-max", "1", "--omega=-1e-05",
                         "--steps", "5"], "continuous_manifest.json"),
         "experiment": (["--map", "m2", "--steps", "5",
                         "--phi", "0.5", "--range", "-1.5", "1.5"],
@@ -87,9 +89,12 @@ def test_manifest_records_every_parsed_argument(tmp_path):
     for command, (args, name) in runs.items():
         out = tmp_path / command
         assert main(["--out", str(out), command, *args]) == 0
-        params = json.loads((out / name).read_text())["parameters"]
+        manifest = json.loads((out / name).read_text())
+        params = manifest["parameters"]
         dests = {a.dest for a in subparsers.choices[command]._actions}
         assert set(params) == dests - {"help"}
+        assert vars(cli._PARSER.parse_args(cli._argv(manifest))) == {
+            **params, "command": command, "out": "."}
     assert params["vary"] == "phi"
     assert params["phi"] == 0.5
     assert params["range"] == [-1.5, 1.5]

@@ -1,34 +1,36 @@
-"""The committed curves, regenerated and compared column by column.
+"""The committed curves, replayed from their own manifests and compared
+column by column.
 
-Runs the eight invocations of scripts/run_experiment_sweeps.py and holds
-each CSV to its copy under results/experiment/: the angle and success
-probability to 1e-10, the concurrence to 1e-8 and the text columns exactly
-(the tolerances perfbench/README.md documents for its golden check).  Bytes
-need not match, since stacked linear algebra may move the 12th digit.
+Each committed manifest is replayed as scripts/regenerate.py does: its argv
+(``cli._argv``) must parse back to its parameters, and the rerun's manifest
+must equal it byte for byte (parameters, outputs, notes, counts, version).
 
-Runs the three invocations of scripts/run_continuous_curves.py, holds the
-breaking lengths they print line for line, and holds all sixteen CSVs under
-results/continuous/ the same way as the sweeps: ``x`` to 1e-10,
-``concurrence`` and ``pre_clamp`` to 1e-8, ``label`` exactly.  The n*
-switched curves get the same 1e-8, tighter than the 1.2e-4 perfbench
-allows them: their slices are cut from the single-line breaking length,
-and that wider tolerance exists for a change to the length search, which
-moves them on purpose.  Such a change regenerates results/continuous/
-(ROADMAP item 1).
+The eight experiment sweeps hold each CSV to its copy under
+results/experiment/: the angle and success probability to 1e-10, the
+concurrence to 1e-8 and the text columns exactly (the tolerances
+perfbench/README.md documents for its golden check).  Bytes need not match,
+since stacked linear algebra may move the 12th digit.
 
-Each of the eleven runs also holds its fresh manifest to the committed one
-byte for byte: parameters, outputs, notes, counts and version.
+The three continuous runs hold the breaking lengths they print line for
+line, and all sixteen CSVs under results/continuous/ the same way: ``x`` to
+1e-10, ``concurrence`` and ``pre_clamp`` to 1e-8, ``label`` exactly.  The n*
+switched curves get the same 1e-8, tighter than the 1.2e-4 perfbench allows
+them: their slices are cut from the single-line breaking length, and that
+wider tolerance exists for a change to the length search, which moves them
+on purpose.  Such a change regenerates results/continuous/.
 """
 
 import csv
+import json
 import pathlib
 
 import pytest
 
-from entweave.cli import main
+from entweave.cli import _PARSER, _argv, main
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results" / "experiment"
-CONTINUOUS = RESULTS.parent / "continuous"
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+EXPERIMENT = sorted((RESULTS / "experiment").glob("*/*_manifest.json"))
+CONTINUOUS = sorted((RESULTS / "continuous").glob("*/*_manifest.json"))
 
 ATOL = {"angle": 1e-10, "success_prob": 1e-10, "concurrence": 1e-8}
 
@@ -38,23 +40,29 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
-def _assert_manifest_matches(got_dir, want_dir, name):
-    assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes()
+def _replay(manifest, out_dir):
+    """Rerun a committed manifest into ``out_dir`` from the argv that parses
+    back to its command and parameters, and return it; the fresh manifest
+    must equal it."""
+    recipe = json.loads(manifest.read_text())
+    argv = _argv(recipe)
+    assert vars(_PARSER.parse_args(argv)) == {
+        **recipe["parameters"], "command": recipe["command"], "out": "."}
+    assert main(["--out", str(out_dir), *argv]) == 0
+    assert (out_dir / manifest.name).read_bytes() == manifest.read_bytes()
+    return recipe
 
 
-@pytest.mark.parametrize("preset", ["ideal", "measured"])
-@pytest.mark.parametrize("map_name, vary", [
-    ("mprime", "theta"), ("m1", "theta"), ("m2", "phi"), ("identity", "theta"),
-])
-def test_experiment_sweep_matches_committed_csv(tmp_path, capsys, preset,
-                                                map_name, vary):
-    assert main(["--out", str(tmp_path), "experiment", "--map", map_name,
-                 "--preset", preset, "--vary", vary, "--steps", "361"]) == 0
-    name = f"experiment_{map_name}_{preset}_{vary}.csv"
-    got, want = _rows(tmp_path / name), _rows(RESULTS / preset / name)
+def test_results_hold_three_continuous_and_eight_experiment_manifests():
+    assert (len(CONTINUOUS), len(EXPERIMENT)) == (3, 8)
+
+
+@pytest.mark.parametrize("manifest", EXPERIMENT, ids=lambda p: "{map}-{vary}-{preset}".format(
+    **json.loads(p.read_text())["parameters"]))
+def test_experiment_sweep_matches_committed_csv(tmp_path, capsys, manifest):
+    (name,) = _replay(manifest, tmp_path)["outputs"]
+    got, want = _rows(tmp_path / name), _rows(manifest.parent / name)
     assert len(got) == len(want) == 361
-    _assert_manifest_matches(tmp_path, RESULTS / preset,
-                             f"experiment_{map_name}_{preset}_{vary}_manifest.json")
     assert list(got[0]) == list(want[0])
     for g, w in zip(got, want):
         for column, value in w.items():
@@ -65,9 +73,6 @@ def test_experiment_sweep_matches_committed_csv(tmp_path, capsys, preset,
 
 
 CONTINUOUS_ATOL = {"x": 1e-10, "concurrence": 1e-8, "pre_clamp": 1e-8}
-
-_DRIVEN = ["--omega", "1.5", "--eps", "1.0", "--n", "1", "2", "4", "8", "16",
-           "--x-max", "6.0", "--steps", "241"]
 
 
 # the breaking lengths the three runs print, line for line: the paper's
@@ -93,21 +98,16 @@ _LENGTHS = {
 }
 
 
-@pytest.mark.parametrize("subdir, args", [
-    ("ad", ["--family", "ad", *_DRIVEN]),
-    ("pd", ["--family", "pd", *_DRIVEN]),
-    ("undriven", ["--family", "ad", "--omega", "0.0", "--x-max", "6.0",
-                  "--steps", "241"]),
-])
-def test_continuous_curves_match_committed_csv(tmp_path, capsys, subdir, args):
-    assert main(["--out", str(tmp_path), "continuous", *args]) == 0
+@pytest.mark.parametrize("manifest", CONTINUOUS, ids=lambda p: p.parent.name)
+def test_continuous_curves_match_committed_csv(tmp_path, capsys, manifest):
+    subdir = manifest.parent.name
+    _replay(manifest, tmp_path)
     assert capsys.readouterr().out.splitlines() == _LENGTHS[subdir]
-    want_files = sorted(p.name for p in (CONTINUOUS / subdir).glob("*.csv"))
+    want_files = sorted(p.name for p in manifest.parent.glob("*.csv"))
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == want_files
     assert len(want_files) == (2 if subdir == "undriven" else 7)
-    _assert_manifest_matches(tmp_path, CONTINUOUS / subdir, "continuous_manifest.json")
     for name in want_files:
-        got, want = _rows(tmp_path / name), _rows(CONTINUOUS / subdir / name)
+        got, want = _rows(tmp_path / name), _rows(manifest.parent / name)
         assert len(got) == len(want) == 241, name
         assert list(got[0]) == list(want[0]) == [*CONTINUOUS_ATOL, "label"]
         for g, w in zip(got, want):

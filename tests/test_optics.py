@@ -93,12 +93,22 @@ def test_nan_element_parameter_is_refused(field):
         replace(IDEAL, **{field: math.nan})
 
 
-@pytest.mark.parametrize("value", ["x", None, "0.5"])
+@pytest.mark.parametrize("value", ["x", None, "0.5", True])
 @pytest.mark.parametrize("field", ["T", "R", "T_H", "R_H", "T_V", "R_V"])
 def test_element_parameter_that_is_not_a_number_is_refused(field, value):
-    # refused where the record is built, not when a bench first reads it
-    with pytest.raises(TypeError, match="must be real number"):
+    # refused where the record is built, not when a bench first reads it, and
+    # named by its element and field; a bool is an int to math.isfinite, so
+    # True read as a ratio of 1 (replace(IDEAL, T=True, R=0.0) was a set)
+    with pytest.raises(TypeError, match=f"splitter.*: {field} = {value!r} "
+                                        "must be real number"):
         replace(IDEAL, **{field: value})
+
+
+@pytest.mark.parametrize("elements", [None, "measured", (IDEAL, IDEAL, IDEAL)])
+def test_dif_map_refuses_anything_but_one_element_set(elements):
+    # as OpticalSetup does, before any branch reads a ratio off it
+    with pytest.raises(ElementInconsistent, match="one DifElements set"):
+        dif_map(0.3, elements)
 
 
 def _kron_dif_branches(alpha, el):

@@ -27,11 +27,9 @@ from entweave.qmath import (
     projector,
     sandwich_superop,
     superop_of_choi,
-    unvec,
-    vec,
 )
 
-from conftest import SINGLET, haar_unitary, random_density, refusal
+from conftest import SINGLET, haar_unitary, random_density, refusal, unvec, vec
 
 
 complex_entries = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
